@@ -88,7 +88,7 @@ def run_arm(g0, batches, queries, arm: str, repeats: int = 3):
         gpus = [service.runtime(n).gpu for n in service.query_names]
         run = {
             "wall": wall,
-            "launch_wall": service.launch_wall_seconds(),
+            "launch_wall": sum(g.launch_wall_seconds for g in gpus),
             "stats": [
                 {
                     name: dataclasses.asdict(qr.result.kernel_stats)

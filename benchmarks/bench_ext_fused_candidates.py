@@ -101,7 +101,9 @@ def run_arm(g0, batches, queries, arm: str, repeats: int = 3):
         wall = time.perf_counter() - t0
         run = {
             "wall": wall,
-            "launch_wall": service.launch_wall_seconds(),
+            "launch_wall": sum(
+                service.runtime(n).gpu.launch_wall_seconds for n in service.query_names
+            ),
             "stats": [
                 {
                     name: dataclasses.asdict(qr.result.kernel_stats)

@@ -8,7 +8,7 @@ profile: 10%-of-|E| mixed batches, selective 6-vertex queries):
   (scheduler construction vs pooled reset, generator stepping vs
   cost-trace segment pricing and all-trace block memoization, idle-
   spin scans vs batched idle-window pricing), summed over every
-  registered query's device via ``MatchingService.launch_wall_seconds``;
+  registered query's device (``VirtualGPU.launch_wall_seconds``);
 * **end-to-end serving** — ``MatchingService.process_batch`` wall for
   the same stream, where the launch machinery was ~60% of wall time
   after PR 3.
@@ -85,7 +85,7 @@ def run_arm(g0, batches, queries, pooled: bool):
     gpus = [service.runtime(n).gpu for n in service.query_names]
     return {
         "wall": wall,
-        "launch_wall": service.launch_wall_seconds(),
+        "launch_wall": sum(g.launch_wall_seconds for g in gpus),
         "stats": stats,
         "matches": matches,
         "launches": sum(g.launch_count for g in gpus),

@@ -328,12 +328,14 @@ class GPMAGraph:
             if self.vectorized:
                 self._pma.batch_delete(xp.asarray(insert_runs[:, 0], dtype=xp.int64))
             else:
-                self._pma.batch_delete([int(k) for k in insert_runs[:, 0]])
+                self._pma.batch_delete(xp.to_numpy(insert_runs[:, 0]).tolist())
         if len(delete_runs):
             if self.vectorized:
                 self._pma.batch_insert(xp.asarray(delete_runs, dtype=xp.int64))
             else:
-                self._pma.batch_insert([(int(k), int(v)) for k, v in delete_runs])
+                self._pma.batch_insert(
+                    [(k, v) for k, v in xp.to_numpy(delete_runs).tolist()]
+                )
         self._pma.opstats.reset()
 
     def restore_marks(self, update_count: int, n_vertices: int) -> None:

@@ -16,22 +16,26 @@ contributes its own ``kernel:<name>`` GPU stage, which is exactly what
 :class:`~repro.pipeline.async_exec.PipelineModel` schedules to model
 multi-query overlap on the virtual GPU.
 
-Each runtime's kernels launch on the pooled array-native virtual-GPU
-path when its ``WBMConfig.vectorized`` flag is set (the default) and
-on the per-block generator oracle otherwise; either way the modeled
-stage seconds are identical — :meth:`MatchingService.launch_wall_seconds`
-exposes the *host-side* simulator cost the pooled path removes.
+The batch protocol is written once, here, over a list of
+:class:`QueryHost`\\ s — the places query runtimes execute. A
+:class:`MatchingService` has one :class:`InProcessHost` (runtimes on
+the parent store); :class:`~repro.service.sharded.ShardedMatchingService`
+has one ``WorkerHost`` per supervised process, and degrading a latched
+shard swaps its host for an :class:`InProcessHost`. Every worker runs
+an :class:`InProcessHost` over its replica store, so the per-query
+guards below are the same code in every hosting mode.
 
 ``process_batch`` is fault-isolated (see :mod:`repro.service.resilience`
 and docs/ARCHITECTURE.md): it runs as a staged transaction — recovery →
-prepare → negative phase → commit → observe → positive phase → assemble
-— where per-query stages are guarded (a fault quarantines that query
-behind its circuit breaker) and store stages are transactional (a
-failed commit rolls back via its journal and is retried within
-``ResiliencePolicy.store_retries``; exhaustion drops the batch at the
-restored pre-batch boundary). The service never raises for a runtime
-or store *fault*; invalid input batches (``UpdateError``/``GraphError``
-from validation) still propagate to the caller.
+prepare → pre-commit launches → commit → post-commit observe/launch →
+collect → assemble → price — where per-query stages are guarded (a
+fault quarantines that query behind its circuit breaker) and store
+stages are transactional (a failed commit rolls back via its journal
+and is retried within ``ResiliencePolicy.store_retries``; exhaustion
+drops the batch at the restored pre-batch boundary). The service never
+raises for a runtime or store *fault*. Defects still raise: invalid
+input batches (``UpdateError``/``GraphError`` from validation) and
+strict-backend escapes (:func:`is_defect`), wherever the query runs.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.errors import (
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
-from repro.matching.wbm import BatchResult, Match, QueryRuntime, WBMConfig
+from repro.matching.wbm import BatchResult, KernelOutput, Match, QueryRuntime, WBMConfig
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
 from repro.pma.gpma import GpmaUpdateStats
@@ -77,6 +81,13 @@ SERVICE_SHARED_STAGES = [
     ("transfer", "pcie"),
     ("update", "gpu"),
 ]
+
+
+def is_defect(err: BaseException) -> bool:
+    """A strict-backend scalar escape is a kernel bug, not a fault:
+    every guard re-raises it, because quarantining would hide the
+    diagnostic."""
+    return isinstance(err, xp.ScalarEscapeError)
 
 
 @dataclass
@@ -134,8 +145,190 @@ class ServiceBatchReport:
         return [n for n, h in self.health.items() if h == HEALTH_QUARANTINED]
 
 
-class MatchingService:
-    """Facade: register queries, stream batches, read per-query results."""
+@dataclass
+class QueryOutcome:
+    """What one query's guarded batch work produced on its host (sent
+    back over the pipe by worker hosts)."""
+
+    neg: KernelOutput | None = None
+    pos: KernelOutput | None = None
+    #: the fault that stopped this query (quarantines it)
+    error: BaseException | None = None
+    #: launches that reran on the scalar-oracle arm
+    degraded: int = 0
+
+
+# ---------------------------------------------------------------------------
+# query hosts
+# ---------------------------------------------------------------------------
+class QueryHost:
+    """Where a set of query runtimes execute.
+
+    ``label`` names the host in reports (``None`` for a plain service's
+    one host, whose table refresh is priced inside ``preprocess``);
+    ``cpu``/``gpu`` are the pipeline resources its refresh and kernel
+    stages are priced on. The service owns the breakers and the
+    protocol; a host only runs the per-query work and keeps each
+    query's match view.
+    """
+
+    def __init__(self, label: str | None = None, cpu: str = "cpu", gpu: str = "gpu") -> None:
+        self.label = label
+        self.cpu = cpu
+        self.gpu = gpu
+
+    @property
+    def names(self) -> list[str]:
+        """Hosted queries in registration order."""
+        raise NotImplementedError
+
+    def register(self, name, query, config, bootstrap) -> set[Match] | None:
+        """Host a new query; returns its bootstrap matches (if any)."""
+        raise NotImplementedError
+
+    def unregister(self, name: str) -> None:
+        raise NotImplementedError
+
+    def rebootstrap(self, name: str) -> set[Match]:
+        """Rebuild one query at the current boundary (recovery)."""
+        raise NotImplementedError
+
+    def matches(self, name: str) -> set[Match]:
+        raise NotImplementedError
+
+    def consume(self, name: str, result: BatchResult) -> None:
+        """Advance one query's match view by an assembled batch."""
+        raise NotImplementedError
+
+    def before_commit(self, names, delta, outcomes) -> None:
+        """Negative phase against the pre-update graph (in-process only:
+        a worker runs the whole batch after the broadcast)."""
+
+    def after_commit(self, names, delta, commit, outcomes) -> None:
+        """Observe the commit, then the positive phase."""
+
+
+class InProcessHost(QueryHost):
+    """Runtimes on a store in this process: the parent store, or a
+    worker's replica store."""
+
+    def __init__(self, store, params: DeviceParams, policy: ResiliencePolicy, label=None) -> None:
+        super().__init__(label)
+        self.store = store
+        self.params = params
+        self.policy = policy
+        self.runtimes: dict[str, QueryRuntime] = {}  # insertion-ordered
+        #: called with a query name after each of its launches (a
+        #: worker's heartbeat to its supervisor)
+        self.heartbeat = None
+
+    @property
+    def names(self) -> list[str]:
+        return list(self.runtimes)
+
+    def register(self, name, query, config, bootstrap=True) -> set[Match] | None:
+        runtime = QueryRuntime(
+            query, self.store, self.params, config, name=name, collector=MatchCollector()
+        )
+        initial = runtime.bootstrap() if bootstrap else None
+        self.runtimes[name] = runtime
+        return initial
+
+    def adopt(self, name: str, runtime: QueryRuntime) -> None:
+        runtime.name = name
+        if runtime.collector is None:
+            runtime.collector = MatchCollector()
+        self.runtimes[name] = runtime
+
+    def unregister(self, name: str) -> None:
+        self.runtimes.pop(name, None)
+
+    def rebootstrap(self, name: str) -> set[Match]:
+        return self.runtimes[name].rebootstrap()
+
+    def matches(self, name: str) -> set[Match]:
+        return self.runtimes[name].current_matches()
+
+    def consume(self, name: str, result: BatchResult) -> None:
+        self.runtimes[name].collector.consume(result)
+
+    def before_commit(self, names, delta, outcomes) -> None:
+        self._launch_phase(names, delta.deleted, outcomes, "neg")
+
+    def after_commit(self, names, delta, commit, outcomes) -> None:
+        # every healthy runtime observes the commit, each in its own
+        # guard — a mid-loop fault must not leave later runtimes on a
+        # version they never observed
+        for name in names:
+            out = outcomes[name]
+            if out.error is None:
+                try:
+                    self.runtimes[name].observe_commit(commit)
+                except Exception as err:  # noqa: BLE001 — isolation boundary
+                    if is_defect(err):
+                        raise
+                    out.error = err
+        self._launch_phase(names, delta.inserted, outcomes, "pos")
+
+    def _launch_phase(self, names, edges, outcomes, phase: str) -> None:
+        if not edges:
+            return
+        edges = list(edges)
+        for name in names:
+            out = outcomes[name]
+            if out.error is None:
+                setattr(out, phase, self._guarded_launch(name, edges, out))
+                if self.heartbeat is not None:
+                    self.heartbeat(name)
+
+    def _guarded_launch(self, name, edges, out: QueryOutcome):
+        """One launch inside its isolation guard, with the policy's
+        degrade-to-scalar rerun; a fault lands in ``out.error``."""
+        runtime = self.runtimes[name]
+        try:
+            return runtime.launch(edges)
+        except Exception as err:  # noqa: BLE001 — isolation boundary
+            if is_defect(err):
+                raise
+            if self.policy.degrade_to_scalar and runtime.config.vectorized:
+                try:
+                    result = runtime.launch(edges, degraded=True)
+                except Exception as err2:  # noqa: BLE001
+                    if is_defect(err2):
+                        raise
+                    err = err2
+                else:
+                    out.degraded += 1
+                    return result
+            out.error = err
+            return None
+
+
+# ---------------------------------------------------------------------------
+# the serving protocol
+# ---------------------------------------------------------------------------
+@dataclass
+class _Batch:
+    """Per-batch bookkeeping threaded through the protocol steps."""
+
+    index: int
+    report: ServiceBatchReport
+    outcomes: dict[str, QueryOutcome] = field(default_factory=dict)
+    health: dict[str, str] = field(default_factory=dict)
+    #: row errors that override the breaker's (a faulted shard's reason)
+    errors: dict[str, str] = field(default_factory=dict)
+
+    def failed(self, name: str) -> bool:
+        return self.health.get(name) == HEALTH_QUARANTINED
+
+
+class _ServiceCore:
+    """The one batch protocol, registration, and reads over a list of
+    :class:`QueryHost`\\ s; see the module docstring."""
+
+    _report_cls = ServiceBatchReport
+    #: schedule per-host refresh/kernel stages as fork-join groups
+    _fork_join = False
 
     def __init__(
         self,
@@ -152,7 +345,7 @@ class MatchingService:
     ) -> None:
         if store is None:
             if graph is None:
-                raise MatchingError("MatchingService needs a data graph or a store")
+                raise MatchingError(f"{type(self).__name__} needs a data graph or a store")
             store = DynamicGraphStore(
                 graph,
                 params,
@@ -169,7 +362,8 @@ class MatchingService:
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.breaker = CircuitBreaker(self.policy)
         self.meter = ThroughputMeter()
-        self._runtimes: dict[str, QueryRuntime] = {}  # insertion-ordered
+        self._hosts: list[QueryHost] = [InProcessHost(store, params, self.policy)]
+        self._hosted: dict[str, QueryHost] = {}  # registration order
         self._counter = 0
         self.batches_processed = 0
 
@@ -183,11 +377,11 @@ class MatchingService:
 
     @property
     def n_queries(self) -> int:
-        return len(self._runtimes)
+        return len(self._hosted)
 
     @property
     def query_names(self) -> list[str]:
-        return list(self._runtimes)
+        return list(self._hosted)
 
     def register_query(
         self,
@@ -196,47 +390,33 @@ class MatchingService:
         name: str | None = None,
         bootstrap: bool = True,
     ) -> str:
-        """Register a query against the *current* graph state.
+        """Register a query against the *current* graph state, on the
+        least-loaded serving host.
 
         With ``bootstrap`` (default) the query is answered immediately
         via a static enumeration, so :meth:`matches` is complete from
         the first batch the new runtime observes. Returns the name the
         query is addressed by.
         """
-        if name is None:
-            name = self._next_name()
-        if name in self._runtimes:
-            raise ServiceError(f"query {name!r} already registered")
-        runtime = QueryRuntime(
-            query, self.store, self.params, config, name=name, collector=MatchCollector()
-        )
-        if bootstrap:
-            runtime.bootstrap()
-        self._runtimes[name] = runtime
+        name = self._claim_name(name)
+        serving = [h for h in self._hosts if self._host_fault(h) is None]
+        if not serving:
+            raise ServiceError("no serving host available for registration")
+        host = min(serving, key=lambda h: len(h.names))
+        host.register(name, query, config, bootstrap)
+        self._hosted[name] = host
         self._counter += 1
         return name
 
-    def adopt_runtime(self, runtime: QueryRuntime, name: str | None = None) -> str:
-        """Register an externally built runtime (it must already share
-        this service's store)."""
-        if runtime.store is not self.store:
-            raise ServiceError("adopted runtime is bound to a different store")
+    def _claim_name(self, name: str | None) -> str:
         if name is None:
-            name = runtime.name or self._next_name()
-        if name in self._runtimes:
+            # explicit registrations may have claimed counter-shaped names
+            while f"q{self._counter}" in self._hosted:
+                self._counter += 1
+            name = f"q{self._counter}"
+        if name in self._hosted:
             raise ServiceError(f"query {name!r} already registered")
-        runtime.name = name
-        if runtime.collector is None:
-            runtime.collector = MatchCollector()
-        self._runtimes[name] = runtime
-        self._counter += 1
         return name
-
-    def _next_name(self) -> str:
-        # explicit registrations may have claimed counter-shaped names
-        while f"q{self._counter}" in self._runtimes:
-            self._counter += 1
-        return f"q{self._counter}"
 
     def unregister_query(self, name: str, *, force: bool = False) -> None:
         """Drop a query; only its per-query state (candidate table,
@@ -247,19 +427,28 @@ class MatchingService:
         (its match view is incomplete and its breaker holds the fault
         evidence): pass ``force=True`` to discard it anyway.
         """
-        if name not in self._runtimes:
-            raise ServiceError(f"no registered query named {name!r}")
-        if self.breaker.is_quarantined(name) and not force:
-            raise QueryQuarantinedError(
-                name, f"unregister requires force=True; {self.breaker.record(name).last_error}"
-            )
-        del self._runtimes[name]
+        host = self._host(name)
+        reason = self._quarantine_reason(name)
+        if reason is not None and not force:
+            raise QueryQuarantinedError(name, f"unregister requires force=True; {reason}")
+        host.unregister(name)
+        del self._hosted[name]
         self.breaker.drop(name)
 
-    def runtime(self, name: str) -> QueryRuntime:
-        if name not in self._runtimes:
+    def _host(self, name: str) -> QueryHost:
+        host = self._hosted.get(name)
+        if host is None:
             raise ServiceError(f"no registered query named {name!r}")
-        return self._runtimes[name]
+        return host
+
+    def _host_fault(self, host: QueryHost) -> str | None:
+        """Why a whole host cannot serve (``None`` when it can)."""
+        return None
+
+    def _quarantine_reason(self, name: str) -> str | None:
+        if self.breaker.is_quarantined(name):
+            return self.breaker.record(name).last_error or HEALTH_QUARANTINED
+        return self._host_fault(self._host(name))
 
     def matches(self, name: str) -> set[Match]:
         """Current match set of one registered query (bootstrap state
@@ -270,92 +459,87 @@ class MatchingService:
         :class:`~repro.errors.QueryQuarantinedError` rather than
         returning silently stale matches.
         """
-        runtime = self.runtime(name)
-        if self.breaker.is_quarantined(name):
-            raise QueryQuarantinedError(name, self.breaker.record(name).last_error)
-        return runtime.current_matches()
+        host = self._host(name)
+        reason = self._quarantine_reason(name)
+        if reason is not None:
+            raise QueryQuarantinedError(name, reason)
+        return host.matches(name)
 
     def query_health(self, name: str) -> str:
         """Current health of one registered query."""
-        self.runtime(name)  # existence check
+        if self._host_fault(self._host(name)) is not None:
+            return HEALTH_QUARANTINED
         return self.breaker.health(name)
 
     def health_snapshot(self) -> dict[str, str]:
         """Health of every registered query right now."""
-        return {name: self.breaker.health(name) for name in self._runtimes}
-
-    def launch_wall_seconds(self) -> float:
-        """Host wall-clock spent inside the virtual-GPU launch machinery
-        across every registered query's device (simulator overhead
-        instrumentation — *not* model seconds). This is the quantity
-        the pooled array-native launch path shrinks; model-second stage
-        pricing is identical on both paths."""
-        return sum(rt.gpu.launch_wall_seconds for rt in self._runtimes.values())
+        return {name: self.query_health(name) for name in self._hosted}
 
     # ------------------------------------------------------------------
     # batch processing
     # ------------------------------------------------------------------
     def stage_plan(self) -> list[tuple[str, str]]:
-        """Ordered stages of the next batch given current registrations."""
-        return (
-            list(SERVICE_SHARED_STAGES)
-            + [(f"kernel:{name}", "gpu") for name in self._runtimes]
-            + [("postprocess", "cpu")]
-        )
+        """Ordered stages of the next batch given current registrations:
+        the shared stages, one ``refresh:<host>`` stage per labeled host
+        on its CPU, one kernel stage per query on its host's GPU, then
+        postprocess."""
+        refresh = [
+            (f"refresh:{h.label}", h.cpu) for h in self._hosts if h.label is not None and h.names
+        ]
+        kernels = [(f"kernel:{name}", host.gpu) for name, host in self._hosted.items()]
+        return list(SERVICE_SHARED_STAGES) + refresh + kernels + [("postprocess", "cpu")]
 
-    def process_batch(self, batch: UpdateBatch) -> ServiceBatchReport:
-        """Fan one batch out across every registered query, inside the
-        fault-isolation envelope.
+    def _serve_batch(self, batch: UpdateBatch) -> ServiceBatchReport:
+        """One batch through every host, inside the fault-isolation
+        envelope.
 
         The store computes the net delta once; all negative-phase
         kernels run against the pre-update graph; the store commits the
         GPMA/encoding update exactly once (transactionally — a failed
         commit rolls back and is retried up to ``policy.store_retries``
-        times); every healthy runtime observes the commit — the observe
-        loop visits *all* of them even when one faults mid-loop — and
-        runs its positive-phase kernel. A fault inside one query's
+        times); every healthy runtime observes the commit and runs its
+        positive-phase kernel. A fault inside one query's
         launch/observe quarantines that query; healthy queries' results
-        are byte-identical to a fault-free run. Runtime/store faults
-        never propagate to the caller; invalid input batches
-        (``UpdateError``/``GraphError``) still raise.
+        are byte-identical to a fault-free run.
         """
-        batch_index = self.batches_processed
-        health: dict[str, str] = {}
-        failed: set[str] = set()
+        index = self.batches_processed
 
         # 0. recovery: quarantined queries whose cooldown elapsed retry
         # with a full re-bootstrap at the current consistent boundary
-        for name, runtime in self._runtimes.items():
-            if self.breaker.retry_due(name, batch_index):
+        for name, host in self._hosted.items():
+            if self.breaker.retry_due(name, index) and self._host_fault(host) is None:
                 try:
-                    runtime.rebootstrap()
+                    host.rebootstrap(name)
                 except Exception as err:  # noqa: BLE001 — isolation boundary
-                    self.breaker.note_retry_failure(name, batch_index, err)
+                    if is_defect(err):
+                        raise
+                    self.breaker.note_retry_failure(name, index, err)
                 else:
-                    self.breaker.mark_recovered(name, batch_index)
-
-        active = [n for n in self._runtimes if not self.breaker.is_quarantined(n)]
+                    self.breaker.mark_recovered(name, index)
 
         # 1. prepare (reads only — a retry re-runs it from scratch)
         delta, err = self._guarded_store(lambda: self.store.prepare(batch))
         if err is not None:
             return self._dropped_batch_report(batch, "prepare", err)
-
-        report = ServiceBatchReport(
-            batch_size=len(batch),
-            delta_inserted=len(delta.inserted),
-            delta_deleted=len(delta.deleted),
-            stages=self.stage_plan(),
+        st = _Batch(
+            index,
+            self._report_cls(
+                batch_size=len(batch),
+                delta_inserted=len(delta.inserted),
+                delta_deleted=len(delta.deleted),
+                stages=self.stage_plan(),
+            ),
         )
+        live = [
+            (h, [n for n in h.names if not self.breaker.is_quarantined(n)])
+            for h in self._hosts
+            if self._host_fault(h) is None
+        ]
+        st.outcomes = {n: QueryOutcome() for _, names in live for n in names}
 
-        # 2. negative phase, against the still-live pre-update graph
-        neg = {}
-        if delta.deleted:
-            edges = list(delta.deleted)
-            for name in active:
-                out = self._guarded_launch(name, edges, batch_index, health, failed)
-                if out is not None:
-                    neg[name] = out
+        # 2. pre-commit launches, against the still-live pre-update graph
+        for host, names in live:
+            host.before_commit(names, delta, st.outcomes)
 
         # 3. commit — transactional: a failing attempt restores the
         # pre-batch boundary (rollback journal) before raising, so a
@@ -365,58 +549,50 @@ class MatchingService:
         commit, err = self._guarded_store(lambda: self.store.commit(batch, delta))
         if err is not None:
             return self._dropped_batch_report(batch, "commit", err, rolled_back=True)
+        st.report.gpma_stats = commit.gpma_stats
+        st.report.reencoded_vertices = len(commit.changed_vertices)
 
-        report.gpma_stats = commit.gpma_stats
-        report.reencoded_vertices = len(commit.changed_vertices)
+        # 4. post-commit: workers get the batch first so they run while
+        # in-process hosts observe and launch; then collect their replies
+        self._broadcast(st, delta, commit)
+        for host, names in live:
+            host.after_commit(names, delta, commit, st.outcomes)
+        self._collect(st)
 
-        # 4. observe: every healthy runtime sees the commit, each in its
-        # own guard — a mid-loop fault must not leave later runtimes on
-        # a version they never observed
-        for name in active:
-            if name in failed:
-                continue
-            try:
-                self._runtimes[name].observe_commit(commit)
-            except xp.ScalarEscapeError:
-                raise
-            except Exception as err:  # noqa: BLE001 — isolation boundary
-                self._trip(name, batch_index, err, health, failed)
-
-        # 5. positive phase, against the committed graph
-        pos = {}
-        if delta.inserted:
-            edges = list(delta.inserted)
-            for name in active:
-                if name in failed:
-                    continue
-                out = self._guarded_launch(name, edges, batch_index, health, failed)
-                if out is not None:
-                    pos[name] = out
+        # 5. fold outcomes into the breakers
+        for name, out in st.outcomes.items():
+            if st.failed(name):
+                continue  # its whole host faulted this batch
+            if out.degraded:
+                st.health[name] = HEALTH_DEGRADED
+                self.breaker.note_degraded(name, out.degraded)
+            if out.error is not None:
+                self._trip(st, name, out.error)
 
         # 6. assemble: healthy queries exactly as a fault-free run;
         # quarantined ones contribute an empty health-only row (their
         # collector does not advance past the fault)
-        for name, runtime in self._runtimes.items():
-            if name not in active or name in failed:
-                state = health.setdefault(name, HEALTH_QUARANTINED)
+        report = st.report
+        for name, host in self._hosted.items():
+            if name not in st.outcomes or st.failed(name):
+                state = st.health.setdefault(name, HEALTH_QUARANTINED)
                 report.queries[name] = QueryBatchReport(
                     name=name,
                     result=BatchResult(),
                     health=state,
-                    error=self.breaker.record(name).last_error,
+                    error=st.errors.get(name) or self.breaker.record(name).last_error,
                 )
                 continue
-            result = self._assemble_result(name, neg, pos, commit)
-            if runtime.collector is not None:
-                runtime.collector.consume(result)
-            state = health.get(name)
+            result = self._assemble_result(st.outcomes[name], commit)
+            host.consume(name, result)
+            state = st.health.get(name)
             if state is None:
                 state = (
                     HEALTH_RECOVERED
                     if self.breaker.health(name) == HEALTH_RECOVERED
                     else HEALTH_OK
                 )
-            health[name] = state
+            st.health[name] = state
             report.queries[name] = QueryBatchReport(
                 name=name,
                 result=result,
@@ -425,12 +601,23 @@ class MatchingService:
             )
             report.aborted |= result.aborted
 
-        report.health = dict(health)
-        self.breaker.settle()
+        # 7. price and report
+        report.health = dict(st.health)
+        self._settle(report)
         report.stage_seconds = self._price_stages(report, commit)
         self.meter.record(report.total_seconds, len(batch))
         self.batches_processed += 1
         return report
+
+    def _broadcast(self, st: _Batch, delta, commit: StoreCommit) -> None:
+        """Hand the committed batch to out-of-process hosts."""
+
+    def _collect(self, st: _Batch) -> None:
+        """Fold out-of-process hosts' outcomes into ``st.outcomes``."""
+
+    def _settle(self, report: ServiceBatchReport) -> None:
+        """End of batch: fold one-shot ``recovered`` states."""
+        self.breaker.settle()
 
     # -- fault-isolation helpers ---------------------------------------
     def _guarded_store(self, call):
@@ -440,46 +627,24 @@ class MatchingService:
         after exhausting retries. A failed ``commit`` has already rolled
         the store back when it raises, so each retry starts from the
         same consistent boundary. Invalid-batch validation errors are
-        caller misuse, not faults — they propagate immediately.
+        caller misuse, not faults — they propagate immediately, as do
+        defects.
         """
         last: BaseException | None = None
         for _ in range(self.policy.store_retries + 1):
             try:
                 return call(), None
-            except (UpdateError, GraphError, xp.ScalarEscapeError):
+            except (UpdateError, GraphError):
                 raise
             except Exception as err:  # noqa: BLE001 — isolation boundary
+                if is_defect(err):
+                    raise
                 last = err
         return None, last
 
-    def _guarded_launch(self, name, edges, batch_index, health, failed):
-        """One query's launch inside its isolation guard; returns the
-        kernel output, or ``None`` after quarantining the query (or a
-        degraded rerun that also failed)."""
-        runtime = self._runtimes[name]
-        try:
-            return runtime.launch(edges)
-        except xp.ScalarEscapeError:
-            # a strict-backend escape is a kernel bug, not a fault —
-            # quarantining it would hide the diagnostic
-            raise
-        except Exception as err:  # noqa: BLE001 — isolation boundary
-            if self.policy.degrade_to_scalar and runtime.config.vectorized:
-                try:
-                    out = runtime.launch(edges, degraded=True)
-                except Exception as err2:  # noqa: BLE001
-                    err = err2
-                else:
-                    health[name] = HEALTH_DEGRADED
-                    self.breaker.note_degraded(name)
-                    return out
-            self._trip(name, batch_index, err, health, failed)
-            return None
-
-    def _trip(self, name, batch_index, err, health, failed):
-        self.breaker.trip(name, batch_index, err)
-        health[name] = HEALTH_QUARANTINED
-        failed.add(name)
+    def _trip(self, st: _Batch, name: str, err: BaseException) -> None:
+        self.breaker.trip(name, st.index, err)
+        st.health[name] = HEALTH_QUARANTINED
 
     def _dropped_batch_report(
         self, batch: UpdateBatch, stage: str, err: BaseException, rolled_back: bool = False
@@ -488,14 +653,14 @@ class MatchingService:
         the consistent pre-batch boundary (verified by the rollback
         path); no runtime observed anything, so every healthy query is
         still synced and the next batch proceeds normally."""
-        report = ServiceBatchReport(
+        report = self._report_cls(
             batch_size=len(batch),
             stages=self.stage_plan(),
             aborted=True,
             rolled_back=rolled_back,
             failure=f"{stage}: {type(err).__name__}: {err}",
         )
-        for name in self._runtimes:
+        for name in self._hosted:
             state = self.breaker.health(name)
             report.health[name] = state
             report.queries[name] = QueryBatchReport(
@@ -505,11 +670,12 @@ class MatchingService:
                 error=self.breaker.record(name).last_error,
             )
         report.stage_seconds = {stage_name: 0.0 for stage_name, _ in report.stages}
-        self.breaker.settle()
+        self._settle(report)
         self.batches_processed += 1
         return report
 
-    def _assemble_result(self, name, neg, pos, commit: StoreCommit) -> BatchResult:
+    @staticmethod
+    def _assemble_result(out: QueryOutcome, commit: StoreCommit) -> BatchResult:
         result = BatchResult()
         result.gpma_stats = commit.gpma_stats  # shared: applied once for all
         result.reencoded_vertices = len(commit.changed_vertices)
@@ -518,37 +684,51 @@ class MatchingService:
         # appear in each per-query result (as they did when engines
         # uploaded privately) but are priced once at the service level
         result.kernel_stats.transfer_cycles += commit.transfer_cycles
-        if name in neg:
-            result.negatives = set(neg[name].matches)
-            result.kernel_stats.merge(neg[name].stats)
-            result.aborted |= neg[name].aborted
-        if name in pos:
-            result.positives = set(pos[name].matches)
-            result.kernel_stats.merge(pos[name].stats)
-            result.aborted |= pos[name].aborted
+        if out.neg is not None:
+            result.negatives = set(out.neg.matches)
+            result.kernel_stats.merge(out.neg.stats)
+            result.aborted |= out.neg.aborted
+        if out.pos is not None:
+            result.positives = set(out.pos.matches)
+            result.kernel_stats.merge(out.pos.stats)
+            result.aborted |= out.pos.aborted
         return result
 
     def _price_stages(
         self, report: ServiceBatchReport, commit: StoreCommit
     ) -> dict[str, float]:
         """Model seconds per stage. A batch that nets out to nothing
-        after ``effective_delta`` costs zero on every stage."""
+        after ``effective_delta`` costs zero on every stage.
+
+        One shared encode pass, plus each query refreshing its own
+        candidate rows: an unlabeled host's refresh is part of the
+        parent's ``preprocess``; a labeled host's runs on that host's
+        CPU as its own ``refresh:<label>`` stage. Summed over all
+        stages the op totals are the same in every hosting mode."""
         cm = self.cost_model
         if commit.is_noop:
-            stage_seconds = {stage: 0.0 for stage, _ in report.stages}
-            return stage_seconds
+            return {stage: 0.0 for stage, _ in report.stages}
         changed = max(len(commit.changed_vertices), 1)
         n_matches = report.total_positives + report.total_negatives
+        preprocess_ops = ENCODE_OPS_PER_VERTEX * changed
+        refresh = {}
+        for host in self._hosts:
+            if host.label is None:
+                preprocess_ops += TABLE_OPS_PER_ROW * changed * max(len(host.names), 1)
+            elif host.names:
+                refresh[f"refresh:{host.label}"] = cm.cpu_seconds(
+                    TABLE_OPS_PER_ROW * changed * len(host.names)
+                )
         stage_seconds = {
-            # one shared encode pass; each query refreshes its own rows
-            "preprocess": cm.cpu_seconds(
-                ENCODE_OPS_PER_VERTEX * changed
-                + TABLE_OPS_PER_ROW * changed * max(len(self._runtimes), 1)
-            ),
+            "preprocess": cm.cpu_seconds(preprocess_ops),
             "transfer": cm.gpu_seconds(commit.transfer_cycles),
             "update": cm.gpu_seconds(commit.gpma_stats.total_cycles),
             "postprocess": cm.cpu_seconds(POSTPROCESS_OPS_PER_MATCH * max(n_matches, 1)),
+            **refresh,
         }
+        if not self._hosted and all(h.label is not None for h in self._hosts):
+            # the single-host max(n, 1) row floor, priced on the parent
+            stage_seconds["preprocess"] += cm.cpu_seconds(TABLE_OPS_PER_ROW * changed)
         for name, qrep in report.queries.items():
             stage_seconds[f"kernel:{name}"] = qrep.kernel_seconds
         return stage_seconds
@@ -565,6 +745,61 @@ class MatchingService:
         model = PipelineModel(self.stage_plan())
         pipeline = model.schedule(
             [r.stage_seconds for r in reports],
-            batch_stages=[r.stages for r in reports],
+            batch_stages=[
+                _grouped_stages(r.stages) if self._fork_join else r.stages for r in reports
+            ],
         )
         return reports, pipeline
+
+
+def _grouped_stages(
+    stages: list[tuple[str, str]],
+) -> list[tuple[str, str] | list[tuple[str, str]]]:
+    """Fold a batch's per-host refresh stages and kernel stages into
+    fork-join groups so the pipeline model overlaps distinct hosts'
+    ``cpu:<k>``/``gpu:<k>`` resources; same-host stages still serialize
+    on their resource's FIFO."""
+    pre: list = []
+    refresh: list[tuple[str, str]] = []
+    kernels: list[tuple[str, str]] = []
+    post: list = []
+    for stage in stages:
+        name = stage[0]
+        if name.startswith("refresh:"):
+            refresh.append(stage)
+        elif name.startswith("kernel:"):
+            kernels.append(stage)
+        elif kernels or refresh:
+            post.append(stage)
+        else:
+            pre.append(stage)
+    return pre + ([refresh] if refresh else []) + ([kernels] if kernels else []) + post
+
+
+class MatchingService(_ServiceCore):
+    """Facade: register queries, stream batches, read per-query results.
+
+    All queries run in this process on one :class:`InProcessHost`.
+    """
+
+    def adopt_runtime(self, runtime: QueryRuntime, name: str | None = None) -> str:
+        """Register an externally built runtime (it must already share
+        this service's store)."""
+        if runtime.store is not self.store:
+            raise ServiceError("adopted runtime is bound to a different store")
+        name = self._claim_name(name if name is not None else runtime.name or None)
+        host = self._hosts[0]
+        host.adopt(name, runtime)
+        self._hosted[name] = host
+        self._counter += 1
+        return name
+
+    def runtime(self, name: str) -> QueryRuntime:
+        return self._host(name).runtimes[name]
+
+    def process_batch(self, batch: UpdateBatch) -> ServiceBatchReport:
+        """Fan one batch out across every registered query (see
+        :meth:`_ServiceCore._serve_batch`). Runtime/store faults never
+        propagate to the caller; invalid input batches
+        (``UpdateError``/``GraphError``) and defects still raise."""
+        return self._serve_batch(batch)

@@ -131,8 +131,8 @@ class CircuitBreaker:
         rec.recovered_at = batch_index
         rec.retries = 0
 
-    def note_degraded(self, name: str) -> None:
-        self.record(name).degraded_batches += 1
+    def note_degraded(self, name: str, launches: int = 1) -> None:
+        self.record(name).degraded_batches += launches
 
     def latch_degraded(self, name: str) -> None:
         """Terminal ``degraded`` state: the population behind ``name``

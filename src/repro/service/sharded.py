@@ -5,37 +5,41 @@ batch across all query runtimes in one interpreter — one hung or
 crashed interpreter takes down the whole query population, and one core
 caps throughput. This module partitions the *query population* across N
 worker processes (gMatch-style fine-grained work partitioning, applied
-to standing queries rather than the graph):
+to standing queries rather than the graph). The batch protocol itself
+is :mod:`repro.service.matching_service`'s, unchanged; this module adds
+only what is process-specific:
 
-* each **worker** hosts a pool of :class:`~repro.matching.wbm.QueryRuntime`\\ s
-  over a read-only CSR snapshot attached via
-  ``multiprocessing.shared_memory`` (the flat int64/uint64 arrays of
-  :class:`~repro.graph.csr.CSRGraph` plus the packed encoding matrix —
-  the zero-copy representation PRs 2–5 built);
-* the **parent** runs the single authoritative
-  :class:`~repro.service.store.DynamicGraphStore`, commits each batch
-  exactly once (transactionally, PR 7), publishes the post-commit
-  snapshot, and broadcasts the committed delta to every worker;
-* a **supervisor** watches per-worker heartbeats and a per-batch
-  deadline. A crashed, hung, or protocol-violating worker trips the
-  existing :class:`~repro.service.resilience.CircuitBreaker` machinery
-  at *shard* granularity: the worker is killed and respawned, the
-  current snapshot republished, and its queries re-bootstrapped at the
+* a :class:`WorkerHost` per shard: the parent-side handle of one worker
+  process, which runs an
+  :class:`~repro.service.matching_service.InProcessHost` over a
+  read-only CSR snapshot attached via ``multiprocessing.shared_memory``
+  (the flat int64/uint64 arrays of :class:`~repro.graph.csr.CSRGraph`
+  plus the packed encoding matrix);
+* snapshot publication: the parent's single authoritative
+  :class:`~repro.service.store.DynamicGraphStore` commits each batch
+  exactly once, then publishes the post-commit snapshot and broadcasts
+  the committed delta to every worker;
+* supervision: per-worker heartbeats and a per-batch deadline, watched
+  over all worker pipes at once. A crashed, hung, or protocol-violating
+  worker trips a shard-level
+  :class:`~repro.service.resilience.CircuitBreaker`: the worker is
+  killed and respawned, and its queries re-bootstrapped at the
   committed boundary (bounded retries — exhaustion latches the shard,
-  optionally degrading its queries to in-process execution so the
-  service keeps answering).
+  optionally swapping its host for an in-process one so the service
+  keeps answering).
 
 Failure model. Worker faults never corrupt results: a shard that fails
 mid-batch contributes quarantined rows for that batch (its collectors
 do not advance) and is re-anchored by a fresh bootstrap before it
 serves again, so healthy shards' matches and ``KernelStats`` stay
 byte-identical to single-process serving. Reports carry per-shard
-health (:attr:`ShardedBatchReport.shard_health`) alongside PR 7's
-per-query health.
+health (:attr:`ShardedBatchReport.shard_health`) alongside per-query
+health. A defect (a strict-backend escape) inside a worker is not a
+worker fault: it comes back to the parent and is re-raised there.
 
 Determinism. Process-level faults come from the same seeded
-:class:`~repro.testing.faults.FaultPlan` as PR 7's chaos suite: the
-plan is pickled into each worker at spawn, the behavioral
+:class:`~repro.testing.faults.FaultPlan` as the single-process chaos
+suite: the plan is pickled into each worker at spawn, the behavioral
 ``worker.*`` sites count exactly one arrival per batch message (all
 sites are polled via :meth:`FaultPlan.due` at message receipt, then
 acted on at their effect points), and the parent pre-seeds a respawned
@@ -43,9 +47,10 @@ worker's counters with the number of batch messages already delivered
 to that shard — so a kill scheduled at batch k fires at batch k and
 does not re-fire after the respawn.
 
-Pipeline view. Each worker is its own kernel-execution resource: query
-kernel stages are priced on ``gpu:<shard>`` (in-process queries on
-``gpu``), which is what :class:`~repro.pipeline.async_exec.PipelineModel`
+Pipeline view. Each worker host prices its queries on its own
+resources: table refresh on ``cpu:<shard>``, kernels on ``gpu:<shard>``
+(a degraded shard's in-process host uses the parent's ``cpu``/``gpu``),
+which is what :class:`~repro.pipeline.async_exec.PipelineModel`
 overlaps to model the tier's throughput scaling.
 """
 
@@ -58,40 +63,22 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
 
-from repro.bench.cost import CostModel, DEFAULT_COST_MODEL
-from repro.errors import (
-    GraphError,
-    MatchingError,
-    QueryQuarantinedError,
-    ReproError,
-    ServiceError,
-    ShardFaultError,
-    UpdateError,
-)
+from repro.errors import ReproError, ServiceError, ShardFaultError
 from repro.graph.csr import AttachedSnapshot, publish_snapshot, unlink_snapshot
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.updates import UpdateBatch, UpdateStream, apply_effective_delta
-from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
-from repro.matching.wbm import BatchResult, Match, QueryRuntime, WBMConfig
-from repro.pipeline.async_exec import PipelineModel, PipelineReport
-from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
+from repro.graph.updates import UpdateBatch, apply_effective_delta
+from repro.matching.wbm import Match
+from repro.pipeline.postprocess import MatchCollector
 from repro.service.matching_service import (
-    ENCODE_OPS_PER_VERTEX,
-    POSTPROCESS_OPS_PER_MATCH,
-    SERVICE_SHARED_STAGES,
-    TABLE_OPS_PER_ROW,
-    QueryBatchReport,
+    InProcessHost,
+    QueryHost,
+    QueryOutcome,
     ServiceBatchReport,
+    _Batch,
+    _ServiceCore,
+    is_defect,
 )
-from repro.service.resilience import (
-    HEALTH_DEGRADED,
-    HEALTH_OK,
-    HEALTH_QUARANTINED,
-    HEALTH_RECOVERED,
-    CircuitBreaker,
-    ResiliencePolicy,
-)
-from repro.service.store import DynamicGraphStore, StoreCommit
+from repro.service.resilience import HEALTH_QUARANTINED, CircuitBreaker, ResiliencePolicy
 
 #: behavioral worker fault sites, polled once per batch message in this
 #: order (see module docstring, "Determinism")
@@ -140,9 +127,6 @@ class ShardedBatchReport(ServiceBatchReport):
     #: per-shard health for this batch:
     #: ``ok | quarantined | recovered | degraded``
     shard_health: dict[str, str] = field(default_factory=dict)
-    #: cumulative worker-side host seconds spent in the virtual-GPU
-    #: launch machinery, per shard (instrumentation, not model seconds)
-    worker_launch_wall: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -241,13 +225,12 @@ class _WorkerStore:
 
 
 class _Worker:
-    """The loop body of one worker process."""
+    """The loop body of one worker process: an :class:`InProcessHost`
+    over the replica store, driven by the parent's messages."""
 
     def __init__(self, conn, init: dict) -> None:
         self.conn = conn
         self.shard: str = init["shard"]
-        self.params: DeviceParams = init["params"]
-        self.policy: ResiliencePolicy = init["policy"]
         plan = init["faults"]
         if plan is not None:
             # resume the behavioral-site counters where the previous
@@ -255,6 +238,7 @@ class _Worker:
             plan._arrivals.update(init["arrival_offsets"])
         self.faults = plan
         self._fired_mark = len(plan.fired) if plan is not None else 0
+        self._idx = -1  # batch message being served
         attachment = AttachedSnapshot(init["handle"])
         encodings = _SharedEncodings(
             init["schema"],
@@ -265,21 +249,16 @@ class _Worker:
         # the replica mirror is a derived view over the attached CSR —
         # nothing graph-sized crosses the pipe, for fork and spawn alike
         graph = LabeledGraph.from_csr(attachment.csr())
-        self.store = _WorkerStore(
-            graph, encodings, attachment, init["vectorized"], plan
-        )
+        self.store = _WorkerStore(graph, encodings, attachment, init["vectorized"], plan)
         if plan is not None:
             plan.fire("worker.bootstrap", query=self.shard)
-        self.runtimes: dict[str, QueryRuntime] = {}
-        self.bootstrap_results: dict[str, set[Match] | None] = {}
-        for name, query, config, bootstrap in init["queries"]:
-            rt = QueryRuntime(
-                query, self.store, self.params, config, name=name, collector=None
-            )
-            self.runtimes[name] = rt
-            self.bootstrap_results[name] = rt.bootstrap() if bootstrap else None
+        self.host = InProcessHost(self.store, init["params"], init["policy"])
+        self.host.heartbeat = lambda name: self.conn.send(("hb", self._idx, name))
+        self.bootstrap_results = {
+            name: self.host.register(name, query, config, bootstrap)
+            for name, query, config, bootstrap in init["queries"]
+        }
 
-    # -- protocol ------------------------------------------------------
     def serve(self) -> None:
         while True:
             try:
@@ -290,35 +269,23 @@ class _Worker:
             if kind == "shutdown":
                 return
             if kind == "batch":
-                idx, bmsg = msg[1], msg[2]
+                self._idx, bmsg = msg[1], msg[2]
                 try:
-                    self._handle_batch(idx, bmsg)
+                    self._handle_batch(bmsg)
                 except Exception as err:  # noqa: BLE001 - ship, don't die
                     self.conn.send(
-                        ("batch_error", idx, _shippable(err, shard=self.shard,
-                                                        batch_version=bmsg.get("version")))
+                        ("batch_error", self._idx, _shippable(
+                            err, shard=self.shard, batch_version=bmsg.get("version")))
                     )
-            elif kind == "register":
-                self._handle_register(*msg[1:])
-            elif kind == "unregister":
-                self.runtimes.pop(msg[1], None)
-                self.conn.send(("unregistered", msg[1]))
-            elif kind == "ping":
-                self.conn.send(("pong", msg[1]))
+            else:  # a host call: register / unregister / rebootstrap
+                name = msg[1]
+                try:
+                    value = getattr(self.host, kind)(name, *msg[2:])
+                except Exception as err:  # noqa: BLE001 - isolation boundary
+                    self.conn.send(("error", name, _shippable(err, query=name)))
+                else:
+                    self.conn.send(("done", name, value))
 
-    def _handle_register(self, name, query, config, bootstrap) -> None:
-        try:
-            rt = QueryRuntime(
-                query, self.store, self.params, config, name=name, collector=None
-            )
-            initial = rt.bootstrap() if bootstrap else None
-        except Exception as err:  # noqa: BLE001 - isolation boundary
-            self.conn.send(("register_error", name, _shippable(err, query=name)))
-        else:
-            self.runtimes[name] = rt
-            self.conn.send(("registered", name, initial))
-
-    # -- batch ---------------------------------------------------------
     def _effects(self) -> dict[str, bool]:
         """Poll every behavioral site exactly once per batch message, so
         arrival counters are a pure function of messages delivered."""
@@ -336,68 +303,18 @@ class _Worker:
         self._fired_mark = len(self.faults.fired)
         return [(s.site, s.occurrence, s.query, s.kind) for s in new]
 
-    def _guarded_launch(self, name: str, edges, version: int):
-        """(output, degraded, error) with the same degrade-to-scalar
-        semantics as ``MatchingService._guarded_launch``."""
-        rt = self.runtimes[name]
-        try:
-            return rt.launch(edges), False, None
-        except Exception as err:  # noqa: BLE001 - isolation boundary
-            if self.policy.degrade_to_scalar and rt.config.vectorized:
-                try:
-                    out = rt.launch(edges, degraded=True)
-                except Exception as err2:  # noqa: BLE001
-                    err = err2
-                else:
-                    return out, True, None
-            return None, False, _shippable(
-                err, query=name, batch_version=version, shard=self.shard
-            )
-
-    def _handle_batch(self, idx: int, bmsg: dict) -> None:
+    def _handle_batch(self, bmsg: dict) -> None:
         effects = self._effects()
-        version = bmsg["version"]
-        delta = bmsg["delta"]
-
-        # 0. recovery: re-bootstrap requested queries at the *pre-batch*
-        # replica state (same boundary as MatchingService's step 0)
-        recovered: dict[str, tuple] = {}
-        active = list(bmsg["active"])
-        for name in bmsg["rebootstrap"]:
-            try:
-                initial = self.runtimes[name].rebootstrap()
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                recovered[name] = ("error", _shippable(err, query=name,
-                                                       batch_version=version))
-            else:
-                recovered[name] = ("ok", initial)
-                active.append(name)
-
-        out = {
-            n: {"neg": None, "pos": None, "error": None, "degraded": False}
-            for n in active
-        }
-        failed: set[str] = set()
-
-        # 1. negative phase against the pre-update replica
-        deleted = list(delta.deleted)
-        if deleted:
-            for name in active:
-                res, degraded, err = self._guarded_launch(name, deleted, version)
-                if err is not None:
-                    out[name]["error"] = err
-                    failed.add(name)
-                else:
-                    out[name]["neg"] = res
-                    out[name]["degraded"] |= degraded
-                self.conn.send(("hb", idx, name))
+        version, delta, names = bmsg["version"], bmsg["delta"], bmsg["active"]
+        outcomes = {name: QueryOutcome() for name in names}
+        self.host.before_commit(names, delta, outcomes)
 
         if effects["worker.batch.abort"]:
             os._exit(1)
         if effects["worker.batch.hang"]:
             time.sleep(_HANG_SLEEP_S)
 
-        # 2. attach the committed snapshot and rebase the replica mirror
+        # attach the committed snapshot and rebase the replica mirror
         self.store.advance(
             delta, None if effects["worker.snapshot.stale"] else bmsg["handle"]
         )
@@ -407,45 +324,20 @@ class _Worker:
                 f"stale snapshot: attached v{self.store.version}, "
                 f"batch committed v{version}",
             ).with_context(batch_version=version, fault_site="worker.snapshot.stale")
+        commit = _CommitView(version=version, changed_vertices=bmsg["changed"])
+        self.host.after_commit(names, delta, commit, outcomes)
 
-        # 3. observe + positive phase against the committed state
-        commit_view = _CommitView(version=version, changed_vertices=bmsg["changed"])
-        for name in active:
-            if name in failed:
-                continue
-            try:
-                self.runtimes[name].observe_commit(commit_view)
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                out[name]["error"] = _shippable(err, query=name, batch_version=version)
-                failed.add(name)
-        inserted = list(delta.inserted)
-        if inserted:
-            for name in active:
-                if name in failed:
-                    continue
-                res, degraded, err = self._guarded_launch(name, inserted, version)
-                if err is not None:
-                    out[name]["error"] = err
-                    failed.add(name)
-                else:
-                    out[name]["pos"] = res
-                    out[name]["degraded"] |= degraded
-                self.conn.send(("hb", idx, name))
-
-        payload = {
-            "queries": out,
-            "recovered": recovered,
-            "launch_wall": sum(
-                rt.gpu.launch_wall_seconds for rt in self.runtimes.values()
-            ),
-            "fired": self._fired_delta(),
-        }
-        if effects["worker.ipc.torn"]:
-            self.conn.send(("batch_reply", idx, _TORN_PAYLOAD))
-            return
-        self.conn.send(("batch_reply", idx, payload))
-        if effects["worker.ipc.dup"]:
-            self.conn.send(("batch_reply", idx, payload))
+        for name, out in outcomes.items():
+            if out.error is not None:
+                out.error = _shippable(
+                    out.error, query=name, batch_version=version, shard=self.shard
+                )
+        payload = {"outcomes": outcomes, "fired": self._fired_delta()}
+        self.conn.send(
+            ("batch_reply", self._idx, _TORN_PAYLOAD if effects["worker.ipc.torn"] else payload)
+        )
+        if effects["worker.ipc.dup"] and not effects["worker.ipc.torn"]:
+            self.conn.send(("batch_reply", self._idx, payload))
 
 
 def _worker_main(conn, init: dict) -> None:
@@ -465,81 +357,95 @@ def _worker_main(conn, init: dict) -> None:
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
-@dataclass
-class _QueryState:
-    """Parent-side ledger for one registered query (the authoritative
-    match view lives here; workers only run kernels)."""
+class WorkerHost(QueryHost):
+    """Parent-side handle of one worker process. The authoritative
+    match view of each hosted query lives here (bootstrap anchor plus a
+    collector); the worker only runs kernels."""
 
-    name: str
-    query: LabeledGraph
-    config: WBMConfig
-    shard: str
-    bootstrap: bool
-    initial: set[Match] | None = None
-    collector: MatchCollector = field(default_factory=MatchCollector)
-
-
-class _Shard:
-    """Parent-side handle of one worker process."""
-
-    def __init__(self, name: str, index: int) -> None:
-        self.name = name
-        self.index = index
+    def __init__(self, label: str, index: int, deadline_s: float) -> None:
+        super().__init__(label, cpu=f"cpu:{index}", gpu=f"gpu:{index}")
+        self.deadline_s = deadline_s
         self.proc = None
         self.conn = None
-        self.queries: list[str] = []  # registration order within the shard
+        #: name -> (query, config, bootstrap), registration order
+        self.specs: dict[str, tuple] = {}
+        self._views: dict[str, tuple[set[Match] | None, MatchCollector]] = {}
         self.spawns = 0  # worker incarnations (init-site offset)
         self.batches_sent = 0  # batch messages delivered (batch-site offset)
         self.last_beat = 0.0
-        self.launch_wall = 0.0
-        self.inproc = False  # latched and degraded to in-process execution
-        self.runtimes: dict[str, QueryRuntime] = {}  # in-process mode only
 
     @property
     def alive(self) -> bool:
         return self.proc is not None and self.proc.is_alive()
 
+    @property
+    def names(self) -> list[str]:
+        return list(self.specs)
 
-class ShardedMatchingService:
+    def anchor(self, name: str, initial: set[Match] | None) -> None:
+        """Re-anchor one query's view at a fresh bootstrap."""
+        self._views[name] = (initial, MatchCollector())
+
+    def register(self, name, query, config, bootstrap) -> set[Match] | None:
+        initial = self.call("register", name, query, config, bootstrap)
+        self.specs[name] = (query, config, bootstrap)
+        self.anchor(name, initial)
+        return initial
+
+    def unregister(self, name: str) -> None:
+        if self.alive:
+            try:
+                self.call("unregister", name)
+            except (OSError, EOFError, ShardFaultError):
+                pass  # the supervisor will catch the dead worker next batch
+        self.specs.pop(name, None)
+        self._views.pop(name, None)
+
+    def rebootstrap(self, name: str) -> set[Match]:
+        initial = self.call("rebootstrap", name)
+        self.anchor(name, initial)
+        return initial
+
+    def matches(self, name: str) -> set[Match]:
+        initial, collector = self._views[name]
+        return (set(initial or ()) | collector.live_matches()) - collector.dead_matches()
+
+    def consume(self, name, result) -> None:
+        self._views[name][1].consume(result)
+
+    def call(self, kind: str, name: str, *args):
+        """One host call in the worker; its fault is re-raised here.
+        Heartbeats and stale batch replies left in the pipe are
+        skipped."""
+        self.conn.send((kind, name, *args))
+        deadline = time.monotonic() + self.deadline_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self.conn.poll(remaining):
+                raise ShardFaultError(self.label, "control reply timed out")
+            try:
+                msg = self.conn.recv()
+            except (EOFError, OSError):
+                raise ShardFaultError(self.label, "worker crashed awaiting control reply")
+            if msg[0] == "error":
+                raise msg[2]
+            if msg[0] == "done":
+                return msg[2]
+
+
+class ShardedMatchingService(_ServiceCore):
     """N queries over one dynamic graph, partitioned across supervised
     worker processes. API mirrors :class:`MatchingService`."""
 
-    def __init__(
-        self,
-        graph: LabeledGraph | None = None,
-        *,
-        store: DynamicGraphStore | None = None,
-        params: DeviceParams = DEFAULT_PARAMS,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        bits_per_label: int = 2,
-        extra_labels: tuple[int, ...] = (),
-        vectorized: bool = True,
-        policy: ResiliencePolicy | None = None,
-        shard_policy: ShardPolicy | None = None,
-        faults=None,
-    ) -> None:
-        if store is None:
-            if graph is None:
-                raise MatchingError("ShardedMatchingService needs a data graph or a store")
-            store = DynamicGraphStore(
-                graph,
-                params,
-                bits_per_label=bits_per_label,
-                extra_labels=extra_labels,
-                vectorized=vectorized,
-                faults=faults,
-            )
-        elif faults is not None:
-            store.attach_faults(faults)
-        self.store = store
-        self.params = params
-        self.cost_model = cost_model
-        self.policy = policy if policy is not None else ResiliencePolicy()
+    _report_cls = ShardedBatchReport
+    _fork_join = True
+
+    def __init__(self, graph=None, *, shard_policy: ShardPolicy | None = None, **kwargs) -> None:
+        super().__init__(graph, **kwargs)
         self.shard_policy = shard_policy if shard_policy is not None else ShardPolicy()
         if self.shard_policy.n_workers < 1:
             raise ServiceError("ShardPolicy.n_workers must be >= 1")
         self.faults = self.store.faults
-        self.breaker = CircuitBreaker(self.policy)
         # shard-granularity breaker: respawns retry immediately
         # (cooldown 0) and are bounded by max_respawns before latching
         self.shard_breaker = CircuitBreaker(
@@ -549,20 +455,18 @@ class ShardedMatchingService:
                 store_retries=self.policy.store_retries,
             )
         )
-        self.meter = ThroughputMeter()
-        self.batches_processed = 0
         self.remote_fired: list[tuple[str, int, str | None, str]] = []
-        self._queries: dict[str, _QueryState] = {}  # registration order
-        self._counter = 0
         self._closed = False
+        self._inflight: list[WorkerHost] = []
         self._mp = get_context(self.shard_policy.start_method)
         self._handle = self._publish()
         self._prev_handle = None
-        self._shards = [
-            _Shard(f"shard{i}", i) for i in range(self.shard_policy.n_workers)
+        self._hosts = [
+            WorkerHost(f"shard{i}", i, self.shard_policy.batch_deadline_s)
+            for i in range(self.shard_policy.n_workers)
         ]
-        for shard in self._shards:
-            self._spawn_worker(shard)
+        for host in self._hosts:
+            self._spawn_worker(host)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -584,20 +488,15 @@ class ShardedMatchingService:
         if self._closed:
             return
         self._closed = True
-        for shard in self._shards:
-            if shard.conn is not None:
+        for host in self._workers():
+            if host.conn is not None:
                 try:
-                    shard.conn.send(("shutdown",))
+                    host.conn.send(("shutdown",))
                 except (OSError, BrokenPipeError, ValueError):
                     pass
-            if shard.proc is not None:
-                shard.proc.join(timeout=1.0)
-                if shard.proc.is_alive():
-                    shard.proc.kill()
-                    shard.proc.join(timeout=1.0)
-            if shard.conn is not None:
-                shard.conn.close()
-                shard.conn = None
+            if host.proc is not None:
+                host.proc.join(timeout=1.0)
+            self._kill_worker(host)
         for handle in (self._handle, self._prev_handle):
             if handle is not None:
                 unlink_snapshot(handle)
@@ -606,815 +505,250 @@ class ShardedMatchingService:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
+    def _workers(self) -> list[WorkerHost]:
+        return [h for h in self._hosts if isinstance(h, WorkerHost)]
+
     def _publish(self):
         """Publish the store's current snapshot (CSR + packed encodings)."""
         arrays = dict(self.store.csr_snapshot().snapshot_arrays())
         arrays["enc_packed"] = self.store.encodings.packed
         return publish_snapshot(arrays, version=self.store.version)
 
-    def _arrival_offsets(self, shard: _Shard) -> dict:
+    def _arrival_offsets(self, host: WorkerHost) -> dict:
         """Pre-seed a fresh worker's behavioral-site counters so specs
         consumed by previous incarnations do not re-fire (one arrival
         per delivered batch message; one ``worker.bootstrap`` arrival
         per spawn)."""
         offsets = {}
         for site in WORKER_BATCH_SITES:
-            offsets[(site, shard.name)] = shard.batches_sent
-            offsets[(site, None)] = shard.batches_sent
-        offsets[("worker.bootstrap", shard.name)] = shard.spawns
-        offsets[("worker.bootstrap", None)] = shard.spawns
+            offsets[(site, host.label)] = host.batches_sent
+            offsets[(site, None)] = host.batches_sent
+        offsets[("worker.bootstrap", host.label)] = host.spawns
+        offsets[("worker.bootstrap", None)] = host.spawns
         return offsets
 
-    def _spawn_worker(self, shard: _Shard, *, respawn: bool = False) -> dict:
+    def _spawn_worker(self, host: WorkerHost, *, respawn: bool = False) -> dict:
         """Start one worker (initial spawn or supervisor respawn), wait
         for its bootstrap, and return the per-query initial match sets.
         Raises on init fault / crash / timeout."""
         init = {
-            "shard": shard.name,
+            "shard": host.label,
             # no graph in the init payload: the worker derives its
             # replica mirror from the attached shared-memory snapshot
             "params": self.params,
             "policy": self.policy,
             "faults": self.faults,
-            "arrival_offsets": self._arrival_offsets(shard),
+            "arrival_offsets": self._arrival_offsets(host),
             "handle": self._handle,
             "schema": self.store.encodings.schema,
             "vectorized": self.store.vectorized,
+            # a respawn always re-anchors with a fresh bootstrap (same
+            # contract as QueryRuntime.rebootstrap)
             "queries": [
-                (
-                    name,
-                    self._queries[name].query,
-                    self._queries[name].config,
-                    # a respawn always re-anchors with a fresh bootstrap
-                    # (same contract as QueryRuntime.rebootstrap)
-                    True if respawn else self._queries[name].bootstrap,
-                )
-                for name in shard.queries
+                (name, query, config, respawn or bootstrap)
+                for name, (query, config, bootstrap) in host.specs.items()
             ],
         }
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        proc = self._mp.Process(
-            target=_worker_main, args=(child_conn, init), daemon=True
-        )
+        proc = self._mp.Process(target=_worker_main, args=(child_conn, init), daemon=True)
         proc.start()
         child_conn.close()
-        shard.proc = proc
-        shard.conn = parent_conn
-        shard.spawns += 1
-        deadline = time.monotonic() + self.shard_policy.batch_deadline_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not parent_conn.poll(max(remaining, 0.0)):
-                self._kill_worker(shard)
-                raise ShardFaultError(shard.name, "worker init timed out")
-            try:
-                msg = parent_conn.recv()
-            except (EOFError, OSError):
-                self._kill_worker(shard)
-                raise ShardFaultError(shard.name, "worker crashed during init")
-            if msg[0] == "ready":
-                return msg[1]
-            if msg[0] == "init_error":
-                self._kill_worker(shard)
-                raise msg[1]
+        host.proc = proc
+        host.conn = parent_conn
+        host.spawns += 1
+        if not parent_conn.poll(self.shard_policy.batch_deadline_s):
+            self._kill_worker(host)
+            raise ShardFaultError(host.label, "worker init timed out")
+        try:
+            msg = parent_conn.recv()
+        except (EOFError, OSError):
+            self._kill_worker(host)
+            raise ShardFaultError(host.label, "worker crashed during init")
+        if msg[0] == "init_error":
+            self._kill_worker(host)
+            raise msg[1]
+        return msg[1]
 
-    def _kill_worker(self, shard: _Shard) -> None:
-        if shard.proc is not None:
-            if shard.proc.is_alive():
-                shard.proc.kill()
-            shard.proc.join(timeout=1.0)
-            shard.proc = None
-        if shard.conn is not None:
-            shard.conn.close()
-            shard.conn = None
-
-    def _serving_shards(self) -> list[_Shard]:
-        """Shards that receive batch broadcasts (live workers only)."""
-        return [
-            s
-            for s in self._shards
-            if not s.inproc and not self.shard_breaker.is_quarantined(s.name)
-        ]
-
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> LabeledGraph:
-        return self.store.graph
-
-    @property
-    def n_queries(self) -> int:
-        return len(self._queries)
-
-    @property
-    def query_names(self) -> list[str]:
-        return list(self._queries)
-
-    def _next_name(self) -> str:
-        while f"q{self._counter}" in self._queries:
-            self._counter += 1
-        return f"q{self._counter}"
-
-    def _pick_shard(self) -> _Shard:
-        candidates = [
-            s for s in self._shards if not self.shard_breaker.is_quarantined(s.name)
-        ]
-        if not candidates:
-            raise ServiceError("no serving shard available for registration")
-        return min(candidates, key=lambda s: (len(s.queries), s.index))
-
-    def register_query(
-        self,
-        query: LabeledGraph,
-        config: WBMConfig = WBMConfig(),
-        name: str | None = None,
-        bootstrap: bool = True,
-    ) -> str:
-        """Register a query on the least-loaded serving shard. The shard
-        bootstraps it against its current replica (registration churn
-        does not stall the parent's commit pipeline)."""
-        if name is None:
-            name = self._next_name()
-        if name in self._queries:
-            raise ServiceError(f"query {name!r} already registered")
-        shard = self._pick_shard()
-        state = _QueryState(
-            name=name, query=query, config=config, shard=shard.name, bootstrap=bootstrap
-        )
-        if shard.inproc:
-            runtime = QueryRuntime(
-                query, self.store, self.params, config, name=name, collector=None
-            )
-            state.initial = runtime.bootstrap() if bootstrap else None
-            shard.runtimes[name] = runtime
-        else:
-            shard.conn.send(("register", name, query, config, bootstrap))
-            msg = self._await_control(shard, {"registered", "register_error"})
-            if msg[0] == "register_error":
-                raise msg[2]
-            state.initial = msg[2]
-        shard.queries.append(name)
-        self._queries[name] = state
-        self._counter += 1
-        return name
-
-    def unregister_query(self, name: str, *, force: bool = False) -> None:
-        state = self._queries.get(name)
-        if state is None:
-            raise ServiceError(f"no registered query named {name!r}")
-        if (
-            self.breaker.is_quarantined(name)
-            or self.shard_breaker.is_quarantined(state.shard)
-        ) and not force:
-            raise QueryQuarantinedError(name, "unregister requires force=True")
-        shard = self._shard_by_name(state.shard)
-        if shard.inproc:
-            shard.runtimes.pop(name, None)
-        elif shard.alive:
-            try:
-                shard.conn.send(("unregister", name))
-                self._await_control(shard, {"unregistered"})
-            except (OSError, BrokenPipeError, EOFError, ShardFaultError):
-                pass  # the supervisor will catch the dead worker next batch
-        if name in shard.queries:
-            shard.queries.remove(name)
-        del self._queries[name]
-        self.breaker.drop(name)
-
-    def _shard_by_name(self, name: str) -> _Shard:
-        for shard in self._shards:
-            if shard.name == name:
-                return shard
-        raise ServiceError(f"unknown shard {name!r}")
-
-    def _await_control(self, shard: _Shard, kinds: set, timeout: float | None = None):
-        """Wait for a control reply, skipping heartbeats and stale batch
-        replies left in the pipe."""
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.shard_policy.batch_deadline_s
-        )
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not shard.conn.poll(max(remaining, 0.0)):
-                raise ShardFaultError(shard.name, "control reply timed out")
-            try:
-                msg = shard.conn.recv()
-            except (EOFError, OSError):
-                raise ShardFaultError(shard.name, "worker crashed awaiting control reply")
-            if msg[0] in kinds:
-                return msg
+    def _kill_worker(self, host: WorkerHost) -> None:
+        if host.proc is not None:
+            if host.proc.is_alive():
+                host.proc.kill()
+            host.proc.join(timeout=1.0)
+            host.proc = None
+        if host.conn is not None:
+            host.conn.close()
+            host.conn = None
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def matches(self, name: str) -> set[Match]:
-        """Current match set of one registered query (parent-side view:
-        bootstrap anchor plus every consumed batch delta)."""
-        state = self._queries.get(name)
-        if state is None:
-            raise ServiceError(f"no registered query named {name!r}")
-        if self.breaker.is_quarantined(name):
-            raise QueryQuarantinedError(name, self.breaker.record(name).last_error)
-        if self.shard_breaker.is_quarantined(state.shard):
-            raise QueryQuarantinedError(
-                name,
-                f"shard {state.shard!r} is quarantined: "
-                f"{self.shard_breaker.record(state.shard).last_error}",
-            )
-        base = set(state.initial or ())
-        base |= state.collector.live_matches()
-        base -= state.collector.dead_matches()
-        return base
-
-    def query_health(self, name: str) -> str:
-        state = self._queries.get(name)
-        if state is None:
-            raise ServiceError(f"no registered query named {name!r}")
-        if self.shard_breaker.is_quarantined(state.shard):
-            return HEALTH_QUARANTINED
-        return self.breaker.health(name)
-
-    def health_snapshot(self) -> dict[str, str]:
-        return {name: self.query_health(name) for name in self._queries}
+    def _host_fault(self, host: QueryHost) -> str | None:
+        if self.shard_breaker.is_quarantined(host.label):
+            last = self.shard_breaker.record(host.label).last_error
+            return f"shard {host.label!r} is quarantined: {last}"
+        return None
 
     def shard_health(self) -> dict[str, str]:
-        return {s.name: self.shard_breaker.health(s.name) for s in self._shards}
+        return {h.label: self.shard_breaker.health(h.label) for h in self._hosts}
 
     def shard_of(self, name: str) -> str:
-        return self._queries[name].shard
-
-    def launch_wall_seconds(self) -> float:
-        """Host seconds inside the virtual-GPU launch machinery: latest
-        worker-reported totals plus any in-process runtimes."""
-        total = sum(s.launch_wall for s in self._shards)
-        for shard in self._shards:
-            total += sum(rt.gpu.launch_wall_seconds for rt in shard.runtimes.values())
-        return total
+        return self._host(name).label
 
     # ------------------------------------------------------------------
     # batch processing
     # ------------------------------------------------------------------
-    def stage_plan(self) -> list[tuple[str, str]]:
-        """Shared stages, one candidate-table refresh stage per shard on
-        its own CPU (the refresh runs inside each worker's
-        ``observe_commit``, on that worker process's core), one kernel
-        stage per query on its shard's GPU resource (in-process queries
-        on the parent's ``cpu``/``gpu``), then postprocess — the stage
-        lists the pipeline model overlaps."""
-        refresh_stages = []
-        kernel_stages = []
-        for shard in self._shards:
-            if shard.queries:
-                cpu = "cpu" if shard.inproc else f"cpu:{shard.index}"
-                refresh_stages.append((f"refresh:{shard.name}", cpu))
-        for name, state in self._queries.items():
-            shard = self._shard_by_name(state.shard)
-            resource = "gpu" if shard.inproc else f"gpu:{shard.index}"
-            kernel_stages.append((f"kernel:{name}", resource))
-        return (
-            list(SERVICE_SHARED_STAGES)
-            + refresh_stages
-            + kernel_stages
-            + [("postprocess", "cpu")]
-        )
-
     def process_batch(self, batch: UpdateBatch) -> ShardedBatchReport:
         """One batch across every shard, inside the supervision envelope.
 
-        Parent: prepare → in-process negative phase → transactional
-        commit → publish snapshot → broadcast → in-process observe +
-        positive phase → supervised collection → assemble. Worker
-        faults (crash / hang / torn IPC / stale snapshot) quarantine the
-        *shard* for this batch and trigger respawn + re-bootstrap;
-        per-query faults inside a worker quarantine only that query.
+        The protocol is the shared one; after the commit the parent
+        publishes the snapshot and broadcasts the batch, runs any
+        in-process (degraded) shard, then collects worker replies.
+        Worker faults (crash / hang / torn IPC / stale snapshot)
+        quarantine the *shard* for this batch and trigger respawn +
+        re-bootstrap; per-query faults inside a worker quarantine only
+        that query. The previous snapshot is retired only at the very
+        end, after any mid-batch respawn attached the current one.
         """
         if self._closed:
             raise ServiceError("service is closed")
-        batch_index = self.batches_processed
-        health: dict[str, str] = {}
-        shard_health: dict[str, str] = {}
-        failed: set[str] = set()
-        row_errors: dict[str, str] = {}
+        try:
+            return self._serve_batch(batch)
+        finally:
+            if self._prev_handle is not None:
+                unlink_snapshot(self._prev_handle)
+                self._prev_handle = None
 
-        # 0a. shard-level recovery: a shard that latched *without*
-        # in-process degradation stays down; nothing to do here because
-        # respawns are attempted at detection time (same batch).
-        # 0b. per-query recovery. In-process queries re-bootstrap here;
-        # worker-hosted ones piggyback on the batch broadcast.
-        rebootstrap: dict[str, list[str]] = {}
-        for name, state in self._queries.items():
-            if not self.breaker.retry_due(name, batch_index):
-                continue
-            shard = self._shard_by_name(state.shard)
-            if shard.inproc:
-                runtime = shard.runtimes[name]
-                try:
-                    initial = runtime.rebootstrap()
-                except Exception as err:  # noqa: BLE001 - isolation boundary
-                    self.breaker.note_retry_failure(name, batch_index, err)
-                else:
-                    self.breaker.mark_recovered(name, batch_index)
-                    state.initial = initial
-                    state.collector = MatchCollector()
-            elif not self.shard_breaker.is_quarantined(state.shard):
-                rebootstrap.setdefault(state.shard, []).append(name)
-
-        # 1. prepare
-        delta, err = self._guarded_store(lambda: self.store.prepare(batch))
-        if err is not None:
-            return self._dropped_batch_report(batch, "prepare", err)
-
-        report = ShardedBatchReport(
-            batch_size=len(batch),
-            delta_inserted=len(delta.inserted),
-            delta_deleted=len(delta.deleted),
-            stages=self.stage_plan(),
-        )
-
-        inproc_active = [
-            name
-            for name, state in self._queries.items()
-            if self._shard_by_name(state.shard).inproc
-            and not self.breaker.is_quarantined(name)
-        ]
-
-        # 2. in-process negative phase against the pre-update graph
-        neg: dict[str, object] = {}
-        if delta.deleted:
-            edges = list(delta.deleted)
-            for name in inproc_active:
-                out = self._guarded_inproc_launch(name, edges, batch_index, health, failed)
-                if out is not None:
-                    neg[name] = out
-
-        # 3. transactional commit
-        commit, err = self._guarded_store(lambda: self.store.commit(batch, delta))
-        if err is not None:
-            return self._dropped_batch_report(batch, "commit", err, rolled_back=True)
-        report.gpma_stats = commit.gpma_stats
-        report.reencoded_vertices = len(commit.changed_vertices)
-
-        # 4. publish the committed snapshot and broadcast the batch
+    def _broadcast(self, st: _Batch, delta, commit) -> None:
         self._prev_handle = self._handle
         self._handle = self._publish()
-        live = self._serving_shards()
-        expected: dict[str, set[str]] = {}
-        idx = batch_index
-        for shard in live:
-            active = [
-                n
-                for n in shard.queries
-                if not self.breaker.is_quarantined(n)
-            ]
-            pending_recovery = rebootstrap.get(shard.name, [])
+        self._inflight = []
+        for host in self._workers():
+            if self._host_fault(host) is not None:
+                continue
             bmsg = {
                 "version": commit.version,
                 "handle": self._handle,
                 "delta": delta,
                 "changed": tuple(commit.changed_vertices),
-                "active": active,
-                "rebootstrap": pending_recovery,
+                "active": [n for n in host.names if n in st.outcomes],
             }
             try:
-                shard.conn.send(("batch", idx, bmsg))
-            except (OSError, BrokenPipeError, ValueError) as send_err:
-                self._shard_fault(
-                    shard,
-                    batch_index,
-                    ShardFaultError(shard.name, f"broadcast failed: {send_err}"),
-                    health,
-                    shard_health,
-                    failed,
-                    row_errors,
-                )
+                host.conn.send(("batch", st.index, bmsg))
+            except (OSError, BrokenPipeError, ValueError) as err:
+                self._shard_fault(st, host, ShardFaultError(host.label, f"broadcast failed: {err}"))
                 continue
-            shard.batches_sent += 1
-            expected[shard.name] = set(active) | set(pending_recovery)
+            host.batches_sent += 1
+            self._inflight.append(host)
 
-        # 5. in-process observe + positive phase
-        for name in inproc_active:
-            if name in failed:
-                continue
-            shard = self._shard_by_name(self._queries[name].shard)
-            try:
-                shard.runtimes[name].observe_commit(commit)
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                self._trip(name, batch_index, err, health, failed)
-        pos: dict[str, object] = {}
-        if delta.inserted:
-            edges = list(delta.inserted)
-            for name in inproc_active:
-                if name in failed:
-                    continue
-                out = self._guarded_inproc_launch(name, edges, batch_index, health, failed)
-                if out is not None:
-                    pos[name] = out
-
-        # 6. supervised collection of worker replies
-        pending = [s for s in live if s.name in expected]
-        replies = self._collect_replies(
-            pending, idx, batch_index, health, shard_health, failed, row_errors
-        )
-
-        # 7. fold worker replies into parent state
-        results: dict[str, tuple] = {name: (neg.get(name), pos.get(name))
-                                     for name in inproc_active if name not in failed}
-        for shard in live:
-            payload = replies.get(shard.name)
-            if payload is None:
-                continue
-            for name, res in payload["recovered"].items():
-                if name not in self._queries:
-                    continue
-                if res[0] == "ok":
-                    self.breaker.mark_recovered(name, batch_index)
-                    state = self._queries[name]
-                    state.initial = res[1]
-                    state.collector = MatchCollector()
-                else:
-                    self.breaker.note_retry_failure(name, batch_index, res[1])
-                    health[name] = HEALTH_QUARANTINED
-                    failed.add(name)
-            for name, q in payload["queries"].items():
-                if name not in self._queries:
-                    continue
-                if q["error"] is not None:
-                    self._trip(name, batch_index, q["error"], health, failed)
-                    continue
-                if q["degraded"]:
-                    health[name] = HEALTH_DEGRADED
-                    self.breaker.note_degraded(name)
-                results[name] = (q["neg"], q["pos"])
-            shard.launch_wall = payload["launch_wall"]
-            self.remote_fired.extend(payload.get("fired", ()))
-
-        # 8. assemble rows in registration order
-        for name, state in self._queries.items():
-            if name in results and name not in failed:
-                result = self._assemble_result(results[name], commit)
-                state.collector.consume(result)
-                row_health = health.get(name)
-                if row_health is None:
-                    row_health = (
-                        HEALTH_RECOVERED
-                        if self.breaker.health(name) == HEALTH_RECOVERED
-                        else HEALTH_OK
-                    )
-                health[name] = row_health
-                report.queries[name] = QueryBatchReport(
-                    name=name,
-                    result=result,
-                    kernel_seconds=self.cost_model.gpu_seconds(
-                        result.kernel_stats.kernel_cycles
-                    ),
-                    health=row_health,
-                )
-                report.aborted |= result.aborted
-            else:
-                row_health = health.setdefault(name, HEALTH_QUARANTINED)
-                report.queries[name] = QueryBatchReport(
-                    name=name,
-                    result=BatchResult(),
-                    health=row_health,
-                    error=row_errors.get(name) or self.breaker.record(name).last_error,
-                )
-
-        report.health = dict(health)
-        for shard in self._shards:
-            shard_health.setdefault(shard.name, self.shard_breaker.health(shard.name))
-        report.shard_health = shard_health
-        report.worker_launch_wall = {s.name: s.launch_wall for s in self._shards}
-        self.breaker.settle()
-        self.shard_breaker.settle()
-        report.stage_seconds = self._price_stages(report, commit)
-        self.meter.record(report.total_seconds, len(batch))
-        self.batches_processed += 1
-        if self._prev_handle is not None:
-            unlink_snapshot(self._prev_handle)
-            self._prev_handle = None
-        return report
-
-    # -- supervision ---------------------------------------------------
-    def _collect_replies(
-        self, pending_shards, idx, batch_index, health, shard_health, failed, row_errors
-    ) -> dict[str, dict]:
+    def _collect(self, st: _Batch) -> None:
         """Wait for every broadcast shard's reply under the heartbeat
-        and batch-deadline limits; fault the stragglers."""
+        and batch-deadline limits; fault the stragglers. A defect
+        shipped back by a worker is re-raised."""
         t0 = time.monotonic()
         hb_limit = self.shard_policy.heartbeat_timeout_s
         deadline = self.shard_policy.batch_deadline_s
-        pending = {s.name: s for s in pending_shards}
-        for s in pending.values():
-            s.last_beat = t0
-        replies: dict[str, dict] = {}
+        pending = {h.conn: h for h in self._inflight}
+        for host in pending.values():
+            host.last_beat = t0
 
-        def fault(shard, err):
-            self._shard_fault(
-                shard, batch_index, err, health, shard_health, failed, row_errors
-            )
-            pending.pop(shard.name, None)
+        def fault(host, err):
+            pending.pop(host.conn, None)
+            self._shard_fault(st, host, err)
 
         while pending:
-            now = time.monotonic()
-            next_hb = min(s.last_beat + hb_limit for s in pending.values())
-            wait_s = max(min(next_hb, t0 + deadline) - now, 0.0)
-            conns = {s.conn: s for s in pending.values()}
-            ready = _conn_wait(list(conns), timeout=wait_s)
+            next_hb = min(h.last_beat + hb_limit for h in pending.values())
+            wait_s = max(min(next_hb, t0 + deadline) - time.monotonic(), 0.0)
+            ready = _conn_wait(list(pending), timeout=wait_s)
             now = time.monotonic()
             for conn in ready:
-                shard = conns[conn]
-                if shard.name not in pending:
+                host = pending.get(conn)
+                if host is None:
                     continue
                 try:
                     msg = conn.recv()
                 except (EOFError, OSError):
-                    fault(
-                        shard,
-                        ShardFaultError(shard.name, "worker process crashed mid-batch"),
-                    )
+                    fault(host, ShardFaultError(host.label, "worker process crashed mid-batch"))
                     continue
-                shard.last_beat = now
-                kind = msg[0]
-                if kind == "hb":
-                    continue
-                if kind == "batch_reply":
-                    if msg[1] != idx:
-                        continue  # stale (or duplicated) reply from an earlier batch
+                host.last_beat = now
+                if msg[0] == "batch_reply" and msg[1] == st.index:
                     payload = msg[2]
-                    err = self._validate_payload(shard, payload)
-                    if err is not None:
-                        fault(shard, err)
-                    else:
-                        replies[shard.name] = payload
-                        pending.pop(shard.name, None)
-                elif kind == "batch_error":
-                    fault(shard, msg[2])
-                # anything else: a late control reply — ignore
-            for shard in list(pending.values()):
+                    outcomes = payload.get("outcomes") if isinstance(payload, dict) else None
+                    if not isinstance(outcomes, dict) or not all(
+                        isinstance(o, QueryOutcome) for o in outcomes.values()
+                    ):
+                        fault(host, ShardFaultError(
+                            host.label, f"torn IPC message: {type(payload).__name__} payload"))
+                        continue
+                    st.outcomes.update(outcomes)
+                    self.remote_fired.extend(payload.get("fired", ()))
+                    del pending[conn]
+                elif msg[0] == "batch_error":
+                    if is_defect(msg[2]):
+                        raise msg[2]
+                    fault(host, msg[2])
+                # anything else: a heartbeat, or a stale/duplicated reply
+            for host in list(pending.values()):
                 now = time.monotonic()
-                if now - shard.last_beat >= hb_limit:
-                    fault(
-                        shard,
-                        ShardFaultError(
-                            shard.name, f"heartbeat silence > {hb_limit:.3g}s"
-                        ),
-                    )
+                if now - host.last_beat >= hb_limit:
+                    fault(host, ShardFaultError(
+                        host.label, f"heartbeat silence > {hb_limit:.3g}s"))
                 elif now - t0 >= deadline:
-                    fault(
-                        shard,
-                        ShardFaultError(
-                            shard.name, f"batch deadline exceeded ({deadline:.3g}s)"
-                        ),
-                    )
-        return replies
+                    fault(host, ShardFaultError(
+                        host.label, f"batch deadline exceeded ({deadline:.3g}s)"))
 
-    def _validate_payload(self, shard: _Shard, payload) -> ShardFaultError | None:
-        """A malformed reply is a protocol violation (torn IPC write)."""
-        if not isinstance(payload, dict) or "queries" not in payload:
-            return ShardFaultError(
-                shard.name, f"torn IPC message: {type(payload).__name__} payload"
-            )
-        queries = payload["queries"]
-        if not isinstance(queries, dict):
-            return ShardFaultError(shard.name, "torn IPC message: bad queries map")
-        for name, entry in queries.items():
-            if not isinstance(entry, dict) or not {
-                "neg",
-                "pos",
-                "error",
-                "degraded",
-            } <= set(entry):
-                return ShardFaultError(
-                    shard.name, f"torn IPC message: bad entry for query {name!r}"
-                )
-        if not isinstance(payload.get("recovered"), dict):
-            return ShardFaultError(shard.name, "torn IPC message: bad recovery map")
-        if "launch_wall" not in payload:
-            return ShardFaultError(shard.name, "torn IPC message: missing launch_wall")
-        return None
-
-    def _shard_fault(
-        self, shard, batch_index, err, health, shard_health, failed, row_errors
-    ) -> None:
+    def _shard_fault(self, st: _Batch, host: WorkerHost, err: BaseException) -> None:
         """Supervisor response to a detected worker failure: quarantine
-        the shard for this batch, kill the worker, and attempt bounded
-        respawn + re-bootstrap; exhaustion latches (optionally degrading
-        the shard's queries to in-process execution)."""
-        shard_health[shard.name] = HEALTH_QUARANTINED
+        the shard's rows for this batch, kill the worker, and attempt
+        bounded respawn + re-bootstrap; exhaustion latches (optionally
+        swapping in an in-process host)."""
+        st.report.shard_health[host.label] = HEALTH_QUARANTINED
         reason = f"{type(err).__name__}: {err}"
-        for name in shard.queries:
-            health[name] = HEALTH_QUARANTINED
-            failed.add(name)
-            row_errors[name] = reason
-        self.shard_breaker.trip(shard.name, batch_index, err)
-        self._kill_worker(shard)
-        self._respawn_or_latch(shard, batch_index)
-
-    def _respawn_or_latch(self, shard: _Shard, batch_index: int) -> None:
-        while self.shard_breaker.retry_due(shard.name, batch_index):
+        for name in host.names:
+            st.health[name] = HEALTH_QUARANTINED
+            st.errors[name] = reason
+        self.shard_breaker.trip(host.label, st.index, err)
+        self._kill_worker(host)
+        while self.shard_breaker.retry_due(host.label, st.index):
             try:
                 if self.faults is not None:
-                    self.faults.fire("shard.respawn", query=shard.name)
-                boot = self._spawn_worker(shard, respawn=True)
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                self.shard_breaker.note_retry_failure(shard.name, batch_index, err)
-                self._kill_worker(shard)
+                    self.faults.fire("shard.respawn", query=host.label)
+                boot = self._spawn_worker(host, respawn=True)
+            except Exception as err2:  # noqa: BLE001 - isolation boundary
+                if is_defect(err2):
+                    raise
+                self.shard_breaker.note_retry_failure(host.label, st.index, err2)
+                self._kill_worker(host)
             else:
                 for name, initial in boot.items():
-                    if name not in self._queries:
-                        continue
-                    state = self._queries[name]
-                    state.initial = initial
-                    state.collector = MatchCollector()
+                    host.anchor(name, initial)
                     self.breaker.drop(name)
-                self.shard_breaker.mark_recovered(shard.name, batch_index)
+                self.shard_breaker.mark_recovered(host.label, st.index)
                 return
         # respawn retries exhausted: the shard breaker is latched
         if self.shard_policy.degrade_to_inprocess:
-            self._degrade_shard(shard, batch_index)
+            self._degrade(st.index, host)
 
-    def _degrade_shard(self, shard: _Shard, batch_index: int) -> None:
-        """Adopt a latched shard's queries into the parent process at
-        the current committed boundary."""
-        shard.inproc = True
-        shard.runtimes = {}
-        for name in shard.queries:
-            state = self._queries[name]
+    def _degrade(self, index: int, worker: WorkerHost) -> None:
+        """Swap a latched shard's worker host for an in-process host on
+        the parent store, re-anchoring its queries at the current
+        committed boundary."""
+        host = InProcessHost(self.store, self.params, self.policy, label=worker.label)
+        self._hosts[self._hosts.index(worker)] = host
+        for name, (query, config, _) in worker.specs.items():
+            self._hosted[name] = host
+            host.register(name, query, config, bootstrap=False)
             try:
-                runtime = QueryRuntime(
-                    state.query,
-                    self.store,
-                    self.params,
-                    state.config,
-                    name=name,
-                    collector=None,
-                )
-                initial = runtime.bootstrap()
+                host.runtimes[name].bootstrap()
             except Exception as err:  # noqa: BLE001 - isolation boundary
-                self.breaker.trip(name, batch_index, err)
-                continue
-            shard.runtimes[name] = runtime
-            state.initial = initial
-            state.collector = MatchCollector()
-            self.breaker.drop(name)
-        self.shard_breaker.latch_degraded(shard.name)
-
-    # -- shared helpers (mirroring MatchingService) --------------------
-    def _guarded_store(self, call):
-        last: BaseException | None = None
-        for _ in range(self.policy.store_retries + 1):
-            try:
-                return call(), None
-            except (UpdateError, GraphError):
-                raise
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                last = err
-        return None, last
-
-    def _guarded_inproc_launch(self, name, edges, batch_index, health, failed):
-        shard = self._shard_by_name(self._queries[name].shard)
-        runtime = shard.runtimes[name]
-        try:
-            return runtime.launch(edges)
-        except Exception as err:  # noqa: BLE001 - isolation boundary
-            if self.policy.degrade_to_scalar and runtime.config.vectorized:
-                try:
-                    out = runtime.launch(edges, degraded=True)
-                except Exception as err2:  # noqa: BLE001
-                    err = err2
-                else:
-                    health[name] = HEALTH_DEGRADED
-                    self.breaker.note_degraded(name)
-                    return out
-            self._trip(name, batch_index, err, health, failed)
-            return None
-
-    def _trip(self, name, batch_index, err, health, failed):
-        self.breaker.trip(name, batch_index, err)
-        health[name] = HEALTH_QUARANTINED
-        failed.add(name)
-
-    def _assemble_result(self, outputs, commit: StoreCommit) -> BatchResult:
-        """Identical assembly to ``MatchingService._assemble_result`` —
-        the byte-identity contract for healthy shards depends on it."""
-        neg_out, pos_out = outputs
-        result = BatchResult()
-        result.gpma_stats = commit.gpma_stats
-        result.reencoded_vertices = len(commit.changed_vertices)
-        result.transfer_words = commit.transfer_words
-        result.kernel_stats.transfer_cycles += commit.transfer_cycles
-        if neg_out is not None:
-            result.negatives = set(neg_out.matches)
-            result.kernel_stats.merge(neg_out.stats)
-            result.aborted |= neg_out.aborted
-        if pos_out is not None:
-            result.positives = set(pos_out.matches)
-            result.kernel_stats.merge(pos_out.stats)
-            result.aborted |= pos_out.aborted
-        return result
-
-    def _dropped_batch_report(
-        self, batch: UpdateBatch, stage: str, err: BaseException, rolled_back: bool = False
-    ) -> ShardedBatchReport:
-        report = ShardedBatchReport(
-            batch_size=len(batch),
-            stages=self.stage_plan(),
-            aborted=True,
-            rolled_back=rolled_back,
-            failure=f"{stage}: {type(err).__name__}: {err}",
-        )
-        for name in self._queries:
-            state = self.breaker.health(name)
-            report.health[name] = state
-            report.queries[name] = QueryBatchReport(
-                name=name,
-                result=BatchResult(),
-                health=state,
-                error=self.breaker.record(name).last_error,
-            )
-        report.shard_health = {
-            s.name: self.shard_breaker.health(s.name) for s in self._shards
-        }
-        report.stage_seconds = {stage_name: 0.0 for stage_name, _ in report.stages}
-        self.breaker.settle()
-        self.shard_breaker.settle()
-        self.batches_processed += 1
-        return report
-
-    def _price_stages(
-        self, report: ShardedBatchReport, commit: StoreCommit
-    ) -> dict[str, float]:
-        """Same op counts as ``MatchingService._price_stages``, with the
-        per-query candidate-table refresh split out per shard: that work
-        runs inside each worker's ``observe_commit`` on the worker
-        process's own core, so it gets its own ``refresh:<shard>`` stage
-        on that shard's CPU resource. The shared encode pass stays in
-        ``preprocess`` on the parent CPU; summed over all stages the
-        seconds equal the single-process pricing exactly."""
-        cm = self.cost_model
-        if commit.is_noop:
-            return {stage: 0.0 for stage, _ in report.stages}
-        changed = max(len(commit.changed_vertices), 1)
-        n_matches = report.total_positives + report.total_negatives
-        stage_seconds = {
-            "preprocess": cm.cpu_seconds(ENCODE_OPS_PER_VERTEX * changed),
-            "transfer": cm.gpu_seconds(commit.transfer_cycles),
-            "update": cm.gpu_seconds(commit.gpma_stats.total_cycles),
-            "postprocess": cm.cpu_seconds(POSTPROCESS_OPS_PER_MATCH * max(n_matches, 1)),
-        }
-        for shard in self._shards:
-            if shard.queries:
-                stage_seconds[f"refresh:{shard.name}"] = cm.cpu_seconds(
-                    TABLE_OPS_PER_ROW * changed * len(shard.queries)
-                )
-        if not self._queries:  # match single-process max(n, 1) floor
-            stage_seconds["preprocess"] += cm.cpu_seconds(TABLE_OPS_PER_ROW * changed)
-        for name, qrep in report.queries.items():
-            stage_seconds[f"kernel:{name}"] = qrep.kernel_seconds
-        return stage_seconds
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _grouped_stages(
-        stages: "list[tuple[str, str]]",
-    ) -> "list[tuple[str, str] | list[tuple[str, str]]]":
-        """Fold a batch's per-shard refresh stages and kernel stages
-        into fork-join groups so the pipeline model overlaps distinct
-        shards' ``cpu:<k>``/``gpu:<k>`` resources; same-shard stages
-        still serialize on their resource's FIFO."""
-        pre: list = []
-        refresh: list[tuple[str, str]] = []
-        kernels: list[tuple[str, str]] = []
-        post: list = []
-        for stage in stages:
-            name = stage[0]
-            if name.startswith("refresh:"):
-                refresh.append(stage)
-            elif name.startswith("kernel:"):
-                kernels.append(stage)
-            elif kernels or refresh:
-                post.append(stage)
+                if is_defect(err):
+                    raise
+                self.breaker.trip(name, index, err)
             else:
-                pre.append(stage)
-        return (
-            pre
-            + ([refresh] if refresh else [])
-            + ([kernels] if kernels else [])
-            + post
-        )
+                self.breaker.drop(name)
+        self.shard_breaker.latch_degraded(worker.label)
 
-    def process_stream(
-        self, stream: UpdateStream
-    ) -> tuple[list[ShardedBatchReport], PipelineReport]:
-        """Process a whole stream and schedule it on the pipeline model,
-        with each batch's kernel stages forming one parallel group over
-        the per-shard GPU resources — the modeled view of the tier's
-        multi-process overlap."""
-        reports = [self.process_batch(batch) for batch in stream]
-        model = PipelineModel(self.stage_plan())
-        pipeline = model.schedule(
-            [r.stage_seconds for r in reports],
-            batch_stages=[self._grouped_stages(r.stages) for r in reports],
-        )
-        return reports, pipeline
+    def _settle(self, report: ShardedBatchReport) -> None:
+        for host in self._hosts:
+            report.shard_health.setdefault(host.label, self.shard_breaker.health(host.label))
+        super()._settle(report)
+        self.shard_breaker.settle()

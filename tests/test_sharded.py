@@ -742,3 +742,140 @@ class TestSnapshotUnlinkOrdering:
         # boundary — they survived the segment retirements
         assert finals == base_finals
         assert sorted(state["unlinked"]) == sorted(state["published"])
+
+
+# ---------------------------------------------------------------------------
+# one protocol over every host kind: defects propagate, API contract matches
+# ---------------------------------------------------------------------------
+HOST_KINDS = ("in_process", "fork_worker", "degraded_shard")
+
+
+def _degraded_shard0(g, batches):
+    """A 2-worker fork service whose shard0 latched and now runs its
+    queries in-process; ``batches[0]`` is consumed getting there."""
+    plan = FaultPlan(
+        [FaultSpec("worker.batch.abort", 0, query="shard0")]
+        + [FaultSpec("shard.respawn", k, query="shard0") for k in range(2)]
+    )
+    svc = make_sharded(
+        g,
+        faults=plan,
+        shard_policy=ShardPolicy(n_workers=2, max_respawns=2, degrade_to_inprocess=True),
+    )
+    svc.process_batch(batches[0])
+    assert svc.shard_health()["shard0"] == "degraded"
+    return svc
+
+
+class TestDefectPropagation:
+    """A strict-backend escape is a kernel defect, not a fault: every
+    host kind re-raises it from ``process_batch`` instead of
+    quarantining the query (fork workers inherit the planted method)."""
+
+    @pytest.mark.parametrize("method", ["launch", "observe_commit"])
+    @pytest.mark.parametrize("host_kind", HOST_KINDS)
+    def test_scalar_escape_propagates(self, workload, monkeypatch, host_kind, method):
+        from repro import xp
+        from repro.matching import QueryRuntime
+
+        g, batches = workload
+
+        def escape(self, *args, **kwargs):
+            raise xp.ScalarEscapeError(f"planted escape in QueryRuntime.{method}")
+
+        if host_kind == "in_process":
+            monkeypatch.setattr(QueryRuntime, method, escape)
+            svc = MatchingService(g, params=PARAMS)
+            for name, q in QUERIES:
+                svc.register_query(q, WBMConfig(), name=name)
+            with pytest.raises(xp.ScalarEscapeError, match="planted"):
+                svc.process_batch(batches[0])
+            return
+        if host_kind == "fork_worker":
+            monkeypatch.setattr(QueryRuntime, method, escape)
+            svc = make_sharded(g)
+            batch = batches[0]
+        else:
+            svc = _degraded_shard0(g, batches)
+            monkeypatch.setattr(QueryRuntime, method, escape)  # parent only
+            batch = batches[1]
+        try:
+            with pytest.raises(xp.ScalarEscapeError, match="planted"):
+                svc.process_batch(batch)
+        finally:
+            svc.close()
+
+
+@pytest.fixture(params=["in_process", "sharded"])
+def make_service(request):
+    """Build either service over the same graph and options."""
+    built = []
+
+    def make(g, **kwargs):
+        if request.param == "in_process":
+            return MatchingService(g, params=PARAMS, **kwargs)
+        svc = ShardedMatchingService(
+            g,
+            params=PARAMS,
+            shard_policy=ShardPolicy(n_workers=2, heartbeat_timeout_s=5.0, batch_deadline_s=30.0),
+            **kwargs,
+        )
+        built.append(svc)
+        return svc
+
+    yield make
+    for svc in built:
+        svc.close()
+
+
+class TestApiParity:
+    """The registration / read / recovery contract is the same whether
+    queries run in-process or in worker processes."""
+
+    def test_name_collision_and_unknown_names(self, workload, make_service):
+        g, _ = workload
+        svc = make_service(g)
+        assert svc.register_query(TRI_Q, WBMConfig(), name="a") == "a"
+        with pytest.raises(ServiceError, match="'a' already registered"):
+            svc.register_query(PATH_Q, WBMConfig(), name="a")
+        assert svc.register_query(PATH_Q, WBMConfig()) == "q1"
+        for call in (svc.matches, svc.query_health, svc.unregister_query):
+            with pytest.raises(ServiceError, match="ghost"):
+                call("ghost")
+
+    def test_quarantine_unregister_and_rebootstrap_lifecycle(self, workload, make_service):
+        g, batches = workload
+        plan = FaultPlan(
+            [FaultSpec("runtime.launch", 0, query="tri"), FaultSpec("runtime.launch", 0, query="path")]
+        )
+        svc = make_service(g, faults=plan, policy=ResiliencePolicy(cooldown_batches=1))
+        for name, q in QUERIES:
+            svc.register_query(q, WBMConfig(), name=name)
+
+        rep = svc.process_batch(batches[0])
+        assert rep.health == {
+            "tri": "quarantined", "path": "quarantined", "paper": "ok", "path2": "ok"
+        }
+        assert rep.queries["tri"].error.startswith("InjectedFault")
+        assert svc.query_health("tri") == "quarantined"
+        with pytest.raises(QueryQuarantinedError, match="InjectedFault"):
+            svc.matches("tri")
+        # the breaker's evidence rides the refusal
+        with pytest.raises(QueryQuarantinedError, match="force=True; InjectedFault"):
+            svc.unregister_query("path")
+        assert "path" in svc.query_names
+        svc.unregister_query("path", force=True)
+        assert "path" not in svc.query_names
+
+        # cooldown elapsed: a full re-bootstrap at the current boundary
+        rep = svc.process_batch(batches[1])
+        assert rep.health == {"tri": "recovered", "paper": "ok", "path2": "ok"}
+        assert svc.query_health("tri") == "ok"
+        rep = svc.process_batch(batches[2])
+        assert rep.health == {"tri": "ok", "paper": "ok", "path2": "ok"}
+        shadow = g.copy()
+        for batch in batches[:3]:
+            apply_batch(shadow, batch)
+        for name, q in QUERIES:
+            if name != "path":
+                assert svc.matches(name) == find_matches(q, shadow), name
