@@ -227,7 +227,6 @@ class BFSEngine:
         """
         n = self.query.n_vertices
         params = self.params
-        fused = env.config.fused_gen
         matches: set[Match] = set()
         frames = [(group, assign, rank, None) for group, assign, rank in seeds]
         for level in range(2, n):
@@ -260,8 +259,7 @@ class BFSEngine:
             for idxs in by_group.values():
                 group = prepared[idxs[0]][0]
                 if (
-                    fused
-                    and len(idxs) >= 2
+                    len(idxs) >= 2
                     and sum(len(prepared[i][3]) for i in idxs)
                     >= _LEVEL_BATCH_MIN
                 ):
@@ -291,7 +289,7 @@ class BFSEngine:
                         )
             # pass 3: consume in the original frame order; a level's
             # charges are additive integer cycles, so the totals equal
-            # the interleaved unfused pass exactly
+            # a per-frame interleaved pass exactly
             for (group, assign, rank, cands), (children, costs) in zip(
                 prepared, gen_out
             ):

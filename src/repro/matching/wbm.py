@@ -28,15 +28,18 @@ The DFS workers exist in two host-side forms behind the repo's
 flag-with-oracle convention. ``config.vectorized`` (default) runs each
 warp's DFS as a **level-stepped array cursor**
 (:class:`_DfsLevelCursor`): frames live in flat int64 arrays backed by
-an :class:`~repro.gpu.memory.Int64Arena`, a level's candidate
-generation is batched once per frame (:func:`_level_children`) with
-per-child costs recorded as priced
-:class:`~repro.gpu.trace.SegmentCosts`, and the scheduler drives one
-resumable array step per DFS level instead of one Python generator
-resumption. ``vectorized=False`` keeps the original generator pair
-``_worker``/``_dfs`` as the correctness oracle — matches,
-``KernelStats``/``BlockStats``, and the whole block schedule are
-byte-identical between the two (``tests/test_dfs_level_step.py``).
+an :class:`~repro.gpu.memory.Int64Arena`, the scheduler drives one
+resumable array step per DFS level, and a frame's child candidate
+generation is batched once — across sibling cursors staging the same
+``(group, level)`` when the launch-wide step coalescer finds them
+(:func:`_level_children_multi`), per frame otherwise
+(:func:`_level_children`) — with per-child costs recorded as priced
+:class:`~repro.gpu.trace.SegmentCosts` and hub-anchor narrowings cached
+per launch. ``vectorized=False`` keeps the original generator pair
+``_worker``/``_dfs`` over the dict-walk Gen-Candidates as the
+correctness oracle — matches, ``KernelStats``/``BlockStats``, and the
+whole block schedule are byte-identical between the two
+(``tests/test_dfs_level_step.py``).
 """
 
 from __future__ import annotations
@@ -92,26 +95,13 @@ class WBMConfig:
     max_k: int = 2
     bits_per_label: int = 2
     #: CSR-backed array kernels for Gen-Candidates and the filtering
-    #: stack, plus the pooled array-native virtual-GPU launch path;
-    #: False selects the original dict-walk / per-block-construction
-    #: scalar path, kept as the correctness oracle (identical matches
-    #: AND identical modeled cycle accounting)
+    #: stack, the pooled array-native virtual-GPU launch path, and
+    #: level-stepped DFS cursors with launch-wide fused candidate
+    #: generation; False selects the original dict-walk / generator-
+    #: worker / per-block-construction scalar path, kept as the
+    #: correctness oracle (identical matches AND identical modeled
+    #: cycle accounting)
     vectorized: bool = True
-    #: run vectorized DFS workers as level-stepped array cursors (one
-    #: resumable array step per DFS level, frames in flat int64 arrays,
-    #: per-level candidate generation batched and priced as recorded
-    #: cost segments). False keeps the generator workers on the
-    #: otherwise-vectorized path — a diagnostic knob for isolating the
-    #: level-step rewrite; the full oracle remains ``vectorized=False``.
-    level_step: bool = True
-    #: launch-wide fused candidate generation on the level-stepped path:
-    #: when the scheduler steps a DFS level, sibling cursors staging a
-    #: generation for the same (group, level) are batch-generated in one
-    #: segmented pass, and first-stage hub-slice narrowings are cached
-    #: per launch on the env. False reproduces the per-cursor PR-5
-    #: behavior — a diagnostic knob; matches, stats, and the whole block
-    #: schedule are byte-identical either way.
-    fused_gen: bool = True
     # engine-wide busy-cycle allowance per launch (the timeout analogue;
     # exceeded -> BudgetExceeded -> the query counts as unsolved)
     cycle_budget: Optional[float] = None
@@ -235,10 +225,8 @@ class _Env:
         # in the fused level step) hit memory instead of recomputation.
         # Injectivity and rank filtering are applied by the caller on
         # top of the cached slice — both are order-preserving ANDs, so
-        # they commute with the cached narrowing. None = caching off.
-        self._hub_slices: Optional[dict[tuple, xp.ndarray]] = (
-            {} if (config.vectorized and config.fused_gen) else None
-        )
+        # they commute with the cached narrowing.
+        self._hub_slices: dict[tuple, xp.ndarray] = {}
         self.gauge = _MemoryGauge()
         self.n = query.n_vertices
         # phase-A filter columns: per (group, query vertex), the union of
@@ -334,6 +322,15 @@ class _Env:
             self._orbit_cols[key] = col
         return col
 
+    def filter_column(self, group: CoalescedGroup, level: int) -> tuple:
+        """Candidacy column for ``group.full_order[level]`` plus its
+        hashable hub-cache key: the orbit-invariant union inside the
+        core (phase A), the exact column outside it (phase B)."""
+        qv = group.full_order[level]
+        if level < len(group.core):
+            return self.orbit_column(group, qv), (id(group), qv)
+        return self.table.bitmap[:, qv], qv
+
     def passes_filter(self, group: CoalescedGroup, qv: int, dv: int, in_core: bool) -> bool:
         """Candidate check: orbit-invariant union inside the core,
         exact column outside (and for singleton orbits they coincide)."""
@@ -388,19 +385,12 @@ def _gen_candidates(
     """
     query, graph = env.query, env.graph
     qv = order[level]
-    boundary = len(group.core)
     matched = [w for w in query.neighbors(qv) if w in assign]
     if not matched:
         raise MatchingError(f"matching order broke connectivity at {qv}")
     anchor = min(matched, key=lambda w: graph.degree(assign[w]))
     others = [w for w in matched if w != anchor]
-    in_core = level < boundary
-    if in_core:
-        col = env.orbit_column(group, qv)
-        col_key = (id(group), qv)
-    else:
-        col = env.table.bitmap[:, qv]
-        col_key = qv
+    col, col_key = env.filter_column(group, level)
     if env.config.vectorized:
         base = env.csr.neighbor_slice(assign[anchor])
         out = _candidates_vectorized(
@@ -483,27 +473,23 @@ def _candidates_vectorized(
     others: list[int],
     col,
     rank: int,
-    col_key=None,
+    col_key,
 ) -> list[int]:
     """CSR-backed Gen-Candidates: the anchor's sorted neighbor slice is
     narrowed by vectorized vertex-label / edge-label / bitmap /
     injectivity masks, then intersected with every other matched
     neighbor's sorted adjacency via ``searchsorted`` (the paper's
     per-lane parallel binary search). Produces the identical ascending
-    candidate list as the scalar oracle. With the per-launch hub-slice
-    cache enabled (and a hashable ``col_key`` for the filter column),
-    large anchors reuse the cached first-stage narrowing."""
+    candidate list as the scalar oracle. Large anchors reuse the
+    per-launch hub-slice cache's first-stage narrowing, keyed on the
+    hashable ``col_key`` of the filter column."""
     query, csr = env.query, env.csr
     anchor_dv = assign[anchor]
     base = csr.neighbor_slice(anchor_dv)
     n_base = len(base)
     if not n_base:
         return []
-    if (
-        env._hub_slices is not None
-        and col_key is not None
-        and n_base > _SCALAR_GEN_MAX
-    ):
+    if n_base > _SCALAR_GEN_MAX:
         narrowed = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
         # injectivity on the cached slice: clearing assigned vertices
         # from the narrowed subsequence keeps exactly the survivors the
@@ -631,6 +617,25 @@ _SCALAR_GEN_MAX = 64
 _FUSE_SELF_MIN_WORK = 96
 
 
+def _level_target(
+    env: _Env,
+    group: CoalescedGroup,
+    order: tuple[int, ...],
+    lv: int,
+    prefix: dict[int, int],
+) -> tuple[int, int, object, object, list[int]]:
+    """What a level generation below frame ``order[lv]`` targets: the
+    next query vertex, the frame vertex, the filter column with its
+    hub-cache key, and the matched query neighbors (adjacency order)."""
+    qv = order[lv + 1]
+    qv_prev = order[lv]
+    col, col_key = env.filter_column(group, lv + 1)
+    matched = [w for w in env.query.neighbors(qv) if w in prefix or w == qv_prev]
+    if not matched:
+        raise MatchingError(f"matching order broke connectivity at {qv}")
+    return qv, qv_prev, col, col_key, matched
+
+
 def _level_children_scalar(
     env: _Env,
     group: CoalescedGroup,
@@ -642,7 +647,7 @@ def _level_children_scalar(
     col,
     matched: list[int],
     cands: list[int],
-    col_key=None,
+    col_key,
 ) -> tuple[list, SegmentCosts]:
     """Small-frame form of :func:`_level_children`: per-child cost
     totals by direct integer arithmetic (same pricing rules as
@@ -671,12 +676,11 @@ def _level_children_scalar(
     transactions = [0] * k
     children: list = [None] * k
     pre_cache: dict[int, list[int]] = {}
-    # fused mode defers small self-anchored children into one batched
-    # pass over their concatenated adjacency slices (see
+    # small self-anchored children are deferred into one batched pass
+    # over their concatenated adjacency slices (see
     # :func:`_fused_self_anchor`); the cost arithmetic is untouched
     fuse_self: list[tuple[int, int]] = []
     fuse_work = 0
-    fused = env.config.fused_gen
     for j, c in enumerate(cands):
         deg_c = graph.degree(c) if prev_matched else 0
         # anchor = first minimum-degree matched vertex (oracle tie-break)
@@ -702,27 +706,16 @@ def _level_children_scalar(
         clock[j] = comp_cy + (tx + scat) * gtc
         # --- data -----------------------------------------------------
         if anchor == qv_prev:
-            if fused and nb <= _SCALAR_GEN_MAX:
+            if nb <= _SCALAR_GEN_MAX:
                 fuse_self.append((j, c))
                 fuse_work += nb
                 continue
             child_assign = dict(prefix)
             child_assign[qv_prev] = c
-            gen = _candidates_scalar if nb <= _SCALAR_GEN_MAX else _candidates_vectorized
-            children[j] = [
-                int(x)
-                for x in gen(
-                    env,
-                    group,
-                    child_assign,
-                    qv,
-                    qv_prev,
-                    others_if_self,
-                    col,
-                    rank,
-                    col_key,
-                )
-            ]
+            children[j] = _candidates_vectorized(
+                env, group, child_assign, qv, qv_prev, others_if_self,
+                col, rank, col_key,
+            )
             continue
         pre = pre_cache.get(anchor)
         if pre is None:
@@ -783,24 +776,20 @@ def _narrowed_prefix_run(
     col,
     matched: list[int],
     anchor: int,
-    col_key=None,
+    col_key,
 ) -> xp.ndarray:
     """Array form of the shared prefix narrowing: candidates of ``qv``
     in the anchor's sorted adjacency surviving every prefix-only
     constraint (labels, bitmap, injectivity, rank rule, every prefix
     adjacency). The one implementation both frame-size strategies of
     :func:`_level_children` narrow through; hub anchors hit the
-    per-launch first-stage slice cache when it is enabled."""
+    per-launch first-stage slice cache."""
     query, csr = env.query, env.csr
     anchor_dv = prefix[anchor]
     base = csr.neighbor_slice(anchor_dv)
     if not len(base):
         return base
-    if (
-        env._hub_slices is not None
-        and col_key is not None
-        and len(base) > _SCALAR_GEN_MAX
-    ):
+    if len(base) > _SCALAR_GEN_MAX:
         narrowed = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
         keep = xp.ones(len(narrowed), dtype=bool)
         mask_members(keep, narrowed, prefix.values())
@@ -838,7 +827,7 @@ def _prefix_narrowed(
     col,
     matched: list[int],
     anchor: int,
-    col_key=None,
+    col_key,
 ) -> list[int]:
     """Candidates of ``qv`` surviving every prefix-only constraint
     (labels, bitmap, injectivity, rank rule, all prefix adjacencies) —
@@ -942,11 +931,12 @@ def _level_children_multi(
     requests: list[tuple[dict[int, int], xp.ndarray, int]],
     params: DeviceParams,
 ) -> list[tuple[list, SegmentCosts]]:
-    """Launch-wide fused form of :func:`_level_children`.
+    """Array Gen-Candidates for one DFS level, over one or more requests.
 
-    Sibling requests targeting the same ``(group, level)`` — pending
-    frames of different warp cursors coalesced at a level step, or
-    sibling frontier partials of the BFS variant — are generated as ONE
+    The one array primitive of the level-stepped path: a large frame's
+    own generation (:func:`_level_children`, one request), pending
+    frames of sibling warp cursors coalesced at a level step, and
+    sibling frontier partials of the BFS variant all run here as ONE
     batched pass over the concatenation of their candidate runs. Each
     request is ``(prefix, candidate array, rank)``; all share the next
     query vertex, the filter column, and the matched-neighbor set, so
@@ -956,28 +946,16 @@ def _level_children_multi(
     pricing. Prefix-anchored runs defer their per-child adjacency
     intersection into a single segmented ``searchsorted``
     (:func:`segmented_positions_in`) across every (request, child)
-    pair. Children values and per-segment costs equal per-request
-    :func:`_level_children` calls — the fusion changes host-side
+    pair. Children values and per-segment costs equal per-child
+    :func:`_gen_candidates` calls — batching changes host-side
     granularity, never a modeled number.
     """
     query, csr = env.query, env.csr
-    nxt = lv + 1
-    qv = order[nxt]
-    qv_prev = order[lv]
-    boundary = len(group.core)
-    if nxt < boundary:
-        col = env.orbit_column(group, qv)
-        col_key = (id(group), qv)
-    else:
-        col = env.table.bitmap[:, qv]
-        col_key = qv
     # every request's prefix assigns exactly order[0..lv-1], so the
     # matched set is request-invariant; probe it on the first prefix
-    matched = [
-        w for w in query.neighbors(qv) if w in requests[0][0] or w == qv_prev
-    ]
-    if not matched:
-        raise MatchingError(f"matching order broke connectivity at {qv}")
+    qv, qv_prev, col, col_key, matched = _level_target(
+        env, group, order, lv, requests[0][0]
+    )
     counts = xp.array([len(c) for _, c, _ in requests], dtype=xp.int64)
     all_cands = xp.concatenate([c for _, c, _ in requests])
     total = len(all_cands)
@@ -1139,7 +1117,7 @@ def _level_children(
     cands: xp.ndarray,
     rank: int,
     params: DeviceParams,
-) -> tuple[list, Optional[SegmentCosts]]:
+) -> tuple[list, SegmentCosts]:
     """Batched Gen-Candidates for one whole DFS level.
 
     The frame at ``order[lv]`` holds unexplored candidates ``cands``;
@@ -1161,122 +1139,19 @@ def _level_children(
     Two host strategies produce the identical result: small frames
     (the common case on selective serving queries) run a python pass
     over the dict adjacency — the fixed cost of assembling op arrays
-    dwarfs a handful of children — while larger frames batch through
-    the array kernels. Both share the prefix narrowing across the run.
+    dwarfs a handful of children — while larger frames are a
+    single-request :func:`_level_children_multi` batch.
     """
-    query, csr = env.query, env.csr
-    nxt = lv + 1
-    qv = order[nxt]
-    qv_prev = order[lv]
-    boundary = len(group.core)
-    if nxt < boundary:
-        col = env.orbit_column(group, qv)
-        col_key = (id(group), qv)
-    else:
-        col = env.table.bitmap[:, qv]
-        col_key = qv
-    matched = [w for w in query.neighbors(qv) if w in prefix or w == qv_prev]
-    if not matched:
-        raise MatchingError(f"matching order broke connectivity at {qv}")
-    k = len(cands)
-    if k < _LEVEL_BATCH_MIN:
-        return _level_children_scalar(
-            env, group, prefix, rank, params, qv, qv_prev, col, matched,
-            xp.to_numpy(cands).tolist(), col_key,
-        )
-    cands = xp.asarray(cands, dtype=xp.int64)
-    offsets = csr.offsets
-    degs = xp.empty((len(matched), k), dtype=xp.int64)
-    for i, w in enumerate(matched):
-        if w == qv_prev:
-            degs[i] = offsets[cands + 1] - offsets[cands]
-        else:
-            degs[i] = csr.degree(prefix[w])
-    # first minimum along the matched order == the oracle's min() tie-break
-    anchor_idx = xp.argmin(degs, axis=0)
-    costs = _gen_cost_segments(degs, anchor_idx, params)
-
-    # --- per-child candidate data ------------------------------------
-    children: list = [None] * k
-    empty = cands[:0]
-    has_rank = env._rank_r is not None
-    for ai in sorted(set(xp.to_numpy(anchor_idx).tolist())):
-        sel = xp.to_numpy(xp.nonzero(anchor_idx == ai)[0])
-        w_anchor = matched[ai]
-        if w_anchor == qv_prev:
-            # the anchor is the frame vertex itself: per-child base
-            others = [w for w in matched if w != qv_prev]
-            deg_row = degs[ai]
-            rest = sel
-            if env.config.fused_gen:
-                # fused mode: small-adjacency children batch through one
-                # concatenated pass; hub children stay per-child so the
-                # hub-slice cache keeps covering their first stage
-                small = sel[deg_row[sel] <= _SCALAR_GEN_MAX]
-                if (
-                    len(small) >= 2
-                    and int(deg_row[small].sum()) >= _FUSE_SELF_MIN_WORK
-                ):
-                    for j, res in zip(
-                        small.tolist(),
-                        _fused_self_anchor(
-                            env, prefix, rank, qv, qv_prev, others, col,
-                            cands[small],
-                        ),
-                    ):
-                        children[j] = res
-                    rest = sel[deg_row[sel] > _SCALAR_GEN_MAX]
-            for j in rest:
-                child_assign = dict(prefix)
-                child_assign[qv_prev] = int(cands[j])
-                gen = (
-                    _candidates_scalar
-                    if deg_row[j] <= _SCALAR_GEN_MAX
-                    else _candidates_vectorized
-                )
-                children[j] = xp.asarray(
-                    gen(
-                        env,
-                        group,
-                        child_assign,
-                        qv,
-                        qv_prev,
-                        others,
-                        col,
-                        rank,
-                        col_key,
-                    ),
-                    dtype=xp.int64,
-                )
-            continue
-        # prefix anchor: one shared narrowing for the whole run
-        pre = _narrowed_prefix_run(
-            env, prefix, rank, qv, qv_prev, col, matched, w_anchor, col_key
-        )
-        if qv_prev in matched:
-            want_elabel = query.edge_label(qv, qv_prev)
-            for j in sel:
-                if not len(pre):
-                    children[j] = empty
-                    continue
-                c = int(cands[j])
-                nbrs = csr.neighbor_slice(c)
-                if not len(nbrs):
-                    children[j] = empty
-                    continue
-                # no self loops: the child itself can never survive its
-                # own adjacency intersection, so injectivity is implied
-                res = intersect_sorted(
-                    pre, nbrs, csr.edge_label_slice(c), want_elabel
-                )
-                if has_rank and len(res):
-                    res = env.rank_filter(res, c, rank)
-                children[j] = res
-        else:
-            # the child's value only matters for injectivity here
-            for j in sel:
-                children[j] = drop_member(pre, int(cands[j]))  # shared, read-only
-    return children, costs
+    if len(cands) >= _LEVEL_BATCH_MIN:
+        return _level_children_multi(
+            env, group, order, lv,
+            [(prefix, xp.asarray(cands, dtype=xp.int64), rank)], params,
+        )[0]
+    qv, qv_prev, col, col_key, matched = _level_target(env, group, order, lv, prefix)
+    return _level_children_scalar(
+        env, group, prefix, rank, params, qv, qv_prev, col, matched,
+        xp.to_numpy(cands).tolist(), col_key,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1352,12 +1227,10 @@ def _worker(ctx: WarpContext, env: _Env, items: list[dict]) -> Generator[None, N
     state = _ensure_state(ctx)
     state["queue"].extend(items)
     state["active"] = True
-    steps = 0
     try:
         while state["queue"]:
             item = state["queue"].pop()
             yield from _dfs(ctx, env, state, item)
-            steps += 1
     finally:
         state["active"] = False
         state["frames"] = []
@@ -1859,13 +1732,13 @@ class _DfsLevelCursor(LevelCursor):
 def _spawn_worker(ctx: WarpContext, env: _Env, items: list[dict]):
     """A DFS worker in the launch's task form: a level-stepped cursor on
     the vectorized path, the generator oracle otherwise."""
-    if env.config.vectorized and env.config.level_step:
+    if env.config.vectorized:
         return _DfsLevelCursor(ctx, env, items)
     return _worker(ctx, env, items)
 
 
 def _make_step_coalescer(sched: BlockScheduler, env: _Env):
-    """Launch-wide fused Gen-Candidates (``config.fused_gen``).
+    """Launch-wide fused Gen-Candidates on the vectorized path.
 
     Installed as the scheduler's level-barrier hook: right before a DFS
     cursor steps, collect the staged candidate-generation requests
@@ -2345,7 +2218,7 @@ def launch_kernel(
 
     def block_hook(sched: BlockScheduler):
         sched.shared.alloc("_sched", sched, words=0)
-        if config.vectorized and config.level_step and config.fused_gen:
+        if config.vectorized:
             sched.step_coalescer = _make_step_coalescer(sched, env)
         if config.work_stealing == "active":
             return _active_idle_handler(sched, env)

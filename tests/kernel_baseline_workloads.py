@@ -6,9 +6,9 @@ recorded into ``tests/data/baseline_kernel_<name>.json`` by
 ``tools/make_kernel_baselines.py`` — the PR-3 pattern applied to the
 kernel: future kernel refactors diff against frozen numbers, not just
 against the live oracle (which could drift together with the fast
-path). ``tests/test_dfs_level_step.py`` replays every execution arm
-(level-stepped cursor, generator fast path, full scalar oracle)
-against the same frozen record.
+path). ``tests/test_dfs_level_step.py`` replays both execution arms
+(level-stepped cursor, full scalar oracle) against the same frozen
+record.
 
 This module is imported both by the test suite and by the generator
 tool, so the workload definition exists exactly once.
@@ -104,13 +104,13 @@ def build_workload(name: str):
     raise ValueError(f"unknown workload {name!r}")
 
 
-def run_workload(name: str, vectorized: bool = True, level_step: bool = True) -> list[dict]:
+def run_workload(name: str, vectorized: bool = True) -> list[dict]:
     """Run one workload on one execution arm; return the JSON-shaped
     per-batch record the baselines freeze."""
     g0, batches, queries = build_workload(name)
     service = MatchingService(g0, params=PARAMS, vectorized=vectorized)
     for qname, query, overrides in queries:
-        config = WBMConfig(vectorized=vectorized, level_step=level_step, **overrides)
+        config = WBMConfig(vectorized=vectorized, **overrides)
         service.register_query(query, config, name=qname, bootstrap=False)
     record = []
     for batch in batches:

@@ -1,6 +1,6 @@
 """Level-stepped array-native DFS workers vs the generator oracle.
 
-The ISSUE-5 rewrite turns each vectorized WBM DFS worker into a
+The vectorized path runs each WBM DFS worker as a
 :class:`~repro.matching.wbm._DfsLevelCursor`: one resumable array step
 per DFS level, frames in flat int64 arrays, per-level candidate
 generation batched and priced as recorded cost segments. The contract
@@ -8,15 +8,17 @@ is the repo's flag-with-oracle convention at its strictest — the
 cursor must be **invisible in everything modeled**:
 
 * identical matches, ``KernelStats`` and ``BlockStats`` (byte for
-  byte) against the generator fast path (``level_step=False``) and the
-  full scalar oracle (``vectorized=False``), across randomized seeded
+  byte) against the full scalar oracle (``vectorized=False``: generator
+  workers over the dict-walk Gen-Candidates), across randomized seeded
   graphs, mixed update streams, every stealing mode, and steal-heavy
   schedules (mirroring ``tests/test_gpu_pooling.py``);
 * identical per-warp cycle accounting — the final clock and busy
   cycles of every warp of every block;
+* identical results on both sides of every host-side size switch of
+  the level-generation path;
 * identical frozen history: the fixed-seed serving workloads recorded
   in ``tests/data/baseline_kernel_*.json`` replay byte-identically on
-  every execution arm.
+  both execution arms.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ import pytest
 
 from kernel_baseline_workloads import PARAMS, WORKLOADS, run_workload
 from repro import xp
-from repro.errors import BudgetExceeded, ConfigMismatchError
+from repro.errors import ConfigMismatchError
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import apply_batch, make_batch
@@ -47,11 +49,10 @@ DENSE_Q = LabeledGraph.from_edges(
     [0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
 )
 
-#: the three execution arms: (config.vectorized, config.level_step)
+#: the two execution arms: arm name -> config.vectorized
 ARMS = {
-    "cursor": (True, True),
-    "generator": (True, False),  # the generator fast path (PR-4 form)
-    "oracle": (False, False),  # the full scalar oracle
+    "cursor": True,  # level-stepped cursors, fused Gen-Candidates
+    "oracle": False,  # the full scalar oracle
 }
 
 
@@ -98,7 +99,6 @@ def run_stream(
     *,
     stealing="active",
     vectorized=True,
-    level_step=True,
     gpu_vectorized=None,
     config_extra=None,
 ):
@@ -106,10 +106,7 @@ def run_stream(
     kernel stats) triples the lockstep assertions compare."""
     service = MatchingService(g0, params=PARAMS, vectorized=vectorized)
     config = WBMConfig(
-        work_stealing=stealing,
-        vectorized=vectorized,
-        level_step=level_step,
-        **(config_extra or {}),
+        work_stealing=stealing, vectorized=vectorized, **(config_extra or {})
     )
     service.register_query(query, config, name="q", bootstrap=False)
     if gpu_vectorized is not None:
@@ -129,22 +126,19 @@ def run_stream(
 
 
 # ---------------------------------------------------------------------------
-# randomized lockstep: cursor vs generator fast path vs scalar oracle
+# randomized lockstep: cursor vs scalar oracle
 # ---------------------------------------------------------------------------
 class TestLevelStepLockstep:
     @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
     @pytest.mark.parametrize("seed", [1, 4, 8])
     def test_mixed_stream_lockstep(self, stealing, seed):
-        """Seeded graphs + mixed update streams: all three arms emit
+        """Seeded graphs + mixed update streams: both arms emit
         byte-identical matches and stats, batch by batch."""
         g0, batches = mixed_stream(seed)
         runs = {
-            arm: run_stream(
-                g0, CHORD_Q, batches, stealing=stealing, vectorized=vec, level_step=ls
-            )
-            for arm, (vec, ls) in ARMS.items()
+            arm: run_stream(g0, CHORD_Q, batches, stealing=stealing, vectorized=vec)
+            for arm, vec in ARMS.items()
         }
-        assert runs["cursor"] == runs["generator"]
         assert runs["cursor"] == runs["oracle"]
 
     def test_steal_heavy_schedule_lockstep(self):
@@ -162,12 +156,9 @@ class TestLevelStepLockstep:
         rng.shuffle(non)
         batches = [make_batch([("+", u, v, 0) for u, v in non[:24]])]
         runs = {
-            arm: run_stream(
-                g0, DENSE_Q, batches, stealing="active", vectorized=vec, level_step=ls
-            )
-            for arm, (vec, ls) in ARMS.items()
+            arm: run_stream(g0, DENSE_Q, batches, stealing="active", vectorized=vec)
+            for arm, vec in ARMS.items()
         }
-        assert runs["cursor"] == runs["generator"]
         assert runs["cursor"] == runs["oracle"]
         steals = sum(b["steals"] for b in runs["cursor"][0][2]["blocks"])
         assert steals > 0, "schedule must actually exercise stealing"
@@ -198,48 +189,47 @@ class TestLevelStepLockstep:
 
         monkeypatch.setattr(BlockScheduler, "run", recording_run)
         g0, batches = mixed_stream(seed)
-        # compare the two pooled worker forms: they share the all-trace
-        # block memoization pattern, so the scheduled-block sequences
-        # line up one to one (the scalar oracle re-runs memoized blocks
-        # and is covered by the BlockStats equality of the other tests)
-        for arm in ("cursor", "generator"):
-            vec, ls = ARMS[arm]
-            sink = captured[arm] = []
-            run_stream(g0, CHORD_Q, batches, vectorized=vec, level_step=ls)
+        # block memoization needs a vectorized device, so the cursor runs
+        # on the per-block scheduler: both sides then schedule every
+        # block and the per-warp lists line up one to one
+        sink = captured["cursor"] = []
+        run_stream(g0, CHORD_Q, batches, gpu_vectorized=False)
+        sink = captured["oracle"] = []
+        run_stream(g0, CHORD_Q, batches, vectorized=False)
         assert captured["cursor"], "expected scheduled blocks"
-        assert captured["cursor"] == captured["generator"]
+        assert captured["cursor"] == captured["oracle"]
 
     def test_budget_abort_lockstep(self):
         """A cycle budget trips at the same modeled point: same aborted
         flag and same partial match sets on both worker forms."""
         g0, batches = mixed_stream(11, n_batches=1)
-        runs = {}
-        for arm, (vec, ls) in ARMS.items():
-            runs[arm] = run_stream(
+        runs = {
+            arm: run_stream(
                 g0,
                 CHORD_Q,
                 batches,
                 vectorized=vec,
-                level_step=ls,
                 config_extra={"cycle_budget": 400.0},
             )
-        assert runs["cursor"] == runs["generator"]
+            for arm, vec in ARMS.items()
+        }
         assert runs["cursor"] == runs["oracle"]
 
     def test_multiquery_shared_store_lockstep(self):
-        """Several runtimes over one shared store: per-query stats stay
-        identical when only the worker form changes."""
+        """Several runtimes over one shared store: per-query matches and
+        stats stay identical between the vectorized and the oracle
+        service."""
         g0, batches = mixed_stream(13)
         queries = {
             "chord": CHORD_Q,
             "path": LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2)]),
         }
         results = {}
-        for ls in (True, False):
-            service = MatchingService(g0, params=PARAMS)
+        for vec in (True, False):
+            service = MatchingService(g0, params=PARAMS, vectorized=vec)
             for name, q in queries.items():
                 service.register_query(
-                    q, WBMConfig(level_step=ls), name=name, bootstrap=False
+                    q, WBMConfig(vectorized=vec), name=name, bootstrap=False
                 )
             stream = []
             for batch in batches:
@@ -254,12 +244,12 @@ class TestLevelStepLockstep:
                         for name, qr in rep.queries.items()
                     }
                 )
-            results[ls] = stream
+            results[vec] = stream
         assert results[True] == results[False]
 
 
 # ---------------------------------------------------------------------------
-# launch-wide fused Gen-Candidates (ISSUE 6): fused vs unfused lockstep
+# launch-wide fused Gen-Candidates: fused cursor vs scalar oracle
 # ---------------------------------------------------------------------------
 def hub_heavy_workload(n_inserts=12):
     """5 hubs × 120 leaves, each leaf wired to 3 of the 5 hubs (hub
@@ -283,64 +273,53 @@ def hub_heavy_workload(n_inserts=12):
 
 
 class TestFusedGenLockstep:
-    """ISSUE-6 launch-wide fused Gen-Candidates vs the per-frame path.
+    """Launch-wide fused Gen-Candidates vs the scalar oracle.
 
-    ``fused_gen=False`` reproduces the PR-5 per-push generation exactly;
-    the fused default (sibling frames batched at the level barrier, hub
-    slices cached per launch) must be invisible in matches and in every
-    modeled number across stealing modes, shared-anchor-heavy
+    The fused machinery (sibling frames batched at the level barrier,
+    hub slices cached per launch) must be invisible in matches and in
+    every modeled number across stealing modes, shared-anchor-heavy
     schedules, and both cache paths.
     """
 
     @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
     @pytest.mark.parametrize("seed", [2, 6])
     def test_mixed_stream_fused_vs_unfused(self, stealing, seed):
+        """Seeded mixed streams: the fused cursor equals the oracle."""
         g0, batches = mixed_stream(seed)
         fused = run_stream(g0, CHORD_Q, batches, stealing=stealing)
-        unfused = run_stream(
-            g0,
-            CHORD_Q,
-            batches,
-            stealing=stealing,
-            config_extra={"fused_gen": False},
+        oracle = run_stream(
+            g0, CHORD_Q, batches, stealing=stealing, vectorized=False
         )
-        assert fused == unfused
+        assert fused == oracle
 
     @pytest.mark.parametrize("stealing", ["active", "off"])
     def test_hub_heavy_shared_anchor_lockstep(self, stealing):
         """Shared-anchor-heavy schedule: hub-cache hits and fused
-        sibling batches on, still byte-identical to the unfused path
-        and the full scalar oracle."""
+        sibling batches on, still byte-identical to the full scalar
+        oracle."""
         g0, q, batches = hub_heavy_workload()
         fused = run_stream(g0, q, batches, stealing=stealing)
-        unfused = run_stream(
-            g0, q, batches, stealing=stealing, config_extra={"fused_gen": False}
-        )
-        oracle = run_stream(
-            g0, q, batches, stealing=stealing, vectorized=False, level_step=False
-        )
-        assert fused == unfused == oracle
+        oracle = run_stream(g0, q, batches, stealing=stealing, vectorized=False)
+        assert fused == oracle
 
     def test_bench_hub_schedule_lockstep(self):
         """The benchmark's hub-heavy schedule (bipartite hub graph,
         5-cycle query → zero matches, pure Gen-Candidates work) at
         test scale: the fused self-anchor batch pass and the hub-slice
-        cache both fire, still byte-identical to the unfused path and
-        the scalar oracle."""
+        cache both fire, still byte-identical to the scalar oracle."""
         from repro.bench.workloads import hub_schedule
 
         g0, batch, q = hub_schedule(n_leaves=60, n_inserts=10)
         batches = [batch]
         fused = run_stream(g0, q, batches)
-        unfused = run_stream(g0, q, batches, config_extra={"fused_gen": False})
-        oracle = run_stream(g0, q, batches, vectorized=False, level_step=False)
+        oracle = run_stream(g0, q, batches, vectorized=False)
         assert fused[0][0] == []  # bipartite host: the 5-cycle never closes
-        assert fused == unfused == oracle
+        assert fused == oracle
 
     def test_steal_heavy_fused_vs_unfused(self):
         """Frame splits under active stealing with the coalescer armed:
         prefetched children ride along with the truncation-based steal
-        protocol without drifting from the unfused schedule."""
+        protocol without drifting from the oracle's schedule."""
         g0 = attach_labels(power_law_graph(30, 1.8, seed=2), 1, 1, seed=3)
         rng = random.Random(7)
         non = [
@@ -352,14 +331,10 @@ class TestFusedGenLockstep:
         rng.shuffle(non)
         batches = [make_batch([("+", u, v, 0) for u, v in non[:24]])]
         fused = run_stream(g0, DENSE_Q, batches, stealing="active")
-        unfused = run_stream(
-            g0,
-            DENSE_Q,
-            batches,
-            stealing="active",
-            config_extra={"fused_gen": False},
+        oracle = run_stream(
+            g0, DENSE_Q, batches, stealing="active", vectorized=False
         )
-        assert fused == unfused
+        assert fused == oracle
         steals = sum(b["steals"] for b in fused[0][2]["blocks"])
         assert steals > 0, "schedule must actually exercise stealing"
 
@@ -391,21 +366,85 @@ class TestFusedGenLockstep:
         assert calls["hub_hits"] > 0, "cache must serve repeat anchors"
         assert calls["hub_calls"] > calls["hub_hits"], "first touch misses"
 
-    def test_unfused_never_fuses(self, monkeypatch):
-        """The diagnostic knob really disables the machinery."""
+
+# ---------------------------------------------------------------------------
+# host-side size switches: both sides of each produce the oracle's run
+# ---------------------------------------------------------------------------
+#: (module constant, forced value) -> (function that must run, function
+#: that must not run) on the vectorized path
+SIZE_SWITCHES = {
+    ("_LEVEL_BATCH_MIN", 0): ("_level_children_multi", "_level_children_scalar"),
+    ("_LEVEL_BATCH_MIN", 10**9): ("_level_children_scalar", "_level_children_multi"),
+    ("_SCALAR_GEN_MAX", -1): ("hub_slice", "_candidates_scalar"),
+    ("_SCALAR_GEN_MAX", 10**9): ("_candidates_scalar", "hub_slice"),
+    ("_FUSE_SELF_MIN_WORK", 0): ("_fused_self_anchor", None),
+    ("_FUSE_SELF_MIN_WORK", 10**9): ("_candidates_scalar", "_fused_self_anchor"),
+}
+
+
+def switch_workloads():
+    g0, batches = mixed_stream(4)
+    yield "mixed", g0, CHORD_Q, batches
+    yield ("hub",) + hub_heavy_workload()
+
+
+@pytest.fixture(scope="module")
+def switch_oracles():
+    """Scalar-oracle runs of every switch workload per stealing mode."""
+    return {
+        (workload, stealing): run_stream(
+            g0, q, batches, stealing=stealing, vectorized=False
+        )
+        for workload, g0, q, batches in switch_workloads()
+        for stealing in ("active", "off")
+    }
+
+
+class TestSizeSwitches:
+    """``_LEVEL_BATCH_MIN`` (frame size: python pass vs array batch),
+    ``_SCALAR_GEN_MAX`` (adjacency length: dict walk vs array kernels
+    and the hub-slice cache) and ``_FUSE_SELF_MIN_WORK`` (self-anchored
+    run volume: per-child walks vs one fused pass) only pick a host
+    strategy. Forcing each to either extreme must leave every match and
+    modeled number equal to the scalar oracle."""
+
+    @pytest.mark.parametrize("stealing", ["active", "off"])
+    @pytest.mark.parametrize(
+        "switch", list(SIZE_SWITCHES), ids=lambda sw: f"{sw[0]}={sw[1]}"
+    )
+    def test_both_sides_match_oracle(
+        self, switch, stealing, switch_oracles, monkeypatch
+    ):
         import repro.matching.wbm as wbm
 
-        calls = {"multi": 0}
-        orig_multi = wbm._level_children_multi
+        name, value = switch
+        must_run, must_not_run = SIZE_SWITCHES[switch]
+        calls = dict.fromkeys(
+            ("_level_children_multi", "_level_children_scalar",
+             "_candidates_scalar", "_fused_self_anchor", "hub_slice"),
+            0,
+        )
 
-        def counting_multi(*a, **k):
-            calls["multi"] += 1
-            return orig_multi(*a, **k)
+        def counted(fn_name, fn):
+            def wrapper(*a, **k):
+                calls[fn_name] += 1
+                return fn(*a, **k)
 
-        monkeypatch.setattr(wbm, "_level_children_multi", counting_multi)
-        g0, q, batches = hub_heavy_workload()
-        run_stream(g0, q, batches, config_extra={"fused_gen": False})
-        assert calls["multi"] == 0
+            return wrapper
+
+        for workload, g0, q, batches in switch_workloads():
+            with monkeypatch.context() as m:
+                m.setattr(wbm, name, value)
+                for fn_name in calls:
+                    owner = wbm._Env if fn_name == "hub_slice" else wbm
+                    m.setattr(
+                        owner, fn_name, counted(fn_name, getattr(owner, fn_name))
+                    )
+                fast = run_stream(g0, q, batches, stealing=stealing)
+            assert fast == switch_oracles[workload, stealing], workload
+        assert calls[must_run] > 0, f"{name}={value} must force {must_run}"
+        if must_not_run is not None:
+            assert calls[must_not_run] == 0, f"{name}={value} bypasses {must_not_run}"
 
 
 # ---------------------------------------------------------------------------
@@ -427,29 +466,21 @@ class TestBackendMatrix:
     def test_lockstep_all_arms(self, backend, stealing):
         g0, batches = mixed_stream(4)
         cursor = run_stream(g0, CHORD_Q, batches, stealing=stealing)
-        gen = run_stream(
-            g0, CHORD_Q, batches, stealing=stealing, level_step=False
-        )
         oracle = run_stream(
-            g0,
-            CHORD_Q,
-            batches,
-            stealing=stealing,
-            vectorized=False,
-            level_step=False,
+            g0, CHORD_Q, batches, stealing=stealing, vectorized=False
         )
-        assert cursor == gen == oracle
+        assert cursor == oracle
 
     def test_fused_unfused_lockstep(self, backend):
         g0, q, batches = hub_heavy_workload()
-        fused = run_stream(g0, q, batches, config_extra={"fused_gen": True})
-        unfused = run_stream(g0, q, batches, config_extra={"fused_gen": False})
-        assert fused == unfused
+        fused = run_stream(g0, q, batches)
+        oracle = run_stream(g0, q, batches, vectorized=False)
+        assert fused == oracle
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_frozen_baseline_per_backend(self, backend, name):
         base = json.loads((DATA / f"baseline_kernel_{name}.json").read_text())
-        record = run_workload(name, vectorized=True, level_step=True)
+        record = run_workload(name, vectorized=True)
         assert json.loads(json.dumps(record)) == base["record"]
 
 
@@ -458,17 +489,14 @@ class TestBackendMatrix:
 # ---------------------------------------------------------------------------
 class TestKernelGoldenStats:
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize(
-        "arm", ["cursor", "generator", "oracle"]
-    )
+    @pytest.mark.parametrize("arm", list(ARMS))
     def test_stats_match_frozen_baseline(self, name, arm):
-        """Every execution arm replays the frozen serving record byte
+        """Both execution arms replay the frozen serving record byte
         for byte — kernel refactors diff against history, not just
         against the (co-evolving) live oracle."""
-        vec, ls = ARMS[arm]
         base = json.loads((DATA / f"baseline_kernel_{name}.json").read_text())
         assert base["workload"] == name
-        record = run_workload(name, vectorized=vec, level_step=ls)
+        record = run_workload(name, vectorized=ARMS[arm])
         # JSON round trip so float/int representations compare equal
         assert json.loads(json.dumps(record)) == base["record"]
 

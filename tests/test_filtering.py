@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import xp
 from repro.errors import MatchingError
 from repro.filtering import CandidateTable, EncodingSchema, EncodingTable
 from repro.graph import LabeledGraph
@@ -154,7 +155,7 @@ class TestCandidateTable:
         g = attach_labels(power_law_graph(25, 3.5, seed=11), 3, 1, seed=12)
         table = CandidateTable(PAPER_Q, g)
         for u in PAPER_Q.vertices():
-            cands = table.candidates_of(u)
+            cands = xp.to_numpy(table.candidates_of(u))
             assert list(cands) == sorted(cands)
             assert table.candidate_count(u) == len(cands)
 

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import xp
 from repro.filtering import CandidateTable, EncodingSchema, EncodingTable
 from repro.graph import CSRGraph, LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
@@ -145,7 +146,9 @@ class TestBitmapEquivalence:
         flip, and survive refreshes that flip none of their bits."""
         g = random_graph(7)
         table = CandidateTable(PAPER_Q, g, vectorized=True)
-        before = {u: list(table.candidates_of(u)) for u in PAPER_Q.vertices()}
+        before = {
+            u: list(xp.to_numpy(table.candidates_of(u))) for u in PAPER_Q.vertices()
+        }
         rng = random.Random(7)
         batch = random_batch(g, rng)
         delta = effective_delta(g, batch)
@@ -153,7 +156,9 @@ class TestBitmapEquivalence:
         table.refresh_rows(table.encodings.apply_delta(g, delta))
         fresh = CandidateTable(PAPER_Q, g)
         for u in PAPER_Q.vertices():
-            assert list(table.candidates_of(u)) == list(fresh.candidates_of(u))
+            assert list(xp.to_numpy(table.candidates_of(u))) == list(
+                xp.to_numpy(fresh.candidates_of(u))
+            )
         assert before is not None  # cache was populated before refresh
 
     def test_growth_single_allocation(self):

@@ -1,4 +1,4 @@
-"""cProfile harness for the non-DFS launch machinery (ISSUE 6 rider).
+"""cProfile harness for the non-DFS launch machinery.
 
 The kernel benchmarks time ``VirtualGPU.launch`` as one opaque wall;
 this tool breaks the serving loop open with cProfile so the
@@ -11,12 +11,12 @@ Usage::
 
     PYTHONPATH=src python tools/profile_launch.py [--scale 0.3]
         [--batches 2] [--queries 3] [--top 25] [--sort cumtime]
-        [--dataset LJ] [--fused/--no-fused]
+        [--dataset LJ]
 
 Prints the cProfile table restricted to repro code (plus numpy entry
 points) and a one-line summary of launch wall vs total wall. No JSON
-artifact: this is an investigation tool, not a CI gate (the CI-gated
-numbers live in ``benchmarks/bench_ext_fused_candidates.py``).
+artifact: this is an investigation tool, not a CI gate (end-to-end
+serving numbers come from ``servebench/run.py``).
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ def collect_queries(graph, count: int, max_static: int = 200):
     return out
 
 
-def serve(g0, batches, queries, fused: bool) -> MatchingService:
+def serve(g0, batches, queries) -> MatchingService:
     service = MatchingService(g0, params=BENCH_PARAMS, vectorized=True)
     for i, q in enumerate(queries):
-        service.register_query(
-            q, WBMConfig(fused_gen=fused), name=f"q{i}", bootstrap=False
-        )
+        service.register_query(q, WBMConfig(), name=f"q{i}", bootstrap=False)
     for batch in batches:
         service.process_batch(batch)
     return service
@@ -80,8 +78,6 @@ def main() -> None:
     ap.add_argument("--rate", type=float, default=0.10)
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--sort", default="cumtime", choices=["cumtime", "tottime"])
-    ap.add_argument("--no-fused", dest="fused", action="store_false",
-                    help="profile the unfused (PR-5) candidate path")
     args = ap.parse_args()
 
     graph = load_dataset(args.dataset, scale=args.scale)
@@ -93,14 +89,13 @@ def main() -> None:
     queries = collect_queries(g0, args.queries)
     print(
         f"profiling {args.dataset} scale={args.scale}: |V|={g0.n_vertices} "
-        f"|E|={g0.n_edges}, {len(batches)} batches, {len(queries)} queries, "
-        f"fused_gen={args.fused}"
+        f"|E|={g0.n_edges}, {len(batches)} batches, {len(queries)} queries"
     )
 
     prof = cProfile.Profile()
     t0 = time.perf_counter()
     prof.enable()
-    service = serve(g0, batches, queries, args.fused)
+    service = serve(g0, batches, queries)
     prof.disable()
     wall = time.perf_counter() - t0
     launch_wall = sum(
