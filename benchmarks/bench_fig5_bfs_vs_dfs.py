@@ -14,7 +14,8 @@ from common import bench_dataset, queries_for, DEFAULT_QUERY_SIZE
 from repro.bench.harness import BENCH_PARAMS
 from repro.bench.reporting import fmt_seconds, render_series, render_table, save_artifact
 from repro.bench.workloads import holdout_workload
-from repro.matching import BFSEngine, WBMConfig, WBMEngine
+from repro.matching import BFSEngine, WBMConfig
+from repro.pipeline import GammaSystem
 
 # a small device exposes the BFS memory wall without gigantic frontiers
 SMALL_DEVICE = BENCH_PARAMS.with_overrides(device_memory_words=20_000)
@@ -38,8 +39,8 @@ def run_experiment() -> str:
         bfs = BFSEngine(query, g0, SMALL_DEVICE)
         bres = bfs.process_batch(batch)
 
-        wbm = WBMEngine(query, g0, SMALL_DEVICE, WBMConfig(wall_limit=20.0))
-        wres = wbm.process_batch(batch)
+        wbm = GammaSystem(query, g0, SMALL_DEVICE, WBMConfig(wall_limit=20.0))
+        wres = wbm.process_batch(batch).result
         dfs_peak_frac = max(wres.kernel_stats.peak_device_words, 1) / (
             SMALL_DEVICE.device_memory_words
         )

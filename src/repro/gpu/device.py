@@ -27,13 +27,12 @@ Both paths produce byte-identical :class:`KernelStats` /
 cycles; ``tests/test_gpu_pooling.py`` asserts equality under
 randomized schedules), so no reported model second changes with the
 flag — only the wall-clock cost of simulating the launch does
-(``benchmarks/bench_ext_launch.py`` tracks the gap).
+(``servebench/`` measures it as the ``gpu.exec_ms`` layer).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Optional
 
 from repro.gpu.memory import GlobalMemory, HostDeviceLink, SharedMemory
@@ -95,7 +94,6 @@ class VirtualGPU:
         self.blocks_pooled = 0  # blocks served by reset() instead of __init__
         self.blocks_memoized = 0  # all-trace blocks replayed from the cache
         self.level_steps = 0  # DFS level-cursor resumptions across launches
-        self.launch_wall_seconds = 0.0  # wall time inside launch() (not model time)
 
     def reset_memory(self) -> None:
         """Fresh global memory (between independent experiments)."""
@@ -158,14 +156,12 @@ class VirtualGPU:
         may be generator functions or :class:`CostTrace` instances,
         freely mixed within a block.
         """
-        t0 = perf_counter()
         try:
             return self._launch(tasks, block_hook, shared_setup, tasks_per_block)
         finally:
-            # accumulated even when a kernel budget aborts the launch
-            # mid-block, so launch_wall_seconds never undercounts
+            # counted even when a kernel budget aborts the launch
+            # mid-block, so launch_count never undercounts
             self.launch_count += 1
-            self.launch_wall_seconds += perf_counter() - t0
 
     def _launch(
         self,
@@ -215,7 +211,7 @@ class VirtualGPU:
                     block_stats = sched.run()
                 finally:
                     # accumulated even when an engine budget aborts the
-                    # block mid-run (mirrors launch_wall_seconds)
+                    # block mid-run (mirrors launch_count)
                     self.level_steps += sched.level_steps
                 if cache_key is not None:
                     if len(self._block_cache) >= self._block_cache_cap:

@@ -55,7 +55,6 @@ from repro.errors import BudgetExceeded, ConfigMismatchError, MatchingError
 from repro.filtering import CandidateTable, EncodingSchema
 from repro.graph.csr import CSRGraph, _flat_indices
 from repro.graph.labeled_graph import LabeledGraph, canonical
-from repro.graph.updates import UpdateBatch
 from repro.gpu.device import VirtualGPU
 from repro.gpu.memory import Int64Arena
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
@@ -2032,7 +2031,7 @@ def _passive_donate(ctx: WarpContext, env: _Env, state: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plan gating and kernel launch (shared by QueryRuntime and WBMEngine)
+# plan gating and kernel launch (used by QueryRuntime)
 # ---------------------------------------------------------------------------
 # a k>=1 group trades duplicate searches for a relaxed core filter
 # (paper §V-B Remark: removed-vertex constraints are lost). The
@@ -2252,10 +2251,10 @@ class QueryRuntime:
     the data graph, GPMA container, and encoding table live in the
     store and are shared with every other runtime.
 
-    Batch flow, orchestrated by the service (or :class:`WBMEngine` for
-    a private store): :meth:`launch` the deleted net edges while the
-    pre-update graph is live, then :meth:`observe_commit` the store's
-    single update, then :meth:`launch` the inserted net edges.
+    Batch flow, orchestrated by :class:`repro.service.MatchingService`:
+    :meth:`launch` the deleted net edges while the pre-update graph is
+    live, then :meth:`observe_commit` the store's single update, then
+    :meth:`launch` the inserted net edges.
     """
 
     def __init__(
@@ -2405,22 +2404,19 @@ class QueryRuntime:
 
         A quarantined runtime may hold arbitrarily stale or corrupt
         state (a fault can strike mid-refresh), so recovery does not
-        patch: the candidate table, gated plan, and collector are
-        rebuilt from scratch, the version re-synced, and the match view
-        re-anchored to a fresh static bootstrap. The shared store is
-        never touched.
+        patch: the candidate table and collector are rebuilt from
+        scratch, the version re-synced, and the match view re-anchored
+        to a fresh static bootstrap. The gated plan is kept: it is
+        fixed at registration and never written afterwards, and
+        re-gating it on the current table would launch different
+        kernels (same matches, different ``KernelStats``) than a run
+        that never faulted. The shared store is never touched.
         """
         self._fire("runtime.bootstrap")
         self.table = CandidateTable(
             self.query, self.store.graph, self.store.encodings,
             vectorized=self.config.vectorized,
         )
-        if self.config.coalesced:
-            self.plan = gate_plan(
-                self.query, self.table, build_coalesced_plan(self.query, max_k=self.config.max_k)
-            )
-        else:
-            self.plan = trivial_plan(self.query)
         if self.collector is not None:
             self.collector = type(self.collector)()
         self.synced_version = self.store.version
@@ -2444,7 +2440,9 @@ class WBMEngine:
     Composes a private :class:`DynamicGraphStore` with one
     :class:`QueryRuntime`; multi-query deployments share one store
     across runtimes through :class:`repro.service.MatchingService`
-    instead. Batches stream through :meth:`process_batch`.
+    instead. The engine holds state only: batches run through the
+    service's batch protocol, which
+    :class:`repro.pipeline.GammaSystem` wraps for one query.
     """
 
     def __init__(
@@ -2497,34 +2495,3 @@ class WBMEngine:
     @property
     def gpu(self) -> VirtualGPU:
         return self.runtime.gpu
-
-    # ------------------------------------------------------------------
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        """Negative matches on the pre-update graph, GPMA update, then
-        positive matches on the post-update graph."""
-        result = BatchResult()
-        delta = self.store.prepare(batch)
-
-        if delta.deleted:
-            neg = self._run_kernel(list(delta.deleted), sign=-1)
-            result.negatives = set(neg.matches)
-            result.kernel_stats.merge(neg.stats)
-            result.aborted |= neg.aborted
-
-        commit = self.store.commit(batch, delta)
-        self.runtime.observe_commit(commit)
-        result.gpma_stats = commit.gpma_stats
-        result.reencoded_vertices = len(commit.changed_vertices)
-        # host->device: update edges + re-encoded vertex rows
-        result.transfer_words = commit.transfer_words
-        self.gpu.transfer_to_device(commit.transfer_words, result.kernel_stats)
-
-        if delta.inserted:
-            pos = self._run_kernel(list(delta.inserted), sign=+1)
-            result.positives = set(pos.matches)
-            result.kernel_stats.merge(pos.stats)
-            result.aborted |= pos.aborted
-        return result
-
-    def _run_kernel(self, edges: list[tuple[int, int, int]], sign: int) -> KernelOutput:
-        return self.runtime.launch(edges)

@@ -54,6 +54,7 @@ from repro.errors import (
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
+from repro.matching.coalesced import CoalescedPlan
 from repro.matching.wbm import BatchResult, KernelOutput, Match, QueryRuntime, WBMConfig
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
@@ -245,6 +246,11 @@ class InProcessHost(QueryHost):
 
     def rebootstrap(self, name: str) -> set[Match]:
         return self.runtimes[name].rebootstrap()
+
+    def plan(self, name: str) -> CoalescedPlan:
+        """The query's gated plan, fixed at registration (a host that
+        re-registers the query after a restart pins it back)."""
+        return self.runtimes[name].plan
 
     def matches(self, name: str) -> set[Match]:
         return self.runtimes[name].current_matches()

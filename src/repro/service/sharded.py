@@ -254,10 +254,10 @@ class _Worker:
             plan.fire("worker.bootstrap", query=self.shard)
         self.host = InProcessHost(self.store, init["params"], init["policy"])
         self.host.heartbeat = lambda name: self.conn.send(("hb", self._idx, name))
-        self.bootstrap_results = {
-            name: self.host.register(name, query, config, bootstrap)
-            for name, query, config, bootstrap in init["queries"]
-        }
+        self.bootstrap_results = {}
+        for name, query, config, bootstrap, plan in init["queries"]:
+            self.bootstrap_results[name] = self.host.register(name, query, config, bootstrap)
+            self.host.runtimes[name].plan = plan  # gated at first registration
 
     def serve(self) -> None:
         while True:
@@ -367,7 +367,7 @@ class WorkerHost(QueryHost):
         self.deadline_s = deadline_s
         self.proc = None
         self.conn = None
-        #: name -> (query, config, bootstrap), registration order
+        #: name -> (query, config, bootstrap, gated plan), registration order
         self.specs: dict[str, tuple] = {}
         self._views: dict[str, tuple[set[Match] | None, MatchCollector]] = {}
         self.spawns = 0  # worker incarnations (init-site offset)
@@ -388,7 +388,9 @@ class WorkerHost(QueryHost):
 
     def register(self, name, query, config, bootstrap) -> set[Match] | None:
         initial = self.call("register", name, query, config, bootstrap)
-        self.specs[name] = (query, config, bootstrap)
+        # a respawned or degraded host re-registers with this plan, so
+        # the query keeps launching the kernels it registered with
+        self.specs[name] = (query, config, bootstrap, self.call("plan", name))
         self.anchor(name, initial)
         return initial
 
@@ -545,8 +547,8 @@ class ShardedMatchingService(_ServiceCore):
             # a respawn always re-anchors with a fresh bootstrap (same
             # contract as QueryRuntime.rebootstrap)
             "queries": [
-                (name, query, config, respawn or bootstrap)
-                for name, (query, config, bootstrap) in host.specs.items()
+                (name, query, config, respawn or bootstrap, plan)
+                for name, (query, config, bootstrap, plan) in host.specs.items()
             ],
         }
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
@@ -734,9 +736,10 @@ class ShardedMatchingService(_ServiceCore):
         committed boundary."""
         host = InProcessHost(self.store, self.params, self.policy, label=worker.label)
         self._hosts[self._hosts.index(worker)] = host
-        for name, (query, config, _) in worker.specs.items():
+        for name, (query, config, _, plan) in worker.specs.items():
             self._hosted[name] = host
             host.register(name, query, config, bootstrap=False)
+            host.runtimes[name].plan = plan
             try:
                 host.runtimes[name].bootstrap()
             except Exception as err:  # noqa: BLE001 - isolation boundary

@@ -26,6 +26,14 @@ from repro import xp
 INT64_MAX = np.iinfo(np.int64).max
 INT64_MIN = np.iinfo(np.int64).min
 
+#: the primitives the kernels lean on hardest; under the default backend
+#: each must be numpy's own object, so dispatch costs one attribute lookup
+IDENTITY_PRIMITIVES = (
+    "asarray", "empty", "zeros", "arange", "concatenate", "searchsorted",
+    "cumsum", "bincount", "lexsort", "argsort", "nonzero", "flatnonzero",
+    "where", "minimum", "maximum", "repeat", "diff", "unique",
+)
+
 
 def assert_same(got, want):
     """Backend result must match the numpy reference in dtype kind,
@@ -268,9 +276,12 @@ class TestRegistry:
 
     def test_numpy_backend_is_zero_indirection(self):
         with xp.use_backend("numpy"):
-            assert xp.searchsorted is np.searchsorted
-            assert xp.cumsum is np.cumsum
-            assert xp.asarray is np.asarray
+            wrapped = [
+                name
+                for name in IDENTITY_PRIMITIVES
+                if getattr(xp, name) is not getattr(np, name)
+            ]
+        assert not wrapped, f"not numpy's own objects: {wrapped}"
 
     def test_use_backend_restores(self):
         before = xp.backend_name

@@ -163,18 +163,25 @@ class TestDerivedView:
 
 class TestStoreDerivedMirror:
     def test_store_mirror_stays_view_across_commits(self):
+        """The derived view stays a view across commits; a mirror
+        materialized up front (the eager form) stays materialized and
+        commits to the same state."""
         g = base_graph(13)
-        store = DynamicGraphStore(g, PARAMS)
-        assert not store.graph.is_materialized
-        reference = g.copy()
-        for batch in mixed_batches(g, 17, n_batches=5):
-            delta = store.prepare(batch)
-            store.commit(batch, delta)
-            apply_batch(reference, batch)
+        for eager in (False, True):
+            store = DynamicGraphStore(g, PARAMS)
             assert not store.graph.is_materialized
-            assert read_surface(store.graph) == read_surface(reference)
-            store.check_consistency()
-        assert not store.graph.is_materialized
+            if eager:
+                store.graph.ensure_materialized()
+            reference = g.copy()
+            for batch in mixed_batches(g, 17, n_batches=5):
+                delta = store.prepare(batch)
+                store.commit(batch, delta)
+                apply_batch(reference, batch)
+                assert store.graph.is_materialized == eager
+                assert read_surface(store.graph) == read_surface(reference)
+                store.check_consistency()
+            assert store.graph.is_materialized == eager
+            assert store.version == 5
 
     def test_rollback_restores_the_view(self):
         g = base_graph(19)

@@ -199,6 +199,23 @@ def _result_key(qrep):
 
 
 class TestQuarantineLifecycle:
+    def test_empty_plan_is_byte_identical(self):
+        """Armed guards that never fire (an empty plan threaded through
+        every site hook, a non-default policy) change nothing: every
+        batch's matches and KernelStats equal the unguarded run."""
+        policy = ResiliencePolicy(cooldown_batches=1, max_retries=5, store_retries=1)
+        _, batches, queries, ref, sub = _service_pair(
+            43, faults=FaultPlan(()), policy=policy
+        )
+        for batch in batches:
+            ref_rep = ref.process_batch(batch)
+            rep = sub.process_batch(batch)
+            assert rep.failure is None and not rep.rolled_back
+            for name in queries:
+                assert rep.health[name] == "ok"
+                assert _result_key(rep.queries[name]) == _result_key(ref_rep.queries[name])
+        assert not sub.store.faults.fired
+
     def test_launch_fault_quarantines_only_that_query(self):
         _, batches, _, ref, sub = _service_pair(
             31, faults=FaultPlan((FaultSpec("runtime.launch", 0, query="q1"),))

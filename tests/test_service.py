@@ -51,15 +51,16 @@ def make_stream(seed: int, n: int = 22, n_batches: int = 4):
 class TestDynamicGraphStore:
     def test_commit_applies_once_and_versions(self):
         g, stream = make_stream(1, n_batches=2)
-        store = DynamicGraphStore(g, PARAMS)
-        assert store.version == 0
-        for i, batch in enumerate(stream):
-            delta = store.prepare(batch)
-            commit = store.commit(batch, delta)
-            assert commit.version == i + 1 == store.version
-            assert store.gpma.update_count == i + 1
-            assert store.encodings.version == i + 1
-            store.check_consistency()
+        for vectorized in (True, False):
+            store = DynamicGraphStore(g, PARAMS, vectorized=vectorized)
+            assert store.version == 0
+            for i, batch in enumerate(stream):
+                delta = store.prepare(batch)
+                commit = store.commit(batch, delta)
+                assert commit.version == i + 1 == store.version
+                assert store.gpma.update_count == i + 1
+                assert store.encodings.version == i + 1
+                store.check_consistency()
 
     def test_store_copies_graph_by_default(self):
         g, stream = make_stream(2, n_batches=1)

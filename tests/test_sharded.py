@@ -307,15 +307,26 @@ class TestFaultPlanChildDeterminism:
 # ---------------------------------------------------------------------------
 class TestHealthyPath:
     def test_fork_byte_identity_every_batch(self, workload, baseline):
+        for n_workers in (1, 2, 4):
+            self._fork_byte_identity(workload, baseline, n_workers)
+
+    def _fork_byte_identity(self, workload, baseline, n_workers):
         g, batches = workload
         base_reports, finals = baseline
-        svc = make_sharded(g)
+        shards = [f"shard{k}" for k in range(n_workers)]
+        svc = make_sharded(
+            g,
+            shard_policy=ShardPolicy(
+                n_workers=n_workers, heartbeat_timeout_s=5.0, batch_deadline_s=30.0
+            ),
+        )
         try:
-            assert svc.shard_of("tri") == "shard0"
-            assert svc.shard_of("path") == "shard1"
+            # registration fills the least-loaded shard, first one on ties
+            for i, (name, _) in enumerate(QUERIES):
+                assert svc.shard_of(name) == shards[i % n_workers], n_workers
             for base, batch in zip(base_reports, batches):
                 rep = svc.process_batch(batch)
-                assert rep.shard_health == {"shard0": "ok", "shard1": "ok"}
+                assert rep.shard_health == dict.fromkeys(shards, "ok")
                 for name, _ in QUERIES:
                     assert_query_identical(base, rep, name)
                     assert rep.queries[name].health == "ok"
@@ -584,10 +595,14 @@ class TestChaos:
         finally:
             svc.close()
 
-    def test_seeded_worker_chaos_never_raises(self, workload):
+    def test_seeded_worker_chaos_never_raises(self, workload, baseline):
         """Randomized-but-reproducible process-level chaos: the service
-        never raises to the caller and healthy shards stay consistent."""
+        never raises to the caller, every healthy query's batch result
+        is byte-identical to single-process serving, a quarantined
+        shard serves again on the next batch, and healthy shards stay
+        consistent."""
         g, batches = workload
+        base_reports, _ = baseline
         plan = FaultPlan.seeded(
             41,
             sites=("worker.batch.abort", "worker.ipc.torn", "worker.snapshot.stale"),
@@ -600,12 +615,21 @@ class TestChaos:
         svc = make_sharded(g, faults=plan)
         try:
             saw_fault = False
-            for batch in batches:
+            reports = []
+            for base, batch in zip(base_reports, batches):
                 report = svc.process_batch(batch)
+                reports.append(report)
                 for shard, state in report.shard_health.items():
                     assert state in ("ok", "quarantined", "recovered")
                     saw_fault |= state == "quarantined"
+                for name, _ in QUERIES:
+                    if report.queries[name].health != "quarantined":
+                        assert_query_identical(base, report, name)
             assert saw_fault, "seeded schedule never fired — vacuous"
+            for before, after in zip(reports, reports[1:]):
+                for shard, state in before.shard_health.items():
+                    if state == "quarantined":
+                        assert after.shard_health[shard] in ("recovered", "ok"), shard
             shadow = g.copy()
             for batch in batches:
                 apply_batch(shadow, batch)
@@ -879,3 +903,23 @@ class TestApiParity:
         for name, q in QUERIES:
             if name != "path":
                 assert svc.matches(name) == find_matches(q, shadow), name
+
+    def test_recovered_query_keeps_its_plan(self, workload, baseline, make_service):
+        """Recovery rebuilds the candidate table but keeps the plan
+        gated at registration: on this workload a plan re-gated after
+        batch 0 coalesces "paper"'s kernels, which keeps the matches
+        but changes its KernelStats."""
+        g, batches = workload
+        base_reports, _ = baseline
+        plan = FaultPlan([FaultSpec("runtime.launch", 0, query="paper")])
+        svc = make_service(g, faults=plan, policy=ResiliencePolicy(cooldown_batches=1))
+        for name, q in QUERIES:
+            svc.register_query(q, WBMConfig(), name=name)
+        health = []
+        for base, batch in zip(base_reports, batches):
+            rep = svc.process_batch(batch)
+            health.append(rep.health["paper"])
+            for name, _ in QUERIES:
+                if rep.health[name] != "quarantined":
+                    assert_query_identical(base, rep, name)
+        assert health == ["quarantined", "recovered", "ok", "ok"]

@@ -5,7 +5,7 @@ import pytest
 from networkx.algorithms import isomorphism
 
 from repro.errors import MatchingError
-from repro.graph import LabeledGraph
+from repro.graph import CSRGraph, LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import make_batch
 from repro.matching import count_matches, find_matches, oracle_delta
@@ -77,13 +77,21 @@ class TestFindMatches:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_networkx_random(self, seed, paper_query):
         g = attach_labels(power_law_graph(18, 3.0, seed=seed), 3, 1, seed=seed + 50)
-        assert find_matches(paper_query, g) == nx_matches(paper_query, g)
+        assert_all_arms_match(paper_query, g, nx_matches(paper_query, g))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_networkx_edge_labeled(self, seed):
         q = LabeledGraph.from_edges([0, 0, 0], [(0, 1, 0), (1, 2, 1)])
         g = attach_labels(power_law_graph(16, 3.0, seed=seed), 1, 2, seed=seed + 9)
-        assert find_matches(q, g) == nx_matches(q, g)
+        assert_all_arms_match(q, g, nx_matches(q, g))
+
+
+def assert_all_arms_match(query, g, expected):
+    """Vectorized (with and without a CSR snapshot, as the service's
+    registration bootstrap calls it) and scalar enumeration agree."""
+    assert find_matches(query, g) == expected
+    assert find_matches(query, g, csr=CSRGraph.from_graph(g)) == expected
+    assert find_matches(query, g, vectorized=False) == expected
 
 
 class TestVerifyMatch:

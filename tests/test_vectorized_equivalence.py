@@ -23,7 +23,8 @@ from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import apply_batch, effective_delta, make_batch
 from repro.matching.bfs_kernel import BFSEngine
 from repro.matching.static_match import oracle_delta
-from repro.matching.wbm import WBMConfig, WBMEngine
+from repro.matching.wbm import WBMConfig
+from repro.pipeline import GammaSystem
 
 PAPER_Q = LabeledGraph.from_edges([0, 1, 1, 2], [(0, 1), (0, 2), (1, 2), (1, 3)])
 TRIANGLE_Q = LabeledGraph.from_edges([0, 0, 0], [(0, 1), (1, 2), (0, 2)])  # automorphic
@@ -128,16 +129,23 @@ class TestBitmapEquivalence:
         g = random_graph(seed)
         vec = CandidateTable(PAPER_Q, g, vectorized=True)
         ref = CandidateTable(PAPER_Q, g, vectorized=False)
+        # the store's form: re-encoding reads the spliced CSR snapshot
+        spliced = CandidateTable(PAPER_Q, g, vectorized=True)
+        csr = CSRGraph.from_graph(g)
         for _ in range(3):
             batch = random_batch(g, rng)
             delta = effective_delta(g, batch)
             apply_batch(g, batch)
+            csr = csr.apply_delta(delta, g)
             changed_v = vec.encodings.apply_delta(g, delta)
             changed_r = ref.encodings.apply_delta(g, delta)
-            assert changed_v == changed_r
+            changed_s = spliced.encodings.apply_delta(g, delta, csr=csr)
+            assert changed_v == changed_r == changed_s
             vec.refresh_rows(changed_v)
             ref.refresh_rows(changed_r)
+            spliced.refresh_rows(changed_s)
             np.testing.assert_array_equal(vec.bitmap, ref.bitmap)
+            np.testing.assert_array_equal(spliced.bitmap, ref.bitmap)
             fresh = CandidateTable(PAPER_Q, g)
             np.testing.assert_array_equal(vec.bitmap, fresh.bitmap)
 
@@ -213,13 +221,13 @@ class TestEngineEquivalence:
         n_labels = 1 if query is TRIANGLE_Q else 3
         g = random_graph(seed, n=35, n_labels=n_labels)
         gg = g.copy()
-        vec = WBMEngine(query, g, config=WBMConfig(vectorized=True))
-        ref = WBMEngine(query, g, config=WBMConfig(vectorized=False))
+        vec = GammaSystem(query, g, config=WBMConfig(vectorized=True))
+        ref = GammaSystem(query, g, config=WBMConfig(vectorized=False))
         for _ in range(3):
             batch = random_batch(gg, rng)
             apply_batch(gg, batch)
-            rv = vec.process_batch(batch)
-            rr = ref.process_batch(batch)
+            rv = vec.process_batch(batch).result
+            rr = ref.process_batch(batch).result
             assert rv.positives == rr.positives
             assert rv.negatives == rr.negatives
             assert rv.total_cycles() == pytest.approx(rr.total_cycles())
@@ -232,12 +240,12 @@ class TestEngineEquivalence:
         rng = random.Random(seed + 50)
         g = random_graph(seed, n=30)
         gg = g.copy()
-        engine = WBMEngine(PAPER_Q, g, config=WBMConfig(vectorized=True))
+        system = GammaSystem(PAPER_Q, g, config=WBMConfig(vectorized=True))
         for _ in range(2):
             batch = random_batch(gg, rng)
             pos, neg = oracle_delta(PAPER_Q, gg, batch)
             apply_batch(gg, batch)
-            result = engine.process_batch(batch)
+            result = system.process_batch(batch).result
             assert result.positives == pos
             assert result.negatives == neg
 
@@ -263,15 +271,15 @@ class TestEngineEquivalence:
         graph) identically to the scalar one."""
         g = random_graph(9, n=25)
         gg = g.copy()
-        vec = WBMEngine(PAPER_Q, g, config=WBMConfig(vectorized=True))
-        ref = WBMEngine(PAPER_Q, g, config=WBMConfig(vectorized=False))
-        for store in (vec.store, ref.store):
-            store.graph.add_vertex(1)
+        vec = GammaSystem(PAPER_Q, g, config=WBMConfig(vectorized=True))
+        ref = GammaSystem(PAPER_Q, g, config=WBMConfig(vectorized=False))
+        for system in (vec, ref):
+            system.service.store.graph.add_vertex(1)
         w = gg.add_vertex(1)
         batch = make_batch([("+", 0, w), ("+", 1, w), ("+", 2, w)])
         pos, neg = oracle_delta(PAPER_Q, gg, batch)
-        rv = vec.process_batch(batch)
-        rr = ref.process_batch(batch)
+        rv = vec.process_batch(batch).result
+        rr = ref.process_batch(batch).result
         assert rv.positives == rr.positives == pos
         assert rv.negatives == rr.negatives == neg
         assert rv.total_cycles() == pytest.approx(rr.total_cycles())

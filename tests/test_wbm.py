@@ -1,5 +1,9 @@
 """WBM engine tests: the kernel against the oracle, all config arms,
-dedup, budgets, and stealing invariants."""
+dedup, budgets, and stealing invariants.
+
+Batches run through the single-query service path
+(``GammaSystem(...).process_batch(batch).result``), the one batch
+protocol every caller shares."""
 
 import random
 
@@ -12,12 +16,18 @@ from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import make_batch
 from repro.gpu import DeviceParams
 from repro.matching import WBMConfig, WBMEngine, oracle_delta
+from repro.pipeline import GammaSystem
 
 PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
 
 PAPER_Q = LabeledGraph.from_edges([0, 1, 1, 2], [(0, 1), (0, 2), (1, 2), (1, 3)])
 TRI_Q = LabeledGraph.from_edges([0, 1, 1], [(0, 1), (0, 2), (1, 2)])
 PATH_Q = LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2)])
+
+
+def run_batch(query, g, batch, cfg: WBMConfig = WBMConfig()):
+    """One batch through a fresh single-query system; its BatchResult."""
+    return GammaSystem(query, g, PARAMS, cfg).process_batch(batch).result
 
 
 def random_case(seed: int, n: int = 20, n_labels: int = 3):
@@ -39,7 +49,7 @@ class TestAgainstOracle:
     def test_default_config(self, seed):
         g, batch = random_case(seed)
         pos, neg = oracle_delta(PAPER_Q, g, batch)
-        res = WBMEngine(PAPER_Q, g, PARAMS).process_batch(batch)
+        res = run_batch(PAPER_Q, g, batch)
         assert res.positives == pos
         assert res.negatives == neg
 
@@ -49,7 +59,7 @@ class TestAgainstOracle:
         g, batch = random_case(99)
         pos, neg = oracle_delta(PAPER_Q, g, batch)
         cfg = WBMConfig(work_stealing=ws, coalesced=cs)
-        res = WBMEngine(PAPER_Q, g, PARAMS, cfg).process_batch(batch)
+        res = run_batch(PAPER_Q, g, batch, cfg)
         assert res.positives == pos
         assert res.negatives == neg
 
@@ -58,7 +68,7 @@ class TestAgainstOracle:
         """Whole-query automorphism: boundary==n permutation path."""
         g, batch = random_case(seed + 10)
         pos, neg = oracle_delta(TRI_Q, g, batch)
-        res = WBMEngine(TRI_Q, g, PARAMS).process_batch(batch)
+        res = run_batch(TRI_Q, g, batch)
         assert res.positives == pos
         assert res.negatives == neg
 
@@ -66,7 +76,7 @@ class TestAgainstOracle:
     def test_symmetric_path_query(self, seed):
         g, batch = random_case(seed + 20)
         pos, neg = oracle_delta(PATH_Q, g, batch)
-        res = WBMEngine(PATH_Q, g, PARAMS).process_batch(batch)
+        res = run_batch(PATH_Q, g, batch)
         assert res.positives == pos
         assert res.negatives == neg
 
@@ -80,32 +90,32 @@ class TestAgainstOracle:
             [("+", u, v, rng.randrange(3)) for u, v in non[:5]]
         )
         pos, neg = oracle_delta(q, g, batch)
-        res = WBMEngine(q, g, PARAMS).process_batch(batch)
+        res = run_batch(q, g, batch)
         assert res.positives == pos
         assert res.negatives == neg
 
     def test_sequential_batches_stay_consistent(self):
         """The engine's internal graph mirror must track batches."""
         g, batch1 = random_case(31)
-        eng = WBMEngine(PAPER_Q, g, PARAMS)
+        system = GammaSystem(PAPER_Q, g, PARAMS)
         pos1, neg1 = oracle_delta(PAPER_Q, g, batch1)
-        r1 = eng.process_batch(batch1)
+        r1 = system.process_batch(batch1).result
         assert (r1.positives, r1.negatives) == (pos1, neg1)
         # second batch computed against the updated graph
-        g2 = eng.graph.copy()
+        g2 = system.graph.copy()
         rng = random.Random(5)
         edges = list(g2.edges())
         rng.shuffle(edges)
         batch2 = make_batch([("-", u, v) for u, v in edges[:3]])
         pos2, neg2 = oracle_delta(PAPER_Q, g2, batch2)
-        r2 = eng.process_batch(batch2)
+        r2 = system.process_batch(batch2).result
         assert (r2.positives, r2.negatives) == (pos2, neg2)
 
     def test_single_edge_query(self):
         q = LabeledGraph.from_edges([0, 1], [(0, 1)])
         g, batch = random_case(44, n_labels=2)
         pos, neg = oracle_delta(q, g, batch)
-        res = WBMEngine(q, g, PARAMS).process_batch(batch)
+        res = run_batch(q, g, batch)
         assert res.positives == pos
         assert res.negatives == neg
 
@@ -117,7 +127,7 @@ class TestDedup:
         q = TRI_Q
         g = LabeledGraph.from_edges([0, 1, 1], [(1, 2)])  # missing two edges
         batch = make_batch([("+", 0, 1), ("+", 0, 2)])
-        res = WBMEngine(q, g, PARAMS).process_batch(batch)
+        res = run_batch(q, g, batch)
         pos, neg = oracle_delta(q, g, batch)
         assert res.positives == pos  # set equality
         # engine-internal list must not contain duplicates either
@@ -125,17 +135,19 @@ class TestDedup:
 
     def test_kernel_list_free_of_duplicates(self):
         g, batch = random_case(7)
-        eng = WBMEngine(PAPER_Q, g, PARAMS)
+        system = GammaSystem(PAPER_Q, g, PARAMS)
+        runtime = system.engine.runtime
         out = []
-        orig_run = eng._run_kernel
+        orig_launch = runtime.launch
 
-        def spy(edges, sign):
-            k = orig_run(edges, sign)
+        def spy(edges, **kwargs):
+            k = orig_launch(edges, **kwargs)
             out.append(list(k.matches))
             return k
 
-        eng._run_kernel = spy
-        eng.process_batch(batch)
+        runtime.launch = spy
+        system.process_batch(batch)
+        assert out, "the spy never saw a launch"
         for lst in out:
             assert len(lst) == len(set(lst))
 
@@ -152,13 +164,13 @@ class TestConfigAndErrors:
     def test_budget_aborts(self):
         g, batch = random_case(3, n=26)
         cfg = WBMConfig(cycle_budget=10.0)
-        res = WBMEngine(PAPER_Q, g, PARAMS, cfg).process_batch(batch)
+        res = run_batch(PAPER_Q, g, batch, cfg)
         assert res.aborted
 
     def test_engine_copies_graph(self):
         g, batch = random_case(12)
         snapshot = g.copy()
-        WBMEngine(PAPER_Q, g, PARAMS).process_batch(batch)
+        run_batch(PAPER_Q, g, batch)
         assert g == snapshot
 
 
@@ -173,7 +185,7 @@ class TestStealingInvariants:
         results = {}
         for ws in ("off", "active", "passive"):
             cfg = WBMConfig(work_stealing=ws)
-            r = WBMEngine(PAPER_Q, g, PARAMS, cfg).process_batch(batch)
+            r = run_batch(PAPER_Q, g, batch, cfg)
             results[ws] = (r.positives, r.negatives)
         assert results["off"] == results["active"] == results["passive"]
 
@@ -184,8 +196,8 @@ class TestStealingInvariants:
         rng.shuffle(non)
         batch = make_batch([("+", u, v) for u, v in non[:24]])
         q = TRI_Q
-        r_off = WBMEngine(q, g, PARAMS, WBMConfig(work_stealing="off")).process_batch(batch)
-        r_on = WBMEngine(q, g, PARAMS, WBMConfig(work_stealing="active")).process_batch(batch)
+        r_off = run_batch(q, g, batch, WBMConfig(work_stealing="off"))
+        r_on = run_batch(q, g, batch, WBMConfig(work_stealing="active"))
         assert r_on.positives == r_off.positives
         assert r_on.kernel_stats.utilization >= r_off.kernel_stats.utilization
 
@@ -216,6 +228,6 @@ def test_wbm_matches_oracle_property(data):
         coalesced=data.draw(st.booleans()),
     )
     pos, neg = oracle_delta(query, g, batch)
-    res = WBMEngine(query, g, PARAMS, cfg).process_batch(batch)
+    res = run_batch(query, g, batch, cfg)
     assert res.positives == pos
     assert res.negatives == neg
