@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.cost import CostModel, DEFAULT_COST_MODEL
+from repro.errors import QueryQuarantinedError, ServiceError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
@@ -98,9 +99,20 @@ class GammaSystem:
     def process_batch(self, batch: UpdateBatch) -> GammaBatchReport:
         """Run one batch through the full pipeline; stage timings are
         model seconds under the shared cost model. A batch whose net
-        effective delta is empty prices every stage at zero."""
+        effective delta is empty prices every stage at zero.
+
+        A fault the service would isolate raises here instead: with one
+        query there is no healthy query left to serve, so a dropped
+        batch raises :class:`~repro.errors.ServiceError` and a
+        quarantined query raises
+        :class:`~repro.errors.QueryQuarantinedError`, each carrying the
+        original error's type and message."""
         sreport = self._service.process_batch(batch)
+        if sreport.failure is not None:
+            raise ServiceError(f"batch dropped at {sreport.failure}")
         qreport = sreport.queries[_QUERY_NAME]
+        if _QUERY_NAME in sreport.quarantined:
+            raise QueryQuarantinedError(_QUERY_NAME, qreport.error)
         stage_seconds = {
             "preprocess": sreport.stage_seconds["preprocess"],
             "transfer": sreport.stage_seconds["transfer"],

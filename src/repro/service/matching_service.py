@@ -183,8 +183,11 @@ class QueryHost:
         """Hosted queries in registration order."""
         raise NotImplementedError
 
-    def register(self, name, query, config, bootstrap) -> set[Match] | None:
-        """Host a new query; returns its bootstrap matches (if any)."""
+    def register(
+        self, name, query, config, bootstrap
+    ) -> tuple[set[Match] | None, CoalescedPlan]:
+        """Host a new query; returns its bootstrap matches (if any) and
+        the plan it was gated with."""
         raise NotImplementedError
 
     def unregister(self, name: str) -> None:
@@ -227,13 +230,21 @@ class InProcessHost(QueryHost):
     def names(self) -> list[str]:
         return list(self.runtimes)
 
-    def register(self, name, query, config, bootstrap=True) -> set[Match] | None:
+    def register(
+        self, name, query, config, bootstrap=True, plan: CoalescedPlan | None = None
+    ) -> tuple[set[Match] | None, CoalescedPlan]:
+        """``plan`` is the plan gated at the query's first registration,
+        passed by a respawned or degraded host re-registering it: the
+        query keeps launching the kernels it registered with instead of
+        re-gating on the current candidate table."""
         runtime = QueryRuntime(
             query, self.store, self.params, config, name=name, collector=MatchCollector()
         )
+        if plan is not None:
+            runtime.plan = plan
         initial = runtime.bootstrap() if bootstrap else None
         self.runtimes[name] = runtime
-        return initial
+        return initial, runtime.plan
 
     def adopt(self, name: str, runtime: QueryRuntime) -> None:
         runtime.name = name
@@ -246,11 +257,6 @@ class InProcessHost(QueryHost):
 
     def rebootstrap(self, name: str) -> set[Match]:
         return self.runtimes[name].rebootstrap()
-
-    def plan(self, name: str) -> CoalescedPlan:
-        """The query's gated plan, fixed at registration (a host that
-        re-registers the query after a restart pins it back)."""
-        return self.runtimes[name].plan
 
     def matches(self, name: str) -> set[Match]:
         return self.runtimes[name].current_matches()

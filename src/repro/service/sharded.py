@@ -67,6 +67,7 @@ from repro.errors import ReproError, ServiceError, ShardFaultError
 from repro.graph.csr import AttachedSnapshot, publish_snapshot, unlink_snapshot
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, apply_effective_delta
+from repro.matching.coalesced import CoalescedPlan
 from repro.matching.wbm import Match
 from repro.pipeline.postprocess import MatchCollector
 from repro.service.matching_service import (
@@ -254,10 +255,10 @@ class _Worker:
             plan.fire("worker.bootstrap", query=self.shard)
         self.host = InProcessHost(self.store, init["params"], init["policy"])
         self.host.heartbeat = lambda name: self.conn.send(("hb", self._idx, name))
-        self.bootstrap_results = {}
-        for name, query, config, bootstrap, plan in init["queries"]:
-            self.bootstrap_results[name] = self.host.register(name, query, config, bootstrap)
-            self.host.runtimes[name].plan = plan  # gated at first registration
+        self.bootstrap_results = {
+            name: self.host.register(name, query, config, bootstrap, plan)[0]
+            for name, query, config, bootstrap, plan in init["queries"]
+        }
 
     def serve(self) -> None:
         while True:
@@ -386,13 +387,12 @@ class WorkerHost(QueryHost):
         """Re-anchor one query's view at a fresh bootstrap."""
         self._views[name] = (initial, MatchCollector())
 
-    def register(self, name, query, config, bootstrap) -> set[Match] | None:
-        initial = self.call("register", name, query, config, bootstrap)
-        # a respawned or degraded host re-registers with this plan, so
-        # the query keeps launching the kernels it registered with
-        self.specs[name] = (query, config, bootstrap, self.call("plan", name))
+    def register(self, name, query, config, bootstrap) -> tuple[set[Match] | None, CoalescedPlan]:
+        initial, plan = self.call("register", name, query, config, bootstrap)
+        # a respawned or degraded host re-registers with this plan
+        self.specs[name] = (query, config, bootstrap, plan)
         self.anchor(name, initial)
-        return initial
+        return initial, plan
 
     def unregister(self, name: str) -> None:
         if self.alive:
@@ -738,8 +738,7 @@ class ShardedMatchingService(_ServiceCore):
         self._hosts[self._hosts.index(worker)] = host
         for name, (query, config, _, plan) in worker.specs.items():
             self._hosted[name] = host
-            host.register(name, query, config, bootstrap=False)
-            host.runtimes[name].plan = plan
+            host.register(name, query, config, bootstrap=False, plan=plan)
             try:
                 host.runtimes[name].bootstrap()
             except Exception as err:  # noqa: BLE001 - isolation boundary

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.errors import MatchingError
+from repro.errors import MatchingError, QueryQuarantinedError, ServiceError
 from repro.graph import LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import UpdateStream, make_batch
@@ -15,6 +15,7 @@ from repro.matching.wbm import BatchResult
 from repro.pipeline import GammaSystem, MatchCollector, PipelineModel
 from repro.pipeline.gamma import GAMMA_STAGES
 from repro.pipeline.postprocess import ThroughputMeter
+from repro.testing import FaultPlan, FaultSpec
 
 PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
 PAPER_Q = LabeledGraph.from_edges([0, 1, 1, 2], [(0, 1), (0, 2), (1, 2), (1, 3)])
@@ -296,6 +297,24 @@ class TestGammaSystem:
         report = system.process_batch(batch)
         assert report.result.positives == pos
         assert report.result.negatives == neg
+
+    @pytest.mark.parametrize(
+        "specs, error",
+        [
+            ([FaultSpec("runtime.launch", 0)], QueryQuarantinedError),
+            # both store attempts fail: the batch is dropped
+            ([FaultSpec("store.prepare", 0), FaultSpec("store.prepare", 1)], ServiceError),
+        ],
+    )
+    def test_isolated_fault_raises(self, specs, error):
+        """A fault the service would isolate reaches the single-query
+        caller instead of an empty result."""
+        g, batch = small_case(6)
+        system = GammaSystem(PAPER_Q, g, PARAMS)
+        system.service.store.attach_faults(FaultPlan(specs))
+        with pytest.raises(error, match="injected fault") as excinfo:
+            system.process_batch(batch)
+        assert excinfo.type is error
 
     def test_stage_seconds_all_present(self):
         g, batch = small_case(2)
