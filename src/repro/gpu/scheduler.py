@@ -79,7 +79,6 @@ class BlockScheduler:
         global_mem: GlobalMemory | None = None,
         shared: SharedMemory | None = None,
         idle_handler: IdleHandler | None = None,
-        shared_setup: Callable[[SharedMemory, list[WarpContext]], None] | None = None,
         vectorized: bool = True,
     ) -> None:
         self.params = params
@@ -91,12 +90,11 @@ class BlockScheduler:
         self._ctx_pool: list[WarpContext] = []
         self._mailboxes: dict[int, list[tuple[Generator, float]]] = {}
         self._parked: set[int] = set()
-        self.reset(tasks, shared_setup=shared_setup, idle_handler=idle_handler)
+        self.reset(tasks, idle_handler=idle_handler)
 
     def reset(
         self,
         tasks: Iterable[WarpTask],
-        shared_setup: Callable[[SharedMemory, list[WarpContext]], None] | None = None,
         idle_handler: IdleHandler | None = None,
     ) -> None:
         """Re-arm for another block: new tasks, fresh stats, same pool.
@@ -144,8 +142,6 @@ class BlockScheduler:
         #: push_work, cleared by a drain that empties every mailbox —
         #: the run loop skips the drain entirely between pushes
         self._mailbox_pending = False
-        if shared_setup is not None:
-            shared_setup(self.shared, self.contexts)
 
     # ------------------------------------------------------------------
     # passive stealing support

@@ -21,6 +21,7 @@ from repro.matching.wbm import (
     MatchRecord,
     BatchResult,
     KernelOutput,
+    PhaseEdges,
     QueryRuntime,
     gate_plan,
     launch_kernel,
@@ -48,6 +49,7 @@ __all__ = [
     "MatchRecord",
     "BatchResult",
     "KernelOutput",
+    "PhaseEdges",
     "QueryRuntime",
     "gate_plan",
     "launch_kernel",

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.filtering import CandidateTable, EncodingSchema, EncodingTable
 from repro.graph.csr import CSRGraph
-from repro.graph.labeled_graph import LabeledGraph, canonical
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, apply_batch, effective_delta
 from repro.gpu.memory import GlobalMemory, SharedMemory
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
@@ -30,6 +30,7 @@ from repro.matching.wbm import (
     _LEVEL_BATCH_MIN,
     KernelOutput,
     Match,
+    PhaseEdges,
     WBMConfig,
     _Env,
     _gen_candidates,
@@ -144,14 +145,14 @@ class BFSEngine:
         """Expand all updates of one sign together, level-synchronously."""
         params = self.params
         n = self.query.n_vertices
-        rank_map = {canonical(u, v): i for i, (u, v, _) in enumerate(edges)}
+        phase = PhaseEdges(edges)
         out = KernelOutput()
         env = _Env(
             self.query,
             self.graph,
             self.table,
             self.plan,
-            rank_map,
+            phase,
             WBMConfig(vectorized=self.vectorized),
             out,
             csr=self._csr,
@@ -161,8 +162,7 @@ class BFSEngine:
 
         # level 0/1: seed partials from update-edge mappings
         frontier: list[tuple[object, dict[int, int], int]] = []
-        for rank, (u, v, lbl) in enumerate(edges):
-            x, y = canonical(u, v)
+        for rank, (x, y, lbl) in enumerate(zip(phase.exl, phase.eyl, phase.ell)):
             for group in self.plan.groups:
                 a, b = group.representative
                 if self.query.edge_label(a, b) != lbl:

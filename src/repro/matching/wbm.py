@@ -174,6 +174,92 @@ class _MemoryGauge:
         self.current -= words
 
 
+class PhaseEdges:
+    """One sign phase's net update edges, indexed once and shared by
+    every runtime that launches the phase.
+
+    Holds the canonical ``(ex, ey, el)`` columns as arrays and as int
+    lists, the total-order ``rank_map`` (edge rank = its index in the
+    phase), and two lazily built indexes:
+
+    * the update-edge partners of each endpoint, sorted by endpoint
+      then partner, so :meth:`rank_partners` is one ``searchsorted``
+      per data vertex, cached for the whole phase;
+    * per CSR snapshot, a bucket index from ``(label_x, label_y,
+      edge_label)`` to the ascending indices of the in-range edges
+      carrying those labels — the label partitioning of GSI's PCSR —
+      so a launch visits only the edges its group representatives can
+      map onto (:func:`_working_items`).
+    """
+
+    def __init__(self, edges) -> None:
+        self.edges: list[tuple[int, int, int]] = list(edges)
+        arr = xp.asarray(self.edges, dtype=xp.int64).reshape(-1, 3)
+        self.ex = xp.minimum(arr[:, 0], arr[:, 1])
+        self.ey = xp.maximum(arr[:, 0], arr[:, 1])
+        self.el = arr[:, 2]
+        # plain-int columns: work items are dicts of Python ints, and
+        # unboxing an array scalar per field shows up in the hot loop
+        self.exl: list[int] = xp.to_numpy(self.ex).tolist()
+        self.eyl: list[int] = xp.to_numpy(self.ey).tolist()
+        self.ell: list[int] = xp.to_numpy(self.el).tolist()
+        self.rank_map: dict[tuple[int, int], int] = {
+            e: i for i, e in enumerate(zip(self.exl, self.eyl))
+        }
+        self._partner_index: Optional[tuple] = None
+        self._partners: dict[int, tuple[xp.ndarray, xp.ndarray]] = {}
+        self._bucket_csr: Optional[CSRGraph] = None
+        self._buckets: dict[tuple[int, int, int], xp.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def rank_partners(self, dv: int) -> tuple[xp.ndarray, xp.ndarray]:
+        """Update-edge partners of data vertex ``dv`` (sorted) with the
+        rank of each touching net-update edge, cached per phase."""
+        entry = self._partners.get(dv)
+        if entry is None:
+            if self._partner_index is None:
+                # built from rank_map, so a repeated edge keeps its last
+                # rank exactly as the dict does
+                keys = xp.asarray(list(self.rank_map), dtype=xp.int64).reshape(-1, 2)
+                r = xp.asarray(list(self.rank_map.values()), dtype=xp.int64)
+                ends = xp.concatenate([keys[:, 0], keys[:, 1]])
+                others = xp.concatenate([keys[:, 1], keys[:, 0]])
+                ranks = xp.concatenate([r, r])
+                order = xp.lexsort((others, ends))
+                self._partner_index = (ends[order], others[order], ranks[order])
+            ends, others, ranks = self._partner_index
+            lo = int(xp.searchsorted(ends, dv))
+            hi = int(xp.searchsorted(ends, dv, side="right"))
+            entry = self._partners[dv] = (others[lo:hi], ranks[lo:hi])
+        return entry
+
+    def buckets(self, csr: CSRGraph) -> dict[tuple[int, int, int], xp.ndarray]:
+        """``(label_x, label_y, edge_label)`` → ascending indices of the
+        edges with both endpoints in ``csr`` and those labels; rebuilt
+        only if a launch brings a different snapshot."""
+        if self._bucket_csr is not csr:
+            n = csr.n_vertices
+            idx = xp.nonzero((self.ex < n) & (self.ey < n))[0]
+            labels = csr.vertex_labels
+            index: dict[tuple[int, int, int], list[int]] = {}
+            for key, i in zip(
+                zip(
+                    xp.to_numpy(labels[self.ex[idx]]).tolist(),
+                    xp.to_numpy(labels[self.ey[idx]]).tolist(),
+                    xp.to_numpy(self.el[idx]).tolist(),
+                ),
+                xp.to_numpy(idx).tolist(),
+            ):
+                index.setdefault(key, []).append(i)
+            self._buckets = {
+                key: xp.asarray(ids, dtype=xp.int64) for key, ids in index.items()
+            }
+            self._bucket_csr = csr
+        return self._buckets
+
+
 class _Env:
     """Per-launch read-mostly context shared by all warp tasks."""
 
@@ -183,7 +269,7 @@ class _Env:
         graph: LabeledGraph,
         table: CandidateTable,
         plan: CoalescedPlan,
-        rank_map: dict[tuple[int, int], int],
+        phase: PhaseEdges,
         config: WBMConfig,
         out: KernelOutput,
         csr: Optional[CSRGraph] = None,
@@ -192,25 +278,16 @@ class _Env:
         self.graph = graph
         self.table = table
         self.plan = plan
-        self.rank_map = rank_map
+        self.rank_map = phase.rank_map
+        #: per data-vertex (sorted update partners, their ranks), served
+        #: from the phase's endpoint-sorted index
+        self.rank_partners = phase.rank_partners
         self.config = config
         self.out = out
         #: CSR snapshot of ``graph`` at launch time; shared across all
         #: runtimes when the store hands out its cached snapshot, built
         #: lazily otherwise (only the vectorized path reads it)
         self._csr = csr
-        # rank_map as parallel arrays for vectorized total-order checks
-        if rank_map:
-            edges = xp.array(list(rank_map.keys()), dtype=xp.int64)
-            self._rank_u = edges[:, 0]
-            self._rank_v = edges[:, 1]
-            self._rank_r = xp.fromiter(
-                rank_map.values(), dtype=xp.int64, count=len(rank_map)
-            )
-        else:
-            self._rank_u = self._rank_v = self._rank_r = None
-        # per data-vertex (sorted update partners, their ranks), lazy
-        self._rank_cache: dict[int, tuple[xp.ndarray, xp.ndarray]] = {}
         # pooled per-warp DFS states for the level-stepped path: blocks
         # run sequentially within a launch, so a warp's frame stack and
         # assignment array are reused across blocks (workers reset them
@@ -246,20 +323,6 @@ class _Env:
         if self._csr is None:
             self._csr = CSRGraph.from_graph(self.graph)
         return self._csr
-
-    def rank_partners(self, dv: int) -> tuple[xp.ndarray, xp.ndarray]:
-        """Update-edge partners of data vertex ``dv`` (sorted) with the
-        rank of each touching net-update edge, cached per launch."""
-        entry = self._rank_cache.get(dv)
-        if entry is None:
-            sel_u = self._rank_u == dv
-            sel_v = self._rank_v == dv
-            partners = xp.concatenate([self._rank_v[sel_u], self._rank_u[sel_v]])
-            ranks = xp.concatenate([self._rank_r[sel_u], self._rank_r[sel_v]])
-            order = xp.argsort(partners)
-            entry = (partners[order], ranks[order])
-            self._rank_cache[dv] = entry
-        return entry
 
     def rank_filter(self, cands: xp.ndarray, dv: int, rank: int) -> xp.ndarray:
         """Drop candidates whose edge to ``dv`` is a net-update edge of
@@ -509,7 +572,7 @@ def _candidates_vectorized(
         # (few) matched data vertices into the sorted neighbor slice
         mask_members(mask, base, assign.values())
         cands = base[mask]
-    if env._rank_r is not None and len(cands):
+    if env.rank_map and len(cands):
         cands = env.rank_filter(cands, anchor_dv, rank)
     # sorted-adjacency intersection with every other matched neighbor
     for w in others:
@@ -522,7 +585,7 @@ def _candidates_vectorized(
         cands = intersect_sorted(
             cands, nbrs, csr.edge_label_slice(dv), query.edge_label(qv, w)
         )
-        if env._rank_r is not None and len(cands):
+        if env.rank_map and len(cands):
             cands = env.rank_filter(cands, dv, rank)
     return xp.to_numpy(cands).tolist()
 
@@ -568,7 +631,7 @@ def _fused_self_anchor(
     keep = xp.nonzero(m)[0]
     xs = xs[keep]
     segs = segs[keep]
-    has_rank = env._rank_r is not None
+    has_rank = bool(env.rank_map)
     alive = True
     for w in others:
         if not len(xs):
@@ -800,7 +863,7 @@ def _narrowed_prefix_run(
         mask &= gather_column(col, base)
         mask_members(mask, base, prefix.values())
         pre = base[mask]
-    if env._rank_r is not None and len(pre):
+    if env.rank_map and len(pre):
         pre = env.rank_filter(pre, anchor_dv, rank)
     for w in matched:
         if w == anchor or w == qv_prev or not len(pre):
@@ -812,7 +875,7 @@ def _narrowed_prefix_run(
         pre = intersect_sorted(
             pre, nbrs, csr.edge_label_slice(dv), query.edge_label(qv, w)
         )
-        if env._rank_r is not None and len(pre):
+        if env.rank_map and len(pre):
             pre = env.rank_filter(pre, dv, rank)
     return pre
 
@@ -995,7 +1058,7 @@ def _level_children_multi(
         )
 
     # --- per-child candidate data ------------------------------------
-    has_rank = env._rank_r is not None
+    has_rank = bool(env.rank_map)
     prev_matched = qv_prev in matched
     want_elabel = query.edge_label(qv, qv_prev) if prev_matched else None
     others = [w for w in matched if w != qv_prev]
@@ -2111,47 +2174,34 @@ def _initial_items(env: _Env, x: int, y: int, elabel: int, rank: int) -> list[di
     return items
 
 
-def _initial_items_bulk(
-    env: _Env, edges: list[tuple[int, int, int]]
-) -> list[list[dict]]:
-    """Vectorized :func:`_initial_items` over the whole launch: one
-    label/filter mask per coalesced group across every update edge
-    (instead of a scalar check per (edge, group) pair). Items are
-    identical, in the same per-edge group order."""
+def _working_items(env: _Env, phase: PhaseEdges) -> dict[int, list[dict]]:
+    """Vectorized :func:`_initial_items` over the launch's working
+    edges only: one bucket lookup per group representative's label
+    triple, narrowed by the orbit columns of both endpoints. Returns
+    ``{edge index: items}`` for the edges with at least one item — the
+    items identical to the scalar oracle's, in the same per-edge group
+    order; every other edge is a no-op probe."""
     query = env.query
-    csr = env.csr
-    labels = csr.vertex_labels
-    n = csr.n_vertices
-    arr = xp.asarray(edges, dtype=xp.int64).reshape(-1, 3)
-    # canonical (min, max) of every undirected edge in one pass
-    ex = xp.minimum(arr[:, 0], arr[:, 1])
-    ey = xp.maximum(arr[:, 0], arr[:, 1])
-    el = arr[:, 2]
-    in_range = (ex < n) & (ey < n)
-    ex_c = xp.minimum(ex, n - 1) if n else ex
-    ey_c = xp.minimum(ey, n - 1) if n else ey
-    # plain-int columns once per launch: the dict items below are the
-    # hot allocation path and np scalar unboxing per field shows up
-    exl = xp.to_numpy(ex).tolist()
-    eyl = xp.to_numpy(ey).tolist()
-    items_per_edge: list[list[dict]] = [[] for _ in edges]
+    buckets = phase.buckets(env.csr)
+    ex, ey, exl, eyl = phase.ex, phase.ey, phase.exl, phase.eyl
+    per_edge: dict[int, list[dict]] = {}
     for group in env.plan.groups:
         a, b = group.representative
-        sel = in_range & (el == query.edge_label(a, b))
-        if not sel.any():
-            continue
-        sel &= (labels[ex_c] == query.vertex_label(a)) & (
-            labels[ey_c] == query.vertex_label(b)
+        sel = buckets.get(
+            (query.vertex_label(a), query.vertex_label(b), query.edge_label(a, b))
         )
+        if sel is None:
+            continue
         for qv, ends in ((a, ex), (b, ey)):
-            if not sel.any():
-                break
             col = env.orbit_column(group, qv)
-            ok = ends < len(col)
-            ok[ok] = col[ends[ok]]
-            sel &= ok
-        for i in xp.to_numpy(xp.nonzero(sel)[0]).tolist():
-            items_per_edge[i].append(
+            v = ends[sel]
+            ok = v < len(col)
+            ok[ok] = col[v[ok]]
+            sel = sel[ok]
+            if not len(sel):
+                break
+        for i in xp.to_numpy(sel).tolist():
+            per_edge.setdefault(i, []).append(
                 {
                     "group": group,
                     "assign": {a: exl[i], b: eyl[i]},
@@ -2161,23 +2211,21 @@ def _initial_items_bulk(
                     "permuted": False,
                 }
             )
-    return items_per_edge
+    return per_edge
 
 
 # an update edge that maps onto no work item still pays its probe: one
-# warp-wide compute round. In the serving workload the vast majority of
-# tasks are such probes, so they are expressed as ONE shared cost trace
-# — the pooled scheduler prices it from cached segment totals with no
-# generator object, and the oracle replays it op-by-op (same modeled
-# trace either way: a single-segment trace completes on its first
-# resumption, exactly like the yield-free generator it replaces).
+# warp-wide compute round (Algorithm 1 gives every update edge a warp).
+# Under selective queries nearly every warp is such a probe, so the
+# launch passes only the working warps plus this ONE shared filler
+# trace: the pooled device prices each filler-only block from a
+# memoized template, and the oracle device expands the grid and
+# replays the trace op-by-op (a single-segment trace completes on its
+# first resumption, like the yield-free generator it stands for).
 _NOOP_PROBE = TraceBuilder().charge_compute(1).build()
 
 
 def _make_task(env: _Env, items: list[dict]):
-    if not items:
-        return _NOOP_PROBE
-
     def task(ctx: WarpContext):
         # a generator on the oracle path, a level-stepped cursor on the
         # vectorized path — the scheduler drives either form
@@ -2193,27 +2241,28 @@ def launch_kernel(
     plan: CoalescedPlan,
     config: WBMConfig,
     gpu: VirtualGPU,
-    edges: list[tuple[int, int, int]],
+    phase: PhaseEdges,
     csr: Optional[CSRGraph] = None,
 ) -> KernelOutput:
     """Launch one sign phase: one warp task per net update edge.
 
-    ``csr`` is the launch-time CSR snapshot of ``graph`` — the shared
-    store hands its cached snapshot to every runtime so N registered
-    queries read one adjacency array set.
+    ``phase`` indexes the phase's edges once for every runtime that
+    launches it; ``csr`` is the launch-time CSR snapshot of ``graph`` —
+    the shared store hands its cached snapshot to every runtime so N
+    registered queries read one adjacency array set.
     """
     out = KernelOutput()
-    rank_map = {canonical(u, v): i for i, (u, v, _) in enumerate(edges)}
-    env = _Env(query, graph, table, plan, rank_map, config, out, csr=csr)
+    env = _Env(query, graph, table, plan, phase, config, out, csr=csr)
 
-    if config.vectorized and edges:
-        per_edge = _initial_items_bulk(env, edges)
+    if config.vectorized:
+        per_edge = _working_items(env, phase)
     else:
-        per_edge = [
-            _initial_items(env, *canonical(u, v), lbl, i)
-            for i, (u, v, lbl) in enumerate(edges)
-        ]
-    tasks = [_make_task(env, items) for items in per_edge]
+        per_edge = {}
+        for i, (u, v, lbl) in enumerate(phase.edges):
+            items = _initial_items(env, *canonical(u, v), lbl, i)
+            if items:
+                per_edge[i] = items
+    working = {i: _make_task(env, items) for i, items in per_edge.items()}
 
     def block_hook(sched: BlockScheduler):
         sched.shared.alloc("_sched", sched, words=0)
@@ -2231,7 +2280,9 @@ def launch_kernel(
     block_hook.trace_pure = ("wbm", config.work_stealing)
 
     try:
-        launch = gpu.launch(tasks, block_hook=block_hook)
+        launch = gpu.launch(
+            working, block_hook=block_hook, n_tasks=len(phase), filler=_NOOP_PROBE
+        )
         out.stats.merge(launch.stats)
     except BudgetExceeded:
         out.aborted = True
@@ -2343,9 +2394,11 @@ class QueryRuntime:
         return set(self.initial_matches)
 
     def launch(
-        self, edges: list[tuple[int, int, int]], *, degraded: bool = False
+        self, edges: PhaseEdges | list[tuple[int, int, int]], *, degraded: bool = False
     ) -> KernelOutput:
-        """Run the WBM kernel for one sign phase over ``edges``.
+        """Run the WBM kernel for one sign phase over ``edges``: the
+        phase's shared :class:`PhaseEdges` (one per phase across every
+        runtime, as the service builds it) or a plain edge list.
 
         ``degraded`` reruns the launch on the scalar-oracle arm
         (``vectorized=False`` over the same candidate table) — the
@@ -2358,6 +2411,7 @@ class QueryRuntime:
                 f"runtime {self.name!r} out of sync with store "
                 f"(saw v{self.synced_version}, store at v{self.store.version})"
             )
+        phase = edges if isinstance(edges, PhaseEdges) else PhaseEdges(edges)
         if degraded:
             self._fire("runtime.launch.degraded")
             if self._degraded_config is None:
@@ -2369,7 +2423,7 @@ class QueryRuntime:
                 self.plan,
                 self._degraded_config,
                 self.gpu,
-                edges,
+                phase,
                 csr=None,
             )
         self._fire("runtime.launch")
@@ -2381,7 +2435,7 @@ class QueryRuntime:
             self.plan,
             self.config,
             self.gpu,
-            edges,
+            phase,
             csr=csr,
         )
 

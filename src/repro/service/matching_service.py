@@ -55,7 +55,14 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.matching.coalesced import CoalescedPlan
-from repro.matching.wbm import BatchResult, KernelOutput, Match, QueryRuntime, WBMConfig
+from repro.matching.wbm import (
+    BatchResult,
+    KernelOutput,
+    Match,
+    PhaseEdges,
+    QueryRuntime,
+    WBMConfig,
+)
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
 from repro.pma.gpma import GpmaUpdateStats
@@ -283,9 +290,10 @@ class InProcessHost(QueryHost):
         self._launch_phase(names, delta.inserted, outcomes, "pos")
 
     def _launch_phase(self, names, edges, outcomes, phase: str) -> None:
-        if not edges:
+        if not edges or not names:
             return
-        edges = list(edges)
+        # one indexed edge set per phase, shared by every runtime's launch
+        edges = PhaseEdges(edges)
         for name in names:
             out = outcomes[name]
             if out.error is None:

@@ -1,0 +1,320 @@
+"""Sparse per-query launches.
+
+A WBM launch hands the device only its working warps (update edges
+that map onto at least one work item) plus one shared no-op filler
+trace, and the pooled device schedules only the blocks that hold a
+working warp. The modeled grid is unchanged — one warp per update
+edge — so every launch's ``KernelStats`` must equal the generator
+oracle's, which expands the grid and runs every block. The phase's
+edge index (:class:`PhaseEdges`) is built once per sign phase and
+shared by every runtime launching it.
+"""
+
+import dataclasses
+import math
+import os
+import random
+
+import pytest
+
+from repro import xp
+from repro.graph.generators import attach_labels, power_law_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.updates import make_batch
+from repro.gpu import DeviceParams, TraceBuilder, VirtualGPU
+from repro.matching import PhaseEdges, QueryRuntime, WBMConfig
+from repro.matching.wbm import (
+    KernelOutput,
+    _Env,
+    _initial_items,
+    _working_items,
+)
+from repro.service import (
+    DynamicGraphStore,
+    MatchingService,
+    ShardedMatchingService,
+    ShardPolicy,
+)
+
+PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
+QUERY = LabeledGraph.from_edges([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3), (0, 2)])
+PATH_Q = LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2)])
+
+
+def stats_dict(kernel_stats):
+    return dataclasses.asdict(kernel_stats)
+
+
+def labeled_graph(seed=3, n=36):
+    return attach_labels(power_law_graph(n, 3.0, seed=seed), 2, 1, seed=seed + 1)
+
+
+def make_env(runtime, edges):
+    phase = PhaseEdges(edges)
+    env = _Env(
+        runtime.query,
+        runtime.graph,
+        runtime.table,
+        runtime.plan,
+        phase,
+        runtime.config,
+        KernelOutput(),
+        csr=runtime.store.csr_snapshot(),
+    )
+    return env, phase
+
+
+def scalar_items(env, phase):
+    """The oracle's per-edge items, keyed by edge index (non-empty only)."""
+    out = {}
+    for i, (x, y, lbl) in enumerate(zip(phase.exl, phase.eyl, phase.ell)):
+        items = _initial_items(env, x, y, lbl, i)
+        if items:
+            out[i] = items
+    return out
+
+
+# ---------------------------------------------------------------------------
+# device level: sparse form vs the expanded grid
+# ---------------------------------------------------------------------------
+def random_work(rng):
+    """A generator task or a multi-segment trace (a working warp)."""
+    if rng.random() < 0.5:
+        b = TraceBuilder()
+        for _ in range(rng.randint(1, 4)):
+            b.charge_compute(rng.randint(1, 50)).yield_()
+        return b.build()
+    cost = rng.randint(1, 80)
+
+    def task(ctx):
+        ctx.charge_compute(cost)
+        yield
+        ctx.read_global_scattered(cost % 7)
+        yield
+
+    return task
+
+
+class TestDeviceSparseForm:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sparse_matches_expanded_oracle(self, seed):
+        """Random grids and working sets: the pooled sparse launch and
+        the oracle's dense run report identical stats, launch after
+        launch on the same (cache-warming) device."""
+        rng = random.Random(seed)
+        filler = TraceBuilder().charge_compute(1).build()
+
+        def hook(sched):
+            return None
+
+        hook.trace_pure = ("test", "sparse")
+        pooled = VirtualGPU(PARAMS, vectorized=True)
+        oracle = VirtualGPU(PARAMS, vectorized=False)
+        for _ in range(5):
+            m = rng.randint(0, 23)
+            picks = sorted(rng.sample(range(m), rng.randint(0, min(m, 5)))) if m else []
+            work = {i: random_work(rng) for i in picks}
+            before = pooled.blocks_run + pooled.blocks_memoized
+            a = pooled.launch(work, block_hook=hook, n_tasks=m, filler=filler)
+            b = oracle.launch([work.get(i, filler) for i in range(m)], block_hook=hook)
+            assert stats_dict(a.stats) == stats_dict(b.stats)
+            assert a.n_blocks == b.n_blocks == math.ceil(m / PARAMS.warps_per_block)
+            after = pooled.blocks_run + pooled.blocks_memoized
+            assert after - before == a.n_blocks
+
+    def test_oracle_expands_sparse_form(self):
+        filler = TraceBuilder().charge_compute(1).build()
+        oracle = VirtualGPU(PARAMS, vectorized=False)
+        res = oracle.launch({}, n_tasks=10, filler=filler)
+        assert oracle.blocks_run == 3 and oracle.blocks_memoized == 0
+        assert sum(b.tasks_completed for b in res.stats.blocks) == 10
+
+
+# ---------------------------------------------------------------------------
+# kernel level: per-launch lockstep under every stealing mode
+# ---------------------------------------------------------------------------
+def grid(work, fill, m, positions):
+    """An m-edge phase with working edges at ``positions``."""
+    work, fill = iter(work), iter(fill)
+    return [next(work) if i in positions else next(fill) for i in range(m)]
+
+
+#: (m, working positions): first block, last partial block, none, all,
+#: one partial block (m < warps_per_block), and a spread
+CASES = [
+    (10, {0}),
+    (10, {9}),
+    (10, set()),
+    (8, set(range(8))),
+    (3, {1}),
+    (3, set()),
+    (13, {0, 5, 12}),
+]
+
+
+class TestKernelSparseLockstep:
+    @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
+    def test_per_launch_stats_match_oracle(self, stealing):
+        g = labeled_graph()
+        store = DynamicGraphStore(g, PARAMS)
+        cfg = WBMConfig(work_stealing=stealing)
+        pooled = QueryRuntime(QUERY, store, PARAMS, cfg, name="pooled")
+        oracle = QueryRuntime(QUERY, store, PARAMS, cfg, name="oracle")
+        oracle.gpu = VirtualGPU(PARAMS, vectorized=False)
+
+        # live graph edges that map onto a work item (deletion-phase
+        # launches run on the pre-update graph, which holds them), and
+        # non-edges under an edge label the query never uses
+        edges = [(u, v, g.edge_label(u, v)) for u, v in g.edges()]
+        env, phase = make_env(pooled, edges)
+        working = [edges[i] for i in sorted(scalar_items(env, phase))]
+        assert len(working) >= 8
+        fill = [
+            (u, v, 7)
+            for u in range(g.n_vertices)
+            for v in range(u + 1, g.n_vertices)
+            if not g.has_edge(u, v)
+        ][:16]
+
+        saw_attempts = saw_matches = False
+        for m, positions in CASES:
+            launch_edges = grid(working, fill, m, positions)
+            before = pooled.gpu.blocks_run + pooled.gpu.blocks_memoized
+            a = pooled.launch(launch_edges)
+            b = oracle.launch(launch_edges)
+            assert sorted(a.matches) == sorted(b.matches)
+            assert stats_dict(a.stats) == stats_dict(b.stats), (m, positions)
+            n_blocks = math.ceil(m / PARAMS.warps_per_block)
+            assert len(a.stats.blocks) == n_blocks
+            after = pooled.gpu.blocks_run + pooled.gpu.blocks_memoized
+            assert after - before == n_blocks
+            saw_attempts |= any(blk.steal_attempts for blk in a.stats.blocks)
+            saw_matches |= bool(a.matches)
+        assert saw_matches
+        if stealing == "active":
+            # idle warps of the working blocks probe their siblings
+            assert saw_attempts
+        # the filler-only blocks were priced from templates, not run
+        assert pooled.gpu.blocks_memoized > 0
+        assert oracle.gpu.blocks_memoized == 0
+
+
+# ---------------------------------------------------------------------------
+# bucket items equal the scalar oracle's
+# ---------------------------------------------------------------------------
+class TestBucketItems:
+    @pytest.mark.parametrize("coalesced", [True, False])
+    def test_bucket_items_equal_scalar(self, coalesced):
+        g = labeled_graph(seed=9)
+        store = DynamicGraphStore(g, PARAMS)
+        runtime = QueryRuntime(QUERY, store, PARAMS, WBMConfig(coalesced=coalesced))
+        n = g.n_vertices
+        edges = [(u, v, g.edge_label(u, v)) for u, v in g.edges()]
+        edges += [
+            (n + 2, 0, 0),  # an endpoint past the graph, either side
+            (3, n + 5, 0),
+            (n + 1, n + 3, 0),
+            (edges[0][1], edges[0][0], 5),  # an edge label the query lacks
+            (edges[1][0], edges[1][1], 1),
+        ]
+        env, phase = make_env(runtime, edges)
+        bucket = _working_items(env, phase)
+        scalar = scalar_items(env, phase)
+        assert scalar, "the graph should give the query some working edges"
+        assert bucket == scalar
+        assert all(i < len(edges) - 5 for i in bucket)
+
+    def test_rank_partners_sorted_per_endpoint(self):
+        phase = PhaseEdges([(4, 1, 0), (1, 9, 0), (7, 1, 0), (3, 2, 0)])
+        partners, ranks = phase.rank_partners(1)
+        assert xp.to_numpy(partners).tolist() == [4, 7, 9]
+        assert xp.to_numpy(ranks).tolist() == [0, 2, 1]
+        assert phase.rank_partners(1)[0] is partners  # cached per phase
+        assert len(phase.rank_partners(5)[0]) == 0
+
+
+# ---------------------------------------------------------------------------
+# one PhaseEdges per non-empty phase, whatever the query count
+# ---------------------------------------------------------------------------
+def make_stream(seed=5, n=26, n_batches=3):
+    g = attach_labels(power_law_graph(n, 3.2, seed=seed), 2, 1, seed=seed + 1)
+    rng = random.Random(seed)
+    shadow = g.copy()
+    batches = []
+    for _ in range(n_batches):
+        edges = list(shadow.edges())
+        non = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if not shadow.has_edge(u, v)
+        ]
+        rng.shuffle(edges)
+        rng.shuffle(non)
+        batch = make_batch([("+", u, v) for u, v in non[:3]] + [("-", u, v) for u, v in edges[:2]])
+        for u, v in non[:3]:
+            shadow.add_edge(u, v)
+        for u, v in edges[:2]:
+            shadow.remove_edge(u, v)
+        batches.append(batch)
+    return g, batches
+
+
+def count_phases(monkeypatch, log_path):
+    """Log every PhaseEdges construction (with its pid) to ``log_path``;
+    forked workers inherit the patch."""
+    init = PhaseEdges.__init__
+
+    def logged(self, edges):
+        init(self, edges)
+        with open(log_path, "a") as fh:
+            fh.write(f"{os.getpid()} {len(self)}\n")
+
+    monkeypatch.setattr(PhaseEdges, "__init__", logged)
+
+
+def read_log(log_path):
+    if not os.path.exists(log_path):
+        return []
+    with open(log_path) as fh:
+        return [tuple(map(int, line.split())) for line in fh]
+
+
+class TestOnePhaseObjectPerPhase:
+    @pytest.mark.parametrize("n_queries", [1, 4])
+    def test_matching_service(self, monkeypatch, tmp_path, n_queries):
+        g, batches = make_stream()
+        svc = MatchingService(g, params=PARAMS)
+        for k in range(n_queries):
+            svc.register_query(QUERY if k % 2 else PATH_Q, WBMConfig(), name=f"q{k}")
+        log = tmp_path / "phases.log"
+        count_phases(monkeypatch, log)
+        for batch in batches:
+            rep = svc.process_batch(batch)
+            assert rep.failure is None and not rep.quarantined
+        # every batch nets 3 inserts and 2 deletes: two non-empty phases
+        assert [size for _, size in read_log(log)] == [2, 3] * len(batches)
+
+    def test_sharded_worker(self, monkeypatch, tmp_path):
+        g, batches = make_stream()
+        log = tmp_path / "phases.log"
+        count_phases(monkeypatch, log)
+        svc = ShardedMatchingService(
+            g,
+            params=PARAMS,
+            shard_policy=ShardPolicy(
+                n_workers=2, heartbeat_timeout_s=5.0, batch_deadline_s=30.0
+            ),
+        )
+        try:
+            for k in range(5):  # three queries on one shard, two on the other
+                svc.register_query(QUERY if k % 2 else PATH_Q, WBMConfig(), name=f"q{k}")
+            for batch in batches:
+                rep = svc.process_batch(batch)
+                assert rep.failure is None and not rep.quarantined
+        finally:
+            svc.close()
+        by_pid = {}
+        for pid, size in read_log(log):
+            by_pid.setdefault(pid, []).append(size)
+        assert os.getpid() not in by_pid  # the parent launches nothing
+        assert len(by_pid) == 2
+        for sizes in by_pid.values():
+            assert sizes == [2, 3] * len(batches)

@@ -2,10 +2,11 @@
 
 ``servebench/`` times ``VirtualGPU.launch`` as one opaque layer;
 this tool breaks the serving loop open with cProfile so the
-*machinery* share — task construction (``_initial_items_bulk``), the
-idle-scan handler, block memoization (``dataclasses.replace`` churn),
-scheduler bookkeeping — is attributable function by function, next to
-the genuine candidate-generation work.
+*machinery* share — the per-phase edge index (``PhaseEdges``), working
+item construction (``_working_items``), the idle-scan handler, the
+filler-block templates (``BlockStats.copy``), scheduler bookkeeping —
+is attributable function by function, next to the genuine
+candidate-generation work.
 
 Usage::
 
