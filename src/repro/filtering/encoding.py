@@ -211,13 +211,6 @@ class EncodingSchema:
         """Bitwise-AND candidacy test (the GPU's massively parallel op)."""
         return enc_query & enc_data == enc_query
 
-    @staticmethod
-    def candidate_mask(packed: xp.ndarray, query_row: xp.ndarray) -> xp.ndarray:
-        """Whole-column candidacy: ``(codes & q) == q`` reduced across
-        words. ``packed`` is ``(rows, n_words)``, ``query_row`` is one
-        packed query code; returns a boolean vector over rows."""
-        return ((packed & query_row) == query_row).all(axis=1)
-
 
 class EncodingTable:
     """Packed codes for every data vertex, refreshed per batch.

@@ -101,19 +101,9 @@ class VirtualGPU:
         self.blocks_memoized = 0  # all-trace blocks replayed from the cache
         self.level_steps = 0  # DFS level-cursor resumptions across launches
 
-    def reset_memory(self) -> None:
-        """Fresh global memory (between independent experiments)."""
-        self.global_mem = GlobalMemory(self.params)
-        # pooled contexts hold a reference to the old arena; drop them
-        self._sched = None
-
     # ------------------------------------------------------------------
     def transfer_to_device(self, n_words: int, stats: KernelStats) -> None:
         """Host→device copy, charged to ``stats.transfer_cycles``."""
-        stats.transfer_cycles += self.link.transfer_cycles(n_words)
-
-    def transfer_to_host(self, n_words: int, stats: KernelStats) -> None:
-        """Device→host copy, charged to ``stats.transfer_cycles``."""
         stats.transfer_cycles += self.link.transfer_cycles(n_words)
 
     # ------------------------------------------------------------------
@@ -271,12 +261,13 @@ class VirtualGPU:
         sm_time: list[float],
     ) -> None:
         """Account for the filler-only blocks ``[start, stop)`` of a
-        sparse launch: each gets a fresh copy of its size's template
-        (the first use of a template runs it, like any memoized block),
-        and each SM's makespan total grows by its round-robin share.
-        Cycle costs are integers (see :mod:`repro.gpu.params`), so
-        ``share * makespan`` equals ``share`` sequential float adds
-        exactly."""
+        sparse launch: the blocks of one span share one ``BlockStats``,
+        a copy of its size's template (the first use of a template runs
+        it, like any memoized block), so a result carries — and pickles
+        — one object per span, not one per block. Each SM's makespan
+        total grows by its round-robin share. Cycle costs are integers
+        (see :mod:`repro.gpu.params`), so ``share * makespan`` equals
+        ``share`` sequential float adds exactly."""
         per_block = self.params.warps_per_block
         num_sms = self.params.num_sms
         full_stop = min(stop, n_tasks // per_block)
@@ -292,7 +283,7 @@ class VirtualGPU:
                 continue
             first = self._run_block([filler] * size, block_hook, memo_token)
             stats.blocks.append(first)
-            stats.blocks.extend([first.copy() for _ in range(count - 1)])
+            stats.blocks.extend([first] * (count - 1))
             self.blocks_memoized += count - 1
             makespan = first.makespan_cycles
             q, r = divmod(count, num_sms)

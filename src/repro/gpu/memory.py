@@ -60,9 +60,6 @@ class GlobalMemory:
             raise DeviceMemoryError(f"invalid free of {n_words} (used {self._used})")
         self._used -= n_words
 
-    def usage_fraction(self) -> float:
-        return self._used / self._capacity if self._capacity else 0.0
-
 
 class SharedMemory:
     """Block-scoped scratchpad storing named Python values.

@@ -13,10 +13,16 @@ oracle (``vectorized`` flag), and whether a warp's cost came from a
 priced :class:`~repro.gpu.trace.CostTrace` segment or op-by-op
 charging, the filled counters must compare equal field-for-field.
 That holds because every charge is an integer number of cycles, so
-batched ``int64`` sums equal sequential float adds exactly. Stats
-objects are therefore never pooled — each block gets a fresh
-``BlockStats`` (they escape into the launch result); only the
-scheduler, contexts, and shared memory are reused.
+batched ``int64`` sums equal sequential float adds exactly.
+
+Stats that escape into a launch result are read-only. They are never
+pooled — only the scheduler, contexts, and shared memory are reused —
+and never alias the device's block cache or another launch's result,
+but the blocks of one launch may share one ``BlockStats``: a sparse
+launch's filler-only blocks of one size are a single object repeated,
+which keeps ``len``/``==``/``repr``/``dataclasses.asdict`` unchanged
+and lets pickle ship the run as back-references. Merged
+``KernelStats`` share their blocks with the launches they fold.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ class BlockStats:
 
     def copy(self) -> "BlockStats":
         """Field-for-field copy without ``dataclasses.replace`` — the
-        block-memoization path copies one per replayed block, and
-        replace's signature binding is measurable there (every field is
-        a scalar, so a ``__dict__`` transplant is exact)."""
+        block-memoization path copies one per replayed block (one per
+        filler span of a sparse launch), and replace's signature binding
+        is measurable there (every field is a scalar, so a ``__dict__``
+        transplant is exact)."""
         out = BlockStats.__new__(BlockStats)
         out.__dict__.update(self.__dict__)
         return out

@@ -176,11 +176,6 @@ class WarpContext:
         self.stats.shared_accesses += len(out)
         return out
 
-    def shared_write(self, name: str, value: Any) -> None:
-        cost = self.shared.write(name, value)
-        self._charge(cost)
-        self.stats.shared_accesses += 1
-
     def shared_alloc(self, name: str, value: Any, words: int) -> None:
         self.shared.alloc(name, value, words)
 
@@ -240,7 +235,3 @@ class WarpContext:
         """Coalesced load of an adjacency list from global memory."""
         self.read_global_consecutive(len(neighbors))
         return neighbors
-
-    def ballot_count(self, n_items: int) -> None:
-        """Charge a warp ballot over ``n_items`` flags."""
-        self.charge_lanes(n_items)

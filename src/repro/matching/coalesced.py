@@ -71,10 +71,6 @@ class CoalescedPlan:
     def coalesced_edge_count(self) -> int:
         return sum(g.gain for g in self.groups if not g.is_singleton)
 
-    def searched_pairs(self) -> list[OrderedEdge]:
-        """The representatives actually searched by the kernel."""
-        return [g.representative for g in self.groups]
-
 
 def _constraint_score(query: LabeledGraph, pair: OrderedEdge) -> tuple:
     """Dominance heuristic: stronger-constrained endpoints first."""

@@ -69,9 +69,6 @@ class SegmentIndex:
                 idx = idx * 2
         return idx, LocateCost(shared, global_)
 
-    def locate_leaf(self, key: int) -> int:
-        return self.locate(key)[0]
-
     def locate_bulk(self, keys) -> tuple[xp.ndarray, LocateCost]:
         """Vectorized :meth:`locate` over many keys.
 

@@ -491,10 +491,6 @@ class _ServiceCore:
             return HEALTH_QUARANTINED
         return self.breaker.health(name)
 
-    def health_snapshot(self) -> dict[str, str]:
-        """Health of every registered query right now."""
-        return {name: self.query_health(name) for name in self._hosted}
-
     # ------------------------------------------------------------------
     # batch processing
     # ------------------------------------------------------------------

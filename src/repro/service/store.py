@@ -94,6 +94,9 @@ class StoreCommit:
 class DynamicGraphStore:
     """One data graph, one GPMA, one encoding table — shared by N queries.
 
+    The input graph is copied, so processed batches never mutate the
+    caller's object.
+
     Parameters
     ----------
     schema:
@@ -101,9 +104,6 @@ class DynamicGraphStore:
         graph's full label alphabet (optionally widened by
         ``extra_labels`` for queries whose labels are not yet present),
         which filters identically to any query-restricted schema.
-    copy:
-        Copy the input graph (default) so the caller's object is never
-        mutated by processed batches.
     """
 
     def __init__(
@@ -114,11 +114,10 @@ class DynamicGraphStore:
         schema: EncodingSchema | None = None,
         bits_per_label: int = 2,
         extra_labels: tuple[int, ...] = (),
-        copy: bool = True,
         vectorized: bool = True,
         faults=None,
     ) -> None:
-        self.graph = graph.copy() if copy else graph
+        self.graph = graph.copy()
         self.params = params
         self.vectorized = vectorized
         #: optional :class:`~repro.testing.faults.FaultPlan`; threaded
@@ -137,7 +136,7 @@ class DynamicGraphStore:
         # the initial bulk encode reads the same CSR snapshot the
         # kernels will; scalar mode (the oracle) walks the dicts
         csr = self.csr_snapshot() if vectorized else None
-        if vectorized and copy:
+        if vectorized:
             # the snapshot is authoritative: demote the host mirror to a
             # derived view over it, so commits rebase the view (O(1))
             # instead of replaying per-edge dict writes; dict-shaped

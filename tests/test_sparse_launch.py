@@ -7,12 +7,16 @@ working warp. The modeled grid is unchanged — one warp per update
 edge — so every launch's ``KernelStats`` must equal the generator
 oracle's, which expands the grid and runs every block. The phase's
 edge index (:class:`PhaseEdges`) is built once per sign phase and
-shared by every runtime launching it.
+shared by every runtime launching it. The filler-only blocks of one
+span share one ``BlockStats``; results are read-only, so the sharing
+never leaks across launches or into the device's block cache.
 """
 
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import random
 
 import pytest
@@ -152,6 +156,23 @@ CASES = [
 ]
 
 
+def working_and_fill(g, runtime):
+    """Live graph edges that map onto a work item (deletion-phase
+    launches run on the pre-update graph, which holds them), and
+    non-edges under an edge label the query never uses."""
+    edges = [(u, v, g.edge_label(u, v)) for u, v in g.edges()]
+    env, phase = make_env(runtime, edges)
+    working = [edges[i] for i in sorted(scalar_items(env, phase))]
+    assert len(working) >= 8
+    fill = [
+        (u, v, 7)
+        for u in range(g.n_vertices)
+        for v in range(u + 1, g.n_vertices)
+        if not g.has_edge(u, v)
+    ][:40]
+    return working, fill
+
+
 class TestKernelSparseLockstep:
     @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
     def test_per_launch_stats_match_oracle(self, stealing):
@@ -161,20 +182,7 @@ class TestKernelSparseLockstep:
         pooled = QueryRuntime(QUERY, store, PARAMS, cfg, name="pooled")
         oracle = QueryRuntime(QUERY, store, PARAMS, cfg, name="oracle")
         oracle.gpu = VirtualGPU(PARAMS, vectorized=False)
-
-        # live graph edges that map onto a work item (deletion-phase
-        # launches run on the pre-update graph, which holds them), and
-        # non-edges under an edge label the query never uses
-        edges = [(u, v, g.edge_label(u, v)) for u, v in g.edges()]
-        env, phase = make_env(pooled, edges)
-        working = [edges[i] for i in sorted(scalar_items(env, phase))]
-        assert len(working) >= 8
-        fill = [
-            (u, v, 7)
-            for u in range(g.n_vertices)
-            for v in range(u + 1, g.n_vertices)
-            if not g.has_edge(u, v)
-        ][:16]
+        working, fill = working_and_fill(g, pooled)
 
         saw_attempts = saw_matches = False
         for m, positions in CASES:
@@ -197,6 +205,77 @@ class TestKernelSparseLockstep:
         # the filler-only blocks were priced from templates, not run
         assert pooled.gpu.blocks_memoized > 0
         assert oracle.gpu.blocks_memoized == 0
+
+
+# ---------------------------------------------------------------------------
+# filler spans share one BlockStats; results stay isolated
+# ---------------------------------------------------------------------------
+def pure_hook(sched):
+    return None
+
+
+pure_hook.trace_pure = ("test", "filler-sharing")
+FILLER = TraceBuilder().charge_compute(1).build()
+
+
+def sparse_launch(gpu, n_tasks, working):
+    work = {i: TraceBuilder().charge_compute(5 + i).yield_().build() for i in working}
+    return gpu.launch(work, block_hook=pure_hook, n_tasks=n_tasks, filler=FILLER)
+
+
+def block_ids(stats):
+    return {id(b) for b in stats.blocks}
+
+
+class TestFillerSharing:
+    def test_span_blocks_are_one_object(self):
+        """Blocks 0-2 and 4-9 are full filler spans around working
+        block 3; block 10 is the partial last block."""
+        stats = sparse_launch(VirtualGPU(PARAMS), 4 * 10 + 2, [13]).stats
+        blocks = stats.blocks
+        assert len(blocks) == 11
+        assert blocks[0] is blocks[1] is blocks[2]
+        assert all(b is blocks[4] for b in blocks[4:10])
+        assert len(block_ids(stats)) == 4
+        assert blocks[10].n_warps == 2 and blocks[4].n_warps == 4
+
+    def test_no_block_shared_across_launches_or_cache(self):
+        gpu = VirtualGPU(PARAMS)
+        a = sparse_launch(gpu, 30, [5])
+        b = sparse_launch(gpu, 30, [5])
+        c = sparse_launch(gpu, 30, [])
+        assert a.stats == b.stats
+        cached = {id(t) for t in gpu._block_cache.values()}
+        seen = [block_ids(r.stats) for r in (a, b, c)] + [cached]
+        for i, ids in enumerate(seen):
+            for other in seen[i + 1:]:
+                assert not ids & other
+
+    @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
+    def test_later_launches_leave_results_unchanged(self, stealing):
+        g = labeled_graph()
+        store = DynamicGraphStore(g, PARAMS)
+        runtime = QueryRuntime(QUERY, store, PARAMS, WBMConfig(work_stealing=stealing))
+        working, fill = working_and_fill(g, runtime)
+        kept = []
+        for m, positions in CASES + [(30, {0, 17}), (30, set())]:
+            res = runtime.launch(grid(working, fill, m, positions))
+            kept.append((res.stats, copy.deepcopy(res.stats)))
+        assert any(len(block_ids(s)) < len(s.blocks) for s, _ in kept)
+        for stats, snapshot in kept:
+            assert stats == snapshot
+
+    def test_pickle_ships_filler_spans_by_reference(self):
+        gpu = VirtualGPU(PARAMS)
+        sizes = []
+        for n_blocks in (11, 1001):
+            stats = sparse_launch(gpu, 4 * n_blocks, [0]).stats
+            blob = pickle.dumps(stats)
+            back = pickle.loads(blob)
+            assert back == stats
+            assert len(block_ids(back)) == 2  # the sharing survives the trip
+            sizes.append(len(blob))
+        assert (sizes[1] - sizes[0]) / 990 < 16
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 this tool breaks the serving loop open with cProfile so the
 *machinery* share — the per-phase edge index (``PhaseEdges``), working
 item construction (``_working_items``), the idle-scan handler, the
-filler-block templates (``BlockStats.copy``), scheduler bookkeeping —
-is attributable function by function, next to the genuine
-candidate-generation work.
+filler-block templates (one memoized ``BlockStats`` per filler span),
+scheduler bookkeeping — is attributable function by function, next to
+the genuine candidate-generation work.
 
 Usage::
 
@@ -15,7 +15,9 @@ Usage::
         [--dataset LJ]
 
 Prints the per-layer self times of the run (``servebench/spans.py``'s
-``LayerTracer``: ``gpu.exec_ms`` is the wall inside ``VirtualGPU.launch``)
+``LayerTracer``: ``gpu.exec_ms`` is the wall inside ``VirtualGPU.launch``),
+then, per batch, the pickled size and dump/load time of its per-query
+results (the payload a sharded worker ships back on every reply),
 and the cProfile table restricted to repro code (plus numpy entry
 points). No JSON artifact: this is an investigation tool, not a CI gate
 (end-to-end serving numbers come from ``servebench/run.py``).
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import pickle
 import pstats
 import sys
 import time
@@ -64,13 +67,24 @@ def collect_queries(graph, count: int, max_static: int = 200):
     return out
 
 
-def serve(g0, batches, queries) -> MatchingService:
+def serve(g0, batches, queries) -> list:
+    """Serve ``batches`` and return their ``ServiceBatchReport``s."""
     service = MatchingService(g0, params=BENCH_PARAMS, vectorized=True)
     for i, q in enumerate(queries):
         service.register_query(q, WBMConfig(), name=f"q{i}", bootstrap=False)
-    for batch in batches:
-        service.process_batch(batch)
-    return service
+    return [service.process_batch(batch) for batch in batches]
+
+
+def payload_cost(report) -> tuple[int, float, float]:
+    """Pickled bytes and dump/load seconds of one batch's per-query
+    results, pickled as one object like a worker's batch reply."""
+    results = {name: q.result for name, q in report.queries.items()}
+    t0 = time.perf_counter()
+    blob = pickle.dumps(results)
+    t1 = time.perf_counter()
+    pickle.loads(blob)
+    t2 = time.perf_counter()
+    return len(blob), t1 - t0, t2 - t1
 
 
 def main() -> None:
@@ -100,7 +114,7 @@ def main() -> None:
     t0 = time.perf_counter()
     with LayerTracer() as tracer:
         prof.enable()
-        serve(g0, batches, queries)
+        reports = serve(g0, batches, queries)
         prof.disable()
     wall = time.perf_counter() - t0
     layers = tracer.take()
@@ -109,6 +123,14 @@ def main() -> None:
         print(f"  {metric:<26} {seconds*1e3:9.1f}ms ({seconds/max(wall,1e-12):.0%})")
     rest = wall - sum(layers.values())
     print(f"  {'outside traced layers':<26} {rest*1e3:9.1f}ms ({rest/max(wall,1e-12):.0%})")
+
+    print("per-query results, pickled as one reply:")
+    for i, report in enumerate(reports):
+        size, dump, load = payload_cost(report)
+        print(
+            f"  batch {i}: {size/1024:9.1f} KB  dump {dump*1e3:6.1f}ms  "
+            f"load {load*1e3:6.1f}ms"
+        )
 
     buf = io.StringIO()
     stats = pstats.Stats(prof, stream=buf).sort_stats(args.sort)
