@@ -34,13 +34,13 @@ def _log2_ceil(n: int) -> int:
 
 
 class LevelCursor:
-    """Array-native resumable warp task: the non-generator task form.
+    """Resumable warp task: the non-generator task form.
 
     A ``LevelCursor`` plays the role of a generator in the block
     scheduler — one :meth:`step` call is one resumption, the return
     value says whether the task completed — but its resumption state is
-    a plain object over flat arrays instead of a suspended Python
-    frame, so the scheduler's hot loop pays no generator machinery.
+    a plain object instead of a suspended Python frame, so the
+    scheduler's hot loop pays no generator machinery.
 
     Two cursors exist today: :class:`~repro.gpu.trace.TraceCursor`
     (pre-priced non-interacting programs) and the WBM kernel's

@@ -66,6 +66,33 @@ class CoalescedPlan:
 
     groups: list[CoalescedGroup] = field(default_factory=list)
     by_edge: dict[OrderedEdge, CoalescedGroup] = field(default_factory=dict)
+    _label_keys: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def label_keys(
+        self, query: LabeledGraph
+    ) -> list[tuple[CoalescedGroup, tuple[int, int, int]]]:
+        """Each group paired with its representative edge's ``(label_a,
+        label_b, edge_label)`` in ``query`` — the key of the only edge
+        bucket the group can map onto. Built on first use: a plan
+        serves one query and is not modified once it launches."""
+        if self._label_keys is None:
+            keys = []
+            for group in self.groups:
+                a, b = group.representative
+                keys.append(
+                    (
+                        group,
+                        (
+                            query.vertex_label(a),
+                            query.vertex_label(b),
+                            query.edge_label(a, b),
+                        ),
+                    )
+                )
+            self._label_keys = keys
+        return self._label_keys
 
     @property
     def coalesced_edge_count(self) -> int:

@@ -26,10 +26,11 @@ extends each through ``R^k``.
 
 The DFS workers exist in two host-side forms behind the repo's
 flag-with-oracle convention. ``config.vectorized`` (default) runs each
-warp's DFS as a **level-stepped array cursor**
-(:class:`_DfsLevelCursor`): frames live in flat int64 arrays backed by
-an :class:`~repro.gpu.memory.Int64Arena`, the scheduler drives one
-resumable array step per DFS level, and a frame's child candidate
+warp's DFS as a **level-stepped cursor** (:class:`_DfsLevelCursor`):
+per-step bookkeeping — frame bounds, cursors, the partial assignment —
+lives in Python scalars, candidate runs live in an
+:class:`~repro.gpu.memory.Int64Arena`, the scheduler drives one
+resumable step per DFS level, and a frame's child candidate
 generation is batched once — across sibling cursors staging the same
 ``(group, level)`` when the launch-wide step coalescer finds them
 (:func:`_level_children_multi`), per frame otherwise
@@ -47,8 +48,6 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional
-
-import numpy as np
 
 from repro import xp
 from repro.errors import BudgetExceeded, ConfigMismatchError, MatchingError
@@ -359,13 +358,13 @@ class _Env:
         return sl
 
     def cursor_state(self, warp_id: int) -> dict:
-        """Pooled array-layout DFS state of one warp (level-step path)."""
+        """Pooled DFS state of one warp (level-step path)."""
         state = self._cursor_states.get(warp_id)
         if state is None:
             state = self._cursor_states[warp_id] = {
                 "queue": [],
                 "frames": _FrameStack(self.n),
-                "assign": np.full(self.n, -1, dtype=np.int64),
+                "assign": [-1] * self.n,
                 "order": (),
                 "active": False,
             }
@@ -1264,9 +1263,9 @@ def _state_name(warp_id: int) -> str:
 def _ensure_state(ctx: WarpContext, env: Optional[_Env] = None) -> dict:
     """The warp's shared DFS state, allocated on first use.
 
-    With ``env`` (the level-stepped path) the state carries the array
+    With ``env`` (the level-stepped path) the state carries the cursor
     layout: frames as a :class:`_FrameStack` and the assignment as a
-    flat int64 array indexed by query vertex (-1 = unassigned). The
+    plain int list indexed by query vertex (-1 = unassigned). The
     generator oracle keeps the original dict/list layout. A launch
     never mixes the two — every worker of a launch is spawned through
     the same :func:`_spawn_worker` mode.
@@ -1376,20 +1375,22 @@ def _dfs(ctx: WarpContext, env: _Env, state: dict, item: dict) -> Generator[None
 
 
 # ---------------------------------------------------------------------------
-# the level-stepped DFS worker (array-native fast path)
+# the level-stepped DFS worker (the fast path)
 # ---------------------------------------------------------------------------
 class _FrameStack:
-    """Flat array-native DFS frame stack of one warp.
+    """DFS frame stack of one warp, bookkept in Python scalars.
 
     The generator oracle keeps frames as a list of
-    ``{"level", "cands", "p"}`` dicts; here the same stack lives in
-    flat int64 arrays — ``level[i]``, the frame's candidate run bounds
-    ``start[i]``/``end[i]`` inside a shared :class:`Int64Arena`, and
-    the absolute candidate cursor ``p[i]`` — plus, per frame, the
+    ``{"level", "cands", "p"}`` dicts; here each frame is one slot of
+    four plain int lists — ``level[i]``, the frame's candidate run
+    bounds ``start[i]``/``end[i]`` inside a shared :class:`Int64Arena`,
+    and the absolute candidate cursor ``p[i]`` — plus, per frame, the
     precomputed next-level candidate arrays and their priced cost
     segments (:func:`_level_children`), indexed by candidate position
-    at push time. An active thief splits a frame by copying the tail
-    ``[mid, end)`` and lowering ``end[i]`` — the array form of the
+    at push time. A level step reads and writes only these ints; the
+    arena holds the candidate runs, the one thing processed as a whole
+    array. An active thief splits a frame by copying the tail
+    ``[mid, end)`` and lowering ``end[i]`` — the stack form of the
     oracle's in-place ``del fr["cands"][mid:]`` truncation (stranded
     precomputed children are simply never consumed).
     """
@@ -1407,10 +1408,10 @@ class _FrameStack:
 
     def __init__(self, n_levels: int) -> None:
         cap = max(int(n_levels), 1)
-        self.level = xp.zeros(cap, dtype=xp.int64)
-        self.start = xp.zeros(cap, dtype=xp.int64)
-        self.end = xp.zeros(cap, dtype=xp.int64)
-        self.p = xp.zeros(cap, dtype=xp.int64)
+        self.level = [0] * cap
+        self.start = [0] * cap
+        self.end = [0] * cap
+        self.p = [0] * cap
         self.arena = Int64Arena()
         self.depth = 0
         self.children: list = [None] * cap
@@ -1432,19 +1433,17 @@ class _FrameStack:
         """Drop the top frame; returns its (possibly thief-truncated)
         candidate count — the words the memory gauge frees."""
         d = self.depth - 1
-        n = int(self.end[d] - self.start[d])
+        start = self.start[d]
         self.children[d] = None
         self.child_costs[d] = None
-        self.arena.truncate(int(self.start[d]))
+        self.arena.truncate(start)
         self.depth = d
-        return n
+        return self.end[d] - start
 
     def remaining(self) -> int:
         """Unexplored candidates across all frames (steal estimate)."""
         d = self.depth
-        if not d:
-            return 0
-        return int((self.end[:d] - self.p[:d]).sum())
+        return sum(self.end[:d]) - sum(self.p[:d])
 
     def clear(self) -> None:
         for i in range(self.depth):
@@ -1453,29 +1452,28 @@ class _FrameStack:
         self.depth = 0
         self.arena.truncate(0)
 
-    def steal_shallowest(self, order, assign) -> Optional[dict]:
+    def steal_shallowest(self, order, assign: list[int]) -> Optional[dict]:
         """Split the shallowest frame with >= 2 unexplored candidates;
         returns the same loot shape as the oracle's frame steal."""
         for i in range(self.depth):
-            p, end = int(self.p[i]), int(self.end[i])
+            p, end = self.p[i], self.end[i]
             remaining = end - p
             if remaining >= 2:
                 mid = p + remaining // 2
                 stolen = self.arena.view(mid, end).copy()
                 self.end[i] = mid  # in-place: the victim sees the cut
-                lv = int(self.level[i])
-                prefix = {order[j]: int(assign[order[j]]) for j in range(lv)}
+                lv = self.level[i]
                 return {
                     "frame_steal": True,
                     "level": lv,
                     "cands": stolen,
-                    "assign": prefix,
+                    "assign": {order[j]: assign[order[j]] for j in range(lv)},
                 }
         return None
 
 
 class _DfsLevelCursor(LevelCursor):
-    """Level-stepped array-native DFS worker (one warp's main loop).
+    """Level-stepped DFS worker (one warp's main loop).
 
     The fast-path replacement for the generator ``_worker``/``_dfs``
     pair: one :meth:`step` executes exactly the work between two oracle
@@ -1483,10 +1481,13 @@ class _DfsLevelCursor(LevelCursor):
     bookkeeping up to and including the next candidate generation — so
     the block schedule, every charge, and all sibling-observable shared
     state are byte-identical to the generator path at every step
-    boundary. What changes is the host-side execution: frames live in a
-    :class:`_FrameStack`, a level's candidate generation is batched
-    once at frame push (:func:`_level_children`), and each child's gen
-    cost replays from the recorded per-level segments with scalar adds.
+    boundary. What changes is the host-side execution: per-step
+    bookkeeping lives in Python scalars — a :class:`_FrameStack` of int
+    lists and an int-list assignment — while arrays are used only where
+    a whole candidate run is processed: a level's candidate generation
+    is batched once at frame push (:func:`_level_children`), and each
+    child's gen cost replays from the recorded per-level segments with
+    scalar adds.
 
     Interactions stay faithful: active thieves only run between steps
     (and read the same state shape through ``_steal_from``); passive
@@ -1498,12 +1499,13 @@ class _DfsLevelCursor(LevelCursor):
         "env",
         "items",
         "state",
-        "started",
         "pending",
+        "staged",
         "group",
         "order",
         "boundary",
         "singleton",
+        "gen_levels",
         "rank",
         "dedup",
         "steps",
@@ -1518,8 +1520,10 @@ class _DfsLevelCursor(LevelCursor):
         self.env = env
         self.items = list(items)
         self.state: Optional[dict] = None
-        self.started = False
         self.pending: Optional[tuple] = None
+        #: True while ``pending`` holds a frame whose children the step
+        #: coalescer may generate early (see :meth:`staged_gen`)
+        self.staged = False
         self._prefetch: Optional[tuple] = None
         cfg = env.config
         self.passive = cfg.work_stealing == "passive"
@@ -1530,57 +1534,51 @@ class _DfsLevelCursor(LevelCursor):
 
     # ------------------------------------------------------------------
     def step(self, ctx: WarpContext) -> bool:
-        if not self.started:
+        """One resumption; True once the work queue drains."""
+        state = self.state
+        if state is None:
             # first resumption: same prologue as _worker
             ctx.resume_mutates_shared = False
-            self.state = _ensure_state(ctx, self.env)
-            self.state["queue"].extend(self.items)
-            self.state["active"] = True
-            self.started = True
+            state = self.state = _ensure_state(ctx, self.env)
+            state["queue"].extend(self.items)
+            state["active"] = True
             self.items = None
         try:
-            done = self._advance(ctx)
+            pend = self.pending
+            if pend is not None:
+                self.pending = None
+                self.staged = False
+                env = self.env
+                if pend[0] == 0:  # entry frame push after the item-entry gen
+                    _, cands, level = pend
+                    env.gauge.alloc(len(cands))
+                    self._push_frame(
+                        ctx, state, level, xp.asarray(cands, dtype=xp.int64)
+                    )
+                else:  # child attach after a priced gen segment
+                    _, child, nxt, qv_prev = pend
+                    if len(child):
+                        env.gauge.alloc(len(child))
+                        self._push_frame(ctx, state, nxt, child)
+                    else:
+                        state["assign"][qv_prev] = -1
+                if self._inner(ctx):
+                    return False
+            queue = state["queue"]
+            while queue:
+                if self._enter_item(ctx, queue.pop()):
+                    return False
         except BaseException:
             self._cleanup()  # the generator's finally block
             raise
-        if done:
-            self._cleanup()
-        return done
+        self._cleanup()
+        return True
 
     def _cleanup(self) -> None:
         state = self.state
-        if state is None:
-            return
         state["active"] = False
         state["frames"].clear()
-        state["assign"][:] = -1
-
-    # ------------------------------------------------------------------
-    def _advance(self, ctx: WarpContext) -> bool:
-        """One resumption; True once the work queue drains."""
-        env = self.env
-        state = self.state
-        pend = self.pending
-        if pend is not None:
-            self.pending = None
-            if pend[0] == 0:  # entry frame push after the item-entry gen
-                _, cands, level = pend
-                env.gauge.alloc(len(cands))
-                self._push_frame(ctx, state, level, xp.asarray(cands, dtype=xp.int64))
-            else:  # child attach after a priced gen segment
-                _, child, nxt, qv_prev = pend
-                if len(child):
-                    env.gauge.alloc(len(child))
-                    self._push_frame(ctx, state, nxt, child)
-                else:
-                    state["assign"][qv_prev] = -1
-            if self._inner(ctx):
-                return False
-        queue = state["queue"]
-        while queue:
-            if self._enter_item(ctx, queue.pop()):
-                return False
-        return True
+        state["assign"][:] = [-1] * self.env.n
 
     def _enter_item(self, ctx: WarpContext, item: dict) -> bool:
         """The _dfs prologue; True when the item yielded on its entry gen."""
@@ -1601,18 +1599,15 @@ class _DfsLevelCursor(LevelCursor):
         if level >= n:
             env.emit(ctx, adict)
             return False
-        if (
-            level == boundary
-            and not item.get("permuted", False)
-            and not group.is_singleton
-        ):
+        singleton = group.is_singleton
+        if level == boundary and not item.get("permuted", False) and not singleton:
             state["queue"].extend(
                 _boundary_items(ctx, env, group, adict, dedup, rank)
             )
             return False
         order = group.full_order
         assign = state["assign"]
-        assign[:] = -1
+        assign[:] = [-1] * n
         for u, dv in adict.items():
             assign[u] = dv
         state["order"] = order
@@ -1622,7 +1617,12 @@ class _DfsLevelCursor(LevelCursor):
         self.group = group
         self.order = order
         self.boundary = boundary
-        self.singleton = group.is_singleton
+        self.singleton = singleton
+        #: per level: does a frame there generate children, i.e. is its
+        #: next level neither the match end nor an unpermuted boundary
+        self.gen_levels = [
+            lv + 1 < n and (lv + 1 != boundary or singleton) for lv in range(n)
+        ]
         self.rank = rank
         self.dedup = dedup
         self.steps = 0
@@ -1630,6 +1630,7 @@ class _DfsLevelCursor(LevelCursor):
         if cands is None:
             cands = _gen_candidates(ctx, env, group, order, adict, level, rank)
             self.pending = (0, cands, level)
+            self.staged = len(cands) > 0 and self.gen_levels[level]
             return True  # the oracle's entry-gen yield
         # stolen frame slice: pushed in the same resumption, no yield
         env.gauge.alloc(len(cands))
@@ -1646,25 +1647,14 @@ class _DfsLevelCursor(LevelCursor):
         run is the pending tuple's own array. Early generation is
         therefore value- and cost-identical to the inline
         :func:`_level_children` call at push time, which is the contract
-        :meth:`LevelCursor.staged_gen` demands. The gating mirrors
-        :meth:`_push_frame`: frames that would not batch inline stage
-        nothing.
+        :meth:`LevelCursor.staged_gen` demands. :attr:`staged` mirrors
+        the gating of :meth:`_push_frame` — frames that would not batch
+        inline stage nothing — and drops once the coalescer hands the
+        frame its prefetched children.
         """
-        if self._prefetch is not None or self.pending is None:
+        if not self.staged:
             return None
-        pend = self.pending
-        if pend[0] == 0:
-            _, cands, lv = pend
-        else:
-            _, cands, lv, _ = pend
-        env = self.env
-        nxt = lv + 1
-        if (
-            not len(cands)
-            or nxt >= env.n
-            or (nxt == self.boundary and not self.singleton)
-        ):
-            return None
+        _, cands, lv = self.pending[:3]
         return (self.group, lv, self.staged_prefix, cands, self.rank)
 
     def staged_prefix(self, lv: int) -> dict[int, int]:
@@ -1674,7 +1664,7 @@ class _DfsLevelCursor(LevelCursor):
         request carries this builder instead of an eager copy."""
         order = self.order
         assign = self.state["assign"]
-        return {order[i]: int(assign[order[i]]) for i in range(lv)}
+        return {order[i]: assign[order[i]] for i in range(lv)}
 
     def _push_frame(self, ctx: WarpContext, state: dict, lv: int, cands) -> None:
         """Push a frame; batch-generate its children's candidates and
@@ -1692,22 +1682,14 @@ class _DfsLevelCursor(LevelCursor):
                 fs.children[d] = pf[1]
                 fs.child_costs[d] = pf[2]
                 return
-        nxt = lv + 1
-        if (
-            len(cands)
-            and nxt < self.env.n
-            and not (nxt == self.boundary and not self.singleton)
-        ):
-            order = self.order
-            assign = state["assign"]
-            prefix = {order[i]: int(assign[order[i]]) for i in range(lv)}
+        if len(cands) and self.gen_levels[lv]:
             children, costs = _level_children(
                 self.env,
                 self.group,
-                order,
-                prefix,
+                self.order,
+                self.staged_prefix(lv),
                 lv,
-                fs.arena.view(int(fs.start[d]), int(fs.end[d])),
+                fs.arena.view(fs.start[d], fs.end[d]),
                 self.rank,
                 ctx.params,
             )
@@ -1716,30 +1698,30 @@ class _DfsLevelCursor(LevelCursor):
 
     def _inner(self, ctx: WarpContext) -> bool:
         """The _dfs while loop; True when it yielded on a child gen."""
-        env = self.env
         state = self.state
         fs: _FrameStack = state["frames"]
+        # the frame lists are mutated in place, never replaced, and no
+        # frame is pushed inside this loop, so the arena buffer is stable;
+        # what only the rare branches need is read there, off ``self``
+        fs_level, fs_start, fs_end, fs_p = fs.level, fs.start, fs.end, fs.p
+        buf = fs.arena.buf
         assign = state["assign"]
         order = self.order
-        group = self.group
         boundary = self.boundary
         singleton = self.singleton
-        n = env.n
-        rank = self.rank
-        dedup = self.dedup
-        passive = self.passive
+        n = self.env.n
         fast = self.fast
-        out_matches = env.out.matches
         while fs.depth:
-            env.check_budget(ctx)
+            if not fast:
+                self.env.check_budget(ctx)
             d = fs.depth - 1
             # bounds re-read each iteration: an active thief may have
             # truncated the frame's run through shared memory
-            p, end = int(fs.p[d]), int(fs.end[d])
-            lv = int(fs.level[d])
+            p, end = fs_p[d], fs_end[d]
+            lv = fs_level[d]
             qv = order[lv]
             if p >= end:
-                env.gauge.free(fs.pop())
+                self.env.gauge.free(fs.pop())
                 assign[qv] = -1
                 ctx.charge_compute(1)
                 continue
@@ -1750,8 +1732,9 @@ class _DfsLevelCursor(LevelCursor):
                 # (no yield between emits), so emit the whole remaining
                 # run as one batch with the identical total charge
                 k = end - p
-                row = assign.tolist()
-                for c in xp.to_numpy(fs.arena.view(p, end)).tolist():
+                row = assign[:]
+                out_matches = self.env.out.matches
+                for c in xp.to_numpy(buf[p:end]).tolist():
                     row[qv] = c
                     out_matches.append(tuple(row))
                 params = ctx.params
@@ -1762,31 +1745,46 @@ class _DfsLevelCursor(LevelCursor):
                 st = ctx.stats
                 st.global_transactions += tx
                 st.coalesced_transactions += tx
-                fs.p[d] = end
+                fs_p[d] = end
                 continue
-            c = int(fs.arena.buf[p])
-            fs.p[d] = p + 1
+            c = int(buf[p])
+            fs_p[d] = p + 1
             assign[qv] = c
-            self.steps += 1
-            if passive and self.steps % env.config.steal_period == 0:
-                _passive_donate(ctx, env, state)
+            if self.passive:
+                self.steps += 1
+                if self.steps % self.env.config.steal_period == 0:
+                    _passive_donate(ctx, self.env, state)
             if is_boundary:
-                bdict = {u: int(assign[u]) for u in group.core}
+                group = self.group
+                bdict = {u: assign[u] for u in group.core}
                 state["queue"].extend(
-                    _boundary_items(ctx, env, group, bdict, dedup, rank)
+                    _boundary_items(
+                        ctx, self.env, group, bdict, self.dedup, self.rank
+                    )
                 )
                 assign[qv] = -1
                 continue
             if nxt == n:
                 ctx.write_global_consecutive(n)
-                out_matches.append(tuple(assign.tolist()))
+                self.env.out.matches.append(tuple(assign))
                 assign[qv] = -1
                 continue
             # child gen: replay the priced per-level segment, attach on
-            # the next resumption (the oracle's post-gen yield)
-            j = p - int(fs.start[d])
-            fs.child_costs[d].apply(ctx, j)
-            self.pending = (1, fs.children[d][j], nxt, qv)
+            # the next resumption (the oracle's post-gen yield). The
+            # segment is charged inline — :meth:`SegmentCosts.apply`'s
+            # exact adds, without a call per step
+            j = p - fs_start[d]
+            costs = fs.child_costs[d]
+            ctx.clock += costs.clock[j]
+            ctx.busy_cycles += costs.busy[j]
+            st = ctx.stats
+            st.compute_cycles += costs.compute[j]
+            st.global_transactions += costs.transactions[j]
+            st.coalesced_transactions += costs.coalesced[j]
+            st.scattered_transactions += costs.scattered[j]
+            child = fs.children[d][j]
+            self.pending = (1, child, nxt, qv)
+            self.staged = len(child) > 0 and self.gen_levels[nxt]
             return True
         return False
 
@@ -1816,9 +1814,7 @@ def _make_step_coalescer(sched: BlockScheduler, env: _Env):
     """
 
     def coalesce(cursor: LevelCursor) -> None:
-        if type(cursor) is not _DfsLevelCursor:
-            return
-        if cursor.staged_gen() is None:
+        if type(cursor) is not _DfsLevelCursor or not cursor.staged:
             return
         # one scan classifies every staged sibling request by its
         # (group, level) generation target; every class past the gate
@@ -1826,10 +1822,8 @@ def _make_step_coalescer(sched: BlockScheduler, env: _Env):
         # resumption, so generating early is value- and cost-identical
         classes: dict[tuple[int, int], list] = {}
         for g in sched.generators.values():
-            if type(g) is not _DfsLevelCursor:
-                continue
-            r = g.staged_gen()
-            if r is not None:
+            if type(g) is _DfsLevelCursor and g.staged:
+                r = g.staged_gen()
                 classes.setdefault((id(r[0]), r[1]), []).append((g, r))
         for batch in classes.values():
             if (
@@ -1851,6 +1845,7 @@ def _make_step_coalescer(sched: BlockScheduler, env: _Env):
             )
             for (g, _), (children, costs) in zip(batch, results):
                 g._prefetch = (lv, children, costs)
+                g.staged = False
 
     return coalesce
 
@@ -2177,21 +2172,18 @@ def _initial_items(env: _Env, x: int, y: int, elabel: int, rank: int) -> list[di
 def _working_items(env: _Env, phase: PhaseEdges) -> dict[int, list[dict]]:
     """Vectorized :func:`_initial_items` over the launch's working
     edges only: one bucket lookup per group representative's label
-    triple, narrowed by the orbit columns of both endpoints. Returns
-    ``{edge index: items}`` for the edges with at least one item — the
-    items identical to the scalar oracle's, in the same per-edge group
-    order; every other edge is a no-op probe."""
-    query = env.query
+    triple (cached on the plan), narrowed by the orbit columns of both
+    endpoints. Returns ``{edge index: items}`` for the edges with at
+    least one item — the items identical to the scalar oracle's, in the
+    same per-edge group order; every other edge is a no-op probe."""
     buckets = phase.buckets(env.csr)
     ex, ey, exl, eyl = phase.ex, phase.ey, phase.exl, phase.eyl
     per_edge: dict[int, list[dict]] = {}
-    for group in env.plan.groups:
-        a, b = group.representative
-        sel = buckets.get(
-            (query.vertex_label(a), query.vertex_label(b), query.edge_label(a, b))
-        )
+    for group, key in env.plan.label_keys(env.query):
+        sel = buckets.get(key)
         if sel is None:
             continue
+        a, b = group.representative
         for qv, ends in ((a, ex), (b, ey)):
             col = env.orbit_column(group, qv)
             v = ends[sel]

@@ -1,8 +1,8 @@
-"""Level-stepped array-native DFS workers vs the generator oracle.
+"""Level-stepped DFS workers vs the generator oracle.
 
 The vectorized path runs each WBM DFS worker as a
-:class:`~repro.matching.wbm._DfsLevelCursor`: one resumable array step
-per DFS level, frames in flat int64 arrays, per-level candidate
+:class:`~repro.matching.wbm._DfsLevelCursor`: one resumable step per
+DFS level, frame bookkeeping in Python int lists, per-level candidate
 generation batched and priced as recorded cost segments. The contract
 is the repo's flag-with-oracle convention at its strictest — the
 cursor must be **invisible in everything modeled**:
@@ -38,7 +38,7 @@ from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import Int64Arena, VirtualGPU
 from repro.gpu.scheduler import BlockScheduler
 from repro.matching import WBMConfig, WBMEngine
-from repro.matching.wbm import QueryRuntime, _FrameStack
+from repro.matching.wbm import QueryRuntime, _FrameStack, _MemoryGauge, _steal_from
 from repro.service import MatchingService
 from repro.service.store import DynamicGraphStore
 
@@ -525,6 +525,11 @@ class TestKernelGoldenStats:
 # array plumbing: frame stack, arena
 # ---------------------------------------------------------------------------
 class TestFrameStack:
+    """The list-backed frame stack: a level step reads and writes plain
+    ints, and a thief's cut lands in the victim's own lists."""
+
+    ORDER = (0, 1, 2, 3)
+
     def test_push_pop_lifo_arena_reclaim(self):
         fs = _FrameStack(4)
         fs.push(2, [5, 7, 9])
@@ -532,9 +537,14 @@ class TestFrameStack:
         assert fs.depth == 2
         assert fs.arena.top == 4
         assert fs.remaining() == 4
+        fs.p[0] += 1  # the cursor consumed one shallow candidate
+        assert fs.remaining() == 3
+        for field in (fs.level, fs.start, fs.end, fs.p):
+            assert all(type(v) is int for v in field)
+        assert type(fs.remaining()) is int
         assert fs.pop() == 1
         assert fs.arena.top == 3  # deeper frame reclaimed
-        assert fs.pop() == 3
+        assert fs.pop() == 3  # the whole run, whatever the cursor consumed
         assert fs.arena.top == 0
         assert fs.remaining() == 0
 
@@ -542,9 +552,8 @@ class TestFrameStack:
         fs = _FrameStack(4)
         fs.push(2, [10, 20, 30, 40])
         fs.push(3, [50, 60])
-        order = (0, 1, 2, 3)
-        assign = np.array([4, 8, -1, -1], dtype=np.int64)
-        loot = fs.steal_shallowest(order, assign)
+        assign = [4, 8, -1, -1]
+        loot = fs.steal_shallowest(self.ORDER, assign)
         assert loot["level"] == 2
         assert xp.to_numpy(loot["cands"]).tolist() == [30, 40]  # back half of frame 0
         assert loot["assign"] == {0: 4, 1: 8}
@@ -553,7 +562,71 @@ class TestFrameStack:
         # a single-candidate frame is never split
         fs2 = _FrameStack(2)
         fs2.push(2, [1])
-        assert fs2.steal_shallowest(order, assign) is None
+        assert fs2.steal_shallowest(self.ORDER, assign) is None
+
+    def test_steal_lowers_victim_end_for_remaining(self):
+        fs = _FrameStack(4)
+        fs.push(2, [10, 20, 30, 40, 50])
+        fs.p[0] += 1  # 10 is explored
+        loot = fs.steal_shallowest(self.ORDER, [4, 8, 10, -1])
+        assert xp.to_numpy(loot["cands"]).tolist() == [40, 50]
+        assert fs.end[0] == fs.start[0] + 3
+        assert fs.remaining() == 2  # 20, 30: the stolen tail is gone
+        # the victim's level step walks up to the lowered end only
+        seen = []
+        while fs.p[0] < fs.end[0]:
+            seen.append(int(fs.arena.buf[fs.p[0]]))
+            fs.p[0] += 1
+        assert seen == [20, 30]
+
+    def test_repeated_steals_split_the_shrinking_remainder(self):
+        fs = _FrameStack(4)
+        fs.push(2, list(range(1, 9)))
+        assign = [4, 8, -1, -1]
+        first = fs.steal_shallowest(self.ORDER, assign)
+        second = fs.steal_shallowest(self.ORDER, assign)
+        assert xp.to_numpy(first["cands"]).tolist() == [5, 6, 7, 8]
+        assert xp.to_numpy(second["cands"]).tolist() == [3, 4]
+        assert fs.remaining() == 2
+
+    def test_pop_after_steal_frees_what_the_oracle_frees(self):
+        """The memory gauge nets the same words on both layouts: the
+        victim frees its truncated run, as the oracle frees its
+        shortened candidate list."""
+        runs = [(2, [10, 20, 30, 40, 50]), (3, [60, 70, 80])]
+        oracle = {
+            "queue": [],
+            "frames": [{"level": lv, "cands": list(c), "p": 1} for lv, c in runs],
+            "assign": {0: 4, 1: 8, 2: 10},
+            "order": self.ORDER,
+        }
+        fs = _FrameStack(4)
+        for lv, c in runs:
+            d = fs.push(lv, c)
+            fs.p[d] += 1
+        cursor = {
+            "queue": [],
+            "frames": fs,
+            "assign": [4, 8, 10, -1],
+            "order": self.ORDER,
+        }
+        oracle_gauge, gauge = _MemoryGauge(), _MemoryGauge()
+        for _, c in runs:
+            oracle_gauge.alloc(len(c))
+            gauge.alloc(len(c))
+        oracle_loot = _steal_from(oracle, None)
+        loot = _steal_from(cursor, None)
+        assert loot["level"] == oracle_loot["level"] == 2
+        assert loot["assign"] == oracle_loot["assign"]
+        assert xp.to_numpy(loot["cands"]).tolist() == oracle_loot["cands"]
+        freed = []
+        while fs.depth:
+            freed.append(fs.pop())
+            gauge.free(freed[-1])
+        for fr in reversed(oracle["frames"]):
+            oracle_gauge.free(len(fr["cands"]))
+        assert freed == [3, 3]
+        assert gauge.current == oracle_gauge.current == 2
 
     def test_clear_resets_everything(self):
         fs = _FrameStack(3)

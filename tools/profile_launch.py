@@ -14,7 +14,12 @@ Usage::
         [--batches 2] [--queries 3] [--top 25] [--sort cumtime]
         [--dataset LJ]
 
-Prints the per-layer self times of the run (``servebench/spans.py``'s
+First serves the stream once without the profiler and prints the host
+cost of the DFS control path: µs per level step (``gpu.exec`` wall ÷
+the devices' ``level_steps``) and µs per active-stealing idle-handler
+call (the handler's own wall ÷ its calls), so per-step overhead shows
+without cProfile. Then serves it again under cProfile and prints the
+per-layer self times of that run (``servebench/spans.py``'s
 ``LayerTracer``: ``gpu.exec_ms`` is the wall inside ``VirtualGPU.launch``),
 then, per batch, the pickled size and dump/load time of its per-query
 results (the payload a sharded worker ships back on every reply),
@@ -32,6 +37,7 @@ import pickle
 import pstats
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +48,7 @@ for path in (ROOT / "src", ROOT):
 from repro.bench.harness import BENCH_PARAMS  # noqa: E402
 from repro.bench.workloads import holdout_stream  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
-from repro.matching import WBMConfig, find_matches  # noqa: E402
+from repro.matching import WBMConfig, find_matches, wbm  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
 from servebench.spans import LayerTracer  # noqa: E402
 
@@ -67,12 +73,58 @@ def collect_queries(graph, count: int, max_static: int = 200):
     return out
 
 
-def serve(g0, batches, queries) -> list:
-    """Serve ``batches`` and return their ``ServiceBatchReport``s."""
+def serve(g0, batches, queries) -> tuple[MatchingService, list]:
+    """Serve ``batches``; return the service and their
+    ``ServiceBatchReport``s."""
     service = MatchingService(g0, params=BENCH_PARAMS, vectorized=True)
     for i, q in enumerate(queries):
         service.register_query(q, WBMConfig(), name=f"q{i}", bootstrap=False)
-    return [service.process_batch(batch) for batch in batches]
+    return service, [service.process_batch(batch) for batch in batches]
+
+
+@contextmanager
+def timed_idle_handlers():
+    """Count and time every active-stealing idle-handler call made
+    while installed; yields ``[calls, seconds]``."""
+    tally = [0, 0.0]
+    make_handler = wbm._active_idle_handler
+
+    def timed_factory(sched, env):
+        handler = make_handler(sched, env)
+
+        def timed(ctx):
+            t0 = time.perf_counter()
+            try:
+                return handler(ctx)
+            finally:
+                tally[0] += 1
+                tally[1] += time.perf_counter() - t0
+
+        return timed
+
+    wbm._active_idle_handler = timed_factory
+    try:
+        yield tally
+    finally:
+        wbm._active_idle_handler = make_handler
+
+
+def step_costs(g0, batches, queries) -> None:
+    """Print host µs per DFS level step and per idle-handler call from
+    an un-profiled run (cProfile would inflate both)."""
+    with LayerTracer() as tracer, timed_idle_handlers() as idle:
+        service, _ = serve(g0, batches, queries)
+    exec_s = tracer.take().get("gpu.exec_ms", 0.0)
+    steps = sum(service.runtime(n).gpu.level_steps for n in service.query_names)
+    calls, idle_s = idle
+    print(
+        f"host per level step: {exec_s * 1e6 / max(steps, 1):.2f}us "
+        f"(gpu.exec {exec_s * 1e3:.1f}ms / {steps} level steps)"
+    )
+    print(
+        f"host per idle-handler call: {idle_s * 1e6 / max(calls, 1):.2f}us "
+        f"({idle_s * 1e3:.1f}ms / {calls} calls)"
+    )
 
 
 def payload_cost(report) -> tuple[int, float, float]:
@@ -110,15 +162,17 @@ def main() -> None:
         f"|E|={g0.n_edges}, {len(batches)} batches, {len(queries)} queries"
     )
 
+    step_costs(g0, batches, queries)
+
     prof = cProfile.Profile()
     t0 = time.perf_counter()
     with LayerTracer() as tracer:
         prof.enable()
-        reports = serve(g0, batches, queries)
+        _, reports = serve(g0, batches, queries)
         prof.disable()
     wall = time.perf_counter() - t0
     layers = tracer.take()
-    print(f"total wall {wall*1e3:.1f}ms; layer self times:")
+    print(f"profiled wall {wall*1e3:.1f}ms; layer self times:")
     for metric, seconds in sorted(layers.items(), key=lambda kv: -kv[1]):
         print(f"  {metric:<26} {seconds*1e3:9.1f}ms ({seconds/max(wall,1e-12):.0%})")
     rest = wall - sum(layers.values())
