@@ -157,13 +157,14 @@ class EncodingSchema:
         """Vectorized encode of ``vertices`` (default: every vertex)
         against a CSR snapshot.
 
-        One gather of neighbor labels, one ``searchsorted`` into the
-        alphabet, one ``bincount`` per (vertex, label-group) cell, one
-        bit-pack — no per-vertex python loop. Returns the packed
-        ``(len(vertices), n_words)`` uint64 code matrix.
+        Each vertex label maps to its alphabet index once per call (−1
+        when the label is outside the alphabet); neighbor-label groups
+        are then one gather ``vidx[nbr]``, one ``bincount`` per
+        (vertex, label-group) cell, one bit-pack — no per-vertex python
+        loop. Returns the packed ``(len(vertices), n_words)`` uint64
+        code matrix.
         """
         n_labels, m = self.n_labels, self.bits_per_label
-        vlabels = csr.vertex_labels
         if vertices is None:
             vs = xp.arange(csr.n_vertices, dtype=xp.int64)
             nbr = csr.neighbors
@@ -183,24 +184,20 @@ class EncodingSchema:
         bits = xp.zeros((rows, max(self.total_bits, 1)), dtype=bool)
         if n_labels:
             alphabet = xp.asarray(self.labels, dtype=xp.int64)
+            vlabels = csr.vertex_labels
+            li = xp.minimum(xp.searchsorted(alphabet, vlabels), n_labels - 1)
+            vidx = xp.where(alphabet[li] == vlabels, li, -1)
             # one-hot vertex-label bit
-            own = vlabels[vs]
-            li = xp.searchsorted(alphabet, own)
-            li_c = xp.minimum(li, n_labels - 1)
-            enc = alphabet[li_c] == own
-            bits[xp.nonzero(enc)[0], li_c[enc]] = True
+            own = vidx[vs]
+            enc = own >= 0
+            bits[xp.nonzero(enc)[0], own[enc]] = True
             # saturating unary neighbor-label counters
-            if len(nbr):
-                nl = vlabels[nbr]
-                lj = xp.searchsorted(alphabet, nl)
-                lj_c = xp.minimum(lj, n_labels - 1)
-                valid = alphabet[lj_c] == nl
-                counts = xp.bincount(
-                    row_of_entry[valid] * n_labels + lj_c[valid],
-                    minlength=rows * n_labels,
-                ).reshape(rows, n_labels)
-            else:
-                counts = xp.zeros((rows, n_labels), dtype=xp.int64)
+            nl = vidx[nbr]
+            valid = nl >= 0
+            counts = xp.bincount(
+                row_of_entry[valid] * n_labels + nl[valid],
+                minlength=rows * n_labels,
+            ).reshape(rows, n_labels)
             sat = xp.minimum(counts, m)
             unary = xp.arange(m, dtype=xp.int64)[None, None, :] < sat[:, :, None]
             bits[:, n_labels:] = unary.reshape(rows, n_labels * m)
@@ -262,16 +259,23 @@ class EncodingTable:
         """Re-encode ``vertices`` against the (already updated) graph;
         returns the subset whose code actually changed — only those rows
         need to cross PCIe and refresh the candidate table.
-
-        All touched vertices are re-encoded in one vectorized shot, and
-        the code store grows to the target size with a single
-        allocation (vertices appended by updates arrive zero-coded
-        until an edge touches them, as before).
         """
-        if not vertices:
-            return set()
         vs = xp.fromiter(vertices, dtype=xp.int64, count=len(vertices))
         vs.sort()
+        return self._refresh(graph, vs, csr)
+
+    def _refresh(
+        self, graph: LabeledGraph, vs: xp.ndarray, csr: CSRGraph | None
+    ) -> set[int]:
+        """Re-encode the sorted unique vertex array ``vs``.
+
+        All of them are re-encoded in one vectorized shot, and the code
+        store grows to the target size with a single allocation
+        (vertices appended by updates arrive zero-coded until an edge
+        touches them).
+        """
+        if not len(vs):
+            return set()
         target = int(vs[-1]) + 1
         if target > len(self.packed):
             grown = xp.zeros((target, self.schema.n_words), dtype=xp.uint64)
@@ -297,16 +301,14 @@ class EncodingTable:
     ) -> set[int]:
         """Incrementally re-encode after a batch (graph already updated).
 
-        Only endpoints of net-changed edges can change code; returns the
-        vertices whose code did change. ``csr`` is the post-update CSR
-        snapshot when the caller (the shared store) already has one.
+        Only endpoints of net-changed edges can change code; they are
+        one ``unique`` over the delta's four endpoint columns. Returns
+        the vertices whose code did change. ``csr`` is the post-update
+        CSR snapshot when the caller (the shared store) already has one.
         """
-        touched: set[int] = set()
-        for u, v, _ in delta.inserted:
-            touched.add(u)
-            touched.add(v)
-        for u, v, _ in delta.deleted:
-            touched.add(u)
-            touched.add(v)
+        ins, dele = delta.inserted_array, delta.deleted_array
+        touched = xp.unique(
+            xp.concatenate([ins[:, 0], ins[:, 1], dele[:, 0], dele[:, 1]])
+        )
         self.version += 1
-        return self.refresh_vertices(graph_after, touched, csr=csr)
+        return self._refresh(graph_after, touched, csr)

@@ -6,9 +6,10 @@ GPMA key range of a vertex — so the virtual GPU can account coalesced
 memory transactions per 32-consecutive-word segment.
 
 Snapshots are maintained batch-dynamically: :meth:`CSRGraph.apply_delta`
-produces the post-batch snapshot by splicing only the touched rows
-(the host-side analogue of the GPMA segment update), so a serving
-store never pays a full O(|E|) rebuild per batch.
+produces the post-batch snapshot by merging on the sorted directed
+edge keys ``src * n + dst``. Only the batch's Δ keys are sorted; the
+rest of the write is O(|E|) copies, and the merged keys are carried
+forward as the new snapshot's :meth:`CSRGraph.edge_index`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ try:  # posix shm_open/shm_unlink without resource-tracker involvement
 except ImportError:  # pragma: no cover - non-posix fallback
     _posixshmem = None
 
+from repro.errors import UpdateError
 from repro.graph.labeled_graph import LabeledGraph
 
 
@@ -58,6 +60,14 @@ def _flat_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + within
 
 
+def _merge(old: np.ndarray, new: np.ndarray, is_new: np.ndarray) -> np.ndarray:
+    """Interleave ``new`` into the slots ``is_new`` marks, ``old`` elsewhere."""
+    out = np.empty(len(is_new), dtype=np.int64)
+    out[is_new] = new
+    out[~is_new] = old
+    return out
+
+
 class CSRGraph:
     """CSR view: ``neighbors[offsets[v]:offsets[v+1]]`` sorted ascending.
 
@@ -89,25 +99,31 @@ class CSRGraph:
         the snapshot's lifetime (snapshots are immutable).
         """
         if self._edge_index is None:
-            n = self.n_vertices
-            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.offsets))
-            self._edge_index = (src * np.int64(n) + self.neighbors, self.edge_labels)
+            self._edge_index = (self._directed_keys(self.n_vertices), self.edge_labels)
         return self._edge_index
+
+    def _directed_keys(self, stride: int) -> np.ndarray:
+        """``src * stride + dst`` per entry; sorted for any stride ≥ n."""
+        src = np.repeat(np.arange(self.n_vertices, dtype=np.int64), np.diff(self.offsets))
+        return src * np.int64(stride) + self.neighbors
 
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "CSRGraph":
         """Bulk CSR construction: one flat adjacency export from the
         graph (``fromiter`` over chained dicts — no per-edge python
-        loop), then ``cumsum`` offsets and a per-row sort of the
-        neighbor/edge-label arrays."""
+        loop), then ``cumsum`` offsets and one ``argsort`` of the unique
+        directed keys ``src * n + dst``, which also seeds
+        :meth:`edge_index`."""
         n = g.n_vertices
         degrees, dst, lbl = g.adjacency_arrays()
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.asarray(degrees, dtype=np.int64), out=offsets[1:])
-        # rows are already grouped by source; sort within each row
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        order = np.lexsort((dst, src))
-        return cls(offsets, dst[order], lbl[order], np.asarray(g.vertex_labels, dtype=np.int64))
+        keys = src * np.int64(n) + dst
+        order = np.argsort(keys)
+        out = cls(offsets, dst[order], lbl[order], np.asarray(g.vertex_labels, dtype=np.int64))
+        out._edge_index = (keys[order], out.edge_labels)
+        return out
 
     @classmethod
     def _from_graph_reference(cls, g: LabeledGraph) -> "CSRGraph":
@@ -128,72 +144,53 @@ class CSRGraph:
         return cls(offsets, neighbors, edge_labels, np.asarray(g.vertex_labels, dtype=np.int64))
 
     def apply_delta(self, delta, graph_after: LabeledGraph) -> "CSRGraph":
-        """Post-batch snapshot from this (pre-batch) snapshot and the
-        batch's effective delta, splicing only the touched rows.
-
-        Untouched rows move with one bulk gather; touched rows are
-        rebuilt from their surviving old entries plus the inserted
-        directed edges, lexsorted back into neighbor order.
-        ``graph_after`` supplies the post-batch vertex count and labels
-        (updates may have appended vertices).
+        """Post-batch snapshot: this snapshot's sorted directed keys
+        minus the deleted keys, merged with the sorted inserted keys
+        (only the Δ keys are sorted); the merged keys become the new
+        :meth:`edge_index`. ``graph_after`` supplies the post-batch
+        vertex count (the key stride) and labels. A delete of a missing
+        edge or an insert of an existing one raises :class:`UpdateError`.
         """
-        n_new = graph_after.n_vertices
-        n_old = self.n_vertices
-        ins = delta.inserted_array
-        del_ = delta.deleted_array
-        # directed forms (both orientations of every undirected edge)
-        ins_src = np.concatenate([ins[:, 0], ins[:, 1]])
-        ins_dst = np.concatenate([ins[:, 1], ins[:, 0]])
-        ins_lbl = np.concatenate([ins[:, 2], ins[:, 2]])
-        del_src = np.concatenate([del_[:, 0], del_[:, 1]])
-        del_dst = np.concatenate([del_[:, 1], del_[:, 0]])
-
-        deg_old = np.zeros(n_new, dtype=np.int64)
-        deg_old[:n_old] = np.diff(self.offsets)
-        ins_cnt = np.bincount(ins_src, minlength=n_new)
-        del_cnt = np.bincount(del_src, minlength=n_new)
-        deg_new = deg_old + ins_cnt - del_cnt
-        offsets = np.zeros(n_new + 1, dtype=np.int64)
-        np.cumsum(deg_new, out=offsets[1:])
-
-        touched = (ins_cnt + del_cnt) > 0
-        neighbors = np.empty(int(offsets[-1]), dtype=np.int64)
-        edge_labels = np.empty(int(offsets[-1]), dtype=np.int64)
-
-        # untouched rows: one bulk gather with shifted offsets
-        keep = np.nonzero(~touched[:n_old])[0]
-        src_idx = _flat_indices(self.offsets[keep], deg_old[keep])
-        dst_idx = _flat_indices(offsets[keep], deg_old[keep])
-        neighbors[dst_idx] = self.neighbors[src_idx]
-        edge_labels[dst_idx] = self.edge_labels[src_idx]
-
-        # touched rows: surviving old entries + inserted entries
-        tv = np.nonzero(touched)[0]
-        tv_old = tv[tv < n_old]
-        old_idx = _flat_indices(self.offsets[tv_old], deg_old[tv_old])
-        old_src = np.repeat(tv_old, deg_old[tv_old])
-        old_dst = self.neighbors[old_idx]
-        old_lbl = self.edge_labels[old_idx]
-        if len(del_src):
-            key = old_src * np.int64(n_new) + old_dst
-            del_key = np.sort(del_src * np.int64(n_new) + del_dst)
-            # sorted membership instead of np.isin: both sides are unique
-            _, dead = sorted_membership(del_key, key)
-            old_src, old_dst, old_lbl = old_src[~dead], old_dst[~dead], old_lbl[~dead]
-        row_src = np.concatenate([old_src, ins_src])
-        row_dst = np.concatenate([old_dst, ins_dst])
-        row_lbl = np.concatenate([old_lbl, ins_lbl])
-        order = np.lexsort((row_dst, row_src))
-        dst_idx = _flat_indices(offsets[tv], deg_new[tv])
-        neighbors[dst_idx] = row_dst[order]
-        edge_labels[dst_idx] = row_lbl[order]
-
-        return CSRGraph(
-            offsets,
-            neighbors,
-            edge_labels,
-            np.asarray(graph_after.vertex_labels, dtype=np.int64),
+        n_new, n_old = graph_after.n_vertices, self.n_vertices
+        stride = np.int64(n_new)
+        # appended vertices change the stride: re-key from offsets
+        keys, labels = (
+            self.edge_index() if n_new == n_old else (self._directed_keys(n_new), self.edge_labels)
         )
+        nbrs = self.neighbors
+        ins, dele = delta.inserted_array, delta.deleted_array
+        ins_src, ins_dst = (np.concatenate([ins[:, a], ins[:, 1 - a]]) for a in (0, 1))
+        del_src, del_dst = (np.concatenate([dele[:, a], dele[:, 1 - a]]) for a in (0, 1))
+        if len(del_src):
+            pos, hit = sorted_membership(keys, del_src * stride + del_dst)
+            if not hit.all():
+                u, v = dele[int(np.argmin(hit)) % len(dele), :2].tolist()
+                raise UpdateError(f"delete of missing edge ({u}, {v})")
+            keep = np.ones(len(keys), dtype=bool)
+            keep[pos] = False
+            keys, nbrs, labels = keys[keep], nbrs[keep], labels[keep]
+        if len(ins_src):
+            ins_keys = ins_src * stride + ins_dst
+            order = np.argsort(ins_keys)
+            ins_keys = ins_keys[order]
+            _, present = sorted_membership(keys, ins_keys)
+            present[1:] |= ins_keys[1:] == ins_keys[:-1]
+            if present.any():
+                u, v = ins[int(order[np.argmax(present)]) % len(ins), :2].tolist()
+                raise UpdateError(f"insert of existing edge ({u}, {v})")
+            is_ins = np.zeros(len(keys) + len(ins_keys), dtype=bool)
+            is_ins[np.searchsorted(keys, ins_keys) + np.arange(len(ins_keys))] = True
+            ins_lbl = np.concatenate([ins[:, 2], ins[:, 2]])
+            keys, nbrs, labels = (
+                _merge(old, new, is_ins)
+                for old, new in ((keys, ins_keys), (nbrs, ins_dst[order]), (labels, ins_lbl[order]))
+            )
+        shift = np.bincount(ins_src, minlength=n_new) - np.bincount(del_src, minlength=n_new)
+        offsets = np.concatenate([self.offsets, np.full(n_new - n_old, self.offsets[-1])])
+        offsets[1:] += np.cumsum(shift)
+        out = CSRGraph(offsets, nbrs, labels, np.asarray(graph_after.vertex_labels, dtype=np.int64))
+        out._edge_index = (keys, labels)
+        return out
 
     @property
     def n_vertices(self) -> int:

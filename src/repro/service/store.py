@@ -12,9 +12,12 @@ state on top. This module is that substrate: it owns
   schema spans the data graph's label alphabet (a superset schema
   filters identically to a query-restricted one — see
   :meth:`EncodingSchema.for_labels`), and
-* a lazily cached CSR snapshot (:meth:`csr_snapshot`) for consumers
-  that want contiguous adjacency — the WBM kernels read the host
-  mirror directly today, so this is an offered view, not a hot path.
+* the authoritative CSR snapshot (:meth:`csr_snapshot`). Every
+  commit produces the next one by merging on sorted directed edge keys
+  (:meth:`CSRGraph.apply_delta`; only the Δ keys are sorted), and the
+  WBM kernels, the encoding refresh and the next :meth:`prepare` all
+  read it. On the vectorized path the host mirror is a view derived
+  from it.
 
 Per batch, the store computes the ``effective_delta`` **once** and
 applies the GPMA + encoding update **exactly once** (one
@@ -240,7 +243,7 @@ class DynamicGraphStore:
             new_csr: CSRGraph | None = None
             if self.vectorized:
                 if delta:
-                    # the CSR is authoritative: splice it first (the row
+                    # the CSR is authoritative: splice it first (the merge
                     # splice reads only the post-batch vertex count and
                     # labels, which edge deltas never change), then let
                     # the host mirror absorb the batch — a derived view

@@ -22,6 +22,17 @@ class TestBulkConstruction:
         g = attach_labels(power_law_graph(40, 3.0, seed=seed), 4, 3, seed=seed + 1)
         assert_csr_equal(CSRGraph.from_graph(g), CSRGraph._from_graph_reference(g))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_edge_index_equals_cold_build(self, seed):
+        """``from_graph`` seeds ``edge_index`` with its sorted keys; it
+        must equal the index built lazily from the offsets."""
+        g = attach_labels(power_law_graph(40, 3.0, seed=seed), 4, 3, seed=seed + 1)
+        keys, labels = CSRGraph.from_graph(g).edge_index()
+        cold_keys, cold_labels = CSRGraph._from_graph_reference(g).edge_index()
+        np.testing.assert_array_equal(keys, cold_keys)
+        np.testing.assert_array_equal(labels, cold_labels)
+        assert (np.diff(keys) > 0).all()
+
     def test_empty_graph(self):
         g = LabeledGraph([])
         assert_csr_equal(CSRGraph.from_graph(g), CSRGraph._from_graph_reference(g))

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro import xp
+from repro.errors import UpdateError
 from repro.filtering import CandidateTable, EncodingSchema, EncodingTable
 from repro.graph import CSRGraph, LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
-from repro.graph.updates import apply_batch, effective_delta, make_batch
+from repro.graph.updates import EffectiveDelta, apply_batch, effective_delta, make_batch
 from repro.matching.bfs_kernel import BFSEngine
 from repro.matching.static_match import oracle_delta
 from repro.matching.wbm import WBMConfig
@@ -110,6 +111,33 @@ class TestEncodeAllEquivalence:
         np.testing.assert_array_equal(vec.packed, ref.packed)
         assert len(vec) == w2 + 1  # grown to the target size in one shot
 
+    @pytest.mark.parametrize("case", ["narrow_schema", "appended_vertices", "empty"])
+    def test_apply_delta_equals_oracle_and_full_encode(self, case):
+        """The array re-encode equals the scalar oracle and a full
+        ``encode_all`` of the post-batch snapshot."""
+        g = random_graph(7, n_labels=5)
+        labels = {0, 2} if case == "narrow_schema" else g.label_alphabet()
+        assert (case == "narrow_schema") is bool(g.label_alphabet() - labels)
+        schema = EncodingSchema.for_labels(labels, 2)
+        vec = EncodingTable(schema, g, vectorized=True)
+        ref = EncodingTable(schema, g, vectorized=False)
+        if case == "appended_vertices":
+            w = g.add_vertex(1)
+            g.add_vertex(3)  # isolated: stays outside the table
+            batch = make_batch([("+", 0, w), ("+", w, 5)])
+        else:
+            batch = make_batch([] if case == "empty" else random_batch(g, random.Random(7)).ops)
+        delta = effective_delta(g, batch)
+        apply_batch(g, batch)
+        csr = CSRGraph.from_graph(g)
+        changed = vec.apply_delta(g, delta, csr=csr)
+        assert changed == ref.apply_delta(g, delta)
+        assert (changed == set()) is (case == "empty")
+        np.testing.assert_array_equal(vec.packed, ref.packed)
+        np.testing.assert_array_equal(vec.packed, schema.encode_all(csr)[: len(vec)])
+        if case == "appended_vertices":
+            assert len(vec) == w + 1
+
 
 # ---------------------------------------------------------------------------
 # candidate bitmap
@@ -185,6 +213,20 @@ class TestBitmapEquivalence:
 # ---------------------------------------------------------------------------
 # incremental CSR maintenance
 # ---------------------------------------------------------------------------
+def assert_splice_matches_rebuild(csr: CSRGraph, g: LabeledGraph) -> None:
+    """``csr`` (a spliced snapshot) equals ``CSRGraph.from_graph(g)``
+    array for array, and so does its carried ``edge_index`` — against
+    both the rebuild's seeded index and one built cold from offsets."""
+    ref = CSRGraph.from_graph(g)
+    for name in ("offsets", "neighbors", "edge_labels", "vertex_labels"):
+        np.testing.assert_array_equal(getattr(csr, name), getattr(ref, name))
+    keys, labels = csr.edge_index()
+    cold = CSRGraph(ref.offsets, ref.neighbors, ref.edge_labels, ref.vertex_labels)
+    for want_keys, want_labels in (ref.edge_index(), cold.edge_index()):
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(labels, want_labels)
+
+
 class TestIncrementalCSR:
     @pytest.mark.parametrize("seed", range(6))
     def test_apply_delta_equals_rebuild(self, seed):
@@ -199,11 +241,63 @@ class TestIncrementalCSR:
             delta = effective_delta(g, batch)
             apply_batch(g, batch)
             csr = csr.apply_delta(delta, g)
-            ref = CSRGraph.from_graph(g)
-            np.testing.assert_array_equal(csr.offsets, ref.offsets)
-            np.testing.assert_array_equal(csr.neighbors, ref.neighbors)
-            np.testing.assert_array_equal(csr.edge_labels, ref.edge_labels)
-            np.testing.assert_array_equal(csr.vertex_labels, ref.vertex_labels)
+            assert_splice_matches_rebuild(csr, g)
+
+    def test_vertex_append_restrides_index(self):
+        """Appending vertices changes the key stride: the carried index
+        must be re-keyed with the new vertex count, not reused."""
+        g = random_graph(2, n_labels=3)
+        csr = CSRGraph.from_graph(g)
+        csr.edge_index()  # warm the cache the splice must not reuse
+        w = g.add_vertex(1)
+        g.add_vertex(2)  # an isolated appended vertex too
+        batch = make_batch([("+", 0, w, 1), ("+", w, 3, 0)])
+        delta = effective_delta(g, batch)
+        apply_batch(g, batch)
+        assert_splice_matches_rebuild(csr.apply_delta(delta, g), g)
+
+    @pytest.mark.parametrize("kind", ["delete", "insert", "relabel", "empty"])
+    def test_single_kind_deltas(self, kind):
+        g = random_graph(4, n_labels=3, n_elabels=3)
+        csr = CSRGraph.from_graph(g)
+        (a, b), (c, d) = list(g.edges())[:2]
+        new = next(
+            (u, v)
+            for u in range(g.n_vertices)
+            for v in range(u + 1, g.n_vertices)
+            if not g.has_edge(u, v)
+        )
+        ops = {
+            "delete": [("-", a, b), ("-", c, d)],
+            "insert": [("+", *new, 2)],
+            "relabel": [("-", a, b), ("+", a, b, g.edge_label(a, b) + 1)],
+            "empty": [("+", *new, 1), ("-", *new)],
+        }[kind]
+        batch = make_batch(ops)
+        delta = effective_delta(g, batch)
+        if kind == "relabel":
+            assert delta.inserted_edges == delta.deleted_edges == ((a, b),)
+        assert bool(delta) is (kind != "empty")
+        apply_batch(g, batch)
+        assert_splice_matches_rebuild(csr.apply_delta(delta, g), g)
+
+    @pytest.mark.parametrize("case", ["delete_missing", "insert_existing", "insert_twice"])
+    def test_invalid_delta_raises_and_keeps_source(self, case):
+        g = random_graph(5, n_labels=3)
+        csr = CSRGraph.from_graph(g)
+        u, v = next(iter(g.edges()))
+        x, y = 0, next(w for w in range(1, g.n_vertices) if not g.has_edge(0, w))
+        delta, message = {
+            "delete_missing": (EffectiveDelta((), ((x, y, 0),)), "delete of missing"),
+            "insert_existing": (EffectiveDelta(((u, v, 0),), ()), "insert of existing"),
+            "insert_twice": (EffectiveDelta(((x, y, 1), (x, y, 1)), ()), "insert of existing"),
+        }[case]
+        named = (u, v) if case == "insert_existing" else (x, y)
+        before = {k: a.copy() for k, a in csr.snapshot_arrays().items()}
+        with pytest.raises(UpdateError, match=rf"{message} edge \({named[0]}, {named[1]}\)"):
+            csr.apply_delta(delta, g)
+        for k, a in csr.snapshot_arrays().items():
+            np.testing.assert_array_equal(a, before[k])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,20 @@ results (the payload a sharded worker ships back on every reply),
 and the cProfile table restricted to repro code (plus numpy entry
 points). No JSON artifact: this is an investigation tool, not a CI gate
 (end-to-end serving numbers come from ``servebench/run.py``).
+
+Write-path profile (store commit alone: GPMA, CSR splice, re-encoding —
+the shape of servebench's ``lj_ingest``)::
+
+    PYTHONPATH=src python tools/profile_launch.py --queries 0 --scale 4.0 --rate 0.10
+
+Reading the cProfile table: for numpy's dispatcher-wrapped C functions
+(``lexsort``, ``concatenate``, ``bincount``, ...) cProfile records no
+row for the C work — only a near-zero row for the dispatcher stub in
+``numpy/_core/multiarray.py`` — so their time lands in the *caller's*
+``tottime``. A large self time on an array function usually means one
+of those calls, not Python overhead: a 41 ms ``lexsort`` once showed up
+only as the CSR ``apply_delta``'s self time. Cross-check with the layer
+self times above.
 """
 
 from __future__ import annotations
