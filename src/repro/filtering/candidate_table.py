@@ -16,6 +16,8 @@ an O(n_data × n_query) python loop. The scalar loop survives behind
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro import xp
 
 from repro.errors import MatchingError
@@ -55,11 +57,16 @@ class CandidateTable:
 
     # ------------------------------------------------------------------
     def _bitmap_rows(self, rows: xp.ndarray) -> xp.ndarray:
-        """Candidacy of ``rows`` against every query vertex in one
-        broadcasted AND-compare: ``(rows, 1, words) & (1, nq, words)``."""
+        """Candidacy of ``rows`` against every query vertex: one
+        broadcasted ``(rows, 1) & (1, nq)`` AND-compare per packed word,
+        AND-ed across the (few) words — no ``(rows, nq, words)``
+        temporary. Codes always span at least one word."""
         codes = self.encodings.packed[rows]
         q = self._query_packed
-        return ((codes[:, None, :] & q[None, :, :]) == q[None, :, :]).all(axis=2)
+        out = (codes[:, None, 0] & q[None, :, 0]) == q[None, :, 0]
+        for w in range(1, q.shape[1]):
+            out &= (codes[:, None, w] & q[None, :, w]) == q[None, :, w]
+        return out
 
     def _bitmap_rows_reference(self, rows) -> xp.ndarray:
         """Original per-cell scalar loop (equality oracle)."""
@@ -92,8 +99,9 @@ class CandidateTable:
         return len(self.candidates_of(u))
 
     # ------------------------------------------------------------------
-    def refresh_rows(self, changed: set[int]) -> None:
-        """Recompute the rows of vertices whose encoding changed.
+    def refresh_rows(self, changed: Collection[int]) -> None:
+        """Recompute the rows of vertices whose encoding changed
+        (``changed`` holds each vertex once).
 
         Grows the bitmap with a single allocation when updates appended
         new vertices, rebuilds only the changed rows with one

@@ -75,7 +75,9 @@ class CSRGraph:
     is the label of ``v``.
     """
 
-    __slots__ = ("offsets", "neighbors", "edge_labels", "vertex_labels", "_edge_index")
+    __slots__ = (
+        "offsets", "neighbors", "edge_labels", "vertex_labels", "_edge_index", "_degrees"
+    )
 
     def __init__(
         self,
@@ -89,6 +91,7 @@ class CSRGraph:
         self.edge_labels = edge_labels
         self.vertex_labels = vertex_labels
         self._edge_index: tuple[np.ndarray, np.ndarray] | None = None
+        self._degrees: list[int] | None = None
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted directed edge-key index ``(src * n + dst, labels)``.
@@ -201,7 +204,12 @@ class CSRGraph:
         return len(self.neighbors) // 2
 
     def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
+        """Degree of ``v`` from a per-snapshot int list, built on first
+        use (snapshots are immutable, so it never goes stale)."""
+        degrees = self._degrees
+        if degrees is None:
+            degrees = self._degrees = np.diff(self.offsets).tolist()
+        return degrees[v]
 
     def neighbor_slice(self, v: int) -> np.ndarray:
         """Sorted neighbor array of ``v`` (a view, do not mutate)."""

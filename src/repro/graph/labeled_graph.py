@@ -13,13 +13,15 @@ states:
   membership, the historical representation and still the default for
   graphs built edge by edge;
 * **derived view** (:meth:`from_csr`) — the columnar CSR snapshot *is*
-  the topology and the dicts do not exist yet. Bulk reads (``degree``,
-  ``neighbors``, ``has_edge``, ``nlf``, ``adjacency_arrays``) are
-  served straight from the snapshot; the first dict-shaped access
-  (``neighbor_dict``, mutation, ``__eq__``) materializes the dicts
-  once, after which the graph is eager. A view absorbs a committed
-  batch by *rebasing* onto the post-batch snapshot
-  (:meth:`absorb_delta`) — O(1), no per-edge dict writes.
+  the topology and the whole-graph dicts do not exist yet. Bulk reads
+  (``degree``, ``neighbors``, ``has_edge``, ``nlf``,
+  ``adjacency_arrays``) are served straight from the snapshot, and
+  ``neighbor_dict(v)`` builds only ``v``'s row dict from the snapshot
+  row, cached per vertex. Mutation, ``__eq__`` and
+  :meth:`ensure_materialized` materialize the dicts once, after which
+  the graph is eager. A view absorbs a committed batch by *rebasing*
+  onto the post-batch snapshot (:meth:`absorb_delta`) — O(1), no
+  per-edge dict writes.
 
 Scalar oracles and baselines see an identical dict interface either
 way. Both states keep a lazily cached sorted neighbor tuple for the
@@ -52,13 +54,18 @@ class LabeledGraph:
         ``len(vertex_labels)``.
     """
 
-    __slots__ = ("_labels", "_adj_store", "_n_edges", "_sorted_cache", "_csr_source")
+    __slots__ = (
+        "_labels", "_adj_store", "_n_edges", "_sorted_cache", "_row_cache", "_csr_source"
+    )
 
     def __init__(self, vertex_labels: Sequence[int] = ()) -> None:
         self._labels: list[int] = list(vertex_labels)
         self._adj_store: list[dict[int, int]] | None = [{} for _ in self._labels]
         self._n_edges = 0
         self._sorted_cache: dict[int, tuple[int, ...]] = {}
+        #: per-vertex ``{neighbor: edge label}`` rows of a derived view,
+        #: built from the source snapshot on demand
+        self._row_cache: dict[int, dict[int, int]] = {}
         self._csr_source = None
 
     # ------------------------------------------------------------------
@@ -66,8 +73,8 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     @property
     def _adj(self) -> list[dict[int, int]]:
-        """The adjacency dicts, materializing the derived view on the
-        first dict-shaped access."""
+        """The whole-graph adjacency dicts, materializing the derived
+        view on first use (mutation, ``__eq__``, ``ensure_materialized``)."""
         adj = self._adj_store
         if adj is None:
             adj = self._materialize()
@@ -86,6 +93,7 @@ class LabeledGraph:
         adj.extend({} for _ in range(len(self._labels) - csr.n_vertices))
         self._adj_store = adj
         self._csr_source = None
+        self._row_cache.clear()
         return adj
 
     @property
@@ -103,8 +111,10 @@ class LabeledGraph:
     def from_csr(cls, csr) -> "LabeledGraph":
         """Derived view over an immutable CSR snapshot.
 
-        Topology reads are served from the snapshot; the adjacency
-        dicts materialize only when dict-shaped access demands them.
+        Topology reads, per-vertex ``neighbor_dict`` rows included, are
+        served from the snapshot; the whole-graph adjacency dicts
+        materialize only on mutation, ``__eq__`` or
+        :meth:`ensure_materialized`.
         """
         g = cls.__new__(cls)
         vl = csr.vertex_labels
@@ -113,6 +123,7 @@ class LabeledGraph:
         g._csr_source = csr
         g._n_edges = csr.n_edges
         g._sorted_cache = {}
+        g._row_cache = {}
         return g
 
     def absorb_delta(self, delta, csr=None, strict: bool = False) -> None:
@@ -133,6 +144,7 @@ class LabeledGraph:
                 vl = csr.vertex_labels
                 self._labels = vl.tolist() if hasattr(vl, "tolist") else list(vl)
             self._sorted_cache.clear()
+            self._row_cache.clear()
             return
         from repro.graph.updates import apply_effective_delta
 
@@ -171,6 +183,7 @@ class LabeledGraph:
         g._labels = list(self._labels)
         g._n_edges = self._n_edges
         g._sorted_cache = {}
+        g._row_cache = {}
         if self._adj_store is None:
             g._adj_store = None
             g._csr_source = self._csr_source
@@ -346,9 +359,25 @@ class LabeledGraph:
         return cached
 
     def neighbor_dict(self, v: int) -> dict[int, int]:
-        """Neighbor -> edge-label mapping (do not mutate)."""
+        """Neighbor -> edge-label mapping (do not mutate).
+
+        A derived view builds just ``v``'s row from its source snapshot
+        (cached until the view rebases or materializes) instead of
+        materializing every vertex's dict."""
         self._check_vertex(v)
-        return self._adj[v]
+        if self._adj_store is not None:
+            return self._adj_store[v]
+        row = self._row_cache.get(v)
+        if row is None:
+            csr = self._csr_source
+            if v < csr.n_vertices:
+                row = dict(
+                    zip(csr.neighbor_slice(v).tolist(), csr.edge_label_slice(v).tolist())
+                )
+            else:
+                row = {}  # vertices appended after the snapshot have no edges yet
+            self._row_cache[v] = row
+        return row
 
     def neighbors_with_label(self, v: int, label: int) -> list[int]:
         """Neighbors of ``v`` whose *vertex* label is ``label`` (paper's

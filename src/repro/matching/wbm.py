@@ -438,11 +438,13 @@ def _gen_candidates(
     label, adjacency + edge labels to all matched query neighbors,
     injectivity, and the total-order rank rule.
 
-    The default path runs on the CSR snapshot as array kernels
-    (sorted-adjacency intersection via ``searchsorted`` plus vectorized
-    label/bitmap/rank masks); ``config.vectorized = False`` selects the
-    original dict-walk, kept as the correctness oracle. Both paths pay
-    the identical modeled warp-cooperative cost.
+    The default path picks its host strategy by run size: an anchor of
+    at most ``_SCALAR_GEN_MAX`` neighbors takes the dict walk over its
+    per-vertex snapshot rows, a hub anchor narrows its cached
+    first-stage slice (:func:`_candidates_vectorized`).
+    ``config.vectorized = False`` selects the dict walk everywhere, kept
+    as the correctness oracle. Both paths pay the identical modeled
+    warp-cooperative cost.
     """
     query, graph = env.query, env.graph
     qv = order[level]
@@ -452,7 +454,7 @@ def _gen_candidates(
     anchor = min(matched, key=lambda w: graph.degree(assign[w]))
     others = [w for w in matched if w != anchor]
     col, col_key = env.filter_column(group, level)
-    if env.config.vectorized:
+    if env.config.vectorized and graph.degree(assign[anchor]) > _SCALAR_GEN_MAX:
         base = env.csr.neighbor_slice(assign[anchor])
         out = _candidates_vectorized(
             env, group, assign, qv, anchor, others, col, rank, col_key
@@ -536,57 +538,98 @@ def _candidates_vectorized(
     rank: int,
     col_key,
 ) -> list[int]:
-    """CSR-backed Gen-Candidates: the anchor's sorted neighbor slice is
-    narrowed by vectorized vertex-label / edge-label / bitmap /
-    injectivity masks, then intersected with every other matched
-    neighbor's sorted adjacency via ``searchsorted`` (the paper's
-    per-lane parallel binary search). Produces the identical ascending
-    candidate list as the scalar oracle. Large anchors reuse the
-    per-launch hub-slice cache's first-stage narrowing, keyed on the
-    hashable ``col_key`` of the filter column."""
-    query, csr = env.query, env.csr
+    """Hub-anchor Gen-Candidates on the CSR snapshot. The first stage —
+    vertex label, edge label to the anchor, candidacy column over the
+    anchor's sorted adjacency — comes from the per-launch hub-slice
+    cache, keyed on the hashable ``col_key`` of the filter column. The
+    rest of the narrowing (injectivity, rank rule, every other matched
+    neighbor) runs over that slice: one python pass over snapshot rows
+    when it holds at most ``_SCALAR_GEN_MAX`` survivors, array kernels
+    above. Produces the identical ascending candidate list as the
+    scalar oracle."""
     anchor_dv = assign[anchor]
-    base = csr.neighbor_slice(anchor_dv)
-    n_base = len(base)
-    if not n_base:
-        return []
-    if n_base > _SCALAR_GEN_MAX:
-        narrowed = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
-        # injectivity on the cached slice: clearing assigned vertices
-        # from the narrowed subsequence keeps exactly the survivors the
-        # full-base mask would keep (both filters are per-element ANDs)
-        keep = xp.ones(len(narrowed), dtype=bool)
-        mask_members(keep, narrowed, assign.values())
-        cands = narrowed[keep]
-    else:
-        elabels = csr.edge_label_slice(anchor_dv)
-        labels = csr.vertex_labels
-        mask = (labels[base] == query.vertex_label(qv)) & (
-            elabels == query.edge_label(qv, anchor)
+    run = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
+    fixed = [(w, assign[w]) for w in others]
+    if len(run) <= _SCALAR_GEN_MAX:
+        return _narrow_small_run(
+            env, xp.to_numpy(run).tolist(), set(assign.values()), anchor_dv,
+            rank, qv, fixed,
         )
-        # candidacy bitmap column (may be shorter than the data graph when
-        # updates appended vertices: out-of-range rows carry no claim)
-        mask &= gather_column(col, base)
-        # injectivity against the partial match: binary-search each of the
-        # (few) matched data vertices into the sorted neighbor slice
-        mask_members(mask, base, assign.values())
-        cands = base[mask]
+    return xp.to_numpy(
+        _narrow_run_arrays(env, run, assign.values(), anchor_dv, rank, qv, fixed)
+    ).tolist()
+
+
+def _narrow_small_run(
+    env: _Env,
+    run: list[int],
+    used: set[int],
+    anchor_dv: int,
+    rank: int,
+    qv: int,
+    fixed: list[tuple[int, int]],
+) -> list[int]:
+    """Python tail of Gen-Candidates over a short run of first-stage
+    survivors (ascending, already label / edge-label / bitmap filtered
+    against the anchor): injectivity against ``used``, the anchor's rank
+    rule, then per other matched neighbor ``(query vertex, data
+    vertex)`` in ``fixed`` its snapshot row with the wanted edge label
+    and its rank rule. Keeps the run's order."""
+    if not run:
+        return run
+    graph, query, rank_map = env.graph, env.query, env.rank_map
+    rows = [(graph.neighbor_dict(dv), query.edge_label(qv, w), dv) for w, dv in fixed]
+    out: list[int] = []
+    for c in run:
+        if c in used:
+            continue
+        if rank_map:
+            r = rank_map.get(canonical(c, anchor_dv))
+            if r is not None and r < rank:
+                continue
+        for row, elbl, dv in rows:
+            if row.get(c) != elbl:
+                break
+            if rank_map:
+                r = rank_map.get(canonical(c, dv))
+                if r is not None and r < rank:
+                    break
+        else:
+            out.append(c)
+    return out
+
+
+def _narrow_run_arrays(
+    env: _Env,
+    run: xp.ndarray,
+    used,
+    anchor_dv: int,
+    rank: int,
+    qv: int,
+    fixed: list[tuple[int, int]],
+) -> xp.ndarray:
+    """Array form of :func:`_narrow_small_run` for long runs: injectivity
+    by one binary search per ``used`` value (clearing assigned vertices
+    from the cached subsequence keeps exactly what the full-base mask
+    would — both are per-element ANDs), then a sorted-adjacency
+    intersection with every other matched neighbor via
+    ``searchsorted`` (the paper's per-lane parallel binary search)."""
+    query, csr = env.query, env.csr
+    keep = xp.ones(len(run), dtype=bool)
+    mask_members(keep, run, used)
+    cands = run[keep]
     if env.rank_map and len(cands):
         cands = env.rank_filter(cands, anchor_dv, rank)
-    # sorted-adjacency intersection with every other matched neighbor
-    for w in others:
+    for w, dv in fixed:
         if not len(cands):
             break
-        dv = assign[w]
-        nbrs = csr.neighbor_slice(dv)
-        if not len(nbrs):
-            return []
         cands = intersect_sorted(
-            cands, nbrs, csr.edge_label_slice(dv), query.edge_label(qv, w)
+            cands, csr.neighbor_slice(dv), csr.edge_label_slice(dv),
+            query.edge_label(qv, w),
         )
         if env.rank_map and len(cands):
             cands = env.rank_filter(cands, dv, rank)
-    return xp.to_numpy(cands).tolist()
+    return cands
 
 
 def _fused_self_anchor(
@@ -669,8 +712,9 @@ def _fused_self_anchor(
 #: frames below this candidate count price/generate their level with the
 #: python pass (array-assembly overhead beats the batch win there)
 _LEVEL_BATCH_MIN = 10
-#: adjacency runs at or below this length walk the dict adjacency; the
-#: array kernels take over above it
+#: candidate runs at or below this length are narrowed in one python
+#: pass over per-vertex snapshot rows (anchor adjacencies and first-stage
+#: hub slices alike); the array kernels take over above it
 _SCALAR_GEN_MAX = 64
 #: self-anchored children batch through one fused pass only when their
 #: combined adjacency volume clears this bar — below it the per-child
@@ -780,9 +824,12 @@ def _level_children_scalar(
             continue
         pre = pre_cache.get(anchor)
         if pre is None:
-            pre = pre_cache[anchor] = _prefix_narrowed(
+            pre = _prefix_narrowed(
                 env, prefix, rank, qv, qv_prev, col, matched, anchor, col_key
             )
+            if not isinstance(pre, list):
+                pre = xp.to_numpy(pre).tolist()
+            pre_cache[anchor] = pre
         if not pre:
             children[j] = pre
         elif prev_matched:
@@ -828,57 +875,6 @@ def _level_children_scalar(
     return children, costs
 
 
-def _narrowed_prefix_run(
-    env: _Env,
-    prefix: dict[int, int],
-    rank: int,
-    qv: int,
-    qv_prev: int,
-    col,
-    matched: list[int],
-    anchor: int,
-    col_key,
-) -> xp.ndarray:
-    """Array form of the shared prefix narrowing: candidates of ``qv``
-    in the anchor's sorted adjacency surviving every prefix-only
-    constraint (labels, bitmap, injectivity, rank rule, every prefix
-    adjacency). The one implementation both frame-size strategies of
-    :func:`_level_children` narrow through; hub anchors hit the
-    per-launch first-stage slice cache."""
-    query, csr = env.query, env.csr
-    anchor_dv = prefix[anchor]
-    base = csr.neighbor_slice(anchor_dv)
-    if not len(base):
-        return base
-    if len(base) > _SCALAR_GEN_MAX:
-        narrowed = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
-        keep = xp.ones(len(narrowed), dtype=bool)
-        mask_members(keep, narrowed, prefix.values())
-        pre = narrowed[keep]
-    else:
-        mask = (csr.vertex_labels[base] == query.vertex_label(qv)) & (
-            csr.edge_label_slice(anchor_dv) == query.edge_label(qv, anchor)
-        )
-        mask &= gather_column(col, base)
-        mask_members(mask, base, prefix.values())
-        pre = base[mask]
-    if env.rank_map and len(pre):
-        pre = env.rank_filter(pre, anchor_dv, rank)
-    for w in matched:
-        if w == anchor or w == qv_prev or not len(pre):
-            continue
-        dv = prefix[w]
-        nbrs = csr.neighbor_slice(dv)
-        if not len(nbrs):
-            return base[:0]
-        pre = intersect_sorted(
-            pre, nbrs, csr.edge_label_slice(dv), query.edge_label(qv, w)
-        )
-        if env.rank_map and len(pre):
-            pre = env.rank_filter(pre, dv, rank)
-    return pre
-
-
 def _prefix_narrowed(
     env: _Env,
     prefix: dict[int, int],
@@ -889,56 +885,40 @@ def _prefix_narrowed(
     matched: list[int],
     anchor: int,
     col_key,
-) -> list[int]:
+) -> "list[int] | xp.ndarray":
     """Candidates of ``qv`` surviving every prefix-only constraint
     (labels, bitmap, injectivity, rank rule, all prefix adjacencies) —
-    shared by every child of the run whose anchor is ``anchor``."""
+    shared by every child of the run whose anchor is ``anchor``; the
+    one narrowing both frame-size strategies of :func:`_level_children`
+    go through. Ascending, as a python list when the run was narrowed
+    in python, or as an int64 array when the anchor is a hub whose
+    cached first-stage slice holds more than ``_SCALAR_GEN_MAX``
+    survivors and the array kernels narrowed it."""
     query, graph = env.query, env.graph
     anchor_dv = prefix[anchor]
-    base = graph.neighbors(anchor_dv)
-    anchor_label = query.edge_label(qv, anchor)
-    want_label = query.vertex_label(qv)
-    if len(base) > _SCALAR_GEN_MAX:
-        # hub anchor: one array narrowing beats the dict walk
-        pre = _narrowed_prefix_run(
-            env, prefix, rank, qv, qv_prev, col, matched, anchor, col_key
-        )
-        return xp.to_numpy(pre).tolist()
-    used = set(prefix.values())
-    rank_map = env.rank_map
-    labels = graph.vertex_labels
-    anchor_adj = graph.neighbor_dict(anchor_dv)
-    n_col = len(col)
-    fixed = [
-        (graph.neighbor_dict(prefix[w]), query.edge_label(qv, w), prefix[w])
-        for w in matched
-        if w != anchor and w != qv_prev
-    ]
-    out: list[int] = []
-    for c in base:
-        if labels[c] != want_label or c in used:
-            continue
-        if anchor_adj[c] != anchor_label:
-            continue
-        if c >= n_col or not col[c]:
-            continue
-        if rank_map:
-            r = rank_map.get(canonical(c, anchor_dv))
-            if r is not None and r < rank:
-                continue
-        ok = True
-        for adj_d, elbl, dv in fixed:
-            if adj_d.get(c) != elbl:
-                ok = False
-                break
-            if rank_map:
-                r = rank_map.get(canonical(c, dv))
-                if r is not None and r < rank:
-                    ok = False
-                    break
-        if ok:
-            out.append(c)
-    return out
+    fixed = [(w, prefix[w]) for w in matched if w != anchor and w != qv_prev]
+    if graph.degree(anchor_dv) > _SCALAR_GEN_MAX:
+        run = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
+        if len(run) > _SCALAR_GEN_MAX:
+            return _narrow_run_arrays(
+                env, run, prefix.values(), anchor_dv, rank, qv, fixed
+            )
+        run = xp.to_numpy(run).tolist()
+    else:
+        anchor_label = query.edge_label(qv, anchor)
+        want_label = query.vertex_label(qv)
+        labels = graph.vertex_labels
+        anchor_adj = graph.neighbor_dict(anchor_dv)
+        n_col = len(col)
+        run = [
+            c
+            for c in graph.neighbors(anchor_dv)
+            if labels[c] == want_label
+            and anchor_adj[c] == anchor_label
+            and c < n_col
+            and col[c]
+        ]
+    return _narrow_small_run(env, run, set(prefix.values()), anchor_dv, rank, qv, fixed)
 
 
 def _gen_cost_segments(
@@ -1117,9 +1097,11 @@ def _level_children_multi(
                     )
                 continue
             # prefix anchor: one shared narrowing for the whole run
-            pre = _narrowed_prefix_run(
+            pre = _prefix_narrowed(
                 env, prefix, rank, qv, qv_prev, col, matched, w_anchor, col_key
             )
+            if isinstance(pre, list):
+                pre = xp.asarray(pre, dtype=xp.int64)
             if prev_matched:
                 for j in sel:
                     if not len(pre):
@@ -1199,7 +1181,7 @@ def _level_children(
 
     Two host strategies produce the identical result: small frames
     (the common case on selective serving queries) run a python pass
-    over the dict adjacency — the fixed cost of assembling op arrays
+    over per-vertex snapshot rows — the fixed cost of assembling op arrays
     dwarfs a handful of children — while larger frames are a
     single-request :func:`_level_children_multi` batch.
     """
@@ -2440,7 +2422,7 @@ class QueryRuntime:
                 f"(saw v{self.synced_version}, commit is v{commit.version})"
             )
         self._fire("runtime.observe")
-        self.table.refresh_rows(set(commit.changed_vertices))
+        self.table.refresh_rows(commit.changed_vertices)
         self._fire("runtime.observe.mid")
         self.synced_version = commit.version
 

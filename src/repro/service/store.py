@@ -142,8 +142,9 @@ class DynamicGraphStore:
         if vectorized:
             # the snapshot is authoritative: demote the host mirror to a
             # derived view over it, so commits rebase the view (O(1))
-            # instead of replaying per-edge dict writes; dict-shaped
-            # access still materializes an identical mirror on demand
+            # instead of replaying per-edge dict writes; neighbor_dict
+            # serves per-vertex snapshot rows, and only mutation (or
+            # ensure_materialized) builds an identical eager mirror
             self.graph = LabeledGraph.from_csr(csr)
         self.encodings = EncodingTable(schema, self.graph, csr, vectorized=vectorized)
         # prices the (single) shared upload; follows the store's flag so

@@ -10,6 +10,10 @@ The contracts under test:
 * ``DynamicGraphStore`` commits never touch per-edge dict writes while
   the mirror stays a view, and rollback restores the view **as a
   view** (no materialization on the undo path either).
+* Serving never materializes the view: with ``_materialize`` patched
+  to raise, multi-query and hub-heavy streams stay healthy and exact
+  in-process and on forked worker replicas (``neighbor_dict`` serves
+  per-vertex snapshot rows).
 * ``apply_effective_delta(strict=True)`` validates the whole delta
   against the replica *before* mutating — a desynced replica raises
   ``UpdateError`` instead of silently diverging, in the store and in
@@ -39,11 +43,12 @@ from repro.graph.updates import (
     make_batch,
 )
 from repro.gpu import DeviceParams
-from repro.matching import WBMConfig
+from repro.matching import WBMConfig, find_matches
 from repro.pma.pma import PMA, PmaError
 from repro.service import MatchingService, ShardedMatchingService, ShardPolicy
 from repro.service.sharded import _SharedEncodings, _WorkerStore
 from repro.service.store import DynamicGraphStore
+from test_dfs_level_step import CHORD_Q, DENSE_Q, hub_heavy_workload, mixed_stream
 
 PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
 
@@ -352,6 +357,72 @@ class TestWorkerReplay:
             assert single.matches("tri") == sharded.matches("tri")
         finally:
             sharded.close()
+
+
+def never_materialize(self):
+    raise AssertionError("a serving path materialized the dict mirror")
+
+
+def serving_streams():
+    """A multi-query mixed stream and the hub-heavy C4 stream:
+    ``(start graph, {query name: query}, batches)``."""
+    g, batches = mixed_stream(4)
+    queries = {
+        "chord": CHORD_Q,
+        "dense": DENSE_Q,
+        "tri": LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2), (0, 2)]),
+    }
+    yield g, queries, batches
+    hub_g, c4, hub_batches = hub_heavy_workload()
+    yield hub_g, {"c4": c4}, hub_batches
+
+
+class TestMirrorNeverMaterializes:
+    """The serving paths — store commits, candidate refresh and every
+    Gen-Candidates strategy of the DFS — read the CSR snapshot and
+    per-vertex snapshot rows only: the whole-graph dict mirror is
+    never built, in-process or in a forked worker replica (which
+    inherits the patched ``_materialize`` and would fault its shard)."""
+
+    def _serve(self, service, g, queries, batches):
+        for name, q in queries.items():
+            service.register_query(q, WBMConfig(work_stealing="active"), name=name)
+        reference = g.copy()
+        for batch in batches:
+            rep = service.process_batch(batch)
+            apply_batch(reference, batch)
+            assert rep.failure is None and not rep.rolled_back
+            assert set(rep.health) == set(queries)
+            assert all(h == "ok" for h in rep.health.values()), rep.health
+            assert all(h == "ok" for h in getattr(rep, "shard_health", {}).values())
+            assert not service.store.graph.is_materialized
+            for name, q in queries.items():
+                assert service.matches(name) == find_matches(q, reference), name
+
+    def test_in_process(self, monkeypatch):
+        monkeypatch.setattr(LabeledGraph, "_materialize", never_materialize)
+        for g, queries, batches in serving_streams():
+            self._serve(MatchingService(g, params=PARAMS), g, queries, batches)
+
+    def test_sharded_workers(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork unavailable: workers would not inherit the patch")
+        monkeypatch.setattr(LabeledGraph, "_materialize", never_materialize)
+        for g, queries, batches in serving_streams():
+            service = ShardedMatchingService(
+                g,
+                params=PARAMS,
+                shard_policy=ShardPolicy(
+                    n_workers=2,
+                    start_method="fork",
+                    heartbeat_timeout_s=5.0,
+                    batch_deadline_s=30.0,
+                ),
+            )
+            try:
+                self._serve(service, g, queries, batches)
+            finally:
+                service.close()
 
 
 def paired():

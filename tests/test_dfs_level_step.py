@@ -251,14 +251,16 @@ class TestLevelStepLockstep:
 # ---------------------------------------------------------------------------
 # launch-wide fused Gen-Candidates: fused cursor vs scalar oracle
 # ---------------------------------------------------------------------------
-def hub_heavy_workload(n_inserts=12):
+def hub_heavy_workload(n_inserts=12, leaf_labels=1):
     """5 hubs × 120 leaves, each leaf wired to 3 of the 5 hubs (hub
     degree 72, above the vectorized-gen gate): C4 matching anchors its
     level-3 prefix runs on hub pairs, so sibling warp tasks stage
     shared-anchor frames and the per-launch hub-slice cache sees both
-    miss and hit paths."""
+    miss and hit paths. Leaf ``j`` has label ``j % leaf_labels``: with
+    two labels a hub's first-stage slice keeps ~36 of its 72 leaves,
+    short enough for the python tail."""
     n_hubs, n_leaves = 5, 120
-    g = LabeledGraph([0] * (n_hubs + n_leaves))
+    g = LabeledGraph([0] * n_hubs + [j % leaf_labels for j in range(n_leaves)])
     missing = []
     for j in range(n_leaves):
         leaf = n_hubs + j
@@ -370,22 +372,33 @@ class TestFusedGenLockstep:
 # ---------------------------------------------------------------------------
 # host-side size switches: both sides of each produce the oracle's run
 # ---------------------------------------------------------------------------
-#: (module constant, forced value) -> (function that must run, function
+#: (module constant, forced value) -> (functions that must run, functions
 #: that must not run) on the vectorized path
 SIZE_SWITCHES = {
-    ("_LEVEL_BATCH_MIN", 0): ("_level_children_multi", "_level_children_scalar"),
-    ("_LEVEL_BATCH_MIN", 10**9): ("_level_children_scalar", "_level_children_multi"),
-    ("_SCALAR_GEN_MAX", -1): ("hub_slice", "_candidates_scalar"),
-    ("_SCALAR_GEN_MAX", 10**9): ("_candidates_scalar", "hub_slice"),
-    ("_FUSE_SELF_MIN_WORK", 0): ("_fused_self_anchor", None),
-    ("_FUSE_SELF_MIN_WORK", 10**9): ("_candidates_scalar", "_fused_self_anchor"),
+    ("_LEVEL_BATCH_MIN", 0): (("_level_children_multi",), ("_level_children_scalar",)),
+    ("_LEVEL_BATCH_MIN", 10**9): (("_level_children_scalar",), ("_level_children_multi",)),
+    ("_SCALAR_GEN_MAX", -1): (
+        ("hub_slice", "_narrow_run_arrays"),
+        ("_candidates_scalar", "_narrow_small_run"),
+    ),
+    ("_SCALAR_GEN_MAX", 10**9): (
+        ("_candidates_scalar", "_narrow_small_run"),
+        ("hub_slice", "_narrow_run_arrays"),
+    ),
+    ("_FUSE_SELF_MIN_WORK", 0): (("_fused_self_anchor",), ()),
+    ("_FUSE_SELF_MIN_WORK", 10**9): (("_candidates_scalar",), ("_fused_self_anchor",)),
 }
+#: host-strategy functions the switch tests count calls of
+COUNTED = (
+    "_level_children_multi", "_level_children_scalar", "_candidates_scalar",
+    "_fused_self_anchor", "hub_slice", "_narrow_small_run", "_narrow_run_arrays",
+)
 
 
 def switch_workloads():
     g0, batches = mixed_stream(4)
     yield "mixed", g0, CHORD_Q, batches
-    yield ("hub",) + hub_heavy_workload()
+    yield ("hub",) + hub_heavy_workload(leaf_labels=2)
 
 
 @pytest.fixture(scope="module")
@@ -400,13 +413,38 @@ def switch_oracles():
     }
 
 
+def counted_run(monkeypatch, g0, q, batches, stealing, setting=None):
+    """One vectorized run with ``setting`` = ``(constant, value)``
+    forced; returns the run and the call count of every ``COUNTED``
+    function."""
+    import repro.matching.wbm as wbm
+
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counted(fn_name, fn):
+        def wrapper(*a, **k):
+            calls[fn_name] += 1
+            return fn(*a, **k)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        if setting is not None:
+            m.setattr(wbm, *setting)
+        for fn_name in COUNTED:
+            owner = wbm._Env if fn_name == "hub_slice" else wbm
+            m.setattr(owner, fn_name, counted(fn_name, getattr(owner, fn_name)))
+        run = run_stream(g0, q, batches, stealing=stealing)
+    return run, calls
+
+
 class TestSizeSwitches:
     """``_LEVEL_BATCH_MIN`` (frame size: python pass vs array batch),
-    ``_SCALAR_GEN_MAX`` (adjacency length: dict walk vs array kernels
-    and the hub-slice cache) and ``_FUSE_SELF_MIN_WORK`` (self-anchored
-    run volume: per-child walks vs one fused pass) only pick a host
-    strategy. Forcing each to either extreme must leave every match and
-    modeled number equal to the scalar oracle."""
+    ``_SCALAR_GEN_MAX`` (run length: python pass over snapshot rows vs
+    array kernels and the hub-slice cache) and ``_FUSE_SELF_MIN_WORK``
+    (self-anchored run volume: per-child walks vs one fused pass) only
+    pick a host strategy. Forcing each to either extreme must leave
+    every match and modeled number equal to the scalar oracle."""
 
     @pytest.mark.parametrize("stealing", ["active", "off"])
     @pytest.mark.parametrize(
@@ -415,36 +453,31 @@ class TestSizeSwitches:
     def test_both_sides_match_oracle(
         self, switch, stealing, switch_oracles, monkeypatch
     ):
-        import repro.matching.wbm as wbm
-
-        name, value = switch
         must_run, must_not_run = SIZE_SWITCHES[switch]
-        calls = dict.fromkeys(
-            ("_level_children_multi", "_level_children_scalar",
-             "_candidates_scalar", "_fused_self_anchor", "hub_slice"),
-            0,
-        )
-
-        def counted(fn_name, fn):
-            def wrapper(*a, **k):
-                calls[fn_name] += 1
-                return fn(*a, **k)
-
-            return wrapper
-
+        calls = dict.fromkeys(COUNTED, 0)
         for workload, g0, q, batches in switch_workloads():
-            with monkeypatch.context() as m:
-                m.setattr(wbm, name, value)
-                for fn_name in calls:
-                    owner = wbm._Env if fn_name == "hub_slice" else wbm
-                    m.setattr(
-                        owner, fn_name, counted(fn_name, getattr(owner, fn_name))
-                    )
-                fast = run_stream(g0, q, batches, stealing=stealing)
+            fast, counts = counted_run(
+                monkeypatch, g0, q, batches, stealing, setting=switch
+            )
             assert fast == switch_oracles[workload, stealing], workload
-        assert calls[must_run] > 0, f"{name}={value} must force {must_run}"
-        if must_not_run is not None:
-            assert calls[must_not_run] == 0, f"{name}={value} bypasses {must_not_run}"
+            for fn_name, n in counts.items():
+                calls[fn_name] += n
+        name, value = switch
+        for fn_name in must_run:
+            assert calls[fn_name] > 0, f"{name}={value} must force {fn_name}"
+        for fn_name in must_not_run:
+            assert calls[fn_name] == 0, f"{name}={value} bypasses {fn_name}"
+
+    @pytest.mark.parametrize("stealing", ["active", "off"])
+    def test_default_bar_narrows_hub_slices_in_python(
+        self, stealing, switch_oracles, monkeypatch
+    ):
+        """At the default bar the hub workload's first-stage hub slices
+        are short, so the cached slice and the python tail both run."""
+        _, g0, q, batches = next(w for w in switch_workloads() if w[0] == "hub")
+        fast, calls = counted_run(monkeypatch, g0, q, batches, stealing)
+        assert fast == switch_oracles["hub", stealing]
+        assert calls["hub_slice"] > 0 and calls["_narrow_small_run"] > 0
 
 
 # ---------------------------------------------------------------------------

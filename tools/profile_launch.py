@@ -16,10 +16,14 @@ Usage::
 
 First serves the stream once without the profiler and prints the host
 cost of the DFS control path: µs per level step (``gpu.exec`` wall ÷
-the devices' ``level_steps``) and µs per active-stealing idle-handler
-call (the handler's own wall ÷ its calls), so per-step overhead shows
-without cProfile. Then serves it again under cProfile and prints the
-per-layer self times of that run (``servebench/spans.py``'s
+the devices' ``level_steps``), µs per active-stealing idle-handler
+call (the handler's own wall ÷ its calls) and µs per Gen-Candidates
+call (``_gen_candidates`` plus ``_level_children`` wall ÷ their calls),
+so per-step overhead shows without cProfile. It also prints whether
+serving materialized the store's dict mirror (it should not: the
+serving paths read the CSR snapshot and per-vertex snapshot rows).
+Then serves it again under cProfile and prints the per-layer self
+times of that run (``servebench/spans.py``'s
 ``LayerTracer``: ``gpu.exec_ms`` is the wall inside ``VirtualGPU.launch``),
 then, per batch, the pickled size and dump/load time of its per-query
 results (the payload a sharded worker ships back on every reply),
@@ -96,37 +100,59 @@ def serve(g0, batches, queries) -> tuple[MatchingService, list]:
     return service, [service.process_batch(batch) for batch in batches]
 
 
+def _timed(fn, tally: list):
+    """``fn`` wrapped to add one call and its wall to ``tally``
+    (``[calls, seconds]``)."""
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            tally[0] += 1
+            tally[1] += time.perf_counter() - t0
+
+    return wrapper
+
+
 @contextmanager
 def timed_idle_handlers():
     """Count and time every active-stealing idle-handler call made
     while installed; yields ``[calls, seconds]``."""
     tally = [0, 0.0]
     make_handler = wbm._active_idle_handler
-
-    def timed_factory(sched, env):
-        handler = make_handler(sched, env)
-
-        def timed(ctx):
-            t0 = time.perf_counter()
-            try:
-                return handler(ctx)
-            finally:
-                tally[0] += 1
-                tally[1] += time.perf_counter() - t0
-
-        return timed
-
-    wbm._active_idle_handler = timed_factory
+    wbm._active_idle_handler = lambda sched, env: _timed(make_handler(sched, env), tally)
     try:
         yield tally
     finally:
         wbm._active_idle_handler = make_handler
 
 
+@contextmanager
+def timed_calls(*names: str):
+    """Count and time every call of the named ``wbm`` functions while
+    installed; yields ``[calls, seconds]`` summed over all of them."""
+    tally = [0, 0.0]
+    originals = {name: getattr(wbm, name) for name in names}
+    for name, fn in originals.items():
+        setattr(wbm, name, _timed(fn, tally))
+    try:
+        yield tally
+    finally:
+        for name, fn in originals.items():
+            setattr(wbm, name, fn)
+
+
 def step_costs(g0, batches, queries) -> None:
-    """Print host µs per DFS level step and per idle-handler call from
-    an un-profiled run (cProfile would inflate both)."""
-    with LayerTracer() as tracer, timed_idle_handlers() as idle:
+    """Print host µs per DFS level step, per idle-handler call and per
+    Gen-Candidates call from an un-profiled run (cProfile would inflate
+    all three), and whether serving materialized the store's dict
+    mirror."""
+    with (
+        LayerTracer() as tracer,
+        timed_idle_handlers() as idle,
+        timed_calls("_gen_candidates", "_level_children") as gen,
+    ):
         service, _ = serve(g0, batches, queries)
     exec_s = tracer.take().get("gpu.exec_ms", 0.0)
     steps = sum(service.runtime(n).gpu.level_steps for n in service.query_names)
@@ -139,6 +165,12 @@ def step_costs(g0, batches, queries) -> None:
         f"host per idle-handler call: {idle_s * 1e6 / max(calls, 1):.2f}us "
         f"({idle_s * 1e3:.1f}ms / {calls} calls)"
     )
+    gen_calls, gen_s = gen
+    print(
+        f"host per Gen-Candidates call: {gen_s * 1e6 / max(gen_calls, 1):.2f}us "
+        f"(_gen_candidates + _level_children {gen_s * 1e3:.1f}ms / {gen_calls} calls)"
+    )
+    print(f"store mirror materialized: {service.store.graph.is_materialized}")
 
 
 def payload_cost(report) -> tuple[int, float, float]:
