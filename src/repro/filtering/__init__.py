@@ -7,6 +7,6 @@ cost dominating the pipeline.
 """
 
 from repro.filtering.encoding import EncodingSchema, EncodingTable
-from repro.filtering.candidate_table import CandidateTable
+from repro.filtering.candidate_table import CandidateStack, CandidateTable
 
-__all__ = ["EncodingSchema", "EncodingTable", "CandidateTable"]
+__all__ = ["EncodingSchema", "EncodingTable", "CandidateStack", "CandidateTable"]

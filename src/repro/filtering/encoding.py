@@ -250,49 +250,6 @@ class EncodingTable:
     def __len__(self) -> int:
         return len(self.packed)
 
-    def refresh_vertices(
-        self,
-        graph: LabeledGraph,
-        vertices: set[int],
-        csr: CSRGraph | None = None,
-    ) -> set[int]:
-        """Re-encode ``vertices`` against the (already updated) graph;
-        returns the subset whose code actually changed — only those rows
-        need to cross PCIe and refresh the candidate table.
-        """
-        vs = xp.fromiter(vertices, dtype=xp.int64, count=len(vertices))
-        vs.sort()
-        return self._refresh(graph, vs, csr)
-
-    def _refresh(
-        self, graph: LabeledGraph, vs: xp.ndarray, csr: CSRGraph | None
-    ) -> set[int]:
-        """Re-encode the sorted unique vertex array ``vs``.
-
-        All of them are re-encoded in one vectorized shot, and the code
-        store grows to the target size with a single allocation
-        (vertices appended by updates arrive zero-coded until an edge
-        touches them).
-        """
-        if not len(vs):
-            return set()
-        target = int(vs[-1]) + 1
-        if target > len(self.packed):
-            grown = xp.zeros((target, self.schema.n_words), dtype=xp.uint64)
-            grown[: len(self.packed)] = self.packed
-            self.packed = grown
-        if self.vectorized:
-            if csr is None:
-                csr = CSRGraph.from_graph(graph)
-            new_rows = self.schema.encode_all(csr, vs)
-        else:
-            new_rows = self.schema.pack_codes(
-                [self.schema.encode(graph, v) for v in xp.to_numpy(vs).tolist()]
-            )
-        diff = (new_rows != self.packed[vs]).any(axis=1)
-        self.packed[vs] = new_rows
-        return set(xp.to_numpy(vs[diff]).tolist())
-
     def apply_delta(
         self,
         graph_after: LabeledGraph,
@@ -307,8 +264,27 @@ class EncodingTable:
         CSR snapshot when the caller (the shared store) already has one.
         """
         ins, dele = delta.inserted_array, delta.deleted_array
-        touched = xp.unique(
-            xp.concatenate([ins[:, 0], ins[:, 1], dele[:, 0], dele[:, 1]])
-        )
+        vs = xp.unique(xp.concatenate([ins[:, 0], ins[:, 1], dele[:, 0], dele[:, 1]]))
         self.version += 1
-        return self._refresh(graph_after, touched, csr)
+        if not len(vs):
+            return set()
+        # re-encode all of them in one vectorized shot; the code store
+        # grows to the target size with a single allocation (vertices
+        # appended by updates arrive zero-coded until an edge touches
+        # them)
+        target = int(vs[-1]) + 1
+        if target > len(self.packed):
+            grown = xp.zeros((target, self.schema.n_words), dtype=xp.uint64)
+            grown[: len(self.packed)] = self.packed
+            self.packed = grown
+        if self.vectorized:
+            if csr is None:
+                csr = CSRGraph.from_graph(graph_after)
+            new_rows = self.schema.encode_all(csr, vs)
+        else:
+            new_rows = self.schema.pack_codes(
+                [self.schema.encode(graph_after, v) for v in xp.to_numpy(vs).tolist()]
+            )
+        diff = (new_rows != self.packed[vs]).any(axis=1)
+        self.packed[vs] = new_rows
+        return set(xp.to_numpy(vs[diff]).tolist())

@@ -51,7 +51,7 @@ from typing import Generator, Optional
 
 from repro import xp
 from repro.errors import BudgetExceeded, ConfigMismatchError, MatchingError
-from repro.filtering import CandidateTable, EncodingSchema
+from repro.filtering import CandidateStack, CandidateTable, EncodingSchema
 from repro.graph.csr import CSRGraph, _flat_indices
 from repro.graph.labeled_graph import LabeledGraph, canonical
 from repro.gpu.device import VirtualGPU
@@ -184,11 +184,12 @@ class PhaseEdges:
     * the update-edge partners of each endpoint, sorted by endpoint
       then partner, so :meth:`rank_partners` is one ``searchsorted``
       per data vertex, cached for the whole phase;
-    * per CSR snapshot, a bucket index from ``(label_x, label_y,
-      edge_label)`` to the ascending indices of the in-range edges
-      carrying those labels — the label partitioning of GSI's PCSR —
-      so a launch visits only the edges its group representatives can
-      map onto (:func:`_working_items`).
+    * per CSR snapshot, a bucket index: the in-range edges sorted by
+      their ``(label_x, label_y, edge_label)`` key, ascending edge
+      index within a key — the label partitioning of GSI's PCSR — so
+      the working-items pass resolves every hosted query's group keys
+      with one ``searchsorted`` and visits only the edges a group
+      representative can map onto (:func:`working_items`).
     """
 
     def __init__(self, edges) -> None:
@@ -208,7 +209,7 @@ class PhaseEdges:
         self._partner_index: Optional[tuple] = None
         self._partners: dict[int, tuple[xp.ndarray, xp.ndarray]] = {}
         self._bucket_csr: Optional[CSRGraph] = None
-        self._buckets: dict[tuple[int, int, int], xp.ndarray] = {}
+        self._bucket: tuple = ()
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -234,29 +235,51 @@ class PhaseEdges:
             entry = self._partners[dv] = (others[lo:hi], ranks[lo:hi])
         return entry
 
-    def buckets(self, csr: CSRGraph) -> dict[tuple[int, int, int], xp.ndarray]:
-        """``(label_x, label_y, edge_label)`` → ascending indices of the
-        edges with both endpoints in ``csr`` and those labels; rebuilt
-        only if a launch brings a different snapshot."""
+    def bucket_index(self, csr: CSRGraph) -> tuple:
+        """``(vertex alphabet, edge alphabet, sorted keys, edge index
+        of each key)`` over the edges with both endpoints in ``csr``.
+
+        A key is ``(rank(label_x) * V + rank(label_y)) * E +
+        rank(edge_label)`` over the dense ranks of the labels the
+        in-range edges carry (so it cannot overflow); the edge indices
+        ascend within a key. Rebuilt only if a launch brings a
+        different snapshot."""
         if self._bucket_csr is not csr:
             n = csr.n_vertices
             idx = xp.nonzero((self.ex < n) & (self.ey < n))[0]
             labels = csr.vertex_labels
-            index: dict[tuple[int, int, int], list[int]] = {}
-            for key, i in zip(
-                zip(
-                    xp.to_numpy(labels[self.ex[idx]]).tolist(),
-                    xp.to_numpy(labels[self.ey[idx]]).tolist(),
-                    xp.to_numpy(self.el[idx]).tolist(),
-                ),
-                xp.to_numpy(idx).tolist(),
-            ):
-                index.setdefault(key, []).append(i)
-            self._buckets = {
-                key: xp.asarray(ids, dtype=xp.int64) for key, ids in index.items()
-            }
+            lx, ly, el = labels[self.ex[idx]], labels[self.ey[idx]], self.el[idx]
+            valph = xp.unique(xp.concatenate([lx, ly]))
+            ealph = xp.unique(el)
+            keys = (
+                xp.searchsorted(valph, lx) * len(valph) + xp.searchsorted(valph, ly)
+            ) * len(ealph) + xp.searchsorted(ealph, el)
+            order = xp.argsort(keys, kind="stable")
+            self._bucket = (valph, ealph, keys[order], idx[order])
             self._bucket_csr = csr
-        return self._buckets
+        return self._bucket
+
+    def resolve(self, csr: CSRGraph, keys: xp.ndarray) -> tuple[xp.ndarray, xp.ndarray]:
+        """Candidate ``(key row, edge index)`` pairs of the ``(k, 3)``
+        label-key matrix ``keys``: every in-range edge whose labels
+        equal a row's key, key rows in order, edge indices ascending
+        within a row."""
+        valph, ealph, skeys, sidx = self.bucket_index(csr)
+        packed = xp.full(len(keys), -1, dtype=xp.int64)
+        if len(skeys):
+            ranks = []
+            ok = xp.ones(len(keys), dtype=bool)
+            for col, alph in ((0, valph), (1, valph), (2, ealph)):
+                r = xp.minimum(xp.searchsorted(alph, keys[:, col]), len(alph) - 1)
+                ok &= alph[r] == keys[:, col]
+                ranks.append(r)
+            packed[ok] = ((ranks[0] * len(valph) + ranks[1]) * len(ealph) + ranks[2])[ok]
+        lo = xp.searchsorted(skeys, packed)
+        cnt = xp.searchsorted(skeys, packed, side="right") - lo
+        total = int(cnt.sum())
+        rows = xp.repeat(xp.arange(len(keys), dtype=xp.int64), cnt)
+        pos = xp.arange(total, dtype=xp.int64) + xp.repeat(lo - (xp.cumsum(cnt) - cnt), cnt)
+        return rows, sidx[pos]
 
 
 class _Env:
@@ -304,10 +327,15 @@ class _Env:
         self._hub_slices: dict[tuple, xp.ndarray] = {}
         self.gauge = _MemoryGauge()
         self.n = query.n_vertices
-        # phase-A filter columns: per (group, query vertex), the union of
-        # candidate-table columns over the vertex's automorphism orbit,
-        # materialized once per launch (for whole-query automorphisms the
-        # table is orbit-invariant and the union equals the exact column)
+        #: the candidate stack's bitmap (its columns are read-only
+        #: views) and the stack column of query vertex 0
+        self.bitmap = table.stack.bitmap
+        self.lo = table.lo
+        # phase-A filter columns per (group, query vertex): the union of
+        # candidate-table columns over the vertex's automorphism orbit —
+        # on the fast path the stack's union column for a k>0 group and
+        # the exact column otherwise (for whole-query automorphisms the
+        # table is orbit-invariant, so the union equals the exact column)
         self._orbit_cols: dict[tuple[int, int], object] = {}
         self.spent_cycles = 0.0  # engine-wide busy cycles this launch
         self._deadline = (
@@ -371,15 +399,19 @@ class _Env:
         return state
 
     def orbit_column(self, group: CoalescedGroup, qv: int):
-        """Boolean candidacy column for phase-A filtering at ``qv``."""
+        """Boolean candidacy column for phase-A filtering at ``qv``: a
+        stack column on the fast path; the scalar oracle ORs the
+        orbit's exact columns itself."""
         key = (id(group), qv)
         col = self._orbit_cols.get(key)
         if col is None:
-            orbit = group.vertex_orbits.get(qv, (qv,))
-            bitmap = self.table.bitmap
-            col = bitmap[:, orbit[0]]
-            for w in orbit[1:]:
-                col = col | bitmap[:, w]
+            if self.config.vectorized:
+                col = self.bitmap[:, filter_index(self.table, group, qv)]
+            else:
+                orbit = group.vertex_orbits.get(qv, (qv,))
+                col = self.table.bitmap[:, orbit[0]]
+                for w in orbit[1:]:
+                    col = col | self.table.bitmap[:, w]
             self._orbit_cols[key] = col
         return col
 
@@ -390,7 +422,7 @@ class _Env:
         qv = group.full_order[level]
         if level < len(group.core):
             return self.orbit_column(group, qv), (id(group), qv)
-        return self.table.bitmap[:, qv], qv
+        return self.bitmap[:, self.lo + qv], qv
 
     def passes_filter(self, group: CoalescedGroup, qv: int, dv: int, in_core: bool) -> bool:
         """Candidate check: orbit-invariant union inside the core,
@@ -2151,31 +2183,81 @@ def _initial_items(env: _Env, x: int, y: int, elabel: int, rank: int) -> list[di
     return items
 
 
-def _working_items(env: _Env, phase: PhaseEdges) -> dict[int, list[dict]]:
-    """Vectorized :func:`_initial_items` over the launch's working
-    edges only: one bucket lookup per group representative's label
-    triple (cached on the plan), narrowed by the orbit columns of both
-    endpoints. Returns ``{edge index: items}`` for the edges with at
-    least one item — the items identical to the scalar oracle's, in the
-    same per-edge group order; every other edge is a no-op probe."""
-    buckets = phase.buckets(env.csr)
-    ex, ey, exl, eyl = phase.ex, phase.ey, phase.exl, phase.eyl
-    per_edge: dict[int, list[dict]] = {}
-    for group, key in env.plan.label_keys(env.query):
-        sel = buckets.get(key)
-        if sel is None:
-            continue
-        a, b = group.representative
-        for qv, ends in ((a, ex), (b, ey)):
-            col = env.orbit_column(group, qv)
-            v = ends[sel]
-            ok = v < len(col)
-            ok[ok] = col[v[ok]]
-            sel = sel[ok]
-            if not len(sel):
-                break
-        for i in xp.to_numpy(sel).tolist():
-            per_edge.setdefault(i, []).append(
+def filter_index(table: CandidateTable, group: CoalescedGroup, qv: int) -> int:
+    """Stack column of ``qv``'s phase-A filter in ``group``: the union
+    column of its orbit for a k>0 group, the exact column otherwise."""
+    if group.k:
+        return table.column_index(qv, group.vertex_orbits.get(qv, (qv,)))
+    return table.lo + qv
+
+
+def union_orbits(plan: CoalescedPlan) -> list[tuple[int, ...]]:
+    """The orbits whose union columns the plan's k>0 groups filter on."""
+    return [
+        orbit
+        for group in plan.groups
+        if group.k
+        for orbit in group.vertex_orbits.values()
+        if len(orbit) > 1
+    ]
+
+
+def _launch_keys(runtime: "QueryRuntime") -> tuple:
+    """A runtime's groups with their label keys and the stack columns
+    of both representative endpoints' filters, cached until the stack's
+    layout changes (the plan is fixed at registration)."""
+    table = runtime.table
+    tag = (table.stack, table.stack.epoch)
+    cache = runtime._launch_keys
+    if cache is None or cache[0] != tag:
+        pairs = runtime.plan.label_keys(runtime.query)
+        groups = [group for group, _ in pairs]
+        keys = xp.asarray([key for _, key in pairs], dtype=xp.int64).reshape(-1, 3)
+        cols = xp.asarray(
+            [[filter_index(table, g, qv) for qv in g.representative] for g in groups],
+            dtype=xp.int64,
+        ).reshape(-1, 2)
+        cache = runtime._launch_keys = (tag, groups, keys, cols)
+    return cache
+
+
+def working_items(
+    phase: PhaseEdges, csr: CSRGraph, runtimes: list["QueryRuntime"]
+) -> list[dict[int, list[dict]]]:
+    """Vectorized :func:`_initial_items` for every runtime at once, over
+    the phase's working edges only.
+
+    The group keys of all runtimes on one candidate stack are resolved
+    against the phase's bucket index in one step, and both endpoints of
+    every candidate (runtime, group, edge) triple are checked against
+    the stacked filter columns with one fancy index. Returns, per
+    runtime, ``{edge index: items}`` for the edges with at least one
+    item — the items identical to the scalar oracle's, in the same
+    per-edge group order; every other edge is a no-op probe."""
+    out: list[dict[int, list[dict]]] = [{} for _ in runtimes]
+    by_stack: dict[int, list[int]] = {}
+    for i, runtime in enumerate(runtimes):
+        by_stack.setdefault(id(runtime.table.stack), []).append(i)
+    exl, eyl = phase.exl, phase.eyl
+    for members in by_stack.values():
+        entries = [_launch_keys(runtimes[i]) for i in members]
+        rows, edges = phase.resolve(csr, xp.concatenate([e[2] for e in entries]))
+        cols = xp.concatenate([e[3] for e in entries])
+        bitmap = runtimes[members[0]].table.stack.bitmap
+        va, vb = phase.ex[edges], phase.ey[edges]
+        inside = (va < bitmap.shape[0]) & (vb < bitmap.shape[0])
+        rows, edges = rows[inside], edges[inside]
+        hit = bitmap[
+            xp.concatenate([va[inside], vb[inside]]),
+            xp.concatenate([cols[rows, 0], cols[rows, 1]]),
+        ]
+        ok = hit[: len(rows)] & hit[len(rows) :]
+        groups = [g for e in entries for g in e[1]]
+        owner = [out[i] for i, e in zip(members, entries) for _ in e[1]]
+        for r, i in zip(xp.to_numpy(rows[ok]).tolist(), xp.to_numpy(edges[ok]).tolist()):
+            group = groups[r]
+            a, b = group.representative
+            owner[r].setdefault(i, []).append(
                 {
                     "group": group,
                     "assign": {a: exl[i], b: eyl[i]},
@@ -2185,7 +2267,7 @@ def _working_items(env: _Env, phase: PhaseEdges) -> dict[int, list[dict]]:
                     "permuted": False,
                 }
             )
-    return per_edge
+    return out
 
 
 # an update edge that maps onto no work item still pays its probe: one
@@ -2217,20 +2299,21 @@ def launch_kernel(
     gpu: VirtualGPU,
     phase: PhaseEdges,
     csr: Optional[CSRGraph] = None,
+    per_edge: Optional[dict[int, list[dict]]] = None,
 ) -> KernelOutput:
     """Launch one sign phase: one warp task per net update edge.
 
     ``phase`` indexes the phase's edges once for every runtime that
     launches it; ``csr`` is the launch-time CSR snapshot of ``graph`` —
     the shared store hands its cached snapshot to every runtime so N
-    registered queries read one adjacency array set.
+    registered queries read one adjacency array set. ``per_edge`` holds
+    the launch's work items from :func:`working_items`; without them
+    the scalar oracle maps every edge through :func:`_initial_items`.
     """
     out = KernelOutput()
     env = _Env(query, graph, table, plan, phase, config, out, csr=csr)
 
-    if config.vectorized:
-        per_edge = _working_items(env, phase)
-    else:
+    if per_edge is None:
         per_edge = {}
         for i, (u, v, lbl) in enumerate(phase.edges):
             items = _initial_items(env, *canonical(u, v), lbl, i)
@@ -2271,10 +2354,15 @@ class QueryRuntime:
     """Per-query state layered on a shared :class:`DynamicGraphStore`.
 
     Owns everything that is private to one registered query — the query
-    graph, the (gated) coalesced plan, the candidate table, the virtual
-    GPU the kernels launch on, and optionally a match collector — while
-    the data graph, GPMA container, and encoding table live in the
-    store and are shared with every other runtime.
+    graph, the (gated) coalesced plan, the virtual GPU the kernels
+    launch on, and optionally a match collector — while the data graph,
+    GPMA container, and encoding table live in the store and are shared
+    with every other runtime. The candidate table is the query's
+    column range of ``stack``, the :class:`CandidateStack` its host
+    shares across every query it serves (a private one-query stack
+    when none is given). ``plan`` is a plan gated at an earlier
+    registration of the same query; without one the runtime gates its
+    own.
 
     Batch flow, orchestrated by :class:`repro.service.MatchingService`:
     :meth:`launch` the deleted net edges while the pre-update graph is
@@ -2290,6 +2378,9 @@ class QueryRuntime:
         config: WBMConfig = WBMConfig(),
         name: str | None = None,
         collector=None,
+        *,
+        stack: CandidateStack | None = None,
+        plan: CoalescedPlan | None = None,
     ) -> None:
         if query.n_vertices < 2:
             raise MatchingError("query needs at least one edge")
@@ -2312,13 +2403,18 @@ class QueryRuntime:
         # the virtual GPU follows the query's vectorized flag: pooled
         # array-native launch path, or per-block generator oracle
         self.gpu = VirtualGPU(params, vectorized=config.vectorized)
-        self.table = CandidateTable(
-            query, store.graph, store.encodings, vectorized=config.vectorized
-        )
-        if config.coalesced:
-            self.plan = gate_plan(query, self.table, build_coalesced_plan(query, max_k=config.max_k))
-        else:
-            self.plan = trivial_plan(query)
+        if stack is None:
+            stack = CandidateStack(store.encodings, vectorized=config.vectorized)
+        self.table = CandidateTable(query, stack=stack)
+        if plan is None:
+            plan = (
+                gate_plan(query, self.table, build_coalesced_plan(query, max_k=config.max_k))
+                if config.coalesced
+                else trivial_plan(query)
+            )
+        self.plan = plan
+        stack.bind_unions(self.table, union_orbits(plan))
+        self._launch_keys: Optional[tuple] = None
         self.collector = collector
         #: matches present when the query registered (static bootstrap);
         #: None until :meth:`bootstrap` runs
@@ -2368,11 +2464,18 @@ class QueryRuntime:
         return set(self.initial_matches)
 
     def launch(
-        self, edges: PhaseEdges | list[tuple[int, int, int]], *, degraded: bool = False
+        self,
+        edges: PhaseEdges | list[tuple[int, int, int]],
+        *,
+        degraded: bool = False,
+        items: Optional[dict[int, list[dict]]] = None,
     ) -> KernelOutput:
         """Run the WBM kernel for one sign phase over ``edges``: the
         phase's shared :class:`PhaseEdges` (one per phase across every
         runtime, as the service builds it) or a plain edge list.
+        ``items`` are this runtime's work items from the host's shared
+        :func:`working_items` pass over the phase; the runtime resolves
+        its own when they are not given.
 
         ``degraded`` reruns the launch on the scalar-oracle arm
         (``vectorized=False`` over the same candidate table) — the
@@ -2401,7 +2504,11 @@ class QueryRuntime:
                 csr=None,
             )
         self._fire("runtime.launch")
-        csr = self.store.csr_snapshot() if self.config.vectorized else None
+        csr = None
+        if self.config.vectorized:
+            csr = self.store.csr_snapshot()
+            if items is None:
+                items = working_items(phase, csr, [self])[0]
         return launch_kernel(
             self.query,
             self.store.graph,
@@ -2411,18 +2518,21 @@ class QueryRuntime:
             self.gpu,
             phase,
             csr=csr,
+            per_edge=items,
         )
 
     def observe_commit(self, commit) -> None:
-        """Refresh per-query candidate rows after the store's single
-        update; every runtime must observe every commit exactly once."""
+        """Refresh the candidate rows after the store's single update
+        (once per commit for the whole stack, by whichever of its
+        runtimes observes first); every runtime must observe every
+        commit exactly once."""
         if commit.version != self.synced_version + 1:
             raise MatchingError(
                 f"runtime {self.name!r} missed a store commit "
                 f"(saw v{self.synced_version}, commit is v{commit.version})"
             )
         self._fire("runtime.observe")
-        self.table.refresh_rows(commit.changed_vertices)
+        self.table.stack.observe(commit)
         self._fire("runtime.observe.mid")
         self.synced_version = commit.version
 
@@ -2432,19 +2542,16 @@ class QueryRuntime:
 
         A quarantined runtime may hold arbitrarily stale or corrupt
         state (a fault can strike mid-refresh), so recovery does not
-        patch: the candidate table and collector are rebuilt from
-        scratch, the version re-synced, and the match view re-anchored
-        to a fresh static bootstrap. The gated plan is kept: it is
-        fixed at registration and never written afterwards, and
-        re-gating it on the current table would launch different
+        patch: the query's stack columns and its collector are rebuilt
+        from scratch, the version re-synced, and the match view
+        re-anchored to a fresh static bootstrap. The gated plan is
+        kept: it is fixed at registration and never written afterwards,
+        and re-gating it on the current table would launch different
         kernels (same matches, different ``KernelStats``) than a run
         that never faulted. The shared store is never touched.
         """
         self._fire("runtime.bootstrap")
-        self.table = CandidateTable(
-            self.query, self.store.graph, self.store.encodings,
-            vectorized=self.config.vectorized,
-        )
+        self.table.stack.rebuild(self.table)
         if self.collector is not None:
             self.collector = type(self.collector)()
         self.synced_version = self.store.version

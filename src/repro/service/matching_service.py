@@ -51,6 +51,7 @@ from repro.errors import (
     ServiceError,
     UpdateError,
 )
+from repro.filtering import CandidateStack
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
@@ -62,6 +63,7 @@ from repro.matching.wbm import (
     PhaseEdges,
     QueryRuntime,
     WBMConfig,
+    working_items,
 )
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
@@ -221,13 +223,20 @@ class QueryHost:
 
 class InProcessHost(QueryHost):
     """Runtimes on a store in this process: the parent store, or a
-    worker's replica store."""
+    worker's replica store.
+
+    The host does its per-batch filtering and work-item discovery once
+    for all its queries: the runtimes it registers are column ranges of
+    one :class:`~repro.filtering.CandidateStack`, refreshed once per
+    commit, and each sign phase resolves every healthy query's work
+    items in one :func:`~repro.matching.wbm.working_items` pass."""
 
     def __init__(self, store, params: DeviceParams, policy: ResiliencePolicy, label=None) -> None:
         super().__init__(label)
         self.store = store
         self.params = params
         self.policy = policy
+        self.stack = CandidateStack(store.encodings, vectorized=store.vectorized)
         self.runtimes: dict[str, QueryRuntime] = {}  # insertion-ordered
         #: called with a query name after each of its launches (a
         #: worker's heartbeat to its supervisor)
@@ -245,11 +254,14 @@ class InProcessHost(QueryHost):
         query keeps launching the kernels it registered with instead of
         re-gating on the current candidate table."""
         runtime = QueryRuntime(
-            query, self.store, self.params, config, name=name, collector=MatchCollector()
+            query, self.store, self.params, config, name=name,
+            collector=MatchCollector(), stack=self.stack, plan=plan,
         )
-        if plan is not None:
-            runtime.plan = plan
-        initial = runtime.bootstrap() if bootstrap else None
+        try:
+            initial = runtime.bootstrap() if bootstrap else None
+        except Exception:
+            self.stack.remove(runtime.table)  # nothing hosts the query
+            raise
         self.runtimes[name] = runtime
         return initial, runtime.plan
 
@@ -260,7 +272,9 @@ class InProcessHost(QueryHost):
         self.runtimes[name] = runtime
 
     def unregister(self, name: str) -> None:
-        self.runtimes.pop(name, None)
+        runtime = self.runtimes.pop(name, None)
+        if runtime is not None and runtime.table.stack is self.stack:
+            self.stack.remove(runtime.table)
 
     def rebootstrap(self, name: str) -> set[Match]:
         return self.runtimes[name].rebootstrap()
@@ -294,19 +308,37 @@ class InProcessHost(QueryHost):
             return
         # one indexed edge set per phase, shared by every runtime's launch
         edges = PhaseEdges(edges)
-        for name in names:
+        live = [name for name in names if outcomes[name].error is None]
+        items = self._phase_items(edges, live)
+        for name in live:
             out = outcomes[name]
-            if out.error is None:
-                setattr(out, phase, self._guarded_launch(name, edges, out))
-                if self.heartbeat is not None:
-                    self.heartbeat(name)
+            setattr(out, phase, self._guarded_launch(name, edges, out, items.get(name)))
+            if self.heartbeat is not None:
+                self.heartbeat(name)
 
-    def _guarded_launch(self, name, edges, out: QueryOutcome):
+    def _phase_items(self, edges: PhaseEdges, names) -> dict:
+        """Every vectorized runtime's work items for one phase, from one
+        shared pass. Should the pass fault, each launch resolves its own
+        items inside its own guard instead."""
+        names = [n for n in names if self.runtimes[n].config.vectorized]
+        if not names:
+            return {}
+        try:
+            per_query = working_items(
+                edges, self.store.csr_snapshot(), [self.runtimes[n] for n in names]
+            )
+        except Exception as err:  # noqa: BLE001 — isolation boundary
+            if is_defect(err):
+                raise
+            return {}
+        return dict(zip(names, per_query))
+
+    def _guarded_launch(self, name, edges, out: QueryOutcome, items=None):
         """One launch inside its isolation guard, with the policy's
         degrade-to-scalar rerun; a fault lands in ``out.error``."""
         runtime = self.runtimes[name]
         try:
-            return runtime.launch(edges)
+            return runtime.launch(edges, items=items)
         except Exception as err:  # noqa: BLE001 — isolation boundary
             if is_defect(err):
                 raise

@@ -2,25 +2,35 @@
 runtime (un)registration, and the empty-delta pricing fix."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro import xp
 from repro.errors import MatchingError
-from repro.filtering import EncodingTable
+from repro.filtering import CandidateTable, EncodingTable
 from repro.graph import LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import UpdateStream, apply_batch, make_batch
 from repro.gpu import DeviceParams
-from repro.matching import find_matches, oracle_delta
+from repro.matching import PhaseEdges, find_matches, oracle_delta
+from repro.matching.wbm import KernelOutput, _Env, _initial_items, working_items
 from repro.pipeline import GammaSystem, PipelineModel
 from repro.pma.gpma import GPMAGraph
 from repro.service import DynamicGraphStore, MatchingService
+from repro.service.matching_service import InProcessHost
+from repro.testing import FaultPlan, FaultSpec
 
 PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
 PAPER_Q = LabeledGraph.from_edges([0, 1, 1, 2], [(0, 1), (0, 2), (1, 2), (1, 3)])
 TRI_Q = LabeledGraph.from_edges([0, 1, 1], [(0, 1), (0, 2), (1, 2)])
 PATH_Q = LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2)])
 QUERIES = [PAPER_Q, TRI_Q, PATH_Q]
+#: no whole-query automorphism, but removing pendant 4 leaves a core
+#: with one: gating keeps its k=1 groups, whose core filter is an
+#: orbit-union column of the candidate stack
+K_Q = LabeledGraph.from_edges([0, 0, 0, 1, 2], [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 
 
 def make_stream(seed: int, n: int = 22, n_batches: int = 4):
@@ -321,3 +331,171 @@ class TestPipelinePerBatchStages:
         model = PipelineModel([("a", "cpu")])
         with pytest.raises(ValueError):
             model.schedule([{"a": 1.0}], batch_stages=[])
+
+
+# ---------------------------------------------------------------------------
+# one candidate stack and one working-items pass per host, in lockstep
+# with the scalar oracles
+# ---------------------------------------------------------------------------
+def scalar_items(runtime, phase, csr):
+    """The scalar oracle's per-edge items over a freshly built scalar
+    candidate table (which ORs orbit columns itself)."""
+    fresh = CandidateTable(runtime.query, runtime.graph, vectorized=False)
+    env = _Env(
+        runtime.query, runtime.graph, fresh, runtime.plan, phase,
+        replace(runtime.config, vectorized=False), KernelOutput(), csr=csr,
+    )
+    out = {}
+    for i, (x, y, lbl) in enumerate(zip(phase.exl, phase.eyl, phase.ell)):
+        items = _initial_items(env, x, y, lbl, i)
+        if items:
+            out[i] = items
+    return out
+
+
+class TestCandidateStackLockstep:
+    """A mixed stream through one host with mid-stream registration,
+    unregistration of a middle query, vertex growth and two quarantines
+    followed by ``rebootstrap``. After every batch each query's stacked
+    columns equal a fresh scalar table; during every phase each query's
+    batched items equal ``_initial_items``; per-query ``KernelStats``
+    equal a twin service hosting that query alone."""
+
+    def _batch(self, shadow, rng, grow=None):
+        edges = list(shadow.edges())
+        non = [
+            (u, v)
+            for u in range(shadow.n_vertices)
+            for v in range(u + 1, shadow.n_vertices)
+            if not shadow.has_edge(u, v)
+        ]
+        rng.shuffle(edges)
+        rng.shuffle(non)
+        ops = [("+", u, v) for u, v in non[:4]] + [("-", u, v) for u, v in edges[:3]]
+        if grow is not None:
+            ops += [("+", u, grow) for u in range(4)]
+        return make_batch(ops)
+
+    def test_stacked_columns_items_and_stats_track_oracles(self, monkeypatch):
+        checked = []
+        real = InProcessHost._phase_items
+
+        def audited(host, edges, names):
+            items = real(host, edges, names)
+            csr = host.store.csr_snapshot()
+            for name in names:
+                runtime = host.runtimes[name]
+                assert items[name] == scalar_items(runtime, edges, csr)
+            # edges whose endpoints lie beyond the launch-time snapshot
+            n = csr.n_vertices
+            beyond = PhaseEdges(list(edges.edges) + [(n + 2, 0, 0), (3, n + 5, 0), (n, n + 1, 0)])
+            runtimes = [host.runtimes[name] for name in names]
+            for runtime, batched in zip(runtimes, working_items(beyond, csr, runtimes)):
+                assert batched == scalar_items(runtime, beyond, csr)
+                assert all(i < len(edges) for i in batched)
+            checked.append(len(names))
+            return items
+
+        monkeypatch.setattr(InProcessHost, "_phase_items", audited)
+
+        g = attach_labels(power_law_graph(30, 4.0, seed=4), 3, 1, seed=5)
+        faults = FaultPlan(
+            (
+                FaultSpec("runtime.observe", 1, query="a"),  # before the refresh
+                FaultSpec("runtime.observe.mid", 3, query="k"),  # after it
+            )
+        )
+        service = MatchingService(g, params=PARAMS, faults=faults)
+        twins = {}
+
+        def register(name, query):
+            service.register_query(query, name=name)
+            twins[name] = MatchingService(service.graph, params=PARAMS)
+            twins[name].register_query(query, name=name)
+
+        for name, query in (("a", PAPER_Q), ("k", K_Q), ("c", TRI_Q), ("e", PATH_Q)):
+            register(name, query)
+        host = service._hosts[0]
+        k_table = host.runtimes["k"].table
+        assert k_table.unions, "K_Q should keep a k>0 group"
+        # the union column is looser than a member's exact column, so
+        # filtering on the wrong one would show
+        assert any(
+            (host.stack.bitmap[:, k_table.ulo + j] != k_table.bitmap[:, w]).any()
+            for orbit, j in k_table.unions.items()
+            for w in orbit
+        )
+        assert all(rt.table.stack is host.stack for rt in host.runtimes.values())
+
+        rng = random.Random(7)
+        shadow = g.copy()
+        health = []
+        for index in range(6):
+            grow = None
+            if index == 2:  # vertex growth: the batch wires up a new vertex
+                grow = shadow.add_vertex(0)
+                for svc in (service, *twins.values()):
+                    svc.store.graph.add_vertex(0)
+            batch = self._batch(shadow, rng, grow)
+            report = service.process_batch(batch)
+            apply_batch(shadow, batch)
+            health.append(dict(report.health))
+            for name, twin in twins.items():
+                if name not in service.query_names:
+                    continue
+                twin_row = twin.process_batch(batch).queries[name]
+                if report.health[name] == "quarantined":
+                    continue
+                row = report.queries[name]
+                assert row.result.kernel_stats == twin_row.result.kernel_stats
+                assert row.result.positives == twin_row.result.positives
+                assert row.result.negatives == twin_row.result.negatives
+                assert service.matches(name) == find_matches(service.runtime(name).query, shadow)
+                table = service.runtime(name).table
+                fresh = CandidateTable(table.query, shadow, vectorized=False)
+                np.testing.assert_array_equal(
+                    xp.to_numpy(table.bitmap), xp.to_numpy(fresh.bitmap)
+                )
+                bitmap = xp.to_numpy(host.stack.bitmap)
+                for orbit, j in table.unions.items():
+                    union = np.logical_or.reduce(xp.to_numpy(fresh.bitmap)[:, list(orbit)], axis=1)
+                    np.testing.assert_array_equal(bitmap[:, table.ulo + j], union)
+            if index == 1:
+                service.unregister_query("c")  # the middle of the stack
+                del twins["c"]
+            if index == 2:
+                register("d", TRI_Q)  # mid-stream, after vertex growth
+        assert host.stack.bitmap.shape[1] == sum(
+            rt.table.n_query + len(rt.table.unions) for rt in host.runtimes.values()
+        )
+        assert [h["a"] for h in health][1:3] == ["quarantined", "recovered"]
+        assert [h["k"] for h in health][3:5] == ["quarantined", "recovered"]
+        assert sum(checked) > 0
+
+    def test_shared_pass_fault_falls_back_to_per_query_items(self, monkeypatch):
+        """A fault in the host's shared working-items pass quarantines
+        nobody: each launch resolves its own items inside its guard, and
+        matches and stats equal a twin whose pass works."""
+        import repro.service.matching_service as ms
+
+        g, stream = make_stream(19, n_batches=2)
+        service = MatchingService(g, params=PARAMS)
+        twin = MatchingService(g, params=PARAMS)
+        for svc in (service, twin):
+            for i, q in enumerate(QUERIES):
+                svc.register_query(q, name=f"q{i}")
+
+        def faulty(phase, csr, runtimes):
+            if runtimes[0].store is service.store:
+                raise RuntimeError("shared pass down")
+            return working_items(phase, csr, runtimes)
+
+        monkeypatch.setattr(ms, "working_items", faulty)
+        for batch in stream:
+            report = service.process_batch(batch)
+            expected = twin.process_batch(batch)
+            assert set(report.health.values()) == {"ok"}
+            for name, row in report.queries.items():
+                assert row.result.kernel_stats == expected.queries[name].result.kernel_stats
+                assert row.result.positives == expected.queries[name].result.positives
+                assert row.result.negatives == expected.queries[name].result.negatives

@@ -31,7 +31,7 @@ from repro.matching.wbm import (
     KernelOutput,
     _Env,
     _initial_items,
-    _working_items,
+    working_items,
 )
 from repro.service import (
     DynamicGraphStore,
@@ -297,7 +297,7 @@ class TestBucketItems:
             (edges[1][0], edges[1][1], 1),
         ]
         env, phase = make_env(runtime, edges)
-        bucket = _working_items(env, phase)
+        [bucket] = working_items(phase, env.csr, [runtime])
         scalar = scalar_items(env, phase)
         assert scalar, "the graph should give the query some working edges"
         assert bucket == scalar

@@ -2,8 +2,8 @@
 
 ``servebench/`` times ``VirtualGPU.launch`` as one opaque layer;
 this tool breaks the serving loop open with cProfile so the
-*machinery* share — the per-phase edge index (``PhaseEdges``), working
-item construction (``_working_items``), the idle-scan handler, the
+*machinery* share — the per-phase edge index (``PhaseEdges``), the
+host's shared working-items pass (``working_items``), the idle-scan handler, the
 filler-block templates (one memoized ``BlockStats`` per filler span),
 scheduler bookkeeping — is attributable function by function, next to
 the genuine candidate-generation work.
@@ -19,9 +19,13 @@ cost of the DFS control path: µs per level step (``gpu.exec`` wall ÷
 the devices' ``level_steps``), µs per active-stealing idle-handler
 call (the handler's own wall ÷ its calls) and µs per Gen-Candidates
 call (``_gen_candidates`` plus ``_level_children`` wall ÷ their calls),
-so per-step overhead shows without cProfile. It also prints whether
-serving materialized the store's dict mirror (it should not: the
-serving paths read the CSR snapshot and per-vertex snapshot rows).
+so per-step overhead shows without cProfile. Per batch it prints the
+wall of the host's two shared passes — the candidate-stack refresh and
+the working-items pass over both sign phases — and the number of
+query groups that pass resolves against the number of distinct label
+keys among them. It also prints whether serving materialized the
+store's dict mirror (it should not: the serving paths read the CSR
+snapshot and per-vertex snapshot rows).
 Then serves it again under cProfile and prints the per-layer self
 times of that run (``servebench/spans.py``'s
 ``LayerTracer``: ``gpu.exec_ms`` is the wall inside ``VirtualGPU.launch``),
@@ -65,9 +69,11 @@ for path in (ROOT / "src", ROOT):
 
 from repro.bench.harness import BENCH_PARAMS  # noqa: E402
 from repro.bench.workloads import holdout_stream  # noqa: E402
+from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.matching import WBMConfig, find_matches, wbm  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
+from repro.service.matching_service import InProcessHost  # noqa: E402
 from servebench.spans import LayerTracer  # noqa: E402
 
 
@@ -91,13 +97,18 @@ def collect_queries(graph, count: int, max_static: int = 200):
     return out
 
 
-def serve(g0, batches, queries) -> tuple[MatchingService, list]:
+def serve(g0, batches, queries, after_batch=None) -> tuple[MatchingService, list]:
     """Serve ``batches``; return the service and their
-    ``ServiceBatchReport``s."""
+    ``ServiceBatchReport``s. ``after_batch(service)`` runs after each."""
     service = MatchingService(g0, params=BENCH_PARAMS, vectorized=True)
     for i, q in enumerate(queries):
         service.register_query(q, WBMConfig(), name=f"q{i}", bootstrap=False)
-    return service, [service.process_batch(batch) for batch in batches]
+    reports = []
+    for batch in batches:
+        reports.append(service.process_batch(batch))
+        if after_batch is not None:
+            after_batch(service)
+    return service, reports
 
 
 def _timed(fn, tally: list):
@@ -129,6 +140,42 @@ def timed_idle_handlers():
 
 
 @contextmanager
+def timed_methods(*targets):
+    """Count and time every call of the ``(class, method name)``
+    targets while installed; yields one ``[calls, seconds]`` per
+    target."""
+    tallies = [[0, 0.0] for _ in targets]
+    originals = [(cls, name, getattr(cls, name)) for cls, name in targets]
+    for (cls, name, fn), tally in zip(originals, tallies):
+        setattr(cls, name, _timed(fn, tally))
+    try:
+        yield tallies
+    finally:
+        for cls, name, fn in originals:
+            setattr(cls, name, fn)
+
+
+def shared_pass_report(service, tallies, seen: list) -> None:
+    """Print one batch's shared-pass walls (the tallies' growth since
+    the previous batch) and its groups against distinct label keys."""
+    (n_ref, ref_s), (n_items, items_s) = (
+        (t[0] - s[0], t[1] - s[1]) for t, s in zip(tallies, seen)
+    )
+    seen[:] = [list(t) for t in tallies]
+    keys = [
+        key
+        for name in service.query_names
+        for _, key in service.runtime(name).plan.label_keys(service.runtime(name).query)
+    ]
+    print(
+        f"  batch {service.batches_processed - 1}: "
+        f"shared refresh {ref_s * 1e3:.2f}ms ({n_ref} calls), "
+        f"shared working items {items_s * 1e3:.2f}ms ({n_items} passes), "
+        f"{len(keys)} groups over {len(set(keys))} distinct keys"
+    )
+
+
+@contextmanager
 def timed_calls(*names: str):
     """Count and time every call of the named ``wbm`` functions while
     installed; yields ``[calls, seconds]`` summed over all of them."""
@@ -148,12 +195,19 @@ def step_costs(g0, batches, queries) -> None:
     Gen-Candidates call from an un-profiled run (cProfile would inflate
     all three), and whether serving materialized the store's dict
     mirror."""
+    print("shared per-batch host passes:")
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
         timed_calls("_gen_candidates", "_level_children") as gen,
+        timed_methods(
+            (CandidateStack, "refresh_rows"), (InProcessHost, "_phase_items")
+        ) as shared,
     ):
-        service, _ = serve(g0, batches, queries)
+        seen = [[0, 0.0], [0, 0.0]]
+        service, _ = serve(
+            g0, batches, queries, lambda svc: shared_pass_report(svc, shared, seen)
+        )
     exec_s = tracer.take().get("gpu.exec_ms", 0.0)
     steps = sum(service.runtime(n).gpu.level_steps for n in service.query_names)
     calls, idle_s = idle
