@@ -14,7 +14,7 @@ from common import bench_dataset, queries_for, DEFAULT_QUERY_SIZE
 from repro.bench.harness import BENCH_PARAMS
 from repro.bench.reporting import fmt_seconds, render_series, render_table, save_artifact
 from repro.bench.workloads import holdout_workload
-from repro.matching import BFSEngine, WBMConfig
+from repro.matching import BFSEngine
 from repro.pipeline import GammaSystem
 
 # a small device exposes the BFS memory wall without gigantic frontiers
@@ -39,7 +39,7 @@ def run_experiment() -> str:
         bfs = BFSEngine(query, g0, SMALL_DEVICE)
         bres = bfs.process_batch(batch)
 
-        wbm = GammaSystem(query, g0, SMALL_DEVICE, WBMConfig(wall_limit=20.0))
+        wbm = GammaSystem(query, g0, SMALL_DEVICE)
         wres = wbm.process_batch(batch).result
         dfs_peak_frac = max(wres.kernel_stats.peak_device_words, 1) / (
             SMALL_DEVICE.device_memory_words

@@ -9,9 +9,9 @@ grown into a multi-query serving stack:
 * :class:`~repro.pipeline.gamma.GammaSystem` — the single-query
   end-to-end system (preprocess → GPMA update → WBM kernel →
   postprocess), a thin wrapper over the service;
-* :class:`~repro.matching.wbm.WBMEngine` — the warp-centric DFS kernel
-  with work stealing and coalesced search, split into a shared store
-  plus a per-query :class:`~repro.matching.wbm.QueryRuntime`;
+* :mod:`repro.matching` — the warp-centric DFS kernel with work
+  stealing and coalesced search, run per query by a
+  :class:`~repro.matching.wbm.QueryRuntime` over a shared store;
 * :mod:`repro.baselines` — TurboFlux / SymBi / RapidFlow / CaLiG
   reimplementations;
 * :mod:`repro.gpu` — the virtual GPU substrate;
@@ -68,7 +68,6 @@ from repro.matching import (
     BFSEngine,
     QueryRuntime,
     WBMConfig,
-    WBMEngine,
     build_coalesced_plan,
     find_matches,
     oracle_delta,
@@ -117,7 +116,6 @@ __all__ = [
     "EncodingTable",
     "CandidateTable",
     # matching
-    "WBMEngine",
     "WBMConfig",
     "BFSEngine",
     "find_matches",

@@ -22,9 +22,6 @@ from repro.pipeline.gamma import GammaSystem
 #: 30-minute timeout, sized so the pure-Python harness stays fast
 DEFAULT_OPS_BUDGET = 1_000_000.0
 
-#: wall-clock safety guard per GAMMA run (degenerate result explosions)
-DEFAULT_WALL_LIMIT = 10.0
-
 #: device configuration for benchmarks (paper: RTX 3090, 83 SMs; a
 #: fraction of that keeps the simulation quick while preserving shape)
 BENCH_PARAMS = DeviceParams(num_sms=16, warps_per_block=8)
@@ -61,16 +58,11 @@ def run_gamma(
     config: WBMConfig | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
     ops_budget: float = DEFAULT_OPS_BUDGET,
-    wall_limit: float | None = DEFAULT_WALL_LIMIT,
 ) -> RunResult:
     """One GAMMA run through the full pipeline."""
     if config is None:
         config = WBMConfig()
-    config = replace(
-        config,
-        cycle_budget=gamma_cycle_budget(ops_budget),
-        wall_limit=wall_limit,
-    )
+    config = replace(config, cycle_budget=gamma_cycle_budget(ops_budget))
     system = GammaSystem(query, g0, params, config, model)
     t0 = time.perf_counter()
     report = system.process_batch(batch)

@@ -16,7 +16,6 @@ from repro.matching.coalesced import (
     trivial_plan,
 )
 from repro.matching.wbm import (
-    WBMEngine,
     WBMConfig,
     MatchRecord,
     BatchResult,
@@ -44,7 +43,6 @@ __all__ = [
     "CoalescedGroup",
     "build_coalesced_plan",
     "trivial_plan",
-    "WBMEngine",
     "WBMConfig",
     "MatchRecord",
     "BatchResult",

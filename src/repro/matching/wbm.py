@@ -45,13 +45,12 @@ whole block schedule are byte-identical between the two
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional
 
 from repro import xp
 from repro.errors import BudgetExceeded, ConfigMismatchError, MatchingError
-from repro.filtering import CandidateStack, CandidateTable, EncodingSchema
+from repro.filtering import CandidateStack, CandidateTable
 from repro.graph.csr import CSRGraph, _flat_indices
 from repro.graph.labeled_graph import LabeledGraph, canonical
 from repro.gpu.device import VirtualGPU
@@ -103,10 +102,6 @@ class WBMConfig:
     # engine-wide busy-cycle allowance per launch (the timeout analogue;
     # exceeded -> BudgetExceeded -> the query counts as unsolved)
     cycle_budget: Optional[float] = None
-    # hard wall-clock guard (seconds) against degenerate result
-    # explosions; None disables
-    wall_limit: Optional[float] = None
-    steal_period: int = 8  # passive: parked-warp check frequency (steps)
 
     def __post_init__(self) -> None:
         if self.work_stealing not in ("active", "passive", "off"):
@@ -338,11 +333,6 @@ class _Env:
         # table is orbit-invariant, so the union equals the exact column)
         self._orbit_cols: dict[tuple[int, int], object] = {}
         self.spent_cycles = 0.0  # engine-wide busy cycles this launch
-        self._deadline = (
-            None
-            if config.wall_limit is None
-            else _time.perf_counter() + config.wall_limit
-        )
 
     @property
     def csr(self) -> CSRGraph:
@@ -439,16 +429,13 @@ class _Env:
 
     def check_budget(self, ctx: WarpContext) -> None:
         """Accumulate this warp's new busy cycles into the launch-wide
-        total and abort once the work allowance (or wall guard) is hit."""
+        total and abort once the work allowance is hit."""
         self.spent_cycles += ctx.busy_cycles - ctx.env_busy_mark
         ctx.env_busy_mark = ctx.busy_cycles
         budget = self.config.cycle_budget
         if budget is not None and self.spent_cycles > budget:
             self.out.aborted = True
             raise BudgetExceeded(self.spent_cycles, budget)
-        if self._deadline is not None and _time.perf_counter() > self._deadline:
-            self.out.aborted = True
-            raise BudgetExceeded(self.spent_cycles, budget or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,54 +457,52 @@ def _gen_candidates(
     label, adjacency + edge labels to all matched query neighbors,
     injectivity, and the total-order rank rule.
 
-    The default path picks its host strategy by run size: an anchor of
-    at most ``_SCALAR_GEN_MAX`` neighbors takes the dict walk over its
-    per-vertex snapshot rows, a hub anchor narrows its cached
-    first-stage slice (:func:`_candidates_vectorized`).
-    ``config.vectorized = False`` selects the dict walk everywhere, kept
-    as the correctness oracle. Both paths pay the identical modeled
-    warp-cooperative cost.
+    The default path narrows through :func:`_narrow`;
+    ``config.vectorized = False`` selects the dict walk
+    (:func:`_candidates_scalar`), kept as the correctness oracle. Both
+    paths pay the identical modeled warp-cooperative cost.
     """
     query, graph = env.query, env.graph
     qv = order[level]
     matched = [w for w in query.neighbors(qv) if w in assign]
     if not matched:
         raise MatchingError(f"matching order broke connectivity at {qv}")
-    anchor = min(matched, key=lambda w: graph.degree(assign[w]))
+    degs = [graph.degree(assign[w]) for w in matched]
+    nb = min(degs)
+    # the first minimum-degree matched vertex (adjacency order) anchors
+    anchor = matched[degs.index(nb)]
     others = [w for w in matched if w != anchor]
     col, col_key = env.filter_column(group, level)
-    if env.config.vectorized and graph.degree(assign[anchor]) > _SCALAR_GEN_MAX:
-        base = env.csr.neighbor_slice(assign[anchor])
-        out = _candidates_vectorized(
-            env, group, assign, qv, anchor, others, col, rank, col_key
+    if env.config.vectorized:
+        out = _narrow(
+            env, assign, rank, qv, anchor, [(w, assign[w]) for w in others], col, col_key
         )
+        if not isinstance(out, list):
+            out = xp.to_numpy(out).tolist()
     else:
-        base = graph.neighbors(assign[anchor])
-        out = _candidates_scalar(env, group, assign, qv, anchor, others, col, rank)
+        out = _candidates_scalar(env, assign, qv, anchor, others, col, rank)
 
     # --- cost accounting (warp-cooperative execution) -----------------
-    ctx.read_adjacency(base)
-    ctx.charge_lanes(len(base) * (1 + len(others)))
+    ctx.read_global_consecutive(nb)  # the anchor's adjacency
+    ctx.charge_lanes(nb * (1 + len(others)))
     if others:
-        deg_sum = sum(graph.degree(assign[w]) for w in others)
-        steps = max(1, (deg_sum // max(len(others), 1)).bit_length())
-        rounds = (len(base) + ctx.params.warp_size - 1) // ctx.params.warp_size
+        deg_sum = sum(degs) - nb
+        steps = max(1, (deg_sum // len(others)).bit_length())
+        rounds = (nb + ctx.params.warp_size - 1) // ctx.params.warp_size
         ctx.read_global_scattered(rounds * steps * len(others))
     # candidate-table probes: one scattered transaction per probed row group
-    ctx.read_global_scattered(max(1, len(base) // ctx.params.warp_size))
+    ctx.read_global_scattered(max(1, nb // ctx.params.warp_size))
     return out
 
 
 def _candidates_scalar(
     env: _Env,
-    group: CoalescedGroup,
     assign: dict[int, int],
     qv: int,
     anchor: int,
     others: list[int],
     col,
     rank: int,
-    col_key=None,  # accepted for signature parity with the array form
 ) -> list[int]:
     """Original dict-walk Gen-Candidates (the correctness oracle)."""
     query, graph = env.query, env.graph
@@ -559,37 +544,57 @@ def _candidates_scalar(
     return out
 
 
-def _candidates_vectorized(
+def _narrow(
     env: _Env,
-    group: CoalescedGroup,
     assign: dict[int, int],
+    rank: int,
     qv: int,
     anchor: int,
-    others: list[int],
+    fixed: list[tuple[int, int]],
     col,
-    rank: int,
     col_key,
-) -> list[int]:
-    """Hub-anchor Gen-Candidates on the CSR snapshot. The first stage —
-    vertex label, edge label to the anchor, candidacy column over the
-    anchor's sorted adjacency — comes from the per-launch hub-slice
-    cache, keyed on the hashable ``col_key`` of the filter column. The
-    rest of the narrowing (injectivity, rank rule, every other matched
-    neighbor) runs over that slice: one python pass over snapshot rows
-    when it holds at most ``_SCALAR_GEN_MAX`` survivors, array kernels
-    above. Produces the identical ascending candidate list as the
-    scalar oracle."""
+) -> "list[int] | xp.ndarray":
+    """Fast-path Gen-Candidates: candidates of ``qv`` in the adjacency of
+    ``assign[anchor]`` that pass the vertex label, the edge label to the
+    anchor, the candidacy column ``col``, injectivity against ``assign``,
+    the rank rule, and, per other matched neighbor ``(query vertex, data
+    vertex)`` in ``fixed``, adjacency with the wanted edge label and its
+    rank rule.
+
+    The host strategy follows the length of the run: an anchor of at
+    most ``_SCALAR_GEN_MAX`` neighbors is narrowed by one python pass
+    over its snapshot rows; a hub anchor's first stage comes from the
+    per-launch hub-slice cache (keyed on the hashable ``col_key``), and
+    that slice is narrowed in python when it is short, by the array
+    kernels otherwise. Ascending, as a python list, or as an int64
+    array when the array kernels ran; equal to the scalar oracle."""
+    graph = env.graph
     anchor_dv = assign[anchor]
-    run = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
-    fixed = [(w, assign[w]) for w in others]
-    if len(run) <= _SCALAR_GEN_MAX:
-        return _narrow_small_run(
-            env, xp.to_numpy(run).tolist(), set(assign.values()), anchor_dv,
-            rank, qv, fixed,
-        )
-    return xp.to_numpy(
-        _narrow_run_arrays(env, run, assign.values(), anchor_dv, rank, qv, fixed)
-    ).tolist()
+    # the launch snapshot holds every assigned vertex: its int list is
+    # the cheapest degree read
+    if env.csr.degree(anchor_dv) > _SCALAR_GEN_MAX:
+        run = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
+        if len(run) > _SCALAR_GEN_MAX:
+            return _narrow_run_arrays(env, run, assign.values(), anchor_dv, rank, qv, fixed)
+        run = xp.to_numpy(run).tolist()
+    else:
+        query = env.query
+        anchor_label = query.edge_label(qv, anchor)
+        want_label = query.vertex_label(qv)
+        labels = graph.vertex_labels
+        anchor_adj = graph.neighbor_dict(anchor_dv)
+        n_col = len(col)
+        run = [
+            c
+            for c in graph.neighbors(anchor_dv)
+            if labels[c] == want_label
+            and anchor_adj[c] == anchor_label
+            and c < n_col
+            and col[c]
+        ]
+    if not run:
+        return run
+    return _narrow_small_run(env, run, set(assign.values()), anchor_dv, rank, qv, fixed)
 
 
 def _narrow_small_run(
@@ -601,14 +606,12 @@ def _narrow_small_run(
     qv: int,
     fixed: list[tuple[int, int]],
 ) -> list[int]:
-    """Python tail of Gen-Candidates over a short run of first-stage
+    """Python tail of :func:`_narrow` over a short run of first-stage
     survivors (ascending, already label / edge-label / bitmap filtered
     against the anchor): injectivity against ``used``, the anchor's rank
     rule, then per other matched neighbor ``(query vertex, data
     vertex)`` in ``fixed`` its snapshot row with the wanted edge label
     and its rank rule. Keeps the run's order."""
-    if not run:
-        return run
     graph, query, rank_map = env.graph, env.query, env.rank_map
     rows = [(graph.neighbor_dict(dv), query.edge_label(qv, w), dv) for w, dv in fixed]
     out: list[int] = []
@@ -670,7 +673,7 @@ def _fused_self_anchor(
     rank: int,
     qv: int,
     qv_prev: int,
-    others: list[int],
+    fixed: list[tuple[int, int]],
     col,
     c_arr: xp.ndarray,
 ) -> list[xp.ndarray]:
@@ -685,7 +688,7 @@ def _fused_self_anchor(
     over all surviving elements instead of one per child. Every filter
     is a per-element AND, so the surviving values (ascending within
     each child, like the sorted slices they came from) equal the
-    per-child :func:`_candidates_vectorized` calls exactly."""
+    per-child :func:`_narrow` calls exactly."""
     query, csr = env.query, env.csr
     offsets = csr.offsets
     k = len(c_arr)
@@ -707,10 +710,9 @@ def _fused_self_anchor(
     segs = segs[keep]
     has_rank = bool(env.rank_map)
     alive = True
-    for w in others:
+    for w, dv in fixed:
         if not len(xs):
             break
-        dv = prefix[w]
         nbrs = csr.neighbor_slice(dv)
         if not len(nbrs):
             alive = False
@@ -775,7 +777,6 @@ def _level_target(
 
 def _level_children_scalar(
     env: _Env,
-    group: CoalescedGroup,
     prefix: dict[int, int],
     rank: int,
     params: DeviceParams,
@@ -800,9 +801,6 @@ def _level_children_scalar(
     fixed_degs = {w: graph.degree(prefix[w]) for w in matched if w != qv_prev}
     fixed_sum = sum(fixed_degs.values())
     prev_matched = qv_prev in matched
-    others_if_self = (
-        [w for w in matched if w != qv_prev] if prev_matched else None
-    )
     want_elabel = query.edge_label(qv, qv_prev) if prev_matched else None
 
     k = len(cands)
@@ -813,11 +811,10 @@ def _level_children_scalar(
     transactions = [0] * k
     children: list = [None] * k
     pre_cache: dict[int, list[int]] = {}
-    # small self-anchored children are deferred into one batched pass
-    # over their concatenated adjacency slices (see
-    # :func:`_fused_self_anchor`); the cost arithmetic is untouched
-    fuse_self: list[tuple[int, int]] = []
-    fuse_work = 0
+    # self-anchored children: slots, values and degrees
+    self_slots: list[int] = []
+    self_cands: list[int] = []
+    self_degs: list[int] = []
     for j, c in enumerate(cands):
         deg_c = graph.degree(c) if prev_matched else 0
         # anchor = first minimum-degree matched vertex (oracle tie-break)
@@ -843,21 +840,16 @@ def _level_children_scalar(
         clock[j] = comp_cy + (tx + scat) * gtc
         # --- data -----------------------------------------------------
         if anchor == qv_prev:
-            if nb <= _SCALAR_GEN_MAX:
-                fuse_self.append((j, c))
-                fuse_work += nb
-                continue
-            child_assign = dict(prefix)
-            child_assign[qv_prev] = c
-            children[j] = _candidates_vectorized(
-                env, group, child_assign, qv, qv_prev, others_if_self,
-                col, rank, col_key,
-            )
+            self_slots.append(j)
+            self_cands.append(c)
+            self_degs.append(nb)
             continue
         pre = pre_cache.get(anchor)
         if pre is None:
-            pre = _prefix_narrowed(
-                env, prefix, rank, qv, qv_prev, col, matched, anchor, col_key
+            pre = _narrow(
+                env, prefix, rank, qv, anchor,
+                [(w, prefix[w]) for w in matched if w != anchor and w != qv_prev],
+                col, col_key,
             )
             if not isinstance(pre, list):
                 pre = xp.to_numpy(pre).tolist()
@@ -879,78 +871,64 @@ def _level_children_scalar(
         else:
             # the child's value only matters for injectivity here
             children[j] = [x for x in pre if x != c] if c in pre else pre
-    if fuse_self:
-        if len(fuse_self) >= 2 and fuse_work >= _FUSE_SELF_MIN_WORK:
-            res = _fused_self_anchor(
-                env,
-                prefix,
-                rank,
-                qv,
-                qv_prev,
-                others_if_self,
-                col,
-                xp.array([c for _, c in fuse_self], dtype=xp.int64),
-            )
-            for (j, _), r in zip(fuse_self, res):
-                children[j] = r
-        else:
-            for j, c in fuse_self:
-                child_assign = dict(prefix)
-                child_assign[qv_prev] = c
-                children[j] = _candidates_scalar(
-                    env, group, child_assign, qv, qv_prev, others_if_self,
-                    col, rank, col_key,
-                )
+    if self_slots:
+        _self_anchored(
+            env, prefix, rank, qv, qv_prev,
+            [(w, prefix[w]) for w in matched if w != qv_prev],
+            col, col_key, children, self_slots, self_cands, self_degs,
+        )
     costs = SegmentCosts.from_totals(
         clock, list(clock), compute, transactions, coalesced, scattered
     )
     return children, costs
 
 
-def _prefix_narrowed(
+def _self_anchored(
     env: _Env,
     prefix: dict[int, int],
     rank: int,
     qv: int,
     qv_prev: int,
+    fixed: list[tuple[int, int]],
     col,
-    matched: list[int],
-    anchor: int,
     col_key,
-) -> "list[int] | xp.ndarray":
-    """Candidates of ``qv`` surviving every prefix-only constraint
-    (labels, bitmap, injectivity, rank rule, all prefix adjacencies) —
-    shared by every child of the run whose anchor is ``anchor``; the
-    one narrowing both frame-size strategies of :func:`_level_children`
-    go through. Ascending, as a python list when the run was narrowed
-    in python, or as an int64 array when the anchor is a hub whose
-    cached first-stage slice holds more than ``_SCALAR_GEN_MAX``
-    survivors and the array kernels narrowed it."""
-    query, graph = env.query, env.graph
-    anchor_dv = prefix[anchor]
-    fixed = [(w, prefix[w]) for w in matched if w != anchor and w != qv_prev]
-    if graph.degree(anchor_dv) > _SCALAR_GEN_MAX:
-        run = env.hub_slice(anchor_dv, qv, anchor, col, col_key)
-        if len(run) > _SCALAR_GEN_MAX:
-            return _narrow_run_arrays(
-                env, run, prefix.values(), anchor_dv, rank, qv, fixed
-            )
-        run = xp.to_numpy(run).tolist()
+    children: list,
+    slots: list[int],
+    cands,
+    degs: list[int],
+) -> None:
+    """Candidates of the children whose anchor is the frame vertex
+    itself (child ``cands[i]``'s own adjacency, of ``degs[i]``
+    neighbors, is the narrowest matched neighborhood), written into
+    ``children[slots[i]]``. ``cands`` is a list (a small frame) or an
+    int64 array (a batched level); ``fixed`` holds the other matched
+    neighbors, all prefix vertices. When at least two children have at
+    most ``_SCALAR_GEN_MAX`` neighbors and their volume clears
+    ``_FUSE_SELF_MIN_WORK``, those run as one :func:`_fused_self_anchor`
+    pass; every other child is one :func:`_narrow` call (a hub child
+    keeps the hub-slice cache)."""
+    n = len(slots)
+    if max(degs) <= _SCALAR_GEN_MAX:  # no hub child: gate at C speed
+        small, rest, work = range(n), (), sum(degs)
     else:
-        anchor_label = query.edge_label(qv, anchor)
-        want_label = query.vertex_label(qv)
-        labels = graph.vertex_labels
-        anchor_adj = graph.neighbor_dict(anchor_dv)
-        n_col = len(col)
-        run = [
-            c
-            for c in graph.neighbors(anchor_dv)
-            if labels[c] == want_label
-            and anchor_adj[c] == anchor_label
-            and c < n_col
-            and col[c]
-        ]
-    return _narrow_small_run(env, run, set(prefix.values()), anchor_dv, rank, qv, fixed)
+        small = [i for i in range(n) if degs[i] <= _SCALAR_GEN_MAX]
+        rest = [i for i in range(n) if degs[i] > _SCALAR_GEN_MAX]
+        work = sum(degs[i] for i in small)
+    if len(small) >= 2 and work >= _FUSE_SELF_MIN_WORK:
+        c_arr = xp.asarray(cands, dtype=xp.int64)
+        if len(small) < n:
+            c_arr = c_arr[xp.asarray(small, dtype=xp.int64)]
+        fused = _fused_self_anchor(env, prefix, rank, qv, qv_prev, fixed, col, c_arr)
+        for i, res in zip(small, fused):
+            children[slots[i]] = res
+    else:
+        rest = range(n)
+    child_assign = dict(prefix)
+    for i in rest:
+        child_assign[qv_prev] = int(cands[i])
+        children[slots[i]] = _narrow(
+            env, child_assign, rank, qv, qv_prev, fixed, col, col_key
+        )
 
 
 def _gen_cost_segments(
@@ -1086,51 +1064,16 @@ def _level_children_multi(
             sel = xp.to_numpy(xp.nonzero(aidx == ai)[0])
             w_anchor = matched[ai]
             if w_anchor == qv_prev:
-                # the anchor is the frame vertex itself: per-child base.
-                # Small-adjacency children batch through one fused pass;
-                # hub children stay per-child for the hub-slice cache.
-                deg_row = degs[ai, a : a + len(cands_r)]
-                rest = sel
-                small = sel[deg_row[sel] <= _SCALAR_GEN_MAX]
-                if (
-                    len(small) >= 2
-                    and int(deg_row[small].sum()) >= _FUSE_SELF_MIN_WORK
-                ):
-                    for j, res in zip(
-                        small.tolist(),
-                        _fused_self_anchor(
-                            env, prefix, rank, qv, qv_prev, others, col,
-                            cands_r[small],
-                        ),
-                    ):
-                        children[j] = res
-                    rest = sel[deg_row[sel] > _SCALAR_GEN_MAX]
-                for j in rest:
-                    child_assign = dict(prefix)
-                    child_assign[qv_prev] = int(cands_r[j])
-                    gen = (
-                        _candidates_scalar
-                        if deg_row[j] <= _SCALAR_GEN_MAX
-                        else _candidates_vectorized
-                    )
-                    children[j] = xp.asarray(
-                        gen(
-                            env,
-                            group,
-                            child_assign,
-                            qv,
-                            qv_prev,
-                            others,
-                            col,
-                            rank,
-                            col_key,
-                        ),
-                        dtype=xp.int64,
-                    )
+                _self_anchored(
+                    env, prefix, rank, qv, qv_prev,
+                    [(w, prefix[w]) for w in others], col, col_key, children,
+                    sel.tolist(), cands_r[sel], xp.to_numpy(degs[ai, a + sel]).tolist(),
+                )
                 continue
             # prefix anchor: one shared narrowing for the whole run
-            pre = _prefix_narrowed(
-                env, prefix, rank, qv, qv_prev, col, matched, w_anchor, col_key
+            pre = _narrow(
+                env, prefix, rank, qv, w_anchor,
+                [(w, prefix[w]) for w in others if w != w_anchor], col, col_key,
             )
             if isinstance(pre, list):
                 pre = xp.asarray(pre, dtype=xp.int64)
@@ -1224,7 +1167,7 @@ def _level_children(
         )[0]
     qv, qv_prev, col, col_key, matched = _level_target(env, group, order, lv, prefix)
     return _level_children_scalar(
-        env, group, prefix, rank, params, qv, qv_prev, col, matched,
+        env, prefix, rank, params, qv, qv_prev, col, matched,
         xp.to_numpy(cands).tolist(), col_key,
     )
 
@@ -1366,7 +1309,7 @@ def _dfs(ctx: WarpContext, env: _Env, state: dict, item: dict) -> Generator[None
         assign[qv] = c
         nxt = lv + 1
         step += 1
-        if passive and step % env.config.steal_period == 0:
+        if passive and step % _STEAL_PERIOD == 0:
             _passive_donate(ctx, env, state)
         # boundary first: a whole-query automorphic group (boundary == n)
         # must still emit the permuted members, not just the found one
@@ -1506,7 +1449,7 @@ class _DfsLevelCursor(LevelCursor):
     Interactions stay faithful: active thieves only run between steps
     (and read the same state shape through ``_steal_from``); passive
     donates keep the oracle's intra-step op order because batching is
-    disabled under passive stealing and under engine budgets/deadlines.
+    disabled under passive stealing and under engine budgets.
     """
 
     __slots__ = (
@@ -1541,9 +1484,7 @@ class _DfsLevelCursor(LevelCursor):
         self._prefetch: Optional[tuple] = None
         cfg = env.config
         self.passive = cfg.work_stealing == "passive"
-        self.fast = (
-            cfg.cycle_budget is None and env._deadline is None and not self.passive
-        )
+        self.fast = cfg.cycle_budget is None and not self.passive
         self.steps = 0
 
     # ------------------------------------------------------------------
@@ -1766,7 +1707,7 @@ class _DfsLevelCursor(LevelCursor):
             assign[qv] = c
             if self.passive:
                 self.steps += 1
-                if self.steps % self.env.config.steal_period == 0:
+                if self.steps % _STEAL_PERIOD == 0:
                     _passive_donate(ctx, self.env, state)
             if is_boundary:
                 group = self.group
@@ -1912,6 +1853,7 @@ def _steal_from(victim: dict, env: _Env) -> Optional[dict]:
 
 
 _POLL_CYCLES = 64.0  # persistent idle warp re-checks at this cadence
+_STEAL_PERIOD = 8  # passive: a busy warp checks for parked siblings every this many steps
 
 
 def _active_idle_handler(sched: BlockScheduler, env: _Env):
@@ -2117,7 +2059,6 @@ def gate_plan(
     query: LabeledGraph,
     table: CandidateTable,
     plan: CoalescedPlan,
-    relax_gate: float = _RELAX_GATE,
 ) -> CoalescedPlan:
     """Demote coalesced groups whose orbit-union filter would expand
     the core candidate space more than the shared search saves.
@@ -2140,7 +2081,7 @@ def gate_plan(
                 exact += cnt_exact
                 union += int(col.sum())
             inflation = union / max(exact, 1)
-            keep = inflation <= relax_gate
+            keep = inflation <= _RELAX_GATE
         if keep:
             gated.groups.append(group)
             for e in group.members:
@@ -2227,46 +2168,42 @@ def working_items(
     """Vectorized :func:`_initial_items` for every runtime at once, over
     the phase's working edges only.
 
-    The group keys of all runtimes on one candidate stack are resolved
-    against the phase's bucket index in one step, and both endpoints of
-    every candidate (runtime, group, edge) triple are checked against
-    the stacked filter columns with one fancy index. Returns, per
-    runtime, ``{edge index: items}`` for the edges with at least one
-    item — the items identical to the scalar oracle's, in the same
-    per-edge group order; every other edge is a no-op probe."""
+    The runtimes share one candidate stack (their host's). Their group
+    keys are resolved against the phase's bucket index in one step, and
+    both endpoints of every candidate (runtime, group, edge) triple are
+    checked against the stacked filter columns with one fancy index.
+    Returns, per runtime, ``{edge index: items}`` for the edges with at
+    least one item — the items identical to the scalar oracle's, in the
+    same per-edge group order; every other edge is a no-op probe."""
     out: list[dict[int, list[dict]]] = [{} for _ in runtimes]
-    by_stack: dict[int, list[int]] = {}
-    for i, runtime in enumerate(runtimes):
-        by_stack.setdefault(id(runtime.table.stack), []).append(i)
     exl, eyl = phase.exl, phase.eyl
-    for members in by_stack.values():
-        entries = [_launch_keys(runtimes[i]) for i in members]
-        rows, edges = phase.resolve(csr, xp.concatenate([e[2] for e in entries]))
-        cols = xp.concatenate([e[3] for e in entries])
-        bitmap = runtimes[members[0]].table.stack.bitmap
-        va, vb = phase.ex[edges], phase.ey[edges]
-        inside = (va < bitmap.shape[0]) & (vb < bitmap.shape[0])
-        rows, edges = rows[inside], edges[inside]
-        hit = bitmap[
-            xp.concatenate([va[inside], vb[inside]]),
-            xp.concatenate([cols[rows, 0], cols[rows, 1]]),
-        ]
-        ok = hit[: len(rows)] & hit[len(rows) :]
-        groups = [g for e in entries for g in e[1]]
-        owner = [out[i] for i, e in zip(members, entries) for _ in e[1]]
-        for r, i in zip(xp.to_numpy(rows[ok]).tolist(), xp.to_numpy(edges[ok]).tolist()):
-            group = groups[r]
-            a, b = group.representative
-            owner[r].setdefault(i, []).append(
-                {
-                    "group": group,
-                    "assign": {a: exl[i], b: eyl[i]},
-                    "level": 2,
-                    "dedup": set(),
-                    "rank": i,
-                    "permuted": False,
-                }
-            )
+    entries = [_launch_keys(runtime) for runtime in runtimes]
+    rows, edges = phase.resolve(csr, xp.concatenate([e[2] for e in entries]))
+    cols = xp.concatenate([e[3] for e in entries])
+    bitmap = runtimes[0].table.stack.bitmap
+    va, vb = phase.ex[edges], phase.ey[edges]
+    inside = (va < bitmap.shape[0]) & (vb < bitmap.shape[0])
+    rows, edges = rows[inside], edges[inside]
+    hit = bitmap[
+        xp.concatenate([va[inside], vb[inside]]),
+        xp.concatenate([cols[rows, 0], cols[rows, 1]]),
+    ]
+    ok = hit[: len(rows)] & hit[len(rows) :]
+    groups = [g for e in entries for g in e[1]]
+    owner = [out[i] for i, e in enumerate(entries) for _ in e[1]]
+    for r, i in zip(xp.to_numpy(rows[ok]).tolist(), xp.to_numpy(edges[ok]).tolist()):
+        group = groups[r]
+        a, b = group.representative
+        owner[r].setdefault(i, []).append(
+            {
+                "group": group,
+                "assign": {a: exl[i], b: eyl[i]},
+                "level": 2,
+                "dedup": set(),
+                "rank": i,
+                "permuted": False,
+            }
+        )
     return out
 
 
@@ -2384,15 +2321,13 @@ class QueryRuntime:
     ) -> None:
         if query.n_vertices < 2:
             raise MatchingError("query needs at least one edge")
-        store_vec = getattr(store, "vectorized", None)
-        if store_vec is not None and bool(store_vec) != config.vectorized:
-            # a mismatch used to downgrade silently mid-run (the store
-            # snapshot probe fell back through getattr); fail loudly at
-            # construction instead
+        if bool(store.vectorized) != config.vectorized:
+            # a mismatch would launch one arm on the other arm's store;
+            # fail loudly at construction instead
             raise ConfigMismatchError(
                 f"query runtime {name!r}: WBMConfig.vectorized="
                 f"{config.vectorized} disagrees with its store "
-                f"(vectorized={bool(store_vec)}); build the store and the "
+                f"(vectorized={bool(store.vectorized)}); build the store and the "
                 f"query config with the same flag"
             )
         self.query = query
@@ -2425,7 +2360,7 @@ class QueryRuntime:
     def _fire(self, site: str) -> None:
         # the fault plan (if any) lives on the shared store, so one plan
         # observes every runtime's sites in arrival order
-        faults = getattr(self.store, "faults", None)
+        faults = self.store.faults
         if faults is not None:
             faults.fire(site, query=self.name)
 
@@ -2447,15 +2382,9 @@ class QueryRuntime:
 
         if self.config.vectorized:
             # flag agreement is validated at construction, so a
-            # vectorized runtime always has a vectorized store (unless
-            # the store predates the flag entirely)
-            csr = (
-                self.store.csr_snapshot()
-                if getattr(self.store, "vectorized", None) is not None
-                else None
-            )
+            # vectorized runtime always has a vectorized store
             self.initial_matches = find_matches(
-                self.query, self.store.graph, csr=csr
+                self.query, self.store.graph, csr=self.store.csr_snapshot()
             )
         else:
             self.initial_matches = find_matches(
@@ -2564,69 +2493,3 @@ class QueryRuntime:
             base |= self.collector.live_matches()
             base -= self.collector.dead_matches()
         return base
-
-
-# ---------------------------------------------------------------------------
-# the single-query engine (compatibility facade over store + runtime)
-# ---------------------------------------------------------------------------
-class WBMEngine:
-    """GAMMA's computational kernel bound to one (query, data graph).
-
-    Composes a private :class:`DynamicGraphStore` with one
-    :class:`QueryRuntime`; multi-query deployments share one store
-    across runtimes through :class:`repro.service.MatchingService`
-    instead. The engine holds state only: batches run through the
-    service's batch protocol, which
-    :class:`repro.pipeline.GammaSystem` wraps for one query.
-    """
-
-    def __init__(
-        self,
-        query: LabeledGraph,
-        graph: LabeledGraph,
-        params: DeviceParams = DEFAULT_PARAMS,
-        config: WBMConfig = WBMConfig(),
-    ) -> None:
-        from repro.service.store import DynamicGraphStore
-
-        if query.n_vertices < 2:
-            raise MatchingError("query needs at least one edge")
-        # the query-restricted schema reproduces the paper's encoding
-        # exactly; shared stores use the full-alphabet superset schema,
-        # which filters identically
-        schema = EncodingSchema.for_query(query, config.bits_per_label)
-        self.store = DynamicGraphStore(
-            graph, params, schema=schema, vectorized=config.vectorized
-        )
-        self.runtime = QueryRuntime(query, self.store, params, config)
-        self.params = params
-        self.config = config
-
-    # legacy attribute surface: the engine used to own all of these
-    @property
-    def query(self) -> LabeledGraph:
-        return self.runtime.query
-
-    @property
-    def graph(self) -> LabeledGraph:
-        return self.store.graph
-
-    @property
-    def gpma(self):
-        return self.store.gpma
-
-    @property
-    def encodings(self):
-        return self.store.encodings
-
-    @property
-    def table(self) -> CandidateTable:
-        return self.runtime.table
-
-    @property
-    def plan(self) -> CoalescedPlan:
-        return self.runtime.plan
-
-    @property
-    def gpu(self) -> VirtualGPU:
-        return self.runtime.gpu

@@ -1,9 +1,8 @@
 """GammaSystem: the end-to-end system facade (paper Figure 3).
 
-A thin *single-query* wrapper over the multi-query serving layer: the
-engine's shared :class:`~repro.service.DynamicGraphStore` plus one
-:class:`~repro.matching.wbm.QueryRuntime` are registered with a
-private :class:`~repro.service.MatchingService`, which runs
+A thin *single-query* wrapper over the multi-query serving layer: a
+private :class:`~repro.service.MatchingService` over its own
+:class:`~repro.service.DynamicGraphStore` hosts the one query, and runs
 preprocessing (incremental encoding + candidate table), the GPMA
 update, the WBM computational kernel, and postprocessing, and prices
 every stage so the asynchronous pipeline model can overlap them. This
@@ -22,10 +21,11 @@ from dataclasses import dataclass, field
 
 from repro.bench.cost import CostModel, DEFAULT_COST_MODEL
 from repro.errors import QueryQuarantinedError, ServiceError
+from repro.filtering import EncodingSchema
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
-from repro.matching.wbm import BatchResult, WBMConfig, WBMEngine
+from repro.matching.wbm import BatchResult, WBMConfig
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import ThroughputMeter
 
@@ -69,26 +69,33 @@ class GammaSystem:
     ) -> None:
         # deferred: repro.service imports this module's package
         from repro.service.matching_service import MatchingService
+        from repro.service.store import DynamicGraphStore
 
-        self.engine = WBMEngine(query, graph, params, config)
+        # the query-restricted schema reproduces the paper's encoding
+        # exactly; shared stores use the full-alphabet superset schema,
+        # which filters identically
+        store = DynamicGraphStore(
+            graph,
+            params,
+            schema=EncodingSchema.for_query(query, config.bits_per_label),
+            vectorized=config.vectorized,
+        )
         self.params = params
         self.cost_model = cost_model
-        self._service = MatchingService(
-            store=self.engine.store, params=params, cost_model=cost_model
-        )
+        self._service = MatchingService(store=store, params=params, cost_model=cost_model)
         # no bootstrap: the classic system tracks births/deaths only
-        self._service.adopt_runtime(self.engine.runtime, name=_QUERY_NAME)
-        self.collector = self.engine.runtime.collector
+        self._service.register_query(query, config, name=_QUERY_NAME, bootstrap=False)
+        self.collector = self._service.runtime(_QUERY_NAME).collector
         self.meter = ThroughputMeter()
 
     @property
     def query(self) -> LabeledGraph:
-        return self.engine.query
+        return self._service.runtime(_QUERY_NAME).query
 
     @property
     def graph(self) -> LabeledGraph:
         """Current state of the data graph (after processed batches)."""
-        return self.engine.graph
+        return self._service.graph
 
     @property
     def service(self):

@@ -265,15 +265,9 @@ class InProcessHost(QueryHost):
         self.runtimes[name] = runtime
         return initial, runtime.plan
 
-    def adopt(self, name: str, runtime: QueryRuntime) -> None:
-        runtime.name = name
-        if runtime.collector is None:
-            runtime.collector = MatchCollector()
-        self.runtimes[name] = runtime
-
     def unregister(self, name: str) -> None:
         runtime = self.runtimes.pop(name, None)
-        if runtime is not None and runtime.table.stack is self.stack:
+        if runtime is not None:
             self.stack.remove(runtime.table)
 
     def rebootstrap(self, name: str) -> set[Match]:
@@ -829,18 +823,6 @@ class MatchingService(_ServiceCore):
 
     All queries run in this process on one :class:`InProcessHost`.
     """
-
-    def adopt_runtime(self, runtime: QueryRuntime, name: str | None = None) -> str:
-        """Register an externally built runtime (it must already share
-        this service's store)."""
-        if runtime.store is not self.store:
-            raise ServiceError("adopted runtime is bound to a different store")
-        name = self._claim_name(name if name is not None else runtime.name or None)
-        host = self._hosts[0]
-        host.adopt(name, runtime)
-        self._hosted[name] = host
-        self._counter += 1
-        return name
 
     def runtime(self, name: str) -> QueryRuntime:
         return self._host(name).runtimes[name]

@@ -25,20 +25,24 @@ import dataclasses
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernel_baseline_workloads import PARAMS, WORKLOADS, run_workload
 from repro import xp
 from repro.errors import ConfigMismatchError
+from repro.filtering import CandidateTable
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import Int64Arena, VirtualGPU
 from repro.gpu.scheduler import BlockScheduler
-from repro.matching import WBMConfig, WBMEngine
+from repro.matching import WBMConfig
 from repro.matching.wbm import QueryRuntime, _FrameStack, _MemoryGauge, _steal_from
+from repro.pipeline import GammaSystem
 from repro.service import MatchingService
 from repro.service.store import DynamicGraphStore
 
@@ -379,19 +383,23 @@ SIZE_SWITCHES = {
     ("_LEVEL_BATCH_MIN", 10**9): (("_level_children_scalar",), ("_level_children_multi",)),
     ("_SCALAR_GEN_MAX", -1): (
         ("hub_slice", "_narrow_run_arrays"),
-        ("_candidates_scalar", "_narrow_small_run"),
+        ("_narrow_small_run",),
     ),
     ("_SCALAR_GEN_MAX", 10**9): (
-        ("_candidates_scalar", "_narrow_small_run"),
+        ("_narrow", "_narrow_small_run"),
         ("hub_slice", "_narrow_run_arrays"),
     ),
     ("_FUSE_SELF_MIN_WORK", 0): (("_fused_self_anchor",), ()),
-    ("_FUSE_SELF_MIN_WORK", 10**9): (("_candidates_scalar",), ("_fused_self_anchor",)),
+    ("_FUSE_SELF_MIN_WORK", 10**9): (
+        ("_self_anchored", "_narrow"),
+        ("_fused_self_anchor",),
+    ),
 }
 #: host-strategy functions the switch tests count calls of
 COUNTED = (
-    "_level_children_multi", "_level_children_scalar", "_candidates_scalar",
-    "_fused_self_anchor", "hub_slice", "_narrow_small_run", "_narrow_run_arrays",
+    "_level_children_multi", "_level_children_scalar", "_narrow",
+    "_self_anchored", "_fused_self_anchor", "hub_slice", "_narrow_small_run",
+    "_narrow_run_arrays", "_candidates_scalar",
 )
 
 
@@ -467,6 +475,8 @@ class TestSizeSwitches:
             assert calls[fn_name] > 0, f"{name}={value} must force {fn_name}"
         for fn_name in must_not_run:
             assert calls[fn_name] == 0, f"{name}={value} bypasses {fn_name}"
+        # the dict walk is the oracle only: the fast path never calls it
+        assert calls["_candidates_scalar"] == 0
 
     @pytest.mark.parametrize("stealing", ["active", "off"])
     def test_default_bar_narrows_hub_slices_in_python(
@@ -478,6 +488,94 @@ class TestSizeSwitches:
         fast, calls = counted_run(monkeypatch, g0, q, batches, stealing)
         assert fast == switch_oracles["hub", stealing]
         assert calls["hub_slice"] > 0 and calls["_narrow_small_run"] > 0
+
+
+#: labelled query the narrowing property draws target vertices from
+NARROW_Q = LabeledGraph.from_edges(
+    [0, 1, 0, 1], [(0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 2, 0), (1, 3, 0)]
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    gen_max=st.sampled_from([-1, 0, 3, 64]),
+)
+def test_narrow_equals_scalar_oracle(seed, gen_max):
+    """``_narrow`` and the self-anchor dispatch ``_self_anchored`` (fused
+    or not) return the dict walk's candidates, in order, on random
+    labelled graphs (a hub included, so runs fall on both sides of
+    ``_SCALAR_GEN_MAX``), partial assignments, candidacy columns and
+    rank maps."""
+    import repro.matching.wbm as wbm
+
+    rng = random.Random(seed)
+    n = rng.randint(6, 90)
+    edges = {}
+    hub = rng.randrange(n)
+    for v in range(n):
+        if v != hub and rng.random() < 0.8:
+            edges[min(hub, v), max(hub, v)] = rng.randrange(2)
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        edges[min(u, v), max(u, v)] = rng.randrange(2)
+    g = LabeledGraph.from_edges(
+        [rng.randrange(2) for _ in range(n)], [(u, v, l) for (u, v), l in edges.items()]
+    )
+    # the target, its matched neighbors (the anchor first), and a few
+    # more assigned query vertices for injectivity
+    qv = rng.randrange(NARROW_Q.n_vertices)
+    nbrs = list(NARROW_Q.neighbors(qv))
+    rng.shuffle(nbrs)
+    matched = nbrs[: rng.randint(1, len(nbrs))]
+    rest = [u for u in NARROW_Q.vertices() if u != qv and u not in matched]
+    assigned = matched[1:] + [u for u in rest if rng.random() < 0.5]
+    anchor, others = matched[0], matched[1:]
+    anchor_dv = hub if rng.random() < 0.5 else rng.randrange(n)
+    free = [v for v in range(n) if v != anchor_dv]
+    assign = {anchor: anchor_dv, **dict(zip(assigned, rng.sample(free, len(assigned))))}
+    # net-update edges in a random rank order, some not in the graph
+    pool = list(edges) + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(5)]
+    rng.shuffle(pool)
+    phase = wbm.PhaseEdges([(u, v, 0) for u, v in pool[: rng.randint(0, len(pool))]])
+    rank = rng.randint(0, len(phase) + 1)
+    col = xp.asarray([rng.random() < 0.8 for _ in range(rng.randint(n - 3, n))], dtype=bool)
+    env = wbm._Env(
+        NARROW_Q, g, CandidateTable(NARROW_Q, g), wbm.trivial_plan(NARROW_Q),
+        phase, WBMConfig(), wbm.KernelOutput(),
+    )
+    want = wbm._candidates_scalar(env, assign, qv, anchor, others, col, rank)
+    fixed = [(w, assign[w]) for w in others]
+
+    def as_list(got):
+        return got if isinstance(got, list) else xp.to_numpy(got).tolist()
+
+    with mock.patch.object(wbm, "_SCALAR_GEN_MAX", gen_max):
+        for _ in range(2):  # the second call reads the hub-slice cache
+            got = wbm._narrow(env, assign, rank, qv, anchor, fixed, col, "col")
+            assert as_list(got) == want
+    # the self-anchor dispatch: children of the frame vertex ``anchor``
+    # on top of the prefix, fused or one narrowing each. The fused pass
+    # reads a column with a row per snapshot vertex, as the candidate
+    # stack keeps it; rows past a short column carry no claim
+    col = xp.concatenate([col, xp.zeros(n - len(col), dtype=bool)])
+    prefix = {u: dv for u, dv in assign.items() if u != anchor}
+    unassigned = [v for v in range(n) if v not in prefix.values()]
+    kids = rng.sample(unassigned, rng.randint(1, min(6, len(unassigned))))
+    wants = [
+        wbm._candidates_scalar(env, {**prefix, anchor: c}, qv, anchor, others, col, rank)
+        for c in kids
+    ]
+    cands = kids if rng.random() < 0.5 else xp.asarray(kids, dtype=xp.int64)
+    for fuse_min in (0, 10**9):
+        children = [None] * (len(kids) + 1)
+        with mock.patch.multiple(wbm, _SCALAR_GEN_MAX=gen_max, _FUSE_SELF_MIN_WORK=fuse_min):
+            wbm._self_anchored(
+                env, prefix, rank, qv, anchor, fixed, col, "padded", children,
+                list(range(1, len(kids) + 1)), cands, [g.degree(c) for c in kids],
+            )
+        assert children[0] is None
+        assert [as_list(c) for c in children[1:]] == wants
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +814,9 @@ class TestVectorizedFlagAgreement:
             assert rt.config.vectorized == vec
 
     def test_engine_always_consistent(self):
-        """WBMEngine builds its store from the config, so both flags
+        """GammaSystem builds its store from the config, so both flags
         always agree by construction."""
         g = random_graph(4, n=12)
         for vec in (True, False):
-            engine = WBMEngine(CHORD_Q, g, PARAMS, WBMConfig(vectorized=vec))
-            assert engine.store.vectorized == vec
+            system = GammaSystem(CHORD_Q, g, PARAMS, WBMConfig(vectorized=vec))
+            assert system.service.store.vectorized == vec

@@ -37,3 +37,21 @@ def test_readme_links_new_docs():
     text = (REPO / "README.md").read_text()
     assert "docs/ARCHITECTURE.md" in text
     assert "benchmarks/README.md" in text
+
+
+@pytest.mark.parametrize("md", DOCS, ids=[f.name for f in DOCS])
+def test_backticked_names_exist_in_code(md):
+    assert check_docs.check_identifiers(md) == []
+
+
+def test_deleted_name_is_caught(tmp_path):
+    # spelled in pieces, so this file does not define the missing names
+    private, camel, fenced = "_No" + "SuchHelper", "Gone" + "Engine", "_fenced" + "_only"
+    md = tmp_path / "doc.md"
+    md.write_text(
+        f"Uses `QueryRuntime` and `_narrow`, not `{private}` or `{camel}.run`."
+        f"\n\n```python\n{fenced} = 1\n```\n"
+    )
+    errors = check_docs.check_identifiers(md)
+    assert len(errors) == 2
+    assert private in errors[0] and camel in errors[1]

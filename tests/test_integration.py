@@ -105,8 +105,8 @@ class TestStreamEquivalence:
         system = GammaSystem(PAPER_Q, g, PARAMS)
         for batch in stream:
             system.process_batch(batch)
-            gpma = system.engine.gpma
-            host = system.engine.graph
+            gpma = system.service.store.gpma
+            host = system.graph
             gpma.check_invariants()
             for v in host.vertices():
                 assert gpma.neighbors(v) == list(host.neighbors(v))
@@ -120,8 +120,8 @@ class TestStreamEquivalence:
         system = GammaSystem(PAPER_Q, g, PARAMS)
         for batch in stream:
             system.process_batch(batch)
-            fresh = CandidateTable(PAPER_Q, system.engine.graph)
-            assert (system.engine.table.bitmap == fresh.bitmap).all()
+            fresh = CandidateTable(PAPER_Q, system.graph)
+            assert (system.service.runtime("q0").table.bitmap == fresh.bitmap).all()
 
     def test_service_stream_is_transactional(self):
         """Serving-layer pass over the stream: the autouse audit fixture

@@ -328,7 +328,7 @@ class TestGammaSystem:
         system = GammaSystem(PAPER_Q, g, PARAMS)
         system.process_batch(batch)
         assert system.collector.batches == 1
-        assert system.collector is system.engine.runtime.collector
+        assert system.collector is system.service.runtime("q0").collector
         # live matches equal the oracle positives of the single batch
         pos, _ = oracle_delta(PAPER_Q, g, batch)
         assert system.collector.live_matches() == pos

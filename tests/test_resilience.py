@@ -395,13 +395,6 @@ class TestRegistrationGuards:
         service.register_query(PAPER_Q, name="q0")
         with pytest.raises(ServiceError, match="q0"):
             service.register_query(TRI_Q, name="q0")
-        other = MatchingService(g, params=PARAMS)
-        other.register_query(TRI_Q, name="adoptee")
-        with pytest.raises(ServiceError):
-            service.adopt_runtime(other.runtime("adoptee"), name="q1")
-        rt = MatchingService(g, params=PARAMS)  # fresh store: not adoptable
-        with pytest.raises(ServiceError, match="q0"):
-            service.adopt_runtime(service.runtime("q0"), name="q0")
         with pytest.raises(ServiceError, match="ghost"):
             service.unregister_query("ghost")
 

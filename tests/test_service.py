@@ -181,6 +181,25 @@ class TestMultiQuerySharing:
                 assert report.queries[n].result.negatives == neg
             apply_batch(shadow, batch)
 
+    def test_extra_labels_widen_the_shared_schema(self):
+        """A query label the graph does not carry yet is encoded once the
+        store is widened by ``extra_labels``: that query vertex then has
+        no candidate, where the narrower schema leaves it unencoded (a
+        weaker filter). Matches are exact either way."""
+        g, stream = make_stream(12, n_batches=2)
+        q = LabeledGraph.from_edges([0, 7], [(0, 1)])
+        wide = MatchingService(g, params=PARAMS, extra_labels=(7,))
+        narrow = MatchingService(g, params=PARAMS)
+        for svc in (wide, narrow):
+            svc.register_query(q, name="q")
+        assert 7 in wide.store.schema.labels and 7 not in narrow.store.schema.labels
+        assert not xp.to_numpy(wide.runtime("q").table.bitmap[:, 1]).any()
+        assert xp.to_numpy(narrow.runtime("q").table.bitmap[:, 1]).any()
+        for batch in stream:
+            for svc in (wide, narrow):
+                svc.process_batch(batch)
+            assert wide.matches("q") == narrow.matches("q") == set()
+
     def test_per_query_kernel_stages_in_pipeline(self):
         g, stream = make_stream(10, n_batches=3)
         service = MatchingService(g, params=PARAMS)

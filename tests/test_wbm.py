@@ -15,7 +15,7 @@ from repro.graph import LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import make_batch
 from repro.gpu import DeviceParams
-from repro.matching import WBMConfig, WBMEngine, oracle_delta
+from repro.matching import WBMConfig, oracle_delta
 from repro.pipeline import GammaSystem
 
 PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
@@ -136,7 +136,7 @@ class TestDedup:
     def test_kernel_list_free_of_duplicates(self):
         g, batch = random_case(7)
         system = GammaSystem(PAPER_Q, g, PARAMS)
-        runtime = system.engine.runtime
+        runtime = system.service.runtime("q0")
         out = []
         orig_launch = runtime.launch
 
@@ -159,7 +159,7 @@ class TestConfigAndErrors:
 
     def test_query_too_small(self):
         with pytest.raises(MatchingError):
-            WBMEngine(LabeledGraph([0]), LabeledGraph([0]), PARAMS)
+            GammaSystem(LabeledGraph([0]), LabeledGraph([0]), PARAMS)
 
     def test_budget_aborts(self):
         g, batch = random_case(3, n=26)

@@ -8,7 +8,10 @@ so the documentation cannot rot silently:
   order, like a doctest session (``python -m doctest`` wants ``>>>``
   prompts; fenced blocks are what our docs actually use);
 * every relative Markdown link ``[text](path)`` resolves to an
-  existing file or directory (http(s)/mailto/anchor links are skipped).
+  existing file or directory (http(s)/mailto/anchor links are skipped);
+* every ``_private`` or CamelCase identifier the prose backticks is
+  still defined or used by some ``.py`` file in the repository, so a
+  deleted name cannot linger in the docs.
 
 Usage::
 
@@ -31,6 +34,10 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 # [text](target) — excluding images' alt text is irrelevant, images count too
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+# a name with a leading underscore, or one that mixes case with at least
+# two capitals (``WBMConfig``, ``KernelStats``; not ``GPMA`` or ``Fig``)
+NAME_RE = re.compile(r"(?<![\w.-])(_[A-Za-z]\w*|[A-Z]\w*[a-z]\w*)")
 
 
 def python_blocks(text: str) -> list[tuple[int, str]]:
@@ -70,6 +77,16 @@ def check_examples(md_path: Path) -> list[str]:
     return errors
 
 
+def _prose_lines(md_path: Path):
+    """(line number, line) outside fenced code blocks."""
+    in_fence = False
+    for i, line in enumerate(md_path.read_text().splitlines(), 1):
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence:
+            yield i, line
+
+
 def check_links(md_path: Path) -> list[str]:
     """Every relative link must resolve from the file's directory.
 
@@ -77,13 +94,7 @@ def check_links(md_path: Path) -> list[str]:
     not a document link); absolute paths resolve from the repo root.
     """
     errors = []
-    in_fence = False
-    for i, line in enumerate(md_path.read_text().splitlines(), 1):
-        if line.strip().startswith("```"):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+    for i, line in _prose_lines(md_path):
         for target in LINK_RE.findall(line):
             if target.startswith(SKIP_SCHEMES):
                 continue
@@ -97,14 +108,40 @@ def check_links(md_path: Path) -> list[str]:
     return errors
 
 
+def python_names() -> set[str]:
+    """Every identifier token of every ``.py`` file in the repository."""
+    names: set[str] = set()
+    for path in REPO.rglob("*.py"):
+        if not any(part.startswith(".") for part in path.relative_to(REPO).parts):
+            names.update(re.findall(r"\w+", path.read_text(errors="replace")))
+    return names
+
+
+def check_identifiers(md_path: Path, known: set[str] | None = None) -> list[str]:
+    """Every backticked ``_private`` or CamelCase name must still occur
+    in some ``.py`` file of the repository."""
+    known = python_names() if known is None else known
+    errors = []
+    for i, line in _prose_lines(md_path):
+        for span in CODE_SPAN_RE.findall(line):
+            for name in NAME_RE.findall(span):
+                if sum(c.isupper() for c in name) < 2 and not name.startswith("_"):
+                    continue
+                if name not in known:
+                    errors.append(f"{md_path}:{i}: `{name}` names nothing in the code")
+    return errors
+
+
 def main(argv: list[str]) -> int:
     files = [Path(a) for a in argv] if argv else [REPO / f for f in DEFAULT_FILES]
     errors: list[str] = []
+    known = python_names()
     for f in files:
         if not f.exists():
             errors.append(f"{f}: file does not exist")
             continue
         errors += check_links(f)
+        errors += check_identifiers(f, known)
         errors += check_examples(f)
         print(f"checked {f}")
     for e in errors:
