@@ -100,6 +100,10 @@ class VirtualGPU:
         self.blocks_pooled = 0  # blocks served by reset() instead of __init__
         self.blocks_memoized = 0  # all-trace blocks replayed from the cache
         self.level_steps = 0  # DFS level-cursor resumptions across launches
+        #: scheduled blocks whose idle warps an IdleModel priced in
+        #: closed form, and how many of those handed them back to the heap
+        self.blocks_idle_priced = 0
+        self.blocks_idle_materialized = 0
 
     # ------------------------------------------------------------------
     def transfer_to_device(self, n_words: int, stats: KernelStats) -> None:
@@ -240,6 +244,10 @@ class VirtualGPU:
             # accumulated even when an engine budget aborts the block
             # mid-run (mirrors launch_count)
             self.level_steps += sched.level_steps
+        model = sched.idle_model
+        if model is not None:
+            self.blocks_idle_priced += 1
+            self.blocks_idle_materialized += model.materialized
         if cache_key is not None:
             if len(self._block_cache) >= self._block_cache_cap:
                 # evict oldest (insertion-ordered dict): keeps hot

@@ -14,7 +14,7 @@ become the Comm share of the Figure 5 breakdown.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro import xp
 
@@ -114,7 +114,7 @@ class SharedMemory:
         self.accesses += 1
         return self._store[name], self._params.shared_access_cycles
 
-    def read_present(self, names: "list[str]") -> tuple[list[tuple[str, Any]], int]:
+    def read_present(self, names: "Sequence[str]") -> tuple[list[tuple[str, Any]], int]:
         """Batched read of the subset of ``names`` currently allocated.
 
         Returns ``((name, value) pairs in input order, total cycle cost)``.
@@ -128,6 +128,13 @@ class SharedMemory:
         out = [(name, store[name]) for name in names if name in store]
         self.accesses += len(out)
         return out, len(out) * self._params.shared_access_cycles
+
+    def peek_present(self, names: "Sequence[str]") -> list[tuple[str, Any]]:
+        """:meth:`read_present` without the accounting: the host-side
+        view a closed-form pricing model takes of what the warps it
+        stands for would read (they charge their reads themselves)."""
+        store = self._store
+        return [(name, store[name]) for name in names if name in store]
 
     def write(self, name: str, value: Any) -> int:
         """Overwrite a named allocation; returns cycle cost."""

@@ -37,6 +37,13 @@ Two hooks implement the paper's §V-A load balancing:
 Stealing and mailbox traffic are genuinely divergent interactions —
 their timing depends on every sibling's clock — which is exactly why
 they stay on the generator path and are never expressed as traces.
+
+A kernel that can compute some idle warps' whole timeline from the
+other warps' may keep them off the heap altogether: its block hook
+installs an :class:`IdleModel`, which :meth:`BlockScheduler.run`
+consults wherever those warps would next have been popped. The model
+either prices that action in closed form or hands the warps back to
+the heap, at the clocks and with the stats they would have reached.
 """
 
 from __future__ import annotations
@@ -60,6 +67,33 @@ WarpTask = Union[
     CostTrace,
 ]
 IdleHandler = Callable[[WarpContext], Optional[Generator[None, None, None]]]
+
+
+class IdleModel:
+    """Closed-form stand-in for a block's ``held`` idle warps.
+
+    :meth:`BlockScheduler.run` never schedules the held warps. Whenever
+    ``key`` — the ``(clock, warp)`` heap key of their next action —
+    orders before the heap's next entry, ``run`` calls :meth:`act`
+    instead, which prices that action from the scheduler's state. An
+    action the model cannot price hands warps back: :meth:`act`
+    returns them as ``(warp, task)`` pairs, their contexts already at
+    the clocks and stats they reached, and ``run`` pushes them so the
+    ordinary loop carries on exactly where they stood. The model is
+    done once ``key`` is ``None``: every held warp is back on the heap
+    or settled for good (final clock, busy cycles and block counters
+    written).
+    """
+
+    held: frozenset = frozenset()
+    key: Optional[tuple[float, int]] = None
+    #: True once any held warp went back to the heap
+    materialized = False
+
+    def act(self) -> list[tuple[int, object]]:
+        """Price the held warps' next action; return the ``(warp,
+        task)`` pairs to schedule instead."""
+        raise NotImplementedError
 
 
 class BlockScheduler:
@@ -142,6 +176,9 @@ class BlockScheduler:
         #: push_work, cleared by a drain that empties every mailbox —
         #: the run loop skips the drain entirely between pushes
         self._mailbox_pending = False
+        #: optional closed-form pricing of some idle warps, set by the
+        #: kernel's block hook (see :class:`IdleModel`)
+        self.idle_model: Optional[IdleModel] = None
 
     # ------------------------------------------------------------------
     # passive stealing support
@@ -191,8 +228,12 @@ class BlockScheduler:
         #: (DFS level steps; trace segments are counted separately)
         self.level_steps = 0
 
+        model = self.idle_model
+        held = model.held if model is not None else ()
         for w in range(n_warps):
             ctx = self.contexts[w]
+            if w in held:
+                continue  # priced by the idle model until it hands w back
             if w < len(self.tasks):
                 generators[w] = self._spawn(self.tasks[w], ctx)
                 heapq.heappush(heap, (ctx.clock, w))
@@ -200,8 +241,18 @@ class BlockScheduler:
                 self._parked.add(w)
 
         finish_clock = [0.0] * n_warps
+        if model is not None and model.key is None:
+            model = None  # it settled every held warp up front
 
-        while heap:
+        while heap or model is not None:
+            if model is not None and (not heap or model.key < heap[0]):
+                # the held warps act before the next scheduled warp
+                for w, gen in model.act():
+                    generators[w] = gen
+                    heapq.heappush(heap, (self.contexts[w].clock, w))
+                if model.key is None:
+                    model = None
+                continue
             clock, w = heapq.heappop(heap)
             ctx = self.contexts[w]
             if clock < ctx.clock:

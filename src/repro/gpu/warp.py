@@ -168,7 +168,7 @@ class WarpContext:
         self.stats.shared_accesses += 1
         return value
 
-    def shared_read_present(self, names: "list[str]") -> list[tuple[str, Any]]:
+    def shared_read_present(self, names: Sequence[str]) -> list[tuple[str, Any]]:
         """Batched :meth:`shared_read` over whichever of ``names`` exist
         (one accounting step, byte-identical totals to the scan loop)."""
         out, cost = self.shared.read_present(names)

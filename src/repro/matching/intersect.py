@@ -98,13 +98,17 @@ def drop_member(arr: xp.ndarray, value: int) -> xp.ndarray:
     return arr
 
 
-def gather_column(col: xp.ndarray, base: xp.ndarray) -> xp.ndarray:
-    """``col[base]`` where ``base`` is sorted and ``col`` may be shorter
-    than the id space (updates appended vertices after the column was
-    built): out-of-range rows carry no claim."""
+def gather_column(
+    col: xp.ndarray, base: xp.ndarray, bound: int | None = None
+) -> xp.ndarray:
+    """``col[base]`` where ``col`` may be shorter than the id space
+    (updates appended vertices after the column was built): out-of-range
+    rows carry no claim. ``base`` is sorted, or ``bound`` is an
+    exclusive upper bound on its ids (an unsorted caller must pass one)."""
     n_col = len(col)
     n_base = len(base)
-    if n_base and base[-1] < n_col:  # base is sorted: one bounds check
+    # one bounds check: the sorted base's last id, or the caller's bound
+    if n_base and (base[-1] < n_col if bound is None else bound <= n_col):
         return col[base]
     out = xp.zeros(n_base, dtype=bool)
     in_range = base < n_col

@@ -46,6 +46,7 @@ whole block schedule are byte-identical between the two
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Generator, Optional
 
 from repro import xp
@@ -56,7 +57,7 @@ from repro.graph.labeled_graph import LabeledGraph, canonical
 from repro.gpu.device import VirtualGPU
 from repro.gpu.memory import Int64Arena
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
-from repro.gpu.scheduler import BlockScheduler
+from repro.gpu.scheduler import BlockScheduler, IdleModel
 from repro.gpu.stats import KernelStats
 from repro.gpu.trace import (
     OP_COALESCED,
@@ -699,7 +700,9 @@ def _fused_self_anchor(
     m = (csr.vertex_labels[xs] == query.vertex_label(qv)) & (
         csr.edge_labels[flat] == query.edge_label(qv, qv_prev)
     )
-    m &= gather_column(col, xs)
+    # xs concatenates sorted runs, so the bounds check takes the
+    # snapshot's vertex count instead of a last element
+    m &= gather_column(col, xs, bound=csr.n_vertices)
     # injectivity: the child itself can never appear in its own
     # adjacency (no self loops), so only the shared prefix values mask
     for v in prefix.values():
@@ -1409,6 +1412,10 @@ class _FrameStack:
         self.depth = 0
         self.arena.truncate(0)
 
+    def splittable(self) -> bool:
+        """Whether :meth:`steal_shallowest` would find a frame to split."""
+        return any(self.end[i] - self.p[i] >= 2 for i in range(self.depth))
+
     def steal_shallowest(self, order, assign: list[int]) -> Optional[dict]:
         """Split the shallowest frame with >= 2 unexplored candidates;
         returns the same loot shape as the oracle's frame steal."""
@@ -1818,6 +1825,29 @@ def _estimate_remaining(state: dict) -> int:
     return est
 
 
+def _victim(present: list, warp_of: dict[str, int]) -> tuple[Optional[dict], list[int]]:
+    """An active-stealing scan over the ``(name, state)`` pairs it read:
+    the most loaded active state (the first of equals; ``None`` when no
+    active state has work left) and the warps whose state is active."""
+    best_state: Optional[dict] = None
+    best_est = 0
+    active_warps: list[int] = []
+    for name, st in present:
+        if not st["active"]:
+            continue
+        active_warps.append(warp_of[name])
+        est = _estimate_remaining(st)
+        if est > best_est:
+            best_est, best_state = est, st
+    return best_state, active_warps
+
+
+def _stealable(victim: dict) -> bool:
+    """Whether :func:`_steal_from` would take loot from this
+    level-stepped state, without taking it."""
+    return len(victim["queue"]) >= 2 or victim["frames"].splittable()
+
+
 def _steal_from(victim: dict, env: _Env) -> Optional[dict]:
     """Take half the victim's pending queue, else split the shallowest
     frame with at least two unexplored candidates."""
@@ -1856,6 +1886,19 @@ _POLL_CYCLES = 64.0  # persistent idle warp re-checks at this cadence
 _STEAL_PERIOD = 8  # passive: a busy warp checks for parked siblings every this many steps
 
 
+@lru_cache(maxsize=None)
+def _scan_lists(n_warps: int) -> tuple[tuple, dict[str, int], tuple]:
+    """Per block size (at most ``warps_per_block`` of them): the warps'
+    state names, the reverse map, and each warp's sibling scan list,
+    shared by every block of that size and never mutated."""
+    names = tuple(_state_name(w) for w in range(n_warps))
+    warp_of = {names[w]: w for w in range(n_warps)}
+    siblings = tuple(
+        tuple(names[w2] for w2 in range(n_warps) if w2 != w1) for w1 in range(n_warps)
+    )
+    return names, warp_of, siblings
+
+
 def _active_idle_handler(sched: BlockScheduler, env: _Env):
     """Idle hook: scan sibling warp states, raid the most loaded one.
 
@@ -1873,38 +1916,29 @@ def _active_idle_handler(sched: BlockScheduler, env: _Env):
     scan loop, and the two stay byte-identical.
     """
 
-    n_warps = sched.stats.n_warps
-    names = [_state_name(w) for w in range(n_warps)]
-    # per-warp sibling scan lists and the reverse map, hoisted out of the
-    # handler: the scan itself is one batched shared read instead of a
-    # per-sibling python loop of method calls (identical arrival order,
-    # identical integer cycle/access totals)
-    warp_of = {names[w]: w for w in range(n_warps)}
-    siblings = [
-        [names[w2] for w2 in range(n_warps) if w2 != w1] for w1 in range(n_warps)
-    ]
+    # per-warp sibling scan lists and the reverse map, built once per
+    # block size: the scan itself is one batched shared read instead of
+    # a per-sibling python loop of method calls (identical arrival
+    # order, identical integer cycle/access totals)
+    _, warp_of, siblings = _scan_lists(sched.stats.n_warps)
 
     def handler(ctx: WarpContext) -> Optional[Generator]:
         ctx.stats.steal_attempts += 1
         ctx._charge(ctx.params.steal_check_cycles)
-        best_state: Optional[dict] = None
-        best_est = 0
-        active_warps: list[int] = []
         present = ctx.shared_read_present(siblings[ctx.warp_id])
-        for name, st in present:
-            if not st["active"]:
-                continue
-            active_warps.append(warp_of[name])
-            est = _estimate_remaining(st)
-            if est > best_est:
-                best_est, best_state = est, st
+        best_state, active_warps = _victim(present, warp_of)
         loot = _steal_from(best_state, env) if best_state is not None else None
         if loot is None:
             if not active_warps:
                 return None
+            # the future (idle-spin + re-scan) cycles that provably see
+            # this scan's state are priced in one step
             n_read = len(present)
-            batched = _batchable_polls(sched, ctx, names, active_warps, n_read)
-            return _poll_spin(ctx, batched, n_read)
+            scan_busy = (
+                ctx.params.steal_check_cycles + ctx.params.shared_access_cycles * n_read
+            )
+            horizon = _poll_horizon(sched, ctx.warp_id, active_warps)
+            return _poll_spin(ctx, _polls_before(horizon, ctx.clock, scan_busy), n_read)
         ctx.stats.steals += 1
         # the thief's DFS state still reads inactive until its stolen
         # generator first resumes; flag the pending mutation so sibling
@@ -1948,36 +1982,31 @@ def _poll_spin(c: WarpContext, k: int, m: int) -> Generator[None, None, None]:
     yield
 
 
-def _batchable_polls(
-    sched: BlockScheduler,
-    ctx: WarpContext,
-    names: list[str],
-    active_warps: list[int],
-    n_read: int,
-) -> int:
-    """How many future (idle-spin + re-scan) cycles provably observe the
-    exact state this scan just saw — priced in one step on the pooled
-    fast path, replayed one by one under the generator oracle.
+def _poll_horizon(sched: BlockScheduler, self_id: int, active_warps: list[int]) -> float:
+    """The clock before which warp ``self_id``'s re-scans provably see
+    what its no-loot scan saw; ``inf`` when nothing may be batched (the
+    generator oracle, or an unaccounted actor below).
 
     Sibling DFS state only mutates when a sibling warp resumes, so the
     horizon is the earliest next resumption that can mutate: the
     minimum clock over *active* siblings plus any inactive thief whose
     stolen work is pending (``resume_mutates_shared``). Pure pollers
     are ignorable — their no-loot scans observe without mutating. The
-    batch is abandoned (0) whenever an unaccounted actor exists: tasks
+    batch is abandoned whenever an unaccounted actor exists: tasks
     still queue in the block (a completion could spawn a fresh worker),
     or a non-parked sibling has no DFS state yet (its first resumption
     would create one).
     """
+    inf = float("inf")
     if not sched.vectorized or sched.pending_tasks:
-        return 0
+        return inf
+    names = _scan_lists(sched.stats.n_warps)[0]
     contexts = sched.contexts
     parked = sched._parked
     shared = sched.shared
     idle_sourced = sched.idle_sourced
     generators = sched.generators
-    self_id = ctx.warp_id
-    horizon = float("inf")
+    horizon = inf
     for w in range(sched.stats.n_warps):
         if w == self_id or w in parked:
             continue
@@ -1993,23 +2022,146 @@ def _batchable_polls(
             continue  # stateless poller: observes, never mutates
         if type(generators.get(w)) is TraceCursor:
             continue  # trace task: pure pricing, touches no shared state
-        return 0  # un-started worker: next resumption allocates state
+        return inf  # un-started worker: next resumption allocates state
     for w in active_warps:
         c = contexts[w]
         if c.clock < horizon:
             horizon = c.clock
-    if horizon == float("inf"):
-        return 0
-    scan_busy = (
-        ctx.params.steal_check_cycles + ctx.params.shared_access_cycles * n_read
-    )
+    return horizon
+
+
+def _polls_before(horizon: float, clock: float, scan_busy: float) -> int:
+    """The re-scans of a no-loot scan that ended at ``clock`` and cost
+    ``scan_busy`` that start strictly before ``horizon``: re-scan i
+    (i >= 1) starts at ``clock + i*poll + (i-1)*scan_busy``."""
     period = _POLL_CYCLES + scan_busy
-    # re-scan i (i >= 1) starts at clock + i*poll + (i-1)*scan_busy;
-    # batch every one that starts strictly before the horizon
-    span = horizon - ctx.clock + scan_busy
-    if span <= period:
+    span = horizon - clock + scan_busy
+    if span <= period or horizon == float("inf"):
         return 0
     return int(-(-span // period)) - 1
+
+
+def _spun_poll() -> Generator[None, None, None]:
+    """A :func:`_poll_spin` past its one yield: its idle cycles are
+    charged, and its next resumption completes it."""
+    return
+    yield
+
+
+class _LonePollers(IdleModel):
+    """The no-op probes of a lone worker's block, priced in closed form.
+
+    In a block whose only working warp is ``w0`` (every other warp runs
+    :data:`_NOOP_PROBE`), under active stealing with no cycle budget on
+    the pooled path, the probes' timelines follow from the workers':
+
+    * a probe below ``w0`` completes its trace at clock 0, before the
+      worker's first resumption allocates its DFS state, so its scan
+      reads no sibling state and it parks;
+    * the probes above ``w0`` (the *pollers*) scan after the worker's
+      first step. A scan with nothing to steal spins up to the next
+      resumption that can mutate a state (:func:`_poll_horizon`) and
+      scans again; the first scan that finds no active state parks.
+      Pollers hold no DFS state and only observe, so all of them scan
+      at the same clocks, one after another, and see the same states.
+
+    So one poller's timeline, times the number of pollers, gives every
+    ``BlockStats`` field. Nothing is speculated: before a scan that
+    takes loot, the lowest poller goes back to the heap with the clock
+    and stats it has reached, and the real handler performs the steal;
+    the others scan after it and stay held. Every warp on the heap (the
+    worker, and pollers handed back from the bottom) thus has a lower
+    id than every held poller, so at equal clocks it acts first, and
+    the held pollers' scans at one clock follow each other with no
+    other warp between them.
+    """
+
+    def __init__(self, sched: BlockScheduler, w0: int) -> None:
+        n_warps = sched.stats.n_warps
+        params = sched.params
+        self.sched = sched
+        self.probe = _NOOP_PROBE.priced(params)
+        self.names, self.warp_of, _ = _scan_lists(n_warps)
+        # the parker/poller split: the one rule that depends on where
+        # the worker's warp id falls
+        parkers, self.pollers = range(w0), list(range(w0 + 1, n_warps))
+        self.held = frozenset(parkers) | frozenset(self.pollers)
+        # one held poller's counters so far: scans plus batched polls
+        # (each one a completed task and a steal attempt), shared
+        # accesses, and busy cycles beyond its probe
+        self.scans = 0
+        self.reads = 0
+        self.busy = 0.0
+        #: clock at which the pollers' next scan starts; the first one
+        #: follows the probe, popped at clock 0
+        self.scan_clock = float(self.probe.clock[0])
+        self.key = (0.0, w0 + 1) if self.pollers else None
+        for w in parkers:
+            ctx = sched.contexts[w]
+            self.probe.apply(ctx, 0)
+            ctx._charge(params.steal_check_cycles)
+        sched._parked.update(parkers)
+        sched.stats.tasks_completed += w0
+        sched.stats.steal_attempts += w0
+        # to other warps' poll horizons a held poller is what it stands
+        # for: a stateless poller (or a probe yet to run)
+        sched.idle_sourced.update(self.pollers)
+
+    def act(self) -> list[tuple[int, object]]:
+        """The held pollers' next scan: price it, or hand back the one
+        poller whose scan steals."""
+        sched = self.sched
+        pollers = self.pollers
+        present = sched.shared.peek_present(self.names)
+        best, active = _victim(present, self.warp_of)
+        if best is not None and _stealable(best):
+            # the lowest poller scans first; the rest scan after its steal
+            out = [self._release(pollers.pop(0))]
+            self.key = (self.key[0], pollers[0]) if pollers else None
+            return out
+        n_read = len(present)
+        params = sched.params
+        scan_busy = params.steal_check_cycles + params.shared_access_cycles * n_read
+        clock = self.scan_clock + scan_busy
+        self.scans += 1
+        self.reads += n_read
+        self.busy += scan_busy
+        if not active:  # every poller parks
+            for w in pollers:
+                self._write(w, clock)
+            sched._parked.update(pollers)
+            self.key = None
+            return []
+        k = _polls_before(_poll_horizon(sched, pollers[0], active), clock, scan_busy)
+        self.scans += k
+        self.reads += k * n_read
+        self.busy += k * scan_busy
+        self.scan_clock = clock + k * (_POLL_CYCLES + scan_busy) + _POLL_CYCLES
+        self.key = (self.scan_clock, pollers[0])
+        return []
+
+    def _write(self, w: int, clock: float) -> None:
+        """Give poller ``w`` the timeline's clock, busy cycles and block
+        counters so far."""
+        sched = self.sched
+        ctx = sched.contexts[w]
+        self.probe.apply(ctx, 0)
+        ctx.busy_cycles += self.busy
+        ctx.clock = clock
+        stats = sched.stats
+        stats.tasks_completed += self.scans
+        stats.steal_attempts += self.scans
+        stats.shared_accesses += self.reads
+        sched.shared.accesses += self.reads
+
+    def _release(self, w: int) -> tuple[int, object]:
+        """Poller ``w`` as the heap would hold it before its next scan."""
+        self.materialized = True
+        if not self.scans:  # its probe has not run yet
+            self.sched.idle_sourced.discard(w)
+            return w, _NOOP_PROBE.cursor(self.sched.params)
+        self._write(w, self.scan_clock)
+        return w, _spun_poll()
 
 
 def _passive_donate(ctx: WarpContext, env: _Env, state: dict) -> None:
@@ -2258,13 +2410,19 @@ def launch_kernel(
                 per_edge[i] = items
     working = {i: _make_task(env, items) for i, items in per_edge.items()}
 
+    lone_ok = config.vectorized and config.cycle_budget is None
+
     def block_hook(sched: BlockScheduler):
         sched.shared.alloc("_sched", sched, words=0)
         if config.vectorized:
             sched.step_coalescer = _make_step_coalescer(sched, env)
-        if config.work_stealing == "active":
-            return _active_idle_handler(sched, env)
-        return None
+        if config.work_stealing != "active":
+            return None
+        if lone_ok and sched.vectorized:
+            workers = [w for w, t in enumerate(sched.tasks) if t is not _NOOP_PROBE]
+            if len(workers) == 1:
+                sched.idle_model = _LonePollers(sched, workers[0])
+        return _active_idle_handler(sched, env)
 
     # On an all-trace block (every update edge a no-op probe) no warp
     # ever allocates DFS state, so the idle handler scans empty shared

@@ -555,10 +555,8 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
             got = wbm._narrow(env, assign, rank, qv, anchor, fixed, col, "col")
             assert as_list(got) == want
     # the self-anchor dispatch: children of the frame vertex ``anchor``
-    # on top of the prefix, fused or one narrowing each. The fused pass
-    # reads a column with a row per snapshot vertex, as the candidate
-    # stack keeps it; rows past a short column carry no claim
-    col = xp.concatenate([col, xp.zeros(n - len(col), dtype=bool)])
+    # on top of the prefix, fused or one narrowing each, over the same
+    # (possibly short) column
     prefix = {u: dv for u, dv in assign.items() if u != anchor}
     unassigned = [v for v in range(n) if v not in prefix.values()]
     kids = rng.sample(unassigned, rng.randint(1, min(6, len(unassigned))))
@@ -571,11 +569,22 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
         children = [None] * (len(kids) + 1)
         with mock.patch.multiple(wbm, _SCALAR_GEN_MAX=gen_max, _FUSE_SELF_MIN_WORK=fuse_min):
             wbm._self_anchored(
-                env, prefix, rank, qv, anchor, fixed, col, "padded", children,
+                env, prefix, rank, qv, anchor, fixed, col, "col", children,
                 list(range(1, len(kids) + 1)), cands, [g.degree(c) for c in kids],
             )
         assert children[0] is None
         assert [as_list(c) for c in children[1:]] == wants
+
+
+def test_gather_column_short_column():
+    """Rows past a short column carry no claim, whether the base is
+    sorted (one bounds check on its last id) or unsorted with a bound."""
+    from repro.matching.intersect import gather_column
+
+    col = xp.asarray([True, False, True])
+    for base, bound in (([1, 2, 5], None), ([5, 1], 6), ([0, 2], 3), ([2, 0], 3)):
+        got = gather_column(col, xp.asarray(base, dtype=xp.int64), bound=bound)
+        assert xp.to_numpy(got).tolist() == [b < 3 and b != 1 for b in base]
 
 
 # ---------------------------------------------------------------------------

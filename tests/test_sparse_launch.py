@@ -14,12 +14,14 @@ never leaks across launches or into the device's block cache.
 
 import copy
 import dataclasses
+import functools
 import math
 import os
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import xp
 from repro.graph.generators import attach_labels, power_law_graph
@@ -205,6 +207,130 @@ class TestKernelSparseLockstep:
         # the filler-only blocks were priced from templates, not run
         assert pooled.gpu.blocks_memoized > 0
         assert oracle.gpu.blocks_memoized == 0
+
+
+# ---------------------------------------------------------------------------
+# lone-worker blocks: idle probes priced in closed form
+# ---------------------------------------------------------------------------
+LONE_PARAMS = DeviceParams(num_sms=2, warps_per_block=8)
+#: a one-edge query: every work item is a complete match, so a worker
+#: completes on its first step
+EDGE_Q = LabeledGraph.from_edges([0, 1], [(0, 1)])
+
+
+def lone_pair(stealing, query=QUERY, budget=None):
+    """A pooled runtime, its expanded-grid oracle, and the graph's
+    working and filler edges, on 8-warp blocks."""
+    g = labeled_graph()
+    store = DynamicGraphStore(g, LONE_PARAMS)
+    cfg = WBMConfig(work_stealing=stealing, cycle_budget=budget)
+    pooled = QueryRuntime(query, store, LONE_PARAMS, cfg, name="pooled")
+    oracle = QueryRuntime(query, store, LONE_PARAMS, cfg, name="oracle")
+    oracle.gpu = VirtualGPU(LONE_PARAMS, vectorized=False)
+    working, fill = working_and_fill(g, pooled)
+    return pooled, oracle, working, fill
+
+
+def lockstep(pooled, oracle, edges):
+    """Launch ``edges`` on both; assert identical outputs; return the
+    pooled device's (closed-form, materialized) block counts."""
+    gpu = pooled.gpu
+    before = gpu.blocks_idle_priced, gpu.blocks_idle_materialized
+    a = pooled.launch(edges)
+    b = oracle.launch(edges)
+    assert sorted(a.matches) == sorted(b.matches)
+    assert a.aborted == b.aborted
+    assert a.peak_stack_words == b.peak_stack_words
+    assert stats_dict(a.stats) == stats_dict(b.stats)
+    return (
+        gpu.blocks_idle_priced - before[0],
+        gpu.blocks_idle_materialized - before[1],
+    )
+
+
+def lone_grid(edge, fill, m, pos):
+    """An m-edge phase whose one working edge sits at index ``pos``."""
+    return grid([edge], fill, m, {pos})
+
+
+@functools.lru_cache(maxsize=None)
+def shared_pair(stealing):
+    """One :func:`lone_pair` per stealing mode, shared by the property's
+    examples."""
+    return lone_pair(stealing)
+
+
+def stealing_edge():
+    """A working edge whose lone worker, at warp 0 under active
+    stealing, becomes stealable mid-run: a steal lands."""
+    _, oracle, working, fill = shared_pair("active")
+    for edge in working:
+        if oracle.launch(lone_grid(edge, fill, 8, 0)).stats.steals:
+            return edge
+    raise AssertionError("no working edge gives its lone worker a thief")
+
+
+class TestLoneWorkerClosedForm:
+    @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
+    def test_every_warp_position(self, stealing):
+        """A lone worker at each position of a full block and in a
+        partial last block; only active stealing prices it in closed
+        form."""
+        pooled, oracle, working, fill = lone_pair(stealing)
+        edge = stealing_edge()
+        other = working[0] if working[0] != edge else working[1]
+        for work in (edge, other):
+            for m, pos in [(16, p) for p in range(8)] + [(11, 9), (11, 10)]:
+                priced, _ = lockstep(pooled, oracle, lone_grid(work, fill, m, pos))
+                assert priced == (stealing == "active")
+
+    def test_pollers_materialize_and_steal(self):
+        pooled, oracle, working, fill = lone_pair("active")
+        edge = stealing_edge()
+        for pos in range(8):
+            launch = lone_grid(edge, fill, 8, pos)
+            priced, materialized = lockstep(pooled, oracle, launch)
+            assert priced == 1
+            steals = oracle.launch(launch).stats.steals
+            # only pollers (probes above the worker) can steal
+            assert materialized == (steals > 0)
+            if pos == 0:
+                assert steals > 0
+
+    @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
+    def test_worker_completes_on_first_step(self, stealing):
+        pooled, oracle, working, fill = lone_pair(stealing, query=EDGE_Q)
+        for pos in (0, 3, 7):
+            launch = lone_grid(working[0], fill, 8, pos)
+            priced, materialized = lockstep(pooled, oracle, launch)
+            assert (priced, materialized) == (stealing == "active", 0)
+        res = pooled.launch(lone_grid(working[0], fill, 8, 3))
+        assert res.matches
+        if stealing == "active":  # every warp scans once, then parks
+            assert res.stats.blocks[0].steal_attempts == 8
+
+    def test_cycle_budget_takes_the_scheduled_path(self):
+        pooled, oracle, working, fill = lone_pair("active", budget=40.0)
+        edge = stealing_edge()
+        aborted = False
+        for pos in (0, 4):
+            launch = lone_grid(edge, fill, 16, pos)
+            assert lockstep(pooled, oracle, launch) == (0, 0)
+            aborted |= pooled.launch(launch).aborted
+        assert aborted
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        stealing=st.sampled_from(["active", "passive", "off"]),
+        m=st.integers(1, 20),
+        data=st.data(),
+    )
+    def test_random_single_working_edge_grids(self, stealing, m, data):
+        pooled, oracle, working, fill = shared_pair(stealing)
+        pos = data.draw(st.integers(0, m - 1))
+        edge = data.draw(st.sampled_from(working))
+        priced, _ = lockstep(pooled, oracle, lone_grid(edge, fill, m, pos))
+        assert priced == (stealing == "active")
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ Usage::
 First serves the stream once without the profiler and prints the host
 cost of the DFS control path: µs per level step (``gpu.exec`` wall ÷
 the devices' ``level_steps``), µs per active-stealing idle-handler
-call (the handler's own wall ÷ its calls) and µs per Gen-Candidates
-call (``_gen_candidates`` plus ``_level_children`` wall ÷ their calls),
-so per-step overhead shows without cProfile. Per batch it prints the
-wall of the host's two shared passes — the candidate-stack refresh and
-the working-items pass over both sign phases — and the number of
+call (the handler's own wall ÷ its calls), the share of scheduled
+blocks whose idle probes were priced in closed form (lone-worker
+blocks, and how many of them handed pollers back to the heap to
+steal) and µs per Gen-Candidates call (``_gen_candidates`` plus
+``_level_children`` wall ÷ their calls), so per-step overhead shows
+without cProfile. Per batch it prints the wall of the host's two
+shared passes — the candidate-stack refresh and the working-items
+pass over both sign phases — and the number of
 query groups that pass resolves against the number of distinct label
 keys among them. It also prints whether serving materialized the
 store's dict mirror (it should not: the serving paths read the CSR
@@ -209,7 +212,12 @@ def step_costs(g0, batches, queries) -> None:
             g0, batches, queries, lambda svc: shared_pass_report(svc, shared, seen)
         )
     exec_s = tracer.take().get("gpu.exec_ms", 0.0)
-    steps = sum(service.runtime(n).gpu.level_steps for n in service.query_names)
+    gpus = [service.runtime(n).gpu for n in service.query_names]
+    steps = sum(gpu.level_steps for gpu in gpus)
+    run, priced, materialized = (
+        sum(getattr(gpu, name) for gpu in gpus)
+        for name in ("blocks_run", "blocks_idle_priced", "blocks_idle_materialized")
+    )
     calls, idle_s = idle
     print(
         f"host per level step: {exec_s * 1e6 / max(steps, 1):.2f}us "
@@ -218,6 +226,11 @@ def step_costs(g0, batches, queries) -> None:
     print(
         f"host per idle-handler call: {idle_s * 1e6 / max(calls, 1):.2f}us "
         f"({idle_s * 1e3:.1f}ms / {calls} calls)"
+    )
+    print(
+        f"lone-worker blocks priced in closed form: {priced} of {run} scheduled "
+        f"({priced / max(run, 1):.0%}); {materialized} of them handed pollers "
+        f"back to the heap to steal"
     )
     gen_calls, gen_s = gen
     print(
