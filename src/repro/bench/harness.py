@@ -15,7 +15,7 @@ from repro.errors import BudgetExceeded
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch
 from repro.gpu.params import DeviceParams
-from repro.matching.wbm import WBMConfig
+from repro.matching.launch_env import WBMConfig
 from repro.pipeline.gamma import GammaSystem
 
 #: default per-query operation budget — the analogue of the paper's

@@ -79,7 +79,7 @@ class MatchingError(ReproError):
 
 
 class ConfigMismatchError(MatchingError):
-    """A per-query :class:`~repro.matching.wbm.WBMConfig` disagrees with
+    """A per-query :class:`~repro.matching.launch_env.WBMConfig` disagrees with
     the execution flags of the shared store it is layered on (e.g. a
     vectorized query runtime over a scalar-oracle store). Raised at
     construction so the mismatch cannot silently downgrade mid-run."""

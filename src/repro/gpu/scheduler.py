@@ -167,10 +167,10 @@ class BlockScheduler:
         self.level_steps = 0  # DFS level-cursor resumptions (set by run)
         #: optional level-barrier hook, set by the kernel's block hook:
         #: called with a level cursor right before it steps so sibling
-        #: cursors staging the same candidate generation
-        #: (:meth:`LevelCursor.staged_gen`) can be batched in one fused
-        #: pass. Host-side only — it must not touch shared memory or
-        #: charge cycles, so the modeled schedule is unchanged.
+        #: cursors staging the same candidate generation can be
+        #: batched in one fused pass. Host-side only — it must not
+        #: touch shared memory or charge cycles, so the modeled
+        #: schedule is unchanged.
         self.step_coalescer: Optional[Callable[[LevelCursor], None]] = None
         #: True while any mailbox may hold deliverable work: set by
         #: push_work, cleared by a drain that empties every mailbox —

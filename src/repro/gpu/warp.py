@@ -58,20 +58,6 @@ class LevelCursor:
         """Advance by one resumption; return True when the task is done."""
         raise NotImplementedError
 
-    def staged_gen(self):
-        """The cursor's next candidate-generation request, if it is
-        already fully determined before :meth:`step` runs.
-
-        The level-barrier coalescing hook: a scheduler may collect the
-        staged requests of sibling cursors targeting the same query
-        vertex and batch-generate them in one fused pass, handing each
-        cursor its precomputed result. Returning ``None`` (the default)
-        opts out; cursors that opt in must guarantee the staged inputs
-        cannot change before their own next resumption consumes them,
-        so early generation is value-identical to inline generation.
-        """
-        return None
-
 
 class WarpContext:
     """Handle through which a warp task performs work and pays cycles."""

@@ -15,16 +15,14 @@ from repro.matching.coalesced import (
     build_coalesced_plan,
     trivial_plan,
 )
-from repro.matching.wbm import (
+from repro.matching.launch_env import (
     WBMConfig,
     MatchRecord,
     BatchResult,
     KernelOutput,
     PhaseEdges,
-    QueryRuntime,
-    gate_plan,
-    launch_kernel,
 )
+from repro.matching.wbm import QueryRuntime, gate_plan, launch_kernel
 from repro.matching.bfs_kernel import BFSEngine, BFSResult
 
 __all__ = [

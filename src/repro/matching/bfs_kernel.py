@@ -26,17 +26,8 @@ from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.gpu.stats import BlockStats
 from repro.gpu.warp import WarpContext
 from repro.matching.coalesced import trivial_plan
-from repro.matching.wbm import (
-    _LEVEL_BATCH_MIN,
-    KernelOutput,
-    Match,
-    PhaseEdges,
-    WBMConfig,
-    _Env,
-    _gen_candidates,
-    _level_children,
-    _level_children_multi,
-)
+from repro.matching.gen_candidates import _fused_level, _gen_candidates, _level_children
+from repro.matching.launch_env import KernelOutput, Match, PhaseEdges, WBMConfig, _Env
 
 
 @dataclass
@@ -251,42 +242,25 @@ class BFSEngine:
                     continue
                 prepared.append((group, assign, rank, cands))
             # pass 2: sibling frames of one group share the level's query
-            # vertex, so they fuse into one launch-wide generation batch
+            # vertex, so past the fusion gate they fuse into one
+            # launch-wide generation batch
             gen_out: list = [None] * len(prepared)
             by_group: dict[int, list[int]] = {}
             for i, (group, _, _, _) in enumerate(prepared):
                 by_group.setdefault(id(group), []).append(i)
             for idxs in by_group.values():
-                group = prepared[idxs[0]][0]
-                if (
-                    len(idxs) >= 2
-                    and sum(len(prepared[i][3]) for i in idxs)
-                    >= _LEVEL_BATCH_MIN
-                ):
-                    results = _level_children_multi(
-                        env,
-                        group,
-                        group.full_order,
-                        level,
-                        [
-                            (
-                                prepared[i][1],
-                                np.asarray(prepared[i][3], dtype=np.int64),
-                                prepared[i][2],
-                            )
-                            for i in idxs
-                        ],
-                        ctx.params,
-                    )
-                    for i, res in zip(idxs, results):
-                        gen_out[i] = res
-                else:
-                    for i in idxs:
-                        _, assign, rank, cands = prepared[i]
-                        gen_out[i] = _level_children(
-                            env, group, group.full_order, assign, level,
-                            cands, rank, ctx.params,
-                        )
+                sibs = [prepared[i] for i in idxs]
+                group = sibs[0][0]
+                # each request's prefix is the frame's own assignment
+                requests = [(lambda _, a=a: a, c, r) for _, a, r, c in sibs]
+                results = _fused_level(env, group, level, requests, ctx.params)
+                if results is None:
+                    results = [
+                        _level_children(env, group, group.full_order, a, level, c, r, ctx.params)
+                        for _, a, r, c in sibs
+                    ]
+                for i, res in zip(idxs, results):
+                    gen_out[i] = res
             # pass 3: consume in the original frame order; a level's
             # charges are additive integer cycles, so the totals equal
             # a per-frame interleaved pass exactly

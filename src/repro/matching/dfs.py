@@ -1,0 +1,760 @@
+"""The WBM DFS (paper Algorithm 1) and the layout of its per-warp state.
+
+A warp's DFS state lives in block shared memory — its pending
+work-item queue, its frames (the per-level candidate arrays and
+cursors, ``csize``/``p`` in the paper) and its partial assignment —
+which is what lets sibling warps steal from it. The worker exists in
+two host-side forms behind the repo's flag-with-oracle convention.
+``config.vectorized`` (default) runs each warp's DFS as a
+**level-stepped cursor** (:class:`_DfsLevelCursor`): per-step
+bookkeeping lives in Python scalars (:class:`_FrameStack`), candidate
+runs live in an :class:`~repro.gpu.memory.Int64Arena`, the scheduler
+drives one resumable step per DFS level, and a frame's child
+candidate generation is batched once — across sibling cursors staging
+the same ``(group, level)`` when the launch-wide step coalescer finds
+them, per frame otherwise. ``vectorized=False`` keeps the generator
+pair ``_worker``/``_dfs`` over the dict-walk Gen-Candidates as the
+correctness oracle; matches, ``KernelStats``/``BlockStats`` and the
+whole block schedule are byte-identical between the two
+(``tests/test_dfs_level_step.py``).
+
+This module also owns every read and write of that state a steal
+makes: the load estimate, taking loot (:func:`_steal_from`), turning
+loot into work items, and the passive donation.
+"""
+
+from __future__ import annotations
+
+from typing import Generator, Optional
+
+from repro import xp
+from repro.gpu.memory import Int64Arena
+from repro.gpu.scheduler import BlockScheduler
+from repro.gpu.warp import LevelCursor, WarpContext
+from repro.matching.coalesced import CoalescedGroup
+from repro.matching.gen_candidates import _fused_level, _gen_candidates, _level_children
+from repro.matching.launch_env import _Env
+
+
+_QUEUE_ITEM_WEIGHT = 4  # steal-estimate weight of one pending work item
+_STEAL_PERIOD = 8  # passive: a busy warp checks for parked siblings every this many steps
+
+
+def _boundary_items(
+    ctx: WarpContext,
+    env: _Env,
+    group: CoalescedGroup,
+    assign: dict[int, int],
+    dedup: set,
+    rank: int,
+) -> list[dict]:
+    """Permute a completed core assignment through the group's
+    automorphisms, screen against the full candidate table, and return
+    phase-B work items."""
+    items: list[dict] = []
+    table = env.table
+    boundary = len(group.core)
+    for sigma in group.core_maps:
+        permuted = {sigma[u]: assign[u] for u in group.core}
+        key = tuple(permuted[u] for u in group.core)
+        if key in dedup:
+            continue
+        dedup.add(key)
+        if all(table.is_candidate(qv, dv) for qv, dv in permuted.items()):
+            items.append(
+                {
+                    "group": group,
+                    "assign": permuted,
+                    "level": boundary,
+                    "dedup": dedup,
+                    "rank": rank,
+                    "permuted": True,
+                }
+            )
+    ctx.charge_lanes(len(group.core_maps) * len(group.core))
+    return items
+
+
+
+def _state_name(warp_id: int) -> str:
+    return f"wstate_{warp_id}"
+
+
+def _ensure_state(ctx: WarpContext, env: Optional[_Env] = None) -> dict:
+    """The warp's shared DFS state, allocated on first use.
+
+    With ``env`` (the level-stepped path) the state carries the cursor
+    layout: frames as a :class:`_FrameStack` and the assignment as a
+    plain int list indexed by query vertex (-1 = unassigned). The
+    generator oracle keeps the original dict/list layout. A launch
+    never mixes the two — every worker of a launch is spawned through
+    the same :func:`_spawn_worker` mode.
+    """
+    name = _state_name(ctx.warp_id)
+    if name not in ctx.shared:
+        if env is not None:
+            # pooled per launch: the warp's frame stack and assignment
+            # are reused across the launch's blocks
+            state = env._cursor_states.get(ctx.warp_id)
+            if state is None:
+                state = env._cursor_states[ctx.warp_id] = {
+                    "queue": [],
+                    "frames": _FrameStack(env.n),
+                    "assign": [-1] * env.n,
+                    "order": (),
+                    "active": False,
+                }
+        else:
+            state = {"queue": [], "frames": [], "assign": {}, "order": (), "active": False}
+        ctx.shared_alloc(name, state, words=64)
+    state, _ = ctx.shared.read(name)
+    return state
+
+
+def _worker(ctx: WarpContext, env: _Env, items: list[dict]) -> Generator[None, None, None]:
+    """Process work items (initial mappings, boundary partials, or
+    stolen slices) until the local queue drains."""
+    ctx.resume_mutates_shared = False  # the mutation is happening now
+    state = _ensure_state(ctx)
+    state["queue"].extend(items)
+    state["active"] = True
+    try:
+        while state["queue"]:
+            item = state["queue"].pop()
+            yield from _dfs(ctx, env, state, item)
+    finally:
+        state["active"] = False
+        state["frames"] = []
+        state["assign"] = {}
+
+
+def _dfs(ctx: WarpContext, env: _Env, state: dict, item: dict) -> Generator[None, None, None]:
+    group: CoalescedGroup = item["group"]
+    order = group.full_order
+    n = env.n
+    boundary = len(group.core)
+    rank = item["rank"]
+    dedup: set = item["dedup"]
+    assign = dict(item["assign"])
+    state["assign"] = assign
+    state["order"] = order
+    state["current_group"] = group
+    state["current_dedup"] = dedup
+    state["current_rank"] = rank
+    level = item["level"]
+
+    # items landing at or past the end are complete matches (k=0 groups)
+    if level >= n:
+        env.emit(ctx, assign)
+        return
+    # unpermuted item sitting exactly on the boundary: permute first
+    if level == boundary and not item.get("permuted", False) and not group.is_singleton:
+        state["queue"].extend(_boundary_items(ctx, env, group, assign, dedup, rank))
+        return
+
+    frames: list[dict] = state["frames"]
+    base_depth = len(frames)
+
+    cands = item.get("cands")
+    if cands is None:
+        cands = _gen_candidates(ctx, env, group, order, assign, level, rank)
+        yield
+    env.gauge.alloc(len(cands))
+    frames.append({"level": level, "cands": cands, "p": 0})
+    passive = env.config.work_stealing == "passive"
+    step = 0
+
+    while len(frames) > base_depth:
+        env.check_budget(ctx)
+        fr = frames[-1]
+        lv = fr["level"]
+        qv = order[lv]
+        # csize is re-read each iteration: an active thief may have
+        # truncated the candidate list through shared memory
+        if fr["p"] >= len(fr["cands"]):
+            frames.pop()
+            env.gauge.free(len(fr["cands"]))
+            assign.pop(qv, None)
+            ctx.charge_compute(1)
+            continue
+        c = fr["cands"][fr["p"]]
+        fr["p"] += 1
+        assign[qv] = c
+        nxt = lv + 1
+        step += 1
+        if passive and step % _STEAL_PERIOD == 0:
+            _passive_donate(ctx, env, state)
+        # boundary first: a whole-query automorphic group (boundary == n)
+        # must still emit the permuted members, not just the found one
+        if nxt == boundary and not group.is_singleton:
+            state["queue"].extend(_boundary_items(ctx, env, group, assign, dedup, rank))
+            del assign[qv]
+            continue
+        if nxt == n:
+            env.emit(ctx, assign)
+            del assign[qv]
+            continue
+        nxt_cands = _gen_candidates(ctx, env, group, order, assign, nxt, rank)
+        yield
+        if nxt_cands:
+            env.gauge.alloc(len(nxt_cands))
+            frames.append({"level": nxt, "cands": nxt_cands, "p": 0})
+        else:
+            del assign[qv]
+    # leftover assignment of the entry level is cleared by frame pop
+
+
+
+class _FrameStack:
+    """DFS frame stack of one warp, bookkept in Python scalars.
+
+    The generator oracle keeps frames as a list of
+    ``{"level", "cands", "p"}`` dicts; here each frame is one slot of
+    four plain int lists — ``level[i]``, the frame's candidate run
+    bounds ``start[i]``/``end[i]`` inside a shared :class:`Int64Arena`,
+    and the absolute candidate cursor ``p[i]`` — plus, per frame, the
+    precomputed next-level candidate arrays and their priced cost
+    segments (:func:`_level_children`), indexed by candidate position
+    at push time. A level step reads and writes only these ints; the
+    arena holds the candidate runs, the one thing processed as a whole
+    array. An active thief splits a frame by copying the tail
+    ``[mid, end)`` and lowering ``end[i]`` — the stack form of the
+    oracle's in-place ``del fr["cands"][mid:]`` truncation (stranded
+    precomputed children are simply never consumed).
+    """
+
+    __slots__ = (
+        "level",
+        "start",
+        "end",
+        "p",
+        "arena",
+        "depth",
+        "children",
+        "child_costs",
+    )
+
+    def __init__(self, n_levels: int) -> None:
+        cap = max(int(n_levels), 1)
+        self.level = [0] * cap
+        self.start = [0] * cap
+        self.end = [0] * cap
+        self.p = [0] * cap
+        self.arena = Int64Arena()
+        self.depth = 0
+        self.children: list = [None] * cap
+        self.child_costs: list = [None] * cap
+
+    def push(self, lv: int, cands) -> int:
+        d = self.depth
+        start, end = self.arena.push(cands)
+        self.level[d] = lv
+        self.start[d] = start
+        self.end[d] = end
+        self.p[d] = start
+        self.children[d] = None
+        self.child_costs[d] = None
+        self.depth = d + 1
+        return d
+
+    def pop(self) -> int:
+        """Drop the top frame; returns its (possibly thief-truncated)
+        candidate count — the words the memory gauge frees."""
+        d = self.depth - 1
+        start = self.start[d]
+        self.children[d] = None
+        self.child_costs[d] = None
+        self.arena.truncate(start)
+        self.depth = d
+        return self.end[d] - start
+
+    def remaining(self) -> int:
+        """Unexplored candidates across all frames (steal estimate)."""
+        d = self.depth
+        return sum(self.end[:d]) - sum(self.p[:d])
+
+    def clear(self) -> None:
+        for i in range(self.depth):
+            self.children[i] = None
+            self.child_costs[i] = None
+        self.depth = 0
+        self.arena.truncate(0)
+
+    def splittable(self) -> bool:
+        """Whether :meth:`steal_shallowest` would find a frame to split."""
+        return any(self.end[i] - self.p[i] >= 2 for i in range(self.depth))
+
+    def steal_shallowest(self, order, assign: list[int]) -> Optional[dict]:
+        """Split the shallowest frame with >= 2 unexplored candidates;
+        returns the same loot shape as the oracle's frame steal."""
+        for i in range(self.depth):
+            p, end = self.p[i], self.end[i]
+            remaining = end - p
+            if remaining >= 2:
+                mid = p + remaining // 2
+                stolen = self.arena.view(mid, end).copy()
+                self.end[i] = mid  # in-place: the victim sees the cut
+                lv = self.level[i]
+                return {
+                    "frame_steal": True,
+                    "level": lv,
+                    "cands": stolen,
+                    "assign": {order[j]: assign[order[j]] for j in range(lv)},
+                }
+        return None
+
+
+class _DfsLevelCursor(LevelCursor):
+    """Level-stepped DFS worker (one warp's main loop).
+
+    The fast-path replacement for the generator ``_worker``/``_dfs``
+    pair: one :meth:`step` executes exactly the work between two oracle
+    yields — the pending candidate attach, then pops / emits / boundary
+    bookkeeping up to and including the next candidate generation — so
+    the block schedule, every charge, and all sibling-observable shared
+    state are byte-identical to the generator path at every step
+    boundary. What changes is the host-side execution: per-step
+    bookkeeping lives in Python scalars — a :class:`_FrameStack` of int
+    lists and an int-list assignment — while arrays are used only where
+    a whole candidate run is processed: a level's candidate generation
+    is batched once at frame push (:func:`_level_children`), and each
+    child's gen cost replays from the recorded per-level segments with
+    scalar adds.
+
+    Interactions stay faithful: active thieves only run between steps
+    (and read the same state shape through ``_steal_from``); passive
+    donates keep the oracle's intra-step op order because batching is
+    disabled under passive stealing and under engine budgets.
+    """
+
+    __slots__ = (
+        "env",
+        "items",
+        "state",
+        "pending",
+        "staged",
+        "group",
+        "order",
+        "boundary",
+        "singleton",
+        "gen_levels",
+        "rank",
+        "dedup",
+        "steps",
+        "fast",
+        "passive",
+        "_prefetch",
+    )
+
+    def __init__(self, ctx: WarpContext, env: _Env, items: list[dict]) -> None:
+        # ``ctx`` mirrors the _worker(ctx, ...) signature; the cursor is
+        # always stepped with the owning warp's context by the scheduler
+        self.env = env
+        self.items = list(items)
+        self.state: Optional[dict] = None
+        self.pending: Optional[tuple] = None
+        #: True while ``pending`` holds a frame whose children the step
+        #: coalescer may generate early (see :meth:`staged_gen`)
+        self.staged = False
+        self._prefetch: Optional[tuple] = None
+        cfg = env.config
+        self.passive = cfg.work_stealing == "passive"
+        self.fast = cfg.cycle_budget is None and not self.passive
+        self.steps = 0
+
+    # ------------------------------------------------------------------
+    def step(self, ctx: WarpContext) -> bool:
+        """One resumption; True once the work queue drains."""
+        state = self.state
+        if state is None:
+            # first resumption: same prologue as _worker
+            ctx.resume_mutates_shared = False
+            state = self.state = _ensure_state(ctx, self.env)
+            state["queue"].extend(self.items)
+            state["active"] = True
+            self.items = None
+        try:
+            pend = self.pending
+            if pend is not None:
+                self.pending = None
+                self.staged = False
+                env = self.env
+                if pend[0] == 0:  # entry frame push after the item-entry gen
+                    _, cands, level = pend
+                    env.gauge.alloc(len(cands))
+                    self._push_frame(
+                        ctx, state, level, xp.asarray(cands, dtype=xp.int64)
+                    )
+                else:  # child attach after a priced gen segment
+                    _, child, nxt, qv_prev = pend
+                    if len(child):
+                        env.gauge.alloc(len(child))
+                        self._push_frame(ctx, state, nxt, child)
+                    else:
+                        state["assign"][qv_prev] = -1
+                if self._inner(ctx):
+                    return False
+            queue = state["queue"]
+            while queue:
+                if self._enter_item(ctx, queue.pop()):
+                    return False
+        except BaseException:
+            self._cleanup()  # the generator's finally block
+            raise
+        self._cleanup()
+        return True
+
+    def _cleanup(self) -> None:
+        state = self.state
+        state["active"] = False
+        state["frames"].clear()
+        state["assign"][:] = [-1] * self.env.n
+
+    def _enter_item(self, ctx: WarpContext, item: dict) -> bool:
+        """The _dfs prologue; True when the item yielded on its entry gen."""
+        env = self.env
+        state = self.state
+        group: CoalescedGroup = item["group"]
+        n = env.n
+        boundary = len(group.core)
+        rank = item["rank"]
+        dedup: set = item["dedup"]
+        adict = item["assign"]
+        level = item["level"]
+        # items that never open a frame (complete matches, unpermuted
+        # boundary partials) are handled before the state bookkeeping:
+        # the oracle's writes for them are unobservable — no yield can
+        # occur before a later item (or the worker's cleanup) overwrites
+        # the state — so skipping them changes nothing a sibling can see
+        if level >= n:
+            env.emit(ctx, adict)
+            return False
+        singleton = group.is_singleton
+        if level == boundary and not item.get("permuted", False) and not singleton:
+            state["queue"].extend(
+                _boundary_items(ctx, env, group, adict, dedup, rank)
+            )
+            return False
+        order = group.full_order
+        assign = state["assign"]
+        assign[:] = [-1] * n
+        for u, dv in adict.items():
+            assign[u] = dv
+        state["order"] = order
+        state["current_group"] = group
+        state["current_dedup"] = dedup
+        state["current_rank"] = rank
+        self.group = group
+        self.order = order
+        self.boundary = boundary
+        self.singleton = singleton
+        #: per level: does a frame there generate children, i.e. is its
+        #: next level neither the match end nor an unpermuted boundary
+        self.gen_levels = [
+            lv + 1 < n and (lv + 1 != boundary or singleton) for lv in range(n)
+        ]
+        self.rank = rank
+        self.dedup = dedup
+        self.steps = 0
+        cands = item.get("cands")
+        if cands is None:
+            cands = _gen_candidates(ctx, env, group, order, adict, level, rank)
+            self.pending = (0, cands, level)
+            self.staged = len(cands) > 0 and self.gen_levels[level]
+            return True  # the oracle's entry-gen yield
+        # stolen frame slice: pushed in the same resumption, no yield
+        env.gauge.alloc(len(cands))
+        self._push_frame(ctx, state, level, xp.asarray(cands, dtype=xp.int64))
+        return self._inner(ctx)
+
+    def staged_gen(self):
+        """The pending frame's fully-determined child-generation request,
+        as ``(group, level, request)`` with a :func:`_fused_level`
+        request.
+
+        Once :attr:`pending` is set, the cursor's next resumption begins
+        by pushing exactly that frame: the prefix comes from
+        ``state["assign"]`` (mutated only by this cursor — thieves
+        truncate arena runs, never the assignment), and the candidate
+        run is the pending tuple's own array. Early generation is
+        therefore value- and cost-identical to the inline
+        :func:`_level_children` call at push time. :attr:`staged` mirrors
+        the gating of :meth:`_push_frame` — frames that would not batch
+        inline stage nothing — and drops once the coalescer hands the
+        frame its prefetched children.
+        """
+        if not self.staged:
+            return None
+        _, cands, lv = self.pending[:3]
+        return self.group, lv, (self.staged_prefix, cands, self.rank)
+
+    def staged_prefix(self, lv: int) -> dict[int, int]:
+        """The staged frame's prefix assignment, materialized on demand:
+        the coalescer scans staged requests every level step but only
+        batch members past the fusion gate ever need the dict, so the
+        request carries this builder instead of an eager copy."""
+        order = self.order
+        assign = self.state["assign"]
+        return {order[i]: assign[order[i]] for i in range(lv)}
+
+    def _push_frame(self, ctx: WarpContext, state: dict, lv: int, cands) -> None:
+        """Push a frame; batch-generate its children's candidates and
+        record the per-child cost segments (no charges yet — each child
+        pays its segment at its own consumption step, exactly when the
+        oracle would have charged its Gen-Candidates call)."""
+        fs: _FrameStack = state["frames"]
+        d = fs.push(lv, cands)
+        pf = self._prefetch
+        if pf is not None:
+            # the launch-wide coalescer already generated this frame's
+            # children in a fused sibling batch; adopt them verbatim
+            self._prefetch = None
+            if pf[0] == lv:
+                fs.children[d] = pf[1]
+                fs.child_costs[d] = pf[2]
+                return
+        if len(cands) and self.gen_levels[lv]:
+            children, costs = _level_children(
+                self.env,
+                self.group,
+                self.order,
+                self.staged_prefix(lv),
+                lv,
+                fs.arena.view(fs.start[d], fs.end[d]),
+                self.rank,
+                ctx.params,
+            )
+            fs.children[d] = children
+            fs.child_costs[d] = costs
+
+    def _inner(self, ctx: WarpContext) -> bool:
+        """The _dfs while loop; True when it yielded on a child gen."""
+        state = self.state
+        fs: _FrameStack = state["frames"]
+        # the frame lists are mutated in place, never replaced, and no
+        # frame is pushed inside this loop, so the arena buffer is stable;
+        # what only the rare branches need is read there, off ``self``
+        fs_level, fs_start, fs_end, fs_p = fs.level, fs.start, fs.end, fs.p
+        buf = fs.arena.buf
+        assign = state["assign"]
+        order = self.order
+        boundary = self.boundary
+        singleton = self.singleton
+        n = self.env.n
+        fast = self.fast
+        while fs.depth:
+            if not fast:
+                self.env.check_budget(ctx)
+            d = fs.depth - 1
+            # bounds re-read each iteration: an active thief may have
+            # truncated the frame's run through shared memory
+            p, end = fs_p[d], fs_end[d]
+            lv = fs_level[d]
+            qv = order[lv]
+            if p >= end:
+                self.env.gauge.free(fs.pop())
+                assign[qv] = -1
+                ctx.charge_compute(1)
+                continue
+            nxt = lv + 1
+            is_boundary = nxt == boundary and not singleton
+            if fast and nxt == n and not is_boundary:
+                # leaf frame: the oracle drains it within one resumption
+                # (no yield between emits), so emit the whole remaining
+                # run as one batch with the identical total charge
+                k = end - p
+                row = assign[:]
+                out_matches = self.env.out.matches
+                for c in xp.to_numpy(buf[p:end]).tolist():
+                    row[qv] = c
+                    out_matches.append(tuple(row))
+                params = ctx.params
+                tx = -(-n // params.warp_size) * k
+                cycles = tx * params.global_transaction_cycles
+                ctx.clock += cycles
+                ctx.busy_cycles += cycles
+                st = ctx.stats
+                st.global_transactions += tx
+                st.coalesced_transactions += tx
+                fs_p[d] = end
+                continue
+            c = int(buf[p])
+            fs_p[d] = p + 1
+            assign[qv] = c
+            if self.passive:
+                self.steps += 1
+                if self.steps % _STEAL_PERIOD == 0:
+                    _passive_donate(ctx, self.env, state)
+            if is_boundary:
+                group = self.group
+                bdict = {u: assign[u] for u in group.core}
+                state["queue"].extend(
+                    _boundary_items(
+                        ctx, self.env, group, bdict, self.dedup, self.rank
+                    )
+                )
+                assign[qv] = -1
+                continue
+            if nxt == n:
+                ctx.write_global_consecutive(n)
+                self.env.out.matches.append(tuple(assign))
+                assign[qv] = -1
+                continue
+            # child gen: replay the priced per-level segment, attach on
+            # the next resumption (the oracle's post-gen yield). The
+            # segment is charged inline — :meth:`SegmentCosts.apply`'s
+            # exact adds, without a call per step
+            j = p - fs_start[d]
+            costs = fs.child_costs[d]
+            ctx.clock += costs.clock[j]
+            ctx.busy_cycles += costs.busy[j]
+            st = ctx.stats
+            st.compute_cycles += costs.compute[j]
+            st.global_transactions += costs.transactions[j]
+            st.coalesced_transactions += costs.coalesced[j]
+            st.scattered_transactions += costs.scattered[j]
+            child = fs.children[d][j]
+            self.pending = (1, child, nxt, qv)
+            self.staged = len(child) > 0 and self.gen_levels[nxt]
+            return True
+        return False
+
+
+def _spawn_worker(ctx: WarpContext, env: _Env, items: list[dict]):
+    """A DFS worker in the launch's task form: a level-stepped cursor on
+    the vectorized path, the generator oracle otherwise."""
+    if env.config.vectorized:
+        return _DfsLevelCursor(ctx, env, items)
+    return _worker(ctx, env, items)
+
+
+def _make_step_coalescer(sched: BlockScheduler, env: _Env):
+    """Launch-wide fused Gen-Candidates on the vectorized path.
+
+    Installed as the scheduler's level-barrier hook: right before a DFS
+    cursor steps, collect the staged candidate-generation requests
+    (:meth:`_DfsLevelCursor.staged_gen`) of every sibling cursor
+    targeting the same ``(group, level)`` and run them as ONE
+    :func:`_fused_level` batch, handing each cursor its
+    precomputed children and priced cost segments through
+    ``_prefetch``. Purely host-side: no cycle charge, no shared-memory
+    traffic, and each cursor still pays its own per-child segments at
+    its own consumption steps — the modeled schedule and every stat are
+    byte-identical to inline generation. Batches below
+    :func:`_fused_level`'s gate fall through to the inline path.
+    """
+
+    def coalesce(cursor: LevelCursor) -> None:
+        if type(cursor) is not _DfsLevelCursor or not cursor.staged:
+            return
+        # one scan classifies every staged sibling request by its
+        # (group, level) generation target; every class past the gate
+        # fuses now — staged inputs are stable until each owner's next
+        # resumption, so generating early is value- and cost-identical
+        classes: dict[tuple[int, int], tuple] = {}
+        for g in sched.generators.values():
+            if type(g) is _DfsLevelCursor and g.staged:
+                group, lv, request = g.staged_gen()
+                cls = classes.get((id(group), lv))
+                if cls is None:
+                    cls = classes[id(group), lv] = (group, lv, [], [])
+                cls[2].append(g)
+                cls[3].append(request)
+        for group, lv, cursors, requests in classes.values():
+            results = _fused_level(env, group, lv, requests, sched.params)
+            if results is None:
+                continue
+            for g, (children, costs) in zip(cursors, results):
+                g._prefetch = (lv, children, costs)
+                g.staged = False
+
+    return coalesce
+
+
+def _estimate_remaining(state: dict) -> int:
+    est = len(state["queue"]) * _QUEUE_ITEM_WEIGHT
+    frames = state["frames"]
+    if type(frames) is _FrameStack:
+        return est + frames.remaining()
+    for fr in frames:
+        est += max(0, len(fr["cands"]) - fr["p"])
+    return est
+
+
+def _stealable(victim: dict) -> bool:
+    """Whether :func:`_steal_from` would take loot from this
+    level-stepped state, without taking it."""
+    return len(victim["queue"]) >= 2 or victim["frames"].splittable()
+
+
+def _steal_from(victim: dict, env: _Env) -> Optional[dict]:
+    """Take half the victim's pending queue, else split the shallowest
+    frame with at least two unexplored candidates."""
+    queue = victim["queue"]
+    if len(queue) >= 2:
+        take = len(queue) // 2
+        stolen = queue[:take]
+        del queue[:take]
+        return {"items": stolen}
+    order = victim["order"]
+    assign = victim["assign"]
+    frames = victim["frames"]
+    if type(frames) is _FrameStack:  # level-stepped victim: array layout
+        return frames.steal_shallowest(order, assign)
+    for fr in frames:
+        remaining = len(fr["cands"]) - fr["p"]
+        if remaining >= 2:
+            mid = fr["p"] + remaining // 2
+            stolen_cands = fr["cands"][mid:]
+            del fr["cands"][mid:]  # in-place: victim sees the truncation
+            lv = fr["level"]
+            prefix = {order[i]: assign[order[i]] for i in range(lv)}
+            # find group/dedup/rank through the queue-free path: the
+            # victim's current item context lives in its frames' shared
+            # state, captured by :func:`_loot_items`
+            return {
+                "frame_steal": True,
+                "level": lv,
+                "cands": stolen_cands,
+                "assign": prefix,
+            }
+    return None
+
+
+def _loot_items(victim: dict, loot: dict) -> list[dict]:
+    """The work items :func:`_steal_from`'s loot becomes: the queue
+    items it took, or one item resuming the split frame's tail in the
+    victim's current item context."""
+    if "items" in loot:
+        return loot["items"]
+    group = victim["current_group"]
+    return [
+        {
+            "group": group,
+            "assign": loot["assign"],
+            "level": loot["level"],
+            "cands": loot["cands"],
+            "dedup": victim["current_dedup"],
+            "rank": victim["current_rank"],
+            "permuted": loot["level"] >= len(group.core),
+        }
+    ]
+
+
+def _passive_donate(ctx: WarpContext, env: _Env, state: dict) -> None:
+    """Busy warp pushes work to a parked sibling (passive stealing)."""
+    if "_sched" not in ctx.shared:
+        return
+    sched: BlockScheduler = ctx.shared_read("_sched")
+    parked = sched.parked_warps()
+    if not parked:
+        return
+    ctx._charge(ctx.params.steal_check_cycles)
+    loot = _steal_from(state, env)
+    if loot is None:
+        return
+    target = min(parked)
+    items = _loot_items(state, loot)
+    ctx.stats.steals += 1
+    target_ctx = sched.contexts[target]
+    sched.push_work(target, _spawn_worker(target_ctx, env, items), ctx.clock)

@@ -1,0 +1,386 @@
+"""Launch-phase types of the WBM kernel and its per-launch context.
+
+The kernel's knobs (:class:`WBMConfig`), what a launch and a batch
+produce (:class:`KernelOutput`, :class:`BatchResult`), one sign phase's
+indexed update edges (:class:`PhaseEdges`, shared by every runtime that
+launches the phase), and :class:`_Env`, the read-mostly context every
+warp task of one launch shares: the snapshot, the candidate table and
+its filter columns, the hub-slice cache, the rank rule, the memory
+gauge and the cycle budget.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+from repro import xp
+from repro.errors import BudgetExceeded, MatchingError
+from repro.filtering import CandidateTable
+from repro.graph.csr import CSRGraph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.gpu.stats import KernelStats
+from repro.gpu.warp import WarpContext
+from repro.matching.coalesced import CoalescedGroup, CoalescedPlan
+from repro.matching.intersect import gather_column, positions_in
+from repro.pma.gpma import GpmaUpdateStats
+
+Match = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class WBMConfig:
+    """Knobs for the kernel (the paper's ablation arms)."""
+
+    work_stealing: str = "active"  # "active" | "passive" | "off"
+    coalesced: bool = True
+    max_k: int = 2
+    bits_per_label: int = 2
+    #: CSR-backed array kernels for Gen-Candidates and the filtering
+    #: stack, the pooled array-native virtual-GPU launch path, and
+    #: level-stepped DFS cursors with launch-wide fused candidate
+    #: generation; False selects the original dict-walk / generator-
+    #: worker / per-block-construction scalar path, kept as the
+    #: correctness oracle (identical matches AND identical modeled
+    #: cycle accounting)
+    vectorized: bool = True
+    # engine-wide busy-cycle allowance per launch (the timeout analogue;
+    # exceeded -> BudgetExceeded -> the query counts as unsolved)
+    cycle_budget: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.work_stealing not in ("active", "passive", "off"):
+            raise MatchingError(f"unknown work_stealing mode {self.work_stealing!r}")
+
+
+@dataclass(frozen=True)
+class MatchRecord:
+    """One incremental match with its sign (+ insert-born, − delete-born)."""
+
+    sign: int
+    match: Match
+
+
+@dataclass
+class KernelOutput:
+    """Result of one kernel launch (one sign phase of a batch)."""
+
+    matches: list[Match] = field(default_factory=list)
+    stats: KernelStats = field(default_factory=KernelStats)
+    peak_stack_words: int = 0
+    aborted: bool = False
+
+
+@dataclass
+class BatchResult:
+    """Everything one processed batch produced."""
+
+    positives: set[Match] = field(default_factory=set)
+    negatives: set[Match] = field(default_factory=set)
+    kernel_stats: KernelStats = field(default_factory=KernelStats)
+    gpma_stats: GpmaUpdateStats = field(default_factory=GpmaUpdateStats)
+    reencoded_vertices: int = 0
+    transfer_words: int = 0
+    aborted: bool = False
+
+    @property
+    def records(self) -> list[MatchRecord]:
+        return [MatchRecord(1, m) for m in sorted(self.positives)] + [
+            MatchRecord(-1, m) for m in sorted(self.negatives)
+        ]
+
+    def total_cycles(self) -> float:
+        return self.kernel_stats.total_cycles + self.gpma_stats.total_cycles
+
+    def model_seconds(self, clock_hz: float) -> float:
+        return self.total_cycles() / clock_hz
+
+
+class _MemoryGauge:
+    """Tracks the DFS stacks' device-word footprint (Figure 5's claim
+    that DFS memory stays flat)."""
+
+    def __init__(self) -> None:
+        self.current = 0
+        self.peak = 0
+
+    def alloc(self, words: int) -> None:
+        self.current += words
+        if self.current > self.peak:
+            self.peak = self.current
+
+    def free(self, words: int) -> None:
+        self.current -= words
+
+
+class PhaseEdges:
+    """One sign phase's net update edges, indexed once and shared by
+    every runtime that launches the phase.
+
+    Holds the canonical ``(ex, ey, el)`` columns as arrays and as int
+    lists, the total-order ``rank_map`` (edge rank = its index in the
+    phase), and two lazily built indexes:
+
+    * the update-edge partners of each endpoint, sorted by endpoint
+      then partner, so :meth:`rank_partners` is one ``searchsorted``
+      per data vertex, cached for the whole phase;
+    * per CSR snapshot, a bucket index: the in-range edges sorted by
+      their ``(label_x, label_y, edge_label)`` key, ascending edge
+      index within a key — the label partitioning of GSI's PCSR — so
+      the working-items pass resolves every hosted query's group keys
+      with one ``searchsorted`` and visits only the edges a group
+      representative can map onto (:func:`working_items`).
+    """
+
+    def __init__(self, edges) -> None:
+        self.edges: list[tuple[int, int, int]] = list(edges)
+        arr = xp.asarray(self.edges, dtype=xp.int64).reshape(-1, 3)
+        self.ex = xp.minimum(arr[:, 0], arr[:, 1])
+        self.ey = xp.maximum(arr[:, 0], arr[:, 1])
+        self.el = arr[:, 2]
+        # plain-int columns: work items are dicts of Python ints, and
+        # unboxing an array scalar per field shows up in the hot loop
+        self.exl: list[int] = xp.to_numpy(self.ex).tolist()
+        self.eyl: list[int] = xp.to_numpy(self.ey).tolist()
+        self.ell: list[int] = xp.to_numpy(self.el).tolist()
+        self.rank_map: dict[tuple[int, int], int] = {
+            e: i for i, e in enumerate(zip(self.exl, self.eyl))
+        }
+        self._partner_index: Optional[tuple] = None
+        self._partners: dict[int, tuple[xp.ndarray, xp.ndarray]] = {}
+        self._bucket_csr: Optional[CSRGraph] = None
+        self._bucket: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def rank_partners(self, dv: int) -> tuple[xp.ndarray, xp.ndarray]:
+        """Update-edge partners of data vertex ``dv`` (sorted) with the
+        rank of each touching net-update edge, cached per phase."""
+        entry = self._partners.get(dv)
+        if entry is None:
+            if self._partner_index is None:
+                # built from rank_map, so a repeated edge keeps its last
+                # rank exactly as the dict does
+                keys = xp.asarray(list(self.rank_map), dtype=xp.int64).reshape(-1, 2)
+                r = xp.asarray(list(self.rank_map.values()), dtype=xp.int64)
+                ends = xp.concatenate([keys[:, 0], keys[:, 1]])
+                others = xp.concatenate([keys[:, 1], keys[:, 0]])
+                ranks = xp.concatenate([r, r])
+                order = xp.lexsort((others, ends))
+                self._partner_index = (ends[order], others[order], ranks[order])
+            ends, others, ranks = self._partner_index
+            lo = int(xp.searchsorted(ends, dv))
+            hi = int(xp.searchsorted(ends, dv, side="right"))
+            entry = self._partners[dv] = (others[lo:hi], ranks[lo:hi])
+        return entry
+
+    def bucket_index(self, csr: CSRGraph) -> tuple:
+        """``(vertex alphabet, edge alphabet, sorted keys, edge index
+        of each key)`` over the edges with both endpoints in ``csr``.
+
+        A key is ``(rank(label_x) * V + rank(label_y)) * E +
+        rank(edge_label)`` over the dense ranks of the labels the
+        in-range edges carry (so it cannot overflow); the edge indices
+        ascend within a key. Rebuilt only if a launch brings a
+        different snapshot."""
+        if self._bucket_csr is not csr:
+            n = csr.n_vertices
+            idx = xp.nonzero((self.ex < n) & (self.ey < n))[0]
+            labels = csr.vertex_labels
+            lx, ly, el = labels[self.ex[idx]], labels[self.ey[idx]], self.el[idx]
+            valph = xp.unique(xp.concatenate([lx, ly]))
+            ealph = xp.unique(el)
+            keys = (
+                xp.searchsorted(valph, lx) * len(valph) + xp.searchsorted(valph, ly)
+            ) * len(ealph) + xp.searchsorted(ealph, el)
+            order = xp.argsort(keys, kind="stable")
+            self._bucket = (valph, ealph, keys[order], idx[order])
+            self._bucket_csr = csr
+        return self._bucket
+
+    def resolve(self, csr: CSRGraph, keys: xp.ndarray) -> tuple[xp.ndarray, xp.ndarray]:
+        """Candidate ``(key row, edge index)`` pairs of the ``(k, 3)``
+        label-key matrix ``keys``: every in-range edge whose labels
+        equal a row's key, key rows in order, edge indices ascending
+        within a row."""
+        valph, ealph, skeys, sidx = self.bucket_index(csr)
+        packed = xp.full(len(keys), -1, dtype=xp.int64)
+        if len(skeys):
+            ranks = []
+            ok = xp.ones(len(keys), dtype=bool)
+            for col, alph in ((0, valph), (1, valph), (2, ealph)):
+                r = xp.minimum(xp.searchsorted(alph, keys[:, col]), len(alph) - 1)
+                ok &= alph[r] == keys[:, col]
+                ranks.append(r)
+            packed[ok] = ((ranks[0] * len(valph) + ranks[1]) * len(ealph) + ranks[2])[ok]
+        lo = xp.searchsorted(skeys, packed)
+        cnt = xp.searchsorted(skeys, packed, side="right") - lo
+        total = int(cnt.sum())
+        rows = xp.repeat(xp.arange(len(keys), dtype=xp.int64), cnt)
+        pos = xp.arange(total, dtype=xp.int64) + xp.repeat(lo - (xp.cumsum(cnt) - cnt), cnt)
+        return rows, sidx[pos]
+
+
+def or_columns(bitmap, cols: tuple[int, ...]):
+    """The OR of ``bitmap``'s columns ``cols`` (an orbit's union column)."""
+    col = bitmap[:, cols[0]]
+    for w in cols[1:]:
+        col = col | bitmap[:, w]
+    return col
+
+
+def filter_index(table: CandidateTable, group: CoalescedGroup, qv: int) -> int:
+    """Stack column of ``qv``'s phase-A filter in ``group``: the union
+    column of its orbit for a k>0 group, the exact column otherwise."""
+    if group.k:
+        return table.column_index(qv, group.vertex_orbits.get(qv, (qv,)))
+    return table.lo + qv
+
+
+class _Env:
+    """Per-launch read-mostly context shared by all warp tasks."""
+
+    def __init__(
+        self,
+        query: LabeledGraph,
+        graph: LabeledGraph,
+        table: CandidateTable,
+        plan: CoalescedPlan,
+        phase: PhaseEdges,
+        config: WBMConfig,
+        out: KernelOutput,
+        csr: Optional[CSRGraph] = None,
+    ) -> None:
+        self.query = query
+        self.graph = graph
+        self.table = table
+        self.plan = plan
+        self.rank_map = phase.rank_map
+        #: per data-vertex (sorted update partners, their ranks), served
+        #: from the phase's endpoint-sorted index
+        self.rank_partners = phase.rank_partners
+        self.config = config
+        self.out = out
+        #: CSR snapshot of ``graph`` at launch time; shared across all
+        #: runtimes when the store hands out its cached snapshot, built
+        #: lazily otherwise (only the vectorized path reads it)
+        self._csr = csr
+        # pooled per-warp DFS states for the level-stepped path: blocks
+        # run sequentially within a launch, so a warp's frame stack and
+        # assignment array are reused across blocks (workers reset them
+        # on completion, exactly like the pooled scheduler contexts)
+        self._cursor_states: dict[int, dict] = {}
+        # per-launch cache of first-stage narrowed hub slices, keyed by
+        # (anchor data vertex, query vertex, anchor query vertex, filter
+        # column): the label/edge-label/bitmap mask over a hub's sorted
+        # adjacency depends only on that key, so repeated expansions of
+        # the same hub across update edges (and across sibling cursors
+        # in the fused level step) hit memory instead of recomputation.
+        # Injectivity and rank filtering are applied by the caller on
+        # top of the cached slice — both are order-preserving ANDs, so
+        # they commute with the cached narrowing.
+        self._hub_slices: dict[tuple, xp.ndarray] = {}
+        self.gauge = _MemoryGauge()
+        self.n = query.n_vertices
+        #: the candidate stack's bitmap (its columns are read-only
+        #: views) and the stack column of query vertex 0
+        self.bitmap = table.stack.bitmap
+        self.lo = table.lo
+        # phase-A filter columns per (group, query vertex): the union of
+        # candidate-table columns over the vertex's automorphism orbit —
+        # on the fast path the stack's union column for a k>0 group and
+        # the exact column otherwise (for whole-query automorphisms the
+        # table is orbit-invariant, so the union equals the exact column)
+        self._orbit_cols: dict[tuple[int, int], object] = {}
+        self.spent_cycles = 0.0  # engine-wide busy cycles this launch
+
+    @property
+    def csr(self) -> CSRGraph:
+        """CSR snapshot of the launch-time graph (lazily built)."""
+        if self._csr is None:
+            self._csr = CSRGraph.from_graph(self.graph)
+        return self._csr
+
+    def rank_filter(self, cands: xp.ndarray, dv: int, rank: int) -> xp.ndarray:
+        """Drop candidates whose edge to ``dv`` is a net-update edge of
+        rank below ``rank`` (the total-order duplicate rule)."""
+        partners, ranks = self.rank_partners(dv)
+        if not len(partners):
+            return cands
+        pos, hit = positions_in(partners, cands)
+        blocked = hit & (ranks[pos] < rank)
+        if blocked.any():
+            return cands[~blocked]
+        return cands
+
+    def hub_slice(
+        self, anchor_dv: int, qv: int, anchor_qv: int, col, col_key
+    ) -> xp.ndarray:
+        """Cached first-stage narrowing of ``anchor_dv``'s sorted
+        adjacency for candidates of ``qv``: vertex label, edge label to
+        the anchor, and the candidacy column — every prefix-independent
+        mask. The caller layers injectivity / rank / other-neighbor
+        intersections on top (never mutating the cached array)."""
+        key = (anchor_dv, qv, anchor_qv, col_key)
+        cache = self._hub_slices
+        sl = cache.get(key)
+        if sl is None:
+            csr = self.csr
+            base = csr.neighbor_slice(anchor_dv)
+            query = self.query
+            mask = (csr.vertex_labels[base] == query.vertex_label(qv)) & (
+                csr.edge_label_slice(anchor_dv) == query.edge_label(qv, anchor_qv)
+            )
+            mask &= gather_column(col, base)
+            sl = cache[key] = base[mask]
+        return sl
+
+
+
+    def orbit_column(self, group: CoalescedGroup, qv: int):
+        """Boolean candidacy column for phase-A filtering at ``qv``: a
+        stack column on the fast path; the scalar oracle ORs the
+        orbit's exact columns itself."""
+        key = (id(group), qv)
+        col = self._orbit_cols.get(key)
+        if col is None:
+            if self.config.vectorized:
+                col = self.bitmap[:, filter_index(self.table, group, qv)]
+            else:
+                col = or_columns(self.table.bitmap, group.vertex_orbits.get(qv, (qv,)))
+            self._orbit_cols[key] = col
+        return col
+
+    def filter_column(self, group: CoalescedGroup, level: int) -> tuple:
+        """Candidacy column for ``group.full_order[level]`` plus its
+        hashable hub-cache key: the orbit-invariant union inside the
+        core (phase A), the exact column outside it (phase B)."""
+        qv = group.full_order[level]
+        if level < len(group.core):
+            return self.orbit_column(group, qv), (id(group), qv)
+        return self.bitmap[:, self.lo + qv], qv
+
+    def passes_filter(self, group: CoalescedGroup, qv: int, dv: int, in_core: bool) -> bool:
+        """Candidate check: orbit-invariant union inside the core,
+        exact column outside (and for singleton orbits they coincide)."""
+        if in_core:
+            col = self.orbit_column(group, qv)
+            return dv < len(col) and bool(col[dv])
+        return self.table.is_candidate(qv, dv)
+
+    def emit(self, ctx: WarpContext, assign: dict[int, int]) -> None:
+        match = tuple(assign[u] for u in range(self.n))
+        ctx.write_global_consecutive(self.n)
+        self.out.matches.append(match)
+
+    def check_budget(self, ctx: WarpContext) -> None:
+        """Accumulate this warp's new busy cycles into the launch-wide
+        total and abort once the work allowance is hit."""
+        self.spent_cycles += ctx.busy_cycles - ctx.env_busy_mark
+        ctx.env_busy_mark = ctx.busy_cycles
+        budget = self.config.cycle_budget
+        if budget is not None and self.spent_cycles > budget:
+            self.out.aborted = True
+            raise BudgetExceeded(self.spent_cycles, budget)
+

@@ -25,7 +25,7 @@ from repro.filtering import EncodingSchema
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
-from repro.matching.wbm import BatchResult, WBMConfig
+from repro.matching.launch_env import BatchResult, WBMConfig
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import ThroughputMeter
 

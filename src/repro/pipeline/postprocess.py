@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import MatchingError
-from repro.matching.wbm import BatchResult, Match
+from repro.matching.launch_env import BatchResult, Match
 
 
 class MatchCollector:

@@ -56,15 +56,8 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.matching.coalesced import CoalescedPlan
-from repro.matching.wbm import (
-    BatchResult,
-    KernelOutput,
-    Match,
-    PhaseEdges,
-    QueryRuntime,
-    WBMConfig,
-    working_items,
-)
+from repro.matching.launch_env import BatchResult, KernelOutput, Match, PhaseEdges, WBMConfig
+from repro.matching.wbm import QueryRuntime, working_items
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
 from repro.pma.gpma import GpmaUpdateStats

@@ -68,7 +68,7 @@ from repro.graph.csr import AttachedSnapshot, publish_snapshot, unlink_snapshot
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import UpdateBatch, apply_effective_delta
 from repro.matching.coalesced import CoalescedPlan
-from repro.matching.wbm import Match
+from repro.matching.launch_env import Match
 from repro.pipeline.postprocess import MatchCollector
 from repro.service.matching_service import (
     InProcessHost,

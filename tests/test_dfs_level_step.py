@@ -1,7 +1,7 @@
 """Level-stepped DFS workers vs the generator oracle.
 
 The vectorized path runs each WBM DFS worker as a
-:class:`~repro.matching.wbm._DfsLevelCursor`: one resumable step per
+:class:`~repro.matching.dfs._DfsLevelCursor`: one resumable step per
 DFS level, frame bookkeeping in Python int lists, per-level candidate
 generation batched and priced as recorded cost segments. The contract
 is the repo's flag-with-oracle convention at its strictest — the
@@ -40,8 +40,11 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import Int64Arena, VirtualGPU
 from repro.gpu.scheduler import BlockScheduler
-from repro.matching import WBMConfig
-from repro.matching.wbm import QueryRuntime, _FrameStack, _MemoryGauge, _steal_from
+from repro.matching import WBMConfig, gen_candidates
+from repro.matching.coalesced import trivial_plan
+from repro.matching.dfs import _FrameStack, _steal_from
+from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env, _MemoryGauge
+from repro.matching.wbm import QueryRuntime
 from repro.pipeline import GammaSystem
 from repro.service import MatchingService
 from repro.service.store import DynamicGraphStore
@@ -346,17 +349,17 @@ class TestFusedGenLockstep:
 
     def test_coalescer_and_hub_cache_fire(self, monkeypatch):
         """The machinery is actually on the hot path: the hub-heavy
-        schedule produces fused sibling batches, hub-slice cache
-        misses AND hits."""
-        import repro.matching.wbm as wbm
+        schedule produces fused batches of sibling requests, hub-slice
+        cache misses AND hits."""
+        calls = {"fused": 0, "hub_calls": 0, "hub_hits": 0}
+        orig_multi = gen_candidates._level_children_multi
+        orig_hub = _Env.hub_slice
 
-        calls = {"multi": 0, "hub_calls": 0, "hub_hits": 0}
-        orig_multi = wbm._level_children_multi
-        orig_hub = wbm._Env.hub_slice
-
-        def counting_multi(*a, **k):
-            calls["multi"] += 1
-            return orig_multi(*a, **k)
+        def counting_multi(env, group, order, lv, requests, params):
+            # a single request is one large frame's own generation;
+            # only a batch of sibling requests is a fusion
+            calls["fused"] += len(requests) >= 2
+            return orig_multi(env, group, order, lv, requests, params)
 
         def counting_hub(env, anchor_dv, qv, anchor_qv, col, col_key):
             calls["hub_calls"] += 1
@@ -364,11 +367,11 @@ class TestFusedGenLockstep:
                 calls["hub_hits"] += 1
             return orig_hub(env, anchor_dv, qv, anchor_qv, col, col_key)
 
-        monkeypatch.setattr(wbm, "_level_children_multi", counting_multi)
-        monkeypatch.setattr(wbm._Env, "hub_slice", counting_hub)
+        monkeypatch.setattr(gen_candidates, "_level_children_multi", counting_multi)
+        monkeypatch.setattr(_Env, "hub_slice", counting_hub)
         g0, q, batches = hub_heavy_workload()
         run_stream(g0, q, batches)
-        assert calls["multi"] > 0, "sibling frames must fuse"
+        assert calls["fused"] > 0, "sibling frames must fuse"
         assert calls["hub_hits"] > 0, "cache must serve repeat anchors"
         assert calls["hub_calls"] > calls["hub_hits"], "first touch misses"
 
@@ -376,8 +379,8 @@ class TestFusedGenLockstep:
 # ---------------------------------------------------------------------------
 # host-side size switches: both sides of each produce the oracle's run
 # ---------------------------------------------------------------------------
-#: (module constant, forced value) -> (functions that must run, functions
-#: that must not run) on the vectorized path
+#: (``gen_candidates`` constant, forced value) -> (functions that must
+#: run, functions that must not run) on the vectorized path
 SIZE_SWITCHES = {
     ("_LEVEL_BATCH_MIN", 0): (("_level_children_multi",), ("_level_children_scalar",)),
     ("_LEVEL_BATCH_MIN", 10**9): (("_level_children_scalar",), ("_level_children_multi",)),
@@ -395,7 +398,9 @@ SIZE_SWITCHES = {
         ("_fused_self_anchor",),
     ),
 }
-#: host-strategy functions the switch tests count calls of
+#: host-strategy functions the switch tests count calls of: every call
+#: site reads them from ``gen_candidates``' globals (``hub_slice`` from
+#: ``_Env``), so patching there reaches them all
 COUNTED = (
     "_level_children_multi", "_level_children_scalar", "_narrow",
     "_self_anchored", "_fused_self_anchor", "hub_slice", "_narrow_small_run",
@@ -425,8 +430,6 @@ def counted_run(monkeypatch, g0, q, batches, stealing, setting=None):
     """One vectorized run with ``setting`` = ``(constant, value)``
     forced; returns the run and the call count of every ``COUNTED``
     function."""
-    import repro.matching.wbm as wbm
-
     calls = dict.fromkeys(COUNTED, 0)
 
     def counted(fn_name, fn):
@@ -438,9 +441,9 @@ def counted_run(monkeypatch, g0, q, batches, stealing, setting=None):
 
     with monkeypatch.context() as m:
         if setting is not None:
-            m.setattr(wbm, *setting)
+            m.setattr(gen_candidates, *setting)
         for fn_name in COUNTED:
-            owner = wbm._Env if fn_name == "hub_slice" else wbm
+            owner = _Env if fn_name == "hub_slice" else gen_candidates
             m.setattr(owner, fn_name, counted(fn_name, getattr(owner, fn_name)))
         run = run_stream(g0, q, batches, stealing=stealing)
     return run, calls
@@ -507,8 +510,7 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
     labelled graphs (a hub included, so runs fall on both sides of
     ``_SCALAR_GEN_MAX``), partial assignments, candidacy columns and
     rank maps."""
-    import repro.matching.wbm as wbm
-
+    gen = gen_candidates
     rng = random.Random(seed)
     n = rng.randint(6, 90)
     edges = {}
@@ -537,22 +539,22 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
     # net-update edges in a random rank order, some not in the graph
     pool = list(edges) + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(5)]
     rng.shuffle(pool)
-    phase = wbm.PhaseEdges([(u, v, 0) for u, v in pool[: rng.randint(0, len(pool))]])
+    phase = PhaseEdges([(u, v, 0) for u, v in pool[: rng.randint(0, len(pool))]])
     rank = rng.randint(0, len(phase) + 1)
     col = xp.asarray([rng.random() < 0.8 for _ in range(rng.randint(n - 3, n))], dtype=bool)
-    env = wbm._Env(
-        NARROW_Q, g, CandidateTable(NARROW_Q, g), wbm.trivial_plan(NARROW_Q),
-        phase, WBMConfig(), wbm.KernelOutput(),
+    env = _Env(
+        NARROW_Q, g, CandidateTable(NARROW_Q, g), trivial_plan(NARROW_Q),
+        phase, WBMConfig(), KernelOutput(),
     )
-    want = wbm._candidates_scalar(env, assign, qv, anchor, others, col, rank)
+    want = gen._candidates_scalar(env, assign, qv, anchor, others, col, rank)
     fixed = [(w, assign[w]) for w in others]
 
     def as_list(got):
         return got if isinstance(got, list) else xp.to_numpy(got).tolist()
 
-    with mock.patch.object(wbm, "_SCALAR_GEN_MAX", gen_max):
+    with mock.patch.object(gen, "_SCALAR_GEN_MAX", gen_max):
         for _ in range(2):  # the second call reads the hub-slice cache
-            got = wbm._narrow(env, assign, rank, qv, anchor, fixed, col, "col")
+            got = gen._narrow(env, assign, rank, qv, anchor, fixed, col, "col")
             assert as_list(got) == want
     # the self-anchor dispatch: children of the frame vertex ``anchor``
     # on top of the prefix, fused or one narrowing each, over the same
@@ -561,14 +563,14 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
     unassigned = [v for v in range(n) if v not in prefix.values()]
     kids = rng.sample(unassigned, rng.randint(1, min(6, len(unassigned))))
     wants = [
-        wbm._candidates_scalar(env, {**prefix, anchor: c}, qv, anchor, others, col, rank)
+        gen._candidates_scalar(env, {**prefix, anchor: c}, qv, anchor, others, col, rank)
         for c in kids
     ]
     cands = kids if rng.random() < 0.5 else xp.asarray(kids, dtype=xp.int64)
     for fuse_min in (0, 10**9):
         children = [None] * (len(kids) + 1)
-        with mock.patch.multiple(wbm, _SCALAR_GEN_MAX=gen_max, _FUSE_SELF_MIN_WORK=fuse_min):
-            wbm._self_anchored(
+        with mock.patch.multiple(gen, _SCALAR_GEN_MAX=gen_max, _FUSE_SELF_MIN_WORK=fuse_min):
+            gen._self_anchored(
                 env, prefix, rank, qv, anchor, fixed, col, "col", children,
                 list(range(1, len(kids) + 1)), cands, [g.degree(c) for c in kids],
             )

@@ -11,7 +11,7 @@ from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import UpdateStream, make_batch
 from repro.gpu import DeviceParams
 from repro.matching import oracle_delta
-from repro.matching.wbm import BatchResult
+from repro.matching.launch_env import BatchResult
 from repro.pipeline import GammaSystem, MatchCollector, PipelineModel
 from repro.pipeline.gamma import GAMMA_STAGES
 from repro.pipeline.postprocess import ThroughputMeter

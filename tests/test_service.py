@@ -15,7 +15,8 @@ from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import UpdateStream, apply_batch, make_batch
 from repro.gpu import DeviceParams
 from repro.matching import PhaseEdges, find_matches, oracle_delta
-from repro.matching.wbm import KernelOutput, _Env, _initial_items, working_items
+from repro.matching.launch_env import KernelOutput, _Env
+from repro.matching.wbm import _initial_items, working_items
 from repro.pipeline import GammaSystem, PipelineModel
 from repro.pma.gpma import GPMAGraph
 from repro.service import DynamicGraphStore, MatchingService

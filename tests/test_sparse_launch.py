@@ -29,12 +29,8 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import make_batch
 from repro.gpu import DeviceParams, TraceBuilder, VirtualGPU
 from repro.matching import PhaseEdges, QueryRuntime, WBMConfig
-from repro.matching.wbm import (
-    KernelOutput,
-    _Env,
-    _initial_items,
-    working_items,
-)
+from repro.matching.launch_env import KernelOutput, _Env
+from repro.matching.wbm import _initial_items, working_items
 from repro.service import (
     DynamicGraphStore,
     MatchingService,

@@ -24,7 +24,7 @@ from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import EffectiveDelta, apply_batch, effective_delta, make_batch
 from repro.matching.bfs_kernel import BFSEngine
 from repro.matching.static_match import oracle_delta
-from repro.matching.wbm import WBMConfig
+from repro.matching.launch_env import WBMConfig
 from repro.pipeline import GammaSystem
 
 PAPER_Q = LabeledGraph.from_edges([0, 1, 1, 2], [(0, 1), (0, 2), (1, 2), (1, 3)])

@@ -62,7 +62,7 @@ import pickle
 import pstats
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,7 +74,9 @@ from repro.bench.harness import BENCH_PARAMS  # noqa: E402
 from repro.bench.workloads import holdout_stream  # noqa: E402
 from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
-from repro.matching import WBMConfig, find_matches, wbm  # noqa: E402
+from repro.matching import WBMConfig, find_matches  # noqa: E402
+from repro.matching.gen_candidates import _gen_candidates, _level_children  # noqa: E402
+from repro.matching.stealing import _active_idle_handler  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
 from repro.service.matching_service import InProcessHost  # noqa: E402
 from servebench.spans import LayerTracer  # noqa: E402
@@ -130,16 +132,38 @@ def _timed(fn, tally: list):
 
 
 @contextmanager
+def patched(fn, replacement):
+    """Install ``replacement`` for ``fn`` while active, in every loaded
+    ``repro`` module whose global ``fn.__name__`` is ``fn``: its
+    defining module and each module that imported it by name, so every
+    binding a call site reads. Fails unless the defining module
+    (``fn.__module__``) still holds ``fn`` under that name, so a moved,
+    renamed or already wrapped target stops the run instead of printing
+    zero calls."""
+    name = fn.__name__
+    assert getattr(sys.modules[fn.__module__], name, None) is fn, f"{fn.__module__}.{name} moved"
+    modules = [
+        module
+        for key, module in list(sys.modules.items())
+        if (key == "repro" or key.startswith("repro.")) and getattr(module, name, None) is fn
+    ]
+    for module in modules:
+        setattr(module, name, replacement)
+    try:
+        yield
+    finally:
+        for module in modules:
+            setattr(module, name, fn)
+
+
+@contextmanager
 def timed_idle_handlers():
     """Count and time every active-stealing idle-handler call made
     while installed; yields ``[calls, seconds]``."""
     tally = [0, 0.0]
-    make_handler = wbm._active_idle_handler
-    wbm._active_idle_handler = lambda sched, env: _timed(make_handler(sched, env), tally)
-    try:
+    make_handler = _active_idle_handler
+    with patched(make_handler, lambda sched, env: _timed(make_handler(sched, env), tally)):
         yield tally
-    finally:
-        wbm._active_idle_handler = make_handler
 
 
 @contextmanager
@@ -179,18 +203,14 @@ def shared_pass_report(service, tallies, seen: list) -> None:
 
 
 @contextmanager
-def timed_calls(*names: str):
-    """Count and time every call of the named ``wbm`` functions while
+def timed_calls(*fns):
+    """Count and time every call of the functions ``fns`` while
     installed; yields ``[calls, seconds]`` summed over all of them."""
     tally = [0, 0.0]
-    originals = {name: getattr(wbm, name) for name in names}
-    for name, fn in originals.items():
-        setattr(wbm, name, _timed(fn, tally))
-    try:
+    with ExitStack() as stack:
+        for fn in fns:
+            stack.enter_context(patched(fn, _timed(fn, tally)))
         yield tally
-    finally:
-        for name, fn in originals.items():
-            setattr(wbm, name, fn)
 
 
 def step_costs(g0, batches, queries) -> None:
@@ -202,7 +222,7 @@ def step_costs(g0, batches, queries) -> None:
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
-        timed_calls("_gen_candidates", "_level_children") as gen,
+        timed_calls(_gen_candidates, _level_children) as gen,
         timed_methods(
             (CandidateStack, "refresh_rows"), (InProcessHost, "_phase_items")
         ) as shared,
