@@ -26,8 +26,9 @@ from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.gpu.stats import BlockStats
 from repro.gpu.warp import WarpContext
 from repro.matching.coalesced import trivial_plan
-from repro.matching.gen_candidates import _fused_level, _gen_candidates, _level_children
+from repro.matching.gen_candidates import _gen_candidates
 from repro.matching.launch_env import KernelOutput, Match, PhaseEdges, WBMConfig, _Env
+from repro.matching.level_batch import _fused_level, _level_children
 
 
 @dataclass

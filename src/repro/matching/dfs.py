@@ -32,8 +32,9 @@ from repro.gpu.memory import Int64Arena
 from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.warp import LevelCursor, WarpContext
 from repro.matching.coalesced import CoalescedGroup
-from repro.matching.gen_candidates import _fused_level, _gen_candidates, _level_children
+from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import _Env
+from repro.matching.level_batch import _fused_level, _level_children
 
 
 _QUEUE_ITEM_WEIGHT = 4  # steal-estimate weight of one pending work item
@@ -458,9 +459,18 @@ class _DfsLevelCursor(LevelCursor):
         self.steps = 0
         cands = item.get("cands")
         if cands is None:
-            cands = _gen_candidates(ctx, env, group, order, adict, level, rank)
+            entry = item.get("entry")
+            if entry is None:
+                cands = _gen_candidates(ctx, env, group, order, adict, level, rank)
+                kids = None
+            else:
+                # the host's entry pass generated the candidates (and the
+                # entry frame's children); pay the inline call's charges
+                cands, charge, kids = entry
+                _charge_gen(ctx, *charge)
+                self._prefetch = kids
             self.pending = (0, cands, level)
-            self.staged = len(cands) > 0 and self.gen_levels[level]
+            self.staged = kids is None and len(cands) > 0 and self.gen_levels[level]
             return True  # the oracle's entry-gen yield
         # stolen frame slice: pushed in the same resumption, no yield
         env.gauge.alloc(len(cands))

@@ -123,7 +123,8 @@ class PhaseEdges:
 
     * the update-edge partners of each endpoint, sorted by endpoint
       then partner, so :meth:`rank_partners` is one ``searchsorted``
-      per data vertex, cached for the whole phase;
+      per data vertex, cached for the whole phase (and
+      :meth:`rank_index`, the same rule for many pairs at once);
     * per CSR snapshot, a bucket index: the in-range edges sorted by
       their ``(label_x, label_y, edge_label)`` key, ascending edge
       index within a key — the label partitioning of GSI's PCSR — so
@@ -148,6 +149,7 @@ class PhaseEdges:
         }
         self._partner_index: Optional[tuple] = None
         self._partners: dict[int, tuple[xp.ndarray, xp.ndarray]] = {}
+        self._rank_index: tuple = (-1,)
         self._bucket_csr: Optional[CSRGraph] = None
         self._bucket: tuple = ()
 
@@ -174,6 +176,22 @@ class PhaseEdges:
             hi = int(xp.searchsorted(ends, dv, side="right"))
             entry = self._partners[dv] = (others[lo:hi], ranks[lo:hi])
         return entry
+
+    def rank_index(self, n: int) -> tuple[xp.ndarray, xp.ndarray]:
+        """The rank rule over an ``n``-vertex snapshot as one sorted
+        array: the keys ``lo * n + hi`` of the net-update edges with
+        both endpoints below ``n``, and each edge's rank (a repeated
+        edge keeps its last rank, as ``rank_map`` does). Cached for the
+        last ``n`` asked."""
+        if self._rank_index[0] != n:
+            inside = xp.nonzero(self.ey < n)[0]
+            keys = self.ex[inside] * n + self.ey[inside]
+            order = xp.argsort(keys, kind="stable")
+            keys, ranks = keys[order], inside[order]
+            last = xp.ones(len(keys), dtype=bool)
+            last[:-1] = keys[1:] != keys[:-1]
+            self._rank_index = (n, keys[last], ranks[last])
+        return self._rank_index[1:]
 
     def bucket_index(self, csr: CSRGraph) -> tuple:
         """``(vertex alphabet, edge alphabet, sorted keys, edge index

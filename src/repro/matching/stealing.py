@@ -251,8 +251,10 @@ class _LonePollers(IdleModel):
         n_warps = sched.stats.n_warps
         params = sched.params
         self.sched = sched
+        self.w0 = w0
         self.probe = _NOOP_PROBE.priced(params)
         self.names, self.warp_of, _ = _scan_lists(n_warps)
+        self.lone = (self.names[w0],)
         # the parker/poller split: the one rule that depends on where
         # the worker's warp id falls
         parkers, self.pollers = range(w0), list(range(w0 + 1, n_warps))
@@ -280,10 +282,17 @@ class _LonePollers(IdleModel):
 
     def act(self) -> list[tuple[int, object]]:
         """The held pollers' next scan: price it, or hand back the one
-        poller whose scan steals."""
+        poller whose scan steals.
+
+        Until a poller is handed back, no warp but the worker can hold
+        a DFS state (parkers and held pollers never run a worker), so
+        the scan reads the worker's state alone and its poll horizon is
+        the worker's clock; after a hand-back a thief may hold state
+        too, and the scan and horizon take the general path."""
         sched = self.sched
         pollers = self.pollers
-        present = sched.shared.peek_present(self.names)
+        lone = not self.materialized
+        present = sched.shared.peek_present(self.lone if lone else self.names)
         best, active = _victim(present, self.warp_of)
         if best is not None and _stealable(best):
             # the lowest poller scans first; the rest scan after its steal
@@ -303,7 +312,13 @@ class _LonePollers(IdleModel):
             sched._parked.update(pollers)
             self.key = None
             return []
-        k = _polls_before(_poll_horizon(sched, pollers[0], active), clock, scan_busy)
+        if not lone:
+            horizon = _poll_horizon(sched, pollers[0], active)
+        elif sched.pending_tasks:
+            horizon = float("inf")
+        else:
+            horizon = sched.contexts[self.w0].clock
+        k = _polls_before(horizon, clock, scan_busy)
         self.scans += k
         self.reads += k * n_read
         self.busy += k * scan_busy

@@ -23,15 +23,19 @@ above it:
 
 * :mod:`~repro.matching.launch_env` — config, results,
   :class:`PhaseEdges` and the per-launch ``_Env``;
-* :mod:`~repro.matching.gen_candidates` — Gen-Candidates: the scalar
-  oracle, ``_narrow`` and the level batching;
+* :mod:`~repro.matching.gen_candidates` — Gen-Candidates for one
+  partial match: the scalar oracle, its charges and ``_narrow``;
+* :mod:`~repro.matching.level_batch` — Gen-Candidates for a whole DFS
+  level: a frame's children and fused sibling frames;
+* :mod:`~repro.matching.entry_pass` — the host-wide entry pass: every
+  hosted query's first two levels in one array pass per level;
 * :mod:`~repro.matching.dfs` — the DFS workers, their shared-memory
   state, the step coalescer, and the steal/donate accessors of that
   state;
 * :mod:`~repro.matching.stealing` — the idle side of stealing: the
   victim scan, poll pricing and the lone-worker probes;
-* this module — plan gating, the work items of a phase, the launch,
-  and :class:`QueryRuntime`.
+* this module — plan gating, the work items of a phase and their entry
+  records, the launch, and :class:`QueryRuntime`.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.gpu.scheduler import BlockScheduler
 from repro.matching.coalesced import CoalescedPlan, build_coalesced_plan, trivial_plan
 from repro.matching.dfs import _make_step_coalescer, _spawn_worker
+from repro.matching.entry_pass import entry_facts, entry_pass
 from repro.matching.launch_env import (
     KernelOutput,
     Match,
@@ -152,8 +157,9 @@ def union_orbits(plan: CoalescedPlan) -> list[tuple[int, ...]]:
 
 
 def _launch_keys(runtime: "QueryRuntime") -> tuple:
-    """A runtime's groups with their label keys and the stack columns
-    of both representative endpoints' filters, cached until the stack's
+    """A runtime's groups with their label keys, the stack columns of
+    both representative endpoints' filters, the groups'
+    :func:`entry_facts` and each group's row, cached until the stack's
     layout changes (the plan is fixed at registration)."""
     table = runtime.table
     tag = (table.stack, table.stack.epoch)
@@ -166,7 +172,14 @@ def _launch_keys(runtime: "QueryRuntime") -> tuple:
             [[filter_index(table, g, qv) for qv in g.representative] for g in groups],
             dtype=xp.int64,
         ).reshape(-1, 2)
-        cache = runtime._launch_keys = (tag, groups, keys, cols)
+        config = runtime.config
+        # the entry pass runs where the cursor's fast path runs
+        fast = config.vectorized and config.cycle_budget is None and (
+            config.work_stealing != "passive"
+        )
+        facts = entry_facts(runtime.query, table, groups, fast)
+        row_of = {id(g): r for r, g in enumerate(groups)}
+        cache = runtime._launch_keys = (tag, groups, keys, cols, facts, row_of)
     return cache
 
 
@@ -215,6 +228,47 @@ def working_items(
     return out
 
 
+def record_entries(
+    phase: PhaseEdges,
+    csr: CSRGraph,
+    runtimes: list["QueryRuntime"],
+    per_query: list[dict[int, list[dict]]],
+) -> tuple[int, int]:
+    """Run the :func:`entry_pass` over the work items ``per_query[i]``
+    of ``runtimes[i]`` (from :func:`working_items` on the same phase and
+    snapshot; the runtimes share one host, so one candidate stack and
+    one set of device params): each covered item then carries its entry
+    generation. Returns the pass's counts of recorded entry generations
+    and entry frames."""
+    rows: list[int] = []
+    edges: list[int] = []
+    items: list[dict] = []
+    facts = []
+    base = 0
+    for runtime, per_edge in zip(runtimes, per_query):
+        cache = _launch_keys(runtime)
+        row_of = cache[5]
+        for i, its in per_edge.items():
+            for item in its:
+                rows.append(base + row_of[id(item["group"])])
+                edges.append(i)
+                items.append(item)
+        facts.append(cache[4])
+        base += len(cache[1])
+    if not items:
+        return 0, 0
+    return entry_pass(
+        phase,
+        csr,
+        runtimes[0].table.stack.bitmap,
+        xp.concatenate(facts),
+        xp.asarray(rows, dtype=xp.int64),
+        xp.asarray(edges, dtype=xp.int64),
+        items,
+        runtimes[0].params,
+    )
+
+
 def launch_kernel(
     query: LabeledGraph,
     graph: LabeledGraph,
@@ -252,14 +306,19 @@ def launch_kernel(
 
     def block_hook(sched: BlockScheduler):
         sched.shared.alloc("_sched", sched, words=0)
-        if config.vectorized:
+        workers = (
+            [w for w, t in enumerate(sched.tasks) if t is not _NOOP_PROBE]
+            if config.vectorized
+            else ()
+        )
+        # fusion is host-only: a lone worker's block (its thieves
+        # included) generates inline, so it skips the sibling scan
+        if len(workers) >= 2:
             sched.step_coalescer = _make_step_coalescer(sched, env)
         if config.work_stealing != "active":
             return None
-        if lone_ok and sched.vectorized:
-            workers = [w for w, t in enumerate(sched.tasks) if t is not _NOOP_PROBE]
-            if len(workers) == 1:
-                sched.idle_model = _LonePollers(sched, workers[0])
+        if lone_ok and sched.vectorized and len(workers) == 1:
+            sched.idle_model = _LonePollers(sched, workers[0])
         return _active_idle_handler(sched, env)
 
     # On an all-trace block (every update edge a no-op probe) no warp
@@ -434,6 +493,7 @@ class QueryRuntime:
             csr = self.store.csr_snapshot()
             if items is None:
                 items = working_items(phase, csr, [self])[0]
+                record_entries(phase, csr, [self], [items])
         return launch_kernel(
             self.query,
             self.store.graph,

@@ -57,7 +57,7 @@ from repro.graph.updates import UpdateBatch, UpdateStream
 from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.matching.coalesced import CoalescedPlan
 from repro.matching.launch_env import BatchResult, KernelOutput, Match, PhaseEdges, WBMConfig
-from repro.matching.wbm import QueryRuntime, working_items
+from repro.matching.wbm import QueryRuntime, record_entries, working_items
 from repro.pipeline.async_exec import PipelineModel, PipelineReport
 from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
 from repro.pma.gpma import GpmaUpdateStats
@@ -222,7 +222,9 @@ class InProcessHost(QueryHost):
     for all its queries: the runtimes it registers are column ranges of
     one :class:`~repro.filtering.CandidateStack`, refreshed once per
     commit, and each sign phase resolves every healthy query's work
-    items in one :func:`~repro.matching.wbm.working_items` pass."""
+    items in one :func:`~repro.matching.wbm.working_items` pass, then
+    generates their first two DFS levels in one entry pass
+    (:func:`~repro.matching.wbm.record_entries`)."""
 
     def __init__(self, store, params: DeviceParams, policy: ResiliencePolicy, label=None) -> None:
         super().__init__(label)
@@ -297,6 +299,7 @@ class InProcessHost(QueryHost):
         edges = PhaseEdges(edges)
         live = [name for name in names if outcomes[name].error is None]
         items = self._phase_items(edges, live)
+        self._entry_pass(edges, items)
         for name in live:
             out = outcomes[name]
             setattr(out, phase, self._guarded_launch(name, edges, out, items.get(name)))
@@ -319,6 +322,23 @@ class InProcessHost(QueryHost):
                 raise
             return {}
         return dict(zip(names, per_query))
+
+    def _entry_pass(self, edges: PhaseEdges, items: dict) -> None:
+        """The host-wide entry pass over the phase's shared work items
+        (:func:`~repro.matching.wbm.record_entries`). Should it fault,
+        each item it did not record generates its entry inline."""
+        if not items:
+            return
+        try:
+            record_entries(
+                edges,
+                self.store.csr_snapshot(),
+                [self.runtimes[n] for n in items],
+                list(items.values()),
+            )
+        except Exception as err:  # noqa: BLE001 — isolation boundary
+            if is_defect(err):
+                raise
 
     def _guarded_launch(self, name, edges, out: QueryOutcome, items=None):
         """One launch inside its isolation guard, with the policy's

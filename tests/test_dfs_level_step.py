@@ -40,7 +40,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import Int64Arena, VirtualGPU
 from repro.gpu.scheduler import BlockScheduler
-from repro.matching import WBMConfig, gen_candidates
+from repro.matching import WBMConfig, dfs, entry_pass, gen_candidates, level_batch
 from repro.matching.coalesced import trivial_plan
 from repro.matching.dfs import _FrameStack, _steal_from
 from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env, _MemoryGauge
@@ -54,6 +54,11 @@ DATA = Path(__file__).parent / "data"
 CHORD_Q = LabeledGraph.from_edges([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3), (0, 2)])
 DENSE_Q = LabeledGraph.from_edges(
     [0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
+)
+#: a C4 with a pendant vertex: its level-3 frames generate children
+#: past the entry pass's two levels, on hubs in the hub-heavy graph
+C4_TAIL_Q = LabeledGraph.from_edges(
+    [0, 0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]
 )
 
 #: the two execution arms: arm name -> config.vectorized
@@ -349,10 +354,10 @@ class TestFusedGenLockstep:
 
     def test_coalescer_and_hub_cache_fire(self, monkeypatch):
         """The machinery is actually on the hot path: the hub-heavy
-        schedule produces fused batches of sibling requests, hub-slice
+        schedules produce fused batches of sibling requests, hub-slice
         cache misses AND hits."""
         calls = {"fused": 0, "hub_calls": 0, "hub_hits": 0}
-        orig_multi = gen_candidates._level_children_multi
+        orig_multi = level_batch._level_children_multi
         orig_hub = _Env.hub_slice
 
         def counting_multi(env, group, order, lv, requests, params):
@@ -367,10 +372,13 @@ class TestFusedGenLockstep:
                 calls["hub_hits"] += 1
             return orig_hub(env, anchor_dv, qv, anchor_qv, col, col_key)
 
-        monkeypatch.setattr(gen_candidates, "_level_children_multi", counting_multi)
+        monkeypatch.setattr(level_batch, "_level_children_multi", counting_multi)
         monkeypatch.setattr(_Env, "hub_slice", counting_hub)
         g0, q, batches = hub_heavy_workload()
         run_stream(g0, q, batches)
+        # the host's entry pass generates every item's first two levels,
+        # so sibling frames fuse one level deeper: under a tailed C4
+        run_stream(g0, C4_TAIL_Q, batches)
         assert calls["fused"] > 0, "sibling frames must fuse"
         assert calls["hub_hits"] > 0, "cache must serve repeat anchors"
         assert calls["hub_calls"] > calls["hub_hits"], "first touch misses"
@@ -379,8 +387,8 @@ class TestFusedGenLockstep:
 # ---------------------------------------------------------------------------
 # host-side size switches: both sides of each produce the oracle's run
 # ---------------------------------------------------------------------------
-#: (``gen_candidates`` constant, forced value) -> (functions that must
-#: run, functions that must not run) on the vectorized path
+#: (size-switch constant, forced value) -> (functions that must run,
+#: functions that must not run) on the vectorized path
 SIZE_SWITCHES = {
     ("_LEVEL_BATCH_MIN", 0): (("_level_children_multi",), ("_level_children_scalar",)),
     ("_LEVEL_BATCH_MIN", 10**9): (("_level_children_scalar",), ("_level_children_multi",)),
@@ -392,6 +400,7 @@ SIZE_SWITCHES = {
         ("_narrow", "_narrow_small_run"),
         ("hub_slice", "_narrow_run_arrays"),
     ),
+    ("_ENTRY_PASS_MAX", 0): (("_gen_candidates", "_level_children"), ()),
     ("_FUSE_SELF_MIN_WORK", 0): (("_fused_self_anchor",), ()),
     ("_FUSE_SELF_MIN_WORK", 10**9): (
         ("_self_anchored", "_narrow"),
@@ -399,19 +408,41 @@ SIZE_SWITCHES = {
     ),
 }
 #: host-strategy functions the switch tests count calls of: every call
-#: site reads them from ``gen_candidates``' globals (``hub_slice`` from
-#: ``_Env``), so patching there reaches them all
+#: site reads them from the globals of one of ``GEN_MODULES``
+#: (``hub_slice`` from ``_Env``), so patching every binding there
+#: reaches them all
 COUNTED = (
     "_level_children_multi", "_level_children_scalar", "_narrow",
     "_self_anchored", "_fused_self_anchor", "hub_slice", "_narrow_small_run",
-    "_narrow_run_arrays", "_candidates_scalar",
+    "_narrow_run_arrays", "_candidates_scalar", "_gen_candidates", "_level_children",
 )
+#: the modules that define or import the Gen-Candidates helpers and
+#: the size switches
+GEN_MODULES = (gen_candidates, level_batch, entry_pass, dfs)
+
+
+def patch_everywhere(m, fn_name, replacement):
+    """Install ``replacement`` for ``fn_name`` in every ``GEN_MODULES``
+    binding of the original, through the monkeypatch context ``m``."""
+    original = next(getattr(mod, fn_name) for mod in GEN_MODULES if hasattr(mod, fn_name))
+    for mod in GEN_MODULES:
+        if getattr(mod, fn_name, None) is original:
+            m.setattr(mod, fn_name, replacement)
+
+
+def switch_owner(name):
+    """The module a size switch is defined in (and read from)."""
+    return next(mod for mod in GEN_MODULES if hasattr(mod, name))
 
 
 def switch_workloads():
     g0, batches = mixed_stream(4)
     yield "mixed", g0, CHORD_Q, batches
-    yield ("hub",) + hub_heavy_workload(leaf_labels=2)
+    g0, c4, batches = hub_heavy_workload(leaf_labels=2)
+    yield "hub", g0, c4, batches
+    # the entry pass covers the 4-vertex queries' every level; the
+    # pendant vertex keeps level-3 frames generating inline
+    yield "hub_tail", g0, C4_TAIL_Q, batches
 
 
 @pytest.fixture(scope="module")
@@ -441,10 +472,13 @@ def counted_run(monkeypatch, g0, q, batches, stealing, setting=None):
 
     with monkeypatch.context() as m:
         if setting is not None:
-            m.setattr(gen_candidates, *setting)
+            m.setattr(switch_owner(setting[0]), *setting)
         for fn_name in COUNTED:
-            owner = _Env if fn_name == "hub_slice" else gen_candidates
-            m.setattr(owner, fn_name, counted(fn_name, getattr(owner, fn_name)))
+            if fn_name == "hub_slice":
+                m.setattr(_Env, fn_name, counted(fn_name, _Env.hub_slice))
+            else:
+                original = getattr(switch_owner(fn_name), fn_name)
+                patch_everywhere(m, fn_name, counted(fn_name, original))
         run = run_stream(g0, q, batches, stealing=stealing)
     return run, calls
 
@@ -485,11 +519,15 @@ class TestSizeSwitches:
     def test_default_bar_narrows_hub_slices_in_python(
         self, stealing, switch_oracles, monkeypatch
     ):
-        """At the default bar the hub workload's first-stage hub slices
+        """At the default bar the hub workloads' first-stage hub slices
         are short, so the cached slice and the python tail both run."""
-        _, g0, q, batches = next(w for w in switch_workloads() if w[0] == "hub")
-        fast, calls = counted_run(monkeypatch, g0, q, batches, stealing)
-        assert fast == switch_oracles["hub", stealing]
+        calls = dict.fromkeys(COUNTED, 0)
+        for workload, g0, q, batches in switch_workloads():
+            if workload.startswith("hub"):
+                fast, counts = counted_run(monkeypatch, g0, q, batches, stealing)
+                assert fast == switch_oracles[workload, stealing]
+                for fn_name, n in counts.items():
+                    calls[fn_name] += n
         assert calls["hub_slice"] > 0 and calls["_narrow_small_run"] > 0
 
 
@@ -569,8 +607,10 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
     cands = kids if rng.random() < 0.5 else xp.asarray(kids, dtype=xp.int64)
     for fuse_min in (0, 10**9):
         children = [None] * (len(kids) + 1)
-        with mock.patch.multiple(gen, _SCALAR_GEN_MAX=gen_max, _FUSE_SELF_MIN_WORK=fuse_min):
-            gen._self_anchored(
+        with mock.patch.object(gen, "_SCALAR_GEN_MAX", gen_max), mock.patch.object(
+            level_batch, "_FUSE_SELF_MIN_WORK", fuse_min
+        ):
+            level_batch._self_anchored(
                 env, prefix, rank, qv, anchor, fixed, col, "col", children,
                 list(range(1, len(kids) + 1)), cands, [g.degree(c) for c in kids],
             )

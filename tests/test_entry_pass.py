@@ -1,0 +1,382 @@
+"""The host-wide entry pass against inline per-item generation.
+
+``matching.entry_pass`` records, for every fast-path work item of a
+phase, the candidates of ``order[2]``, the charges of the inline
+``_gen_candidates`` call, and the entry frame's children with their
+priced ``SegmentCosts``. Each recorded value must equal what the
+level-stepped cursor would generate inline for that item — across hub
+anchors, rank-rule collisions, orbit-union columns of ``k>0`` groups,
+vertices past the candidate stack, mid-stream registration and
+unregistration, and random grids — and the items the pass does not
+cover (budgeted, passive, past the bound) must serve exactly as before.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import xp
+from repro.graph.generators import attach_labels, power_law_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.updates import apply_batch, make_batch
+from repro.gpu.memory import GlobalMemory, SharedMemory
+from repro.gpu.params import DeviceParams
+from repro.gpu.stats import BlockStats
+from repro.gpu.warp import WarpContext
+from repro.matching import WBMConfig
+from repro.matching import entry_pass as ep
+from repro.matching.gen_candidates import _charge_gen, _gen_candidates
+from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env
+from repro.matching.level_batch import _level_children
+from repro.matching.wbm import QueryRuntime, working_items
+from repro.service import DynamicGraphStore, MatchingService
+from repro.service.matching_service import InProcessHost
+
+PARAMS = DeviceParams(num_sms=2, warps_per_block=4)
+C4_Q = LabeledGraph.from_edges([0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 3)])
+C4_TAIL_Q = LabeledGraph.from_edges([0, 0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+CHORD_Q = LabeledGraph.from_edges([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3), (0, 2)])
+TRI_Q = LabeledGraph.from_edges([0, 0, 0], [(0, 1), (0, 2), (1, 2)])
+PATH_Q = LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2)])
+#: gating keeps its k=1 groups: level 2 filters on an orbit-union column
+K_Q = LabeledGraph.from_edges([0, 0, 0, 1, 2], [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+POOL = (C4_Q, C4_TAIL_Q, CHORD_Q, TRI_Q, PATH_Q, K_Q)
+
+
+def fresh_ctx(params: DeviceParams) -> WarpContext:
+    return WarpContext(0, params, SharedMemory(params), GlobalMemory(params), BlockStats(n_warps=1))
+
+
+def as_list(cands) -> list[int]:
+    return cands if isinstance(cands, list) else xp.to_numpy(cands).tolist()
+
+
+def cost_fields(costs) -> tuple:
+    return (
+        costs.n_segments, costs.clock, costs.busy, costs.compute,
+        costs.transactions, costs.coalesced, costs.scattered,
+    )
+
+
+def child_lists(kids):
+    return None if kids is None else [as_list(c) for c in kids[0]]
+
+
+def opens_children(group, n: int) -> bool:
+    """Whether a level-2 frame of ``group`` generates children."""
+    return 3 < n and (3 != len(group.core) or group.is_singleton)
+
+
+def inline_entry(runtime, phase, csr, item, bitmap=None, rank=None):
+    """The cursor's inline generation for a working item: the entry
+    candidates, the context their ``_gen_candidates`` call charged, and
+    the entry frame's ``(children, costs)`` (``None`` without them)."""
+    env = _Env(
+        runtime.query, runtime.store.graph, runtime.table, runtime.plan, phase,
+        runtime.config, KernelOutput(), csr=csr,
+    )
+    if bitmap is not None:
+        env.bitmap = bitmap
+    rank = item["rank"] if rank is None else rank
+    ctx = fresh_ctx(runtime.params)
+    group = item["group"]
+    order = group.full_order
+    cands = _gen_candidates(ctx, env, group, order, item["assign"], 2, rank)
+    kids = None
+    if cands and opens_children(group, env.n):
+        kids = _level_children(
+            env, group, order, dict(item["assign"]), 2,
+            xp.asarray(cands, dtype=xp.int64), rank, runtime.params,
+        )
+    return cands, ctx, kids
+
+
+class Tally:
+    """What the checked records covered."""
+
+    def __init__(self) -> None:
+        self.entries = self.frames = self.hub_kids = self.union_entries = 0
+        self.rank_sensitive = 0
+
+
+def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> None:
+    """Every recorded item equals its inline generation, and every item
+    the pass should cover carries a record."""
+    n = runtime.query.n_vertices
+    for items in per_edge.values():
+        for item in items:
+            group = item["group"]
+            rec = item.get("entry")
+            covers = n > 2 and (len(group.core) != 2 or group.is_singleton)
+            assert (rec is not None) == covers
+            if rec is None:
+                continue
+            cands, ctx, kids = inline_entry(runtime, phase, csr, item, bitmap)
+            got, charge, rec_kids = rec
+            assert as_list(got) == cands
+            replay = fresh_ctx(runtime.params)
+            _charge_gen(replay, *charge)
+            assert (replay.clock, replay.busy_cycles, replay.stats) == (
+                ctx.clock, ctx.busy_cycles, ctx.stats,
+            )
+            tally.entries += 1
+            tally.union_entries += group.k > 0 and 2 < len(group.core)
+            if kids is None:
+                assert rec_kids is None
+            else:
+                lv, children, costs = rec_kids
+                assert lv == 2
+                assert [as_list(c) for c in children] == child_lists(kids)
+                assert cost_fields(costs) == cost_fields(kids[1])
+                tally.frames += 1
+                # an anchor of more than 64 neighbors reads 3+ transactions
+                tally.hub_kids += max(costs.coalesced) >= 3
+            free, _, free_kids = inline_entry(runtime, phase, csr, item, bitmap, rank=0)
+            tally.rank_sensitive += (free, child_lists(free_kids)) != (cands, child_lists(kids))
+
+
+def audited_service(monkeypatch, graph, tally: Tally, **kwargs) -> MatchingService:
+    """A service whose every entry pass is checked against inline
+    generation right after it runs."""
+    real = InProcessHost._entry_pass
+
+    def audited(host, edges, items):
+        real(host, edges, items)
+        csr = host.store.csr_snapshot()
+        for name, per_edge in items.items():
+            check_items(host.runtimes[name], edges, csr, per_edge, tally)
+
+    monkeypatch.setattr(InProcessHost, "_entry_pass", audited)
+    return MatchingService(graph, params=PARAMS, **kwargs)
+
+
+def hub_graph(n_hubs=5, n_leaves=120) -> LabeledGraph:
+    """Hubs of degree 72 (above 64) over leaves of two labels, plus a
+    few leaf-leaf chords so odd cycles close."""
+    g = LabeledGraph([0] * n_hubs + [j % 2 for j in range(n_leaves)])
+    for j in range(n_leaves):
+        for i in range(n_hubs):
+            if (i + j) % 5 < 3:
+                g.add_edge(i, n_hubs + j, 0)
+    for j in range(0, n_leaves - 7, 7):
+        g.add_edge(n_hubs + j, n_hubs + j + 7, 0)
+    return g
+
+
+def random_ops(shadow, rng, n_ins=4, n_del=3, grow=None):
+    edges = list(shadow.edges())
+    non = [
+        (u, v)
+        for u in range(shadow.n_vertices)
+        for v in range(u + 1, shadow.n_vertices)
+        if not shadow.has_edge(u, v)
+    ]
+    rng.shuffle(edges)
+    rng.shuffle(non)
+    ops = [("+", u, v) for u, v in non[:n_ins]] + [("-", u, v) for u, v in edges[:n_del]]
+    if grow is not None:
+        ops += [("+", u, grow) for u in range(4)]
+    return make_batch(ops)
+
+
+def run_reports(service, batches) -> list:
+    out = []
+    for batch in batches:
+        rep = service.process_batch(batch)
+        out.append(
+            {
+                name: (sorted(q.result.positives), sorted(q.result.negatives), q.result.kernel_stats)
+                for name, q in rep.queries.items()
+                if q.result is not None
+            }
+        )
+    return out
+
+
+class TestRecordsEqualInline:
+    def test_hub_anchors(self, monkeypatch):
+        tally = Tally()
+        g = hub_graph()
+        service = audited_service(monkeypatch, g, tally)
+        for name, q in (("c4", C4_Q), ("tail", C4_TAIL_Q), ("tri", TRI_Q)):
+            service.register_query(q, name=name, bootstrap=False)
+        rng = random.Random(3)
+        shadow = g.copy()
+        batches = []
+        for _ in range(2):
+            batches.append(random_ops(shadow, rng, n_ins=10, n_del=6))
+            apply_batch(shadow, batches[-1])
+        run_reports(service, batches)
+        assert tally.entries and tally.frames
+        assert tally.hub_kids, "some child must anchor on a hub"
+
+    def test_rank_rule_collisions(self, monkeypatch):
+        """A batch inserting a near-clique: entry candidates and children
+        whose edges to the prefix are lower-ranked updates of the same
+        phase are refused by the rank rule."""
+        tally = Tally()
+        g = attach_labels(power_law_graph(24, 3.0, seed=2), 1, 1, seed=3)
+        service = audited_service(monkeypatch, g, tally)
+        service.register_query(TRI_Q, name="tri", bootstrap=False)
+        service.register_query(C4_Q, name="c4", bootstrap=False)
+        ops = [("+", u, v) for u in range(7) for v in range(u + 1, 7) if not g.has_edge(u, v)]
+        clique = make_batch(ops)
+        shadow = g.copy()
+        apply_batch(shadow, clique)
+        undo = make_batch([("-", u, v) for _, u, v in ops])
+        run_reports(service, [clique, undo])
+        assert tally.entries and tally.frames
+        assert tally.rank_sensitive, "the rank rule must refuse some candidate"
+
+    def test_union_columns_growth_and_churn(self, monkeypatch):
+        """k>0 groups filter level 2 on orbit-union columns; vertices
+        appear mid-stream; a query registers after the first batch and
+        a middle one unregisters after the second. Serving equals the
+        scalar oracle throughout."""
+        tally = Tally()
+        g = attach_labels(power_law_graph(30, 4.0, seed=4), 3, 1, seed=5)
+        service = audited_service(monkeypatch, g, tally)
+        oracle = MatchingService(g, params=PARAMS, vectorized=False)
+        for name, q in (("k", K_Q), ("chord", CHORD_Q), ("path", PATH_Q)):
+            service.register_query(q, name=name)
+            oracle.register_query(q, WBMConfig(vectorized=False), name=name)
+        rng = random.Random(11)
+        shadow = g.copy()
+        for step in range(4):
+            grow = None
+            if step == 1:  # a new vertex past the stack and the snapshot
+                grow = shadow.add_vertex(0)
+                for svc in (service, oracle):
+                    svc.store.graph.add_vertex(0)
+            batch = random_ops(shadow, rng, n_ins=8, grow=grow)
+            apply_batch(shadow, batch)
+            assert run_reports(service, [batch]) == run_reports(oracle, [batch])
+            if step == 0:
+                service.register_query(C4_TAIL_Q, name="tail")
+                oracle.register_query(C4_TAIL_Q, WBMConfig(vectorized=False), name="tail")
+            if step == 1:
+                service.unregister_query("chord")
+                oracle.unregister_query("chord")
+        assert tally.entries and tally.frames
+        assert tally.union_entries, "a k>0 group must filter on a union column"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    query=st.sampled_from(POOL),
+    coalesced=st.booleans(),
+    short=st.integers(0, 6),
+)
+def test_random_grids(seed, query, coalesced, short):
+    """Random labelled graphs (with a hub), random update edges (some
+    absent from the graph, some repeated), and a candidate bitmap cut
+    ``short`` rows below the snapshot: every record equals the inline
+    generation over the same (cut) bitmap."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 60)
+    hub = rng.randrange(n)
+    g = LabeledGraph([rng.randrange(2) for _ in range(n)])
+    for v in range(n):
+        if v != hub and rng.random() < 0.7:
+            g.add_edge(hub, v, rng.randrange(2))
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v, rng.randrange(2))
+    store = DynamicGraphStore(g, PARAMS)
+    runtime = QueryRuntime(query, store, PARAMS, WBMConfig(coalesced=coalesced))
+    pool = list(g.edges()) + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(4)]
+    picked = [rng.choice(pool) for _ in range(rng.randint(1, 30))]
+    phase = PhaseEdges([(u, v, g.edge_label(u, v) if g.has_edge(u, v) else 0) for u, v in picked])
+    csr = store.csr_snapshot()
+    [per_edge] = working_items(phase, csr, [runtime])
+    groups = [group for group, _ in runtime.plan.label_keys(query)]
+    row_of = {id(group): r for r, group in enumerate(groups)}
+    items = [item for its in per_edge.values() for item in its]
+    bitmap = runtime.table.stack.bitmap
+    bitmap = bitmap[: max(bitmap.shape[0] - short, 0)]
+    ep.entry_pass(
+        phase, csr, bitmap,
+        ep.entry_facts(query, runtime.table, groups, True),
+        xp.asarray([row_of[id(item["group"])] for item in items], dtype=xp.int64),
+        xp.asarray([item["rank"] for item in items], dtype=xp.int64),
+        items, PARAMS,
+    )
+    check_items(runtime, phase, csr, per_edge, Tally(), bitmap=bitmap)
+
+
+def test_rank_index_matches_rank_map():
+    """Keys inside the snapshot, the last rank of a repeated edge."""
+    phase = PhaseEdges([(3, 1, 0), (2, 5, 0), (1, 3, 0), (9, 2, 0), (0, 4, 0), (5, 2, 1)])
+    keys, ranks = phase.rank_index(6)
+    got = {divmod(int(k), 6): int(r) for k, r in zip(xp.to_numpy(keys), xp.to_numpy(ranks))}
+    want = {e: r for e, r in phase.rank_map.items() if max(e) < 6}
+    assert got == want
+    assert xp.to_numpy(keys).tolist() == sorted(xp.to_numpy(keys).tolist())
+
+
+class TestFallback:
+    """Items the pass leaves alone generate inline; serving is unchanged."""
+
+    def _stream(self):
+        g = hub_graph()
+        rng = random.Random(5)
+        shadow = g.copy()
+        batches = []
+        for _ in range(2):
+            batches.append(random_ops(shadow, rng, n_ins=10, n_del=6))
+            apply_batch(shadow, batches[-1])
+        return g, batches
+
+    def _serve(self, g, batches, config, vectorized=True):
+        service = MatchingService(g, params=PARAMS, vectorized=vectorized)
+        for name, q in (("tail", C4_TAIL_Q), ("tri", TRI_Q)):
+            service.register_query(q, config, name=name, bootstrap=False)
+        return run_reports(service, batches)
+
+    def _counting(self, monkeypatch) -> list:
+        recorded = [0, 0]
+        real = ep.entry_pass
+
+        def counting(*args):
+            entries, frames = real(*args)
+            recorded[0] += entries
+            recorded[1] += frames
+            return entries, frames
+
+        monkeypatch.setattr("repro.matching.wbm.entry_pass", counting)
+        return recorded
+
+    @pytest.mark.parametrize(
+        "config",
+        [WBMConfig(cycle_budget=1e15), WBMConfig(work_stealing="passive")],
+        ids=["budgeted", "passive"],
+    )
+    def test_budgeted_and_passive_stay_inline(self, config, monkeypatch):
+        g, batches = self._stream()
+        recorded = self._counting(monkeypatch)
+        fast = self._serve(g, batches, config)
+        assert recorded == [0, 0]
+        oracle = self._serve(g, batches, dataclasses.replace(config, vectorized=False), False)
+        assert fast == oracle
+
+    def test_items_past_the_bound_generate_inline(self, monkeypatch):
+        g, batches = self._stream()
+        recorded = self._counting(monkeypatch)
+        whole = self._serve(g, batches, WBMConfig())
+        all_frames = recorded[1]
+        runs = []
+        for bound in (0, 200):
+            monkeypatch.setattr(ep, "_ENTRY_PASS_MAX", bound)
+            recorded[:] = [0, 0]
+            runs.append(self._serve(g, batches, WBMConfig()))
+            runs.append(tuple(recorded))
+        none, (_, none_frames), cut, (_, cut_frames) = runs
+        assert none_frames == 0  # no entry frame fits a zero bound
+        assert 0 < cut_frames < all_frames
+        assert whole == none == cut

@@ -23,7 +23,7 @@ import repro.matching
 PKG = Path(repro.matching.__file__).parent
 MAX_LINES = 800
 #: the WBM kernel's modules, one decision each
-KERNEL_MODULES = ("launch_env", "gen_candidates", "dfs", "stealing", "wbm")
+KERNEL_MODULES = ("launch_env", "gen_candidates", "level_batch", "dfs", "stealing", "wbm")
 
 
 def module_name(path: Path) -> str:

@@ -3,8 +3,8 @@
 ``servebench/`` times ``VirtualGPU.launch`` as one opaque layer;
 this tool breaks the serving loop open with cProfile so the
 *machinery* share — the per-phase edge index (``PhaseEdges``), the
-host's shared working-items pass (``working_items``), the idle-scan handler, the
-filler-block templates (one memoized ``BlockStats`` per filler span),
+host's shared working-items and entry passes (``working_items``,
+``record_entries``), the idle-scan handler, the filler-block templates (one memoized ``BlockStats`` per filler span),
 scheduler bookkeeping — is attributable function by function, next to
 the genuine candidate-generation work.
 
@@ -22,11 +22,13 @@ blocks whose idle probes were priced in closed form (lone-worker
 blocks, and how many of them handed pollers back to the heap to
 steal) and µs per Gen-Candidates call (``_gen_candidates`` plus
 ``_level_children`` wall ÷ their calls), so per-step overhead shows
-without cProfile. Per batch it prints the wall of the host's two
-shared passes — the candidate-stack refresh and the working-items
-pass over both sign phases — and the number of
-query groups that pass resolves against the number of distinct label
-keys among them. It also prints whether serving materialized the
+without cProfile. Per batch it prints the wall of the host's three
+shared passes — the candidate-stack refresh, the working-items pass
+and the entry pass over both sign phases — and the number of
+query groups the working-items pass resolves against the number of
+distinct label keys among them; then the entry pass's wall per batch
+and the share of entry generations and entry frames (DFS level 2) it
+recorded, against those generated inline. It also prints whether serving materialized the
 store's dict mirror (it should not: the serving paths read the CSR
 snapshot and per-vertex snapshot rows).
 Then serves it again under cProfile and prints the per-layer self
@@ -75,7 +77,9 @@ from repro.bench.workloads import holdout_stream  # noqa: E402
 from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.matching import WBMConfig, find_matches  # noqa: E402
-from repro.matching.gen_candidates import _gen_candidates, _level_children  # noqa: E402
+from repro.matching.entry_pass import entry_pass  # noqa: E402
+from repro.matching.gen_candidates import _gen_candidates  # noqa: E402
+from repro.matching.level_batch import _fused_level, _level_children  # noqa: E402
 from repro.matching.stealing import _active_idle_handler  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
 from repro.service.matching_service import InProcessHost  # noqa: E402
@@ -185,7 +189,7 @@ def timed_methods(*targets):
 def shared_pass_report(service, tallies, seen: list) -> None:
     """Print one batch's shared-pass walls (the tallies' growth since
     the previous batch) and its groups against distinct label keys."""
-    (n_ref, ref_s), (n_items, items_s) = (
+    (n_ref, ref_s), (n_items, items_s), (n_entry, entry_s) = (
         (t[0] - s[0], t[1] - s[1]) for t, s in zip(tallies, seen)
     )
     seen[:] = [list(t) for t in tallies]
@@ -198,19 +202,55 @@ def shared_pass_report(service, tallies, seen: list) -> None:
         f"  batch {service.batches_processed - 1}: "
         f"shared refresh {ref_s * 1e3:.2f}ms ({n_ref} calls), "
         f"shared working items {items_s * 1e3:.2f}ms ({n_items} passes), "
+        f"entry pass {entry_s * 1e3:.2f}ms ({n_entry} passes), "
         f"{len(keys)} groups over {len(set(keys))} distinct keys"
     )
 
 
 @contextmanager
-def timed_calls(*fns):
-    """Count and time every call of the functions ``fns`` while
-    installed; yields ``[calls, seconds]`` summed over all of them."""
+def gen_coverage():
+    """Count and time Gen-Candidates while installed. Yields ``(tally,
+    coverage)``: ``tally`` is ``[calls, seconds]`` of
+    ``_gen_candidates`` and ``_level_children``; ``coverage`` maps
+    entry generations and entry frames (DFS level 2) to ``[recorded,
+    inline]``: those the host's entry pass recorded, and those
+    generated inline — item entries by ``_gen_candidates``, frames by
+    ``_level_children`` or a fused ``_fused_level`` batch (stolen
+    halves of entry frames included)."""
     tally = [0, 0.0]
+    coverage = {"entry generations": [0, 0], "entry frames": [0, 0]}
+    timed_gen = _timed(_gen_candidates, tally)
+    timed_children = _timed(_level_children, tally)
+
+    def counting_pass(*args, **kwargs):
+        n_entries, n_frames = entry_pass(*args, **kwargs)
+        coverage["entry generations"][0] += n_entries
+        coverage["entry frames"][0] += n_frames
+        return n_entries, n_frames
+
+    def counting_gen(ctx, env, group, order, assign, level, rank):
+        coverage["entry generations"][1] += level == 2
+        return timed_gen(ctx, env, group, order, assign, level, rank)
+
+    def counting_children(env, group, order, prefix, lv, *rest):
+        coverage["entry frames"][1] += lv == 2
+        return timed_children(env, group, order, prefix, lv, *rest)
+
+    def counting_fused(env, group, lv, requests, params):
+        out = _fused_level(env, group, lv, requests, params)
+        if out is not None and lv == 2:
+            coverage["entry frames"][1] += len(out)
+        return out
+
     with ExitStack() as stack:
-        for fn in fns:
-            stack.enter_context(patched(fn, _timed(fn, tally)))
-        yield tally
+        for fn, wrapper in (
+            (entry_pass, counting_pass),
+            (_gen_candidates, counting_gen),
+            (_level_children, counting_children),
+            (_fused_level, counting_fused),
+        ):
+            stack.enter_context(patched(fn, wrapper))
+        yield tally, coverage
 
 
 def step_costs(g0, batches, queries) -> None:
@@ -222,12 +262,14 @@ def step_costs(g0, batches, queries) -> None:
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
-        timed_calls(_gen_candidates, _level_children) as gen,
+        gen_coverage() as (gen, coverage),
         timed_methods(
-            (CandidateStack, "refresh_rows"), (InProcessHost, "_phase_items")
+            (CandidateStack, "refresh_rows"),
+            (InProcessHost, "_phase_items"),
+            (InProcessHost, "_entry_pass"),
         ) as shared,
     ):
-        seen = [[0, 0.0], [0, 0.0]]
+        seen = [[0, 0.0], [0, 0.0], [0, 0.0]]
         service, _ = serve(
             g0, batches, queries, lambda svc: shared_pass_report(svc, shared, seen)
         )
@@ -252,6 +294,13 @@ def step_costs(g0, batches, queries) -> None:
         f"({priced / max(run, 1):.0%}); {materialized} of them handed pollers "
         f"back to the heap to steal"
     )
+    n_batches = max(service.batches_processed, 1)
+    print(f"entry pass: {shared[2][1] * 1e3 / n_batches:.2f}ms per batch; covered")
+    for kind, (recorded, inline) in coverage.items():
+        print(
+            f"  {kind}: {recorded} of {recorded + inline} "
+            f"({recorded / max(recorded + inline, 1):.0%})"
+        )
     gen_calls, gen_s = gen
     print(
         f"host per Gen-Candidates call: {gen_s * 1e6 / max(gen_calls, 1):.2f}us "
