@@ -322,10 +322,14 @@ class _DfsLevelCursor(LevelCursor):
     child's gen cost replays from the recorded per-level segments with
     scalar adds.
 
-    Interactions stay faithful: active thieves only run between steps
-    (and read the same state shape through ``_steal_from``); passive
-    donates keep the oracle's intra-step op order because batching is
-    disabled under passive stealing and under engine budgets.
+    Every vectorized launch runs this one path, whatever its budget or
+    stealing mode. Interactions stay faithful: active thieves only run
+    between steps (and read the same state shape through
+    ``_steal_from``). A leaf run is emitted as one batch only where no
+    oracle step could observe its middle: passive donates fire between
+    leaves, so passive stealing emits leaf by leaf, and under a cycle
+    budget a run batches only when the budget cannot trip inside it
+    (see :meth:`_Env.check_budget`).
     """
 
     __slots__ = (
@@ -342,7 +346,8 @@ class _DfsLevelCursor(LevelCursor):
         "rank",
         "dedup",
         "steps",
-        "fast",
+        "budget",
+        "leaf_cycles",
         "passive",
         "_prefetch",
     )
@@ -360,7 +365,13 @@ class _DfsLevelCursor(LevelCursor):
         self._prefetch: Optional[tuple] = None
         cfg = env.config
         self.passive = cfg.work_stealing == "passive"
-        self.fast = cfg.cycle_budget is None and not self.passive
+        self.budget = cfg.cycle_budget
+        if self.budget is not None:
+            # busy cycles of one emitted leaf (write_global_consecutive)
+            params = ctx.params
+            self.leaf_cycles = (
+                -(-env.n // params.warp_size) * params.global_transaction_cycles
+            )
         self.steps = 0
 
     # ------------------------------------------------------------------
@@ -551,9 +562,10 @@ class _DfsLevelCursor(LevelCursor):
         boundary = self.boundary
         singleton = self.singleton
         n = self.env.n
-        fast = self.fast
+        budget = self.budget
+        batch_leaves = not self.passive
         while fs.depth:
-            if not fast:
+            if budget is not None:
                 self.env.check_budget(ctx)
             d = fs.depth - 1
             # bounds re-read each iteration: an active thief may have
@@ -568,10 +580,15 @@ class _DfsLevelCursor(LevelCursor):
                 continue
             nxt = lv + 1
             is_boundary = nxt == boundary and not singleton
-            if fast and nxt == n and not is_boundary:
+            if batch_leaves and nxt == n and not is_boundary and (
+                budget is None
+                or self.env.spent_cycles + (end - p - 1) * self.leaf_cycles <= budget
+            ):
                 # leaf frame: the oracle drains it within one resumption
                 # (no yield between emits), so emit the whole remaining
-                # run as one batch with the identical total charge
+                # run as one batch with the identical total charge (a
+                # budgeted run only when no per-leaf check could trip,
+                # see _Env.check_budget; else the per-leaf branch below)
                 k = end - p
                 row = assign[:]
                 out_matches = self.env.out.matches

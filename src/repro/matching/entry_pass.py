@@ -65,10 +65,10 @@ _N_FACTS = 17
 _NO_ANCHOR = 1 << 62
 
 
-def entry_facts(query, table, groups, fast: bool) -> xp.ndarray:
+def entry_facts(query, table, groups) -> xp.ndarray:
     """The static facts of a runtime's entry pass, one row per group:
-    whether the pass covers it (a fast-path runtime, and level 2 opens
-    a frame instead of emitting or permuting), whether that frame
+    whether the pass covers it (level 2 opens a frame instead of
+    emitting or permuting), whether that frame
     generates children, and per level (2 and 3) the wanted vertex
     label, the filter column, and the matched query neighbors as slots
     of the prefix ``(order[0], order[1], order[2])`` in adjacency
@@ -83,7 +83,7 @@ def entry_facts(query, table, groups, fast: bool) -> xp.ndarray:
         order = group.full_order
         boundary = len(group.core)
         single = group.is_singleton
-        if fast and n > 2 and (boundary != 2 or single):
+        if n > 2 and (boundary != 2 or single):
             slot = {order[i]: i for i in range(min(n, 3))}
             for lv in (2, 3) if n > 3 else (2,):
                 qv = order[lv]

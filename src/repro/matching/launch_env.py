@@ -394,7 +394,16 @@ class _Env:
 
     def check_budget(self, ctx: WarpContext) -> None:
         """Accumulate this warp's new busy cycles into the launch-wide
-        total and abort once the work allowance is hit."""
+        total and abort once the work allowance is hit.
+
+        Both DFS forms check at the top of every DFS loop iteration. The
+        oracle emits a leaf frame's run leaf by leaf, checking before
+        each leaf; the cursor emits it in one batch only when the
+        budget cannot trip inside it, i.e. when ``spent_cycles + (k-1) *
+        leaf_cycles <= cycle_budget`` for ``k`` leaves left of
+        ``leaf_cycles`` busy cycles each (integers, so the test is
+        exact). Otherwise it emits leaf by leaf, checking as the oracle
+        does, and aborts at the same leaf."""
         self.spent_cycles += ctx.busy_cycles - ctx.env_busy_mark
         ctx.env_busy_mark = ctx.busy_cycles
         budget = self.config.cycle_budget

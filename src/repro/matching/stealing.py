@@ -223,8 +223,8 @@ class _LonePollers(IdleModel):
     """The no-op probes of a lone worker's block, priced in closed form.
 
     In a block whose only working warp is ``w0`` (every other warp runs
-    :data:`_NOOP_PROBE`), under active stealing with no cycle budget on
-    the pooled path, the probes' timelines follow from the workers':
+    :data:`_NOOP_PROBE`), under active stealing on the pooled path, the
+    probes' timelines follow from the workers':
 
     * a probe below ``w0`` completes its trace at clock 0, before the
       worker's first resumption allocates its DFS state, so its scan
@@ -245,6 +245,12 @@ class _LonePollers(IdleModel):
     id than every held poller, so at equal clocks it acts first, and
     the held pollers' scans at one clock follow each other with no
     other warp between them.
+
+    A cycle budget needs nothing more: only a DFS checks it, and a held
+    poller runs none. A handed-back poller carries its busy cycles on
+    its context (:meth:`_write`) with its budget mark still 0, so its
+    first check as a thief adds them to the launch total, as the
+    scheduled poller's would.
     """
 
     def __init__(self, sched: BlockScheduler, w0: int) -> None:

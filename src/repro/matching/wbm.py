@@ -172,12 +172,7 @@ def _launch_keys(runtime: "QueryRuntime") -> tuple:
             [[filter_index(table, g, qv) for qv in g.representative] for g in groups],
             dtype=xp.int64,
         ).reshape(-1, 2)
-        config = runtime.config
-        # the entry pass runs where the cursor's fast path runs
-        fast = config.vectorized and config.cycle_budget is None and (
-            config.work_stealing != "passive"
-        )
-        facts = entry_facts(runtime.query, table, groups, fast)
+        facts = entry_facts(runtime.query, table, groups)
         row_of = {id(g): r for r, g in enumerate(groups)}
         cache = runtime._launch_keys = (tag, groups, keys, cols, facts, row_of)
     return cache
@@ -302,8 +297,6 @@ def launch_kernel(
     # cursor on the vectorized path; the scheduler drives either form
     working = {i: partial(_spawn_worker, env=env, items=items) for i, items in per_edge.items()}
 
-    lone_ok = config.vectorized and config.cycle_budget is None
-
     def block_hook(sched: BlockScheduler):
         sched.shared.alloc("_sched", sched, words=0)
         workers = (
@@ -317,7 +310,7 @@ def launch_kernel(
             sched.step_coalescer = _make_step_coalescer(sched, env)
         if config.work_stealing != "active":
             return None
-        if lone_ok and sched.vectorized and len(workers) == 1:
+        if sched.vectorized and len(workers) == 1:
             sched.idle_model = _LonePollers(sched, workers[0])
         return _active_idle_handler(sched, env)
 

@@ -23,7 +23,7 @@ from repro.bench.workloads import (
 from repro.errors import BenchmarkError, BudgetExceeded
 from repro.graph import LabeledGraph, load_dataset
 from repro.graph.updates import OpKind
-from repro.matching import find_matches, oracle_delta
+from repro.matching import WBMConfig, find_matches, oracle_delta
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,37 @@ class TestHarness:
         g0, batch = holdout_workload(gh, 0.08, mode="insert", seed=9)
         res = run_gamma(q, g0, batch, ops_budget=10.0)
         assert not res.solved
+
+    @pytest.mark.parametrize(
+        "cell, solved",
+        [
+            (("tree", 4, 2, 0.03, 8, DEFAULT_OPS_BUDGET), True),
+            (("sparse", 6, 3, 0.08, 9, 2e4), False),
+        ],
+        ids=["solved", "budget-exhausting"],
+    )
+    def test_run_gamma_fast_path_equals_oracle(self, gh, cell, solved):
+        """A figure cell reports the same numbers on the fast path as on
+        the generator oracle, whether it finishes or hits its budget."""
+        kind, size, query_seed, rate, seed, ops_budget = cell
+        q = extract_query(gh, size, kind, seed=query_seed)
+        g0, batch = holdout_workload(gh, rate, mode="insert", seed=seed)
+        runs = [
+            run_gamma(q, g0, batch, config=config, ops_budget=ops_budget)
+            for config in (None, WBMConfig(vectorized=False))
+        ]
+        assert runs[0].solved == solved
+        fields = (
+            "solved",
+            "model_seconds",
+            "kernel_seconds",
+            "positives",
+            "negatives",
+            "utilization",
+            "steals",
+        )
+        fast, oracle = ([getattr(r, f) for f in fields] for r in runs)
+        assert fast == oracle
 
     def test_cycle_budget_translation(self):
         from repro.bench.cost import CYCLES_PER_CPU_OP

@@ -14,6 +14,10 @@ cursor must be **invisible in everything modeled**:
   schedules (mirroring ``tests/test_gpu_pooling.py``);
 * identical per-warp cycle accounting — the final clock and busy
   cycles of every warp of every block;
+* identical budget aborts: a cycle budget trips at the same check with
+  the same matches so far, inside a leaf run, after a recorded entry
+  charge, and in lone- and multi-worker blocks, under every stealing
+  mode;
 * identical results on both sides of every host-side size switch of
   the level-generation path;
 * identical frozen history: the fixed-seed serving workloads recorded
@@ -33,18 +37,19 @@ from hypothesis import given, settings, strategies as st
 
 from kernel_baseline_workloads import PARAMS, WORKLOADS, run_workload
 from repro import xp
-from repro.errors import ConfigMismatchError
+from repro.errors import BudgetExceeded, ConfigMismatchError
 from repro.filtering import CandidateTable
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import apply_batch, make_batch
-from repro.gpu import Int64Arena, VirtualGPU
+from repro.gpu import DeviceParams, Int64Arena, VirtualGPU
 from repro.gpu.scheduler import BlockScheduler
 from repro.matching import WBMConfig, dfs, entry_pass, gen_candidates, level_batch
 from repro.matching.coalesced import trivial_plan
 from repro.matching.dfs import _FrameStack, _steal_from
 from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env, _MemoryGauge
-from repro.matching.wbm import QueryRuntime
+from repro.matching.stealing import _NOOP_PROBE
+from repro.matching.wbm import QueryRuntime, working_items
 from repro.pipeline import GammaSystem
 from repro.service import MatchingService
 from repro.service.store import DynamicGraphStore
@@ -138,6 +143,126 @@ def run_stream(
 
 
 # ---------------------------------------------------------------------------
+# budget sweep: every trip site of the cursor against the generator oracle
+# ---------------------------------------------------------------------------
+#: path queries for the budget sweep: with coalescing off every level
+#: opens a frame, level 3 of the 4-path is a leaf run, and the 5-path
+#: adds an inline Gen-Candidates level past the entry pass
+SWEEP_QUERIES = (
+    LabeledGraph.from_edges([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3)]),
+    LabeledGraph.from_edges([0, 1, 0, 1, 0], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+)
+SWEEP_PARAMS = DeviceParams(num_sms=2, warps_per_block=8)
+SWEEP_STEPS = 60
+
+
+class BudgetSweep:
+    """Launch-level budget lockstep between the cursor and the generator
+    oracle, each runtime on its own store. Every budget check of either
+    side goes through :meth:`_check`, which records the oracle's running
+    totals and classifies where the cursor tripped."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.g = random_graph(3)
+        g = self.g
+        self.edges = [(u, v, g.edge_label(u, v)) for u, v in g.edges()]
+        self.fill = [
+            (u, v, 7)
+            for u in range(g.n_vertices)
+            for v in range(u + 1, g.n_vertices)
+            if not g.has_edge(u, v)
+        ][:16]
+        self.totals: list[float] = []
+        self.sites: dict[str, int] = {}
+        #: contexts that paid a recorded entry charge since their last check
+        self.entry_charged: set[int] = set()
+        self._real_check = _Env.check_budget
+        self._real_charge = dfs._charge_gen
+        monkeypatch.setattr(_Env, "check_budget", lambda env, ctx: self._check(env, ctx))
+        monkeypatch.setattr(dfs, "_charge_gen", self._entry_charge)
+
+    def _entry_charge(self, ctx, *charge) -> None:
+        self.entry_charged.add(id(ctx))
+        self._real_charge(ctx, *charge)
+
+    def _check(self, env, ctx) -> None:
+        after_entry = id(ctx) in self.entry_charged
+        self.entry_charged.discard(id(ctx))
+        try:
+            self._real_check(env, ctx)
+        except BudgetExceeded:
+            if env.config.vectorized:
+                self._classify(env, ctx, after_entry)
+            raise
+        if not env.config.vectorized:
+            self.totals.append(env.spent_cycles)
+
+    def _classify(self, env, ctx, after_entry: bool) -> None:
+        [(_, sched)] = ctx.shared.peek_present(("_sched",))
+        working = sum(task is not _NOOP_PROBE for task in sched.tasks)
+        found = ["lone block" if working == 1 else "multi block"]
+        [(_, state)] = ctx.shared.peek_present((dfs._state_name(ctx.warp_id),))
+        fs = state["frames"]
+        d = fs.depth - 1
+        if fs.level[d] == env.n - 1 and fs.start[d] < fs.p[d] < fs.end[d]:
+            found.append("leaf run")  # a leaf emitted, one still to go
+        if after_entry:
+            found.append("entry charge")
+        for site in found:
+            self.sites[site] = self.sites.get(site, 0) + 1
+
+    def pair(self, query, stealing, budget):
+        runtimes = []
+        for vec in (True, False):
+            store = DynamicGraphStore(self.g, SWEEP_PARAMS, vectorized=vec)
+            config = WBMConfig(
+                work_stealing=stealing,
+                coalesced=False,
+                vectorized=vec,
+                cycle_budget=budget,
+            )
+            runtimes.append(QueryRuntime(query, store, SWEEP_PARAMS, config))
+        return runtimes
+
+    def grids(self, query):
+        """Two lone-worker launches (the worker first and mid-block, 16
+        warps) and one with six workers over two blocks."""
+        cursor, _ = self.pair(query, "active", None)
+        phase = PhaseEdges(self.edges)
+        [items] = working_items(phase, cursor.store.csr_snapshot(), [cursor])
+        working = [self.edges[i] for i in sorted(items)]
+
+        def grid(work, positions):
+            work, fill = iter(work), iter(self.fill)
+            return [next(work) if i in positions else next(fill) for i in range(16)]
+
+        return [grid(working[5:], {0}), grid(working[7:], {3}), grid(working, {1, 2, 4, 6, 9, 12})]
+
+    def run(self, stealing: str) -> dict[str, int]:
+        self.sites = {}
+        for query in SWEEP_QUERIES:
+            for launch in self.grids(query):
+                self.totals = []
+                self.pair(query, stealing, float("inf"))[1].launch(launch)
+                # budget t - 1 trips at the first check whose total
+                # reaches t: the oracle's checks in turn, at most
+                # ``SWEEP_STEPS`` of them evenly spread per launch
+                totals = sorted(set(self.totals))
+                for total in totals[:: -(-len(totals) // SWEEP_STEPS)]:
+                    cursor, oracle = self.pair(query, stealing, total - 1)
+                    a, b = cursor.launch(launch), oracle.launch(launch)
+                    assert b.aborted
+                    assert a.matches == b.matches
+                    assert a.aborted == b.aborted
+                    assert a.peak_stack_words == b.peak_stack_words
+                complete = [rt.launch(launch) for rt in self.pair(query, stealing, max(self.totals))]
+                assert not complete[0].aborted and not complete[1].aborted
+                assert complete[0].matches == complete[1].matches
+                assert stats_dict(complete[0].stats) == stats_dict(complete[1].stats)
+        return self.sites
+
+
+# ---------------------------------------------------------------------------
 # randomized lockstep: cursor vs scalar oracle
 # ---------------------------------------------------------------------------
 class TestLevelStepLockstep:
@@ -211,9 +336,13 @@ class TestLevelStepLockstep:
         assert captured["cursor"], "expected scheduled blocks"
         assert captured["cursor"] == captured["oracle"]
 
-    def test_budget_abort_lockstep(self):
-        """A cycle budget trips at the same modeled point: same aborted
-        flag and same partial match sets on both worker forms."""
+    def test_budget_abort_lockstep(self, monkeypatch):
+        """A cycle budget trips at the same modeled point on both worker
+        forms: a served stream, then a launch-level sweep that trips at
+        the oracle's budget checks in turn, under every stealing mode.
+        The sweep must trip inside a leaf run (the cursor's per-leaf
+        fallback), at the first check after a recorded entry charge, in
+        a lone-worker block and in a multi-worker block."""
         g0, batches = mixed_stream(11, n_batches=1)
         runs = {
             arm: run_stream(
@@ -226,6 +355,14 @@ class TestLevelStepLockstep:
             for arm, vec in ARMS.items()
         }
         assert runs["cursor"] == runs["oracle"]
+
+        sweep = BudgetSweep(monkeypatch)
+        for stealing in ("active", "passive", "off"):
+            sites = sweep.run(stealing)
+            assert set(sites) == {"leaf run", "entry charge", "lone block", "multi block"}, (
+                stealing,
+                sites,
+            )
 
     def test_multiquery_shared_store_lockstep(self):
         """Several runtimes over one shared store: per-query matches and

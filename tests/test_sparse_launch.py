@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import xp
+from repro.errors import BudgetExceeded
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import make_batch
@@ -305,15 +306,37 @@ class TestLoneWorkerClosedForm:
         if stealing == "active":  # every warp scans once, then parks
             assert res.stats.blocks[0].steal_attempts == 8
 
-    def test_cycle_budget_takes_the_scheduled_path(self):
-        pooled, oracle, working, fill = lone_pair("active", budget=40.0)
+    def test_cycle_budget_lockstep_at_every_position(self, monkeypatch):
+        """A budgeted launch prices its lone worker's probes in closed
+        form too. Budget 3000 lets every lone block finish; budget 100
+        trips in the DFS of a poller handed back to steal, whose first
+        budget check folds in the busy cycles it polled."""
         edge = stealing_edge()
-        aborted = False
-        for pos in (0, 4):
-            launch = lone_grid(edge, fill, 16, pos)
-            assert lockstep(pooled, oracle, launch) == (0, 0)
-            aborted |= pooled.launch(launch).aborted
-        assert aborted
+        trips = []
+        check = _Env.check_budget
+
+        def recording(env, ctx):
+            try:
+                check(env, ctx)
+            except BudgetExceeded:
+                trips.append(ctx.warp_id)
+                raise
+
+        monkeypatch.setattr(_Env, "check_budget", recording)
+        finishing = lone_pair("active", budget=3000.0)
+        tripping = lone_pair("active", budget=100.0)
+        thief_trips = 0
+        for pos in range(8):
+            launch = lone_grid(edge, finishing[3], 16, pos)
+            assert lockstep(finishing[0], finishing[1], launch)[0] == 1
+            assert not trips
+            lockstep(tripping[0], tripping[1], launch)
+            # each side trips once, in the same warp
+            pooled_warp, oracle_warp = trips
+            assert pooled_warp == oracle_warp
+            thief_trips += pooled_warp != pos
+            trips.clear()
+        assert thief_trips
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
