@@ -107,8 +107,8 @@ class SegmentCosts:
 
     One segment is everything between two scheduler boundaries. The
     totals come either from a recorded :class:`CostTrace` (via
-    :meth:`CostTrace.priced`) or straight from per-op arrays that a
-    kernel built itself — the level-stepped WBM DFS prices one
+    :meth:`CostTrace.priced`) or straight from totals a kernel computed
+    itself (:meth:`from_totals`) — the level-stepped WBM DFS prices one
     Gen-Candidates segment per child frame of a DFS level this way, so
     replayed per-level work is a handful of scalar adds instead of
     re-stepped charging calls.

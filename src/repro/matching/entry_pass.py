@@ -19,19 +19,16 @@ and charge:
   frame's ``(level, children, costs)`` for the cursor's ``_prefetch``
   adoption (``None`` when the frame generates none, or past the bound).
 
-A request of one level is one partial match to narrow: its anchor (the
-first minimum-degree matched neighbor, the oracle's rule), the wanted
-vertex label, the edge label to the anchor, the stack column, the
-assigned values (injectivity), the other matched vertices with their
-edge labels, and the rank. Requests that share ``(anchor, vertex
-label, edge label, column)`` share one first stage: the anchor's sorted
-adjacency masked by those three, the per-launch hub-slice cache lifted
-to the whole host. Injectivity, the rank rule (:meth:`PhaseEdges.rank_index`)
-and adjacency to the other matched vertices (``csr.edge_index()``) are
-per-element ANDs over the expanded runs, so every list comes out
-ascending and equal to the oracle's. Costs are priced by
-:func:`~repro.matching.level_batch._gen_cost_segments`, the pricing of
-the level batching.
+Each level is one call of the level batching's array primitive
+(:func:`~repro.matching.level_batch._narrow_level`): a request is one
+partial match, given as its prefix slots, its matched neighbors' slots
+and edge labels, the wanted vertex label, the stack column and the
+rank, all read from the runtimes' fact matrix. Requests that share an
+anchor, labels and column share one first stage, the per-launch
+hub-slice cache lifted to the whole host. The entry frames' children
+are priced by :func:`~repro.matching.level_batch._gen_cost_segments`,
+the pricing of the level batching, and each level stops at the item
+whose first-stage runs would pass ``_ENTRY_PASS_MAX`` elements.
 
 Nothing modeled changes: the cursor pays the recorded charges at the
 step the inline call would have, and adopts the recorded children
@@ -41,11 +38,16 @@ where it would have generated them.
 from __future__ import annotations
 
 from repro import xp
-from repro.graph.csr import CSRGraph, _flat_indices
+from repro.graph.csr import CSRGraph
 from repro.gpu.params import DeviceParams
-from repro.matching.intersect import positions_in
-from repro.matching.launch_env import PhaseEdges, filter_index
-from repro.matching.level_batch import _cost_slice, _gen_cost_segments
+from repro.matching.launch_env import PhaseEdges, level_column
+from repro.matching.level_batch import (
+    _cost_slice,
+    _gen_cost_segments,
+    _narrow_level,
+    _Snapshot,
+    _split,
+)
 
 #: a level's pass expands at most this many first-stage elements (the
 #: requests' runs, before injectivity, rank and adjacency); the items
@@ -61,8 +63,6 @@ _COL = {2: 3, 3: 10}  # stack column of the filter
 _POS = {2: slice(4, 6), 3: slice(11, 14)}  # matched neighbors' prefix slots, -1 pad
 _EL = {2: slice(6, 8), 3: slice(14, 17)}  # their edge labels to the target
 _N_FACTS = 17
-#: degree of a padding slot: above every real degree, so never the anchor
-_NO_ANCHOR = 1 << 62
 
 
 def entry_facts(query, table, groups) -> xp.ndarray:
@@ -89,9 +89,7 @@ def entry_facts(query, table, groups) -> xp.ndarray:
                 qv = order[lv]
                 matched = [w for w in query.neighbors(qv) if slot.get(w, lv) < lv]
                 row[_VL[lv]] = query.vertex_label(qv)
-                row[_COL[lv]] = (
-                    filter_index(table, group, qv) if lv < boundary else table.lo + qv
-                )
+                row[_COL[lv]] = level_column(table, group, lv)
                 pos, el = _POS[lv], _EL[lv]
                 row[pos.start : pos.start + len(matched)] = [slot[w] for w in matched]
                 row[el.start : el.start + len(matched)] = [
@@ -104,142 +102,12 @@ def entry_facts(query, table, groups) -> xp.ndarray:
     return xp.asarray(rows, dtype=xp.int64).reshape(-1, _N_FACTS)
 
 
-class _Snapshot:
-    """What every request of one phase narrows against: the CSR
-    snapshot, its directed edge index, the host's stacked candidate
-    bitmap and the phase's rank index."""
-
-    def __init__(self, csr: CSRGraph, bitmap: xp.ndarray, phase: PhaseEdges) -> None:
-        self.csr = csr
-        self.bitmap = bitmap
-        self.n = csr.n_vertices
-        self.edge_keys, self.edge_labels = csr.edge_index()
-        self.rank_keys, self.ranks = phase.rank_index(self.n)
-
-    def first_stage(self, anchor, vlabel, elabel, col) -> tuple:
-        """Per key ``i``: ``anchor[i]``'s sorted adjacency masked by the
-        vertex label, the edge label and stack column ``col[i]`` (rows
-        past the stack carry no claim). Returns the concatenated runs
-        with each run's start and length."""
-        csr = self.csr
-        st = csr.offsets[anchor]
-        cnt = csr.offsets[anchor + 1] - st
-        flat = _flat_indices(st, cnt)
-        xs = csr.neighbors[flat]
-        seg = xp.repeat(xp.arange(len(anchor), dtype=xp.int64), cnt)
-        keep = xp.nonzero(
-            (csr.vertex_labels[xs] == vlabel[seg]) & (csr.edge_labels[flat] == elabel[seg])
-            & (xs < self.bitmap.shape[0])
-        )[0]
-        xs, seg = xs[keep], seg[keep]
-        keep = self.bitmap[xs, col[seg]]
-        xs, seg = xs[keep], seg[keep]
-        counts = xp.bincount(seg, minlength=len(anchor))
-        return xs, xp.cumsum(counts) - counts, counts
-
-    def rank_blocked(self, vals, dv, rank):
-        """Whether edge ``(vals[i], dv[i])`` is a net-update edge of rank
-        below ``rank[i]`` (the total-order duplicate rule)."""
-        if not len(self.rank_keys):
-            return xp.zeros(len(vals), dtype=bool)
-        key = xp.minimum(vals, dv) * self.n + xp.maximum(vals, dv)
-        pos, hit = positions_in(self.rank_keys, key)
-        return hit & (self.ranks[pos] < rank)
-
-    def adjacent(self, dv, vals, elabel):
-        """Whether ``dv[i]`` and ``vals[i]`` are adjacent by an edge
-        labelled ``elabel[i]``."""
-        pos, hit = positions_in(self.edge_keys, dv * self.n + vals)
-        return hit & (self.edge_labels[pos] == elabel)
-
-
-def _distinct(*cols) -> tuple[xp.ndarray, xp.ndarray]:
-    """The first row of each distinct row of the equal-length integer
-    columns ``cols``, and each row's distinct-row id."""
-    order = xp.lexsort(cols)
-    new = xp.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for c in cols:
-        s = c[order]
-        new[1:] |= s[1:] != s[:-1]
-    inverse = xp.empty(len(order), dtype=xp.int64)
-    inverse[order] = xp.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _narrow_level(
-    snap: _Snapshot,
-    facts: xp.ndarray,
-    level: int,
-    g: xp.ndarray,
-    prefix: xp.ndarray,
-    rank: xp.ndarray,
-    bounds: xp.ndarray,
-) -> tuple:
-    """Gen-Candidates of DFS level ``level`` for every request: request
-    ``i`` targets fact row ``g[i]`` with prefix slots ``prefix[i]``
-    (-1 unassigned) and rank ``rank[i]``. The requests form items,
-    item ``t`` owning ``[bounds[t], bounds[t + 1])``; only the leading
-    items whose first-stage runs total at most ``_ENTRY_PASS_MAX``
-    elements are narrowed. Returns that item count, the candidates
-    (ascending per request, requests in order), each narrowed
-    request's candidate count, and its charge: the anchor degree, the
-    number of other matched neighbors and their degree sum."""
-    n_req = len(g)
-    at = xp.arange(n_req, dtype=xp.int64)
-    pos = facts[g, _POS[level]]
-    matched = pos >= 0
-    dv = prefix[at[:, None], xp.maximum(pos, 0)]
-    offsets = snap.csr.offsets
-    deg = xp.where(matched, offsets[dv + 1] - offsets[dv], _NO_ANCHOR)
-    # first minimum along the matched order == the oracle's tie-break
-    aidx = xp.argmin(deg, axis=1)
-    nb = deg[at, aidx]
-    n_others = matched.sum(axis=1) - 1
-    others_deg = xp.where(matched, deg, 0).sum(axis=1) - nb
-    anchor = dv[at, aidx]
-    elabels = facts[g, _EL[level]]
-    others = xp.where(
-        matched & (xp.arange(pos.shape[1])[None, :] != aidx[:, None]), dv, -1
-    )
-    vlabel = facts[g, _VL[level]]
-    col = facts[g, _COL[level]]
-    firsts, key_of = _distinct(anchor, vlabel, elabels[at, aidx], col)
-    runs, run_starts, run_counts = snap.first_stage(
-        anchor[firsts], vlabel[firsts], elabels[firsts, aidx[firsts]], col[firsts]
-    )
-    volume = xp.zeros(n_req + 1, dtype=xp.int64)
-    xp.cumsum(run_counts[key_of], out=volume[1:])
-    n_items = int(xp.searchsorted(volume[bounds], _ENTRY_PASS_MAX, side="right")) - 1
-    n_req = int(bounds[n_items])
-    key_of = key_of[:n_req]
-    cnt = run_counts[key_of]
-    vals = runs[_flat_indices(run_starts[key_of], cnt)]
-    req = xp.repeat(at[:n_req], cnt)
-    # injectivity against every assigned value (a -1 slot never equals)
-    keep = vals != prefix[req, 0]
-    for slot in range(1, prefix.shape[1]):
-        keep &= vals != prefix[req, slot]
-    vals, req = vals[keep], req[keep]
-    req_rank = rank[req]
-    keep = ~snap.rank_blocked(vals, anchor[req], req_rank)
-    for o in range(others.shape[1]):
-        # only the elements whose request has an o-th other neighbor
-        at = xp.nonzero(others[req, o] >= 0)[0]
-        if len(at):
-            other, x, r = others[req[at], o], vals[at], req_rank[at]
-            keep[at] &= snap.adjacent(other, x, elabels[req[at], o]) & ~snap.rank_blocked(
-                x, other, r
-            )
-    vals, req = vals[keep], req[keep]
-    counts = xp.bincount(req, minlength=n_req)
-    return n_items, vals, counts, (nb[:n_req], n_others[:n_req], others_deg[:n_req])
-
-
-def _split(vals: xp.ndarray, counts: xp.ndarray) -> list:
-    """``vals`` cut into consecutive runs of ``counts`` elements."""
-    ends = xp.to_numpy(xp.cumsum(counts)).tolist()
-    return [vals[a:b] for a, b in zip([0] + ends[:-1], ends)]
+def _level_facts(facts: xp.ndarray, level: int, g: xp.ndarray) -> tuple:
+    """The :func:`_narrow_level` request arrays of DFS level ``level``
+    for requests of fact rows ``g``: the matched neighbors' prefix
+    slots and edge labels, the wanted vertex label and the stack
+    column."""
+    return facts[g, _POS[level]], facts[g, _EL[level]], facts[g, _VL[level]], facts[g, _COL[level]]
 
 
 def entry_pass(
@@ -269,7 +137,8 @@ def entry_pass(
     prefix[:, 0] = phase.ex[e]
     prefix[:, 1] = phase.ey[e]
     n_entry, cands, counts, charge = _narrow_level(
-        snap, facts, 2, g, prefix, e, xp.arange(n_req + 1, dtype=xp.int64)
+        snap, prefix, *_level_facts(facts, 2, g), e,
+        cut=(xp.arange(n_req + 1, dtype=xp.int64), _ENTRY_PASS_MAX),
     )
 
     # the entry frames' children: one request per entry candidate
@@ -280,7 +149,8 @@ def entry_pass(
     kid_prefix[:, 2] = cands[opens]
     bounds = xp.searchsorted(parent, xp.arange(n_entry + 1, dtype=xp.int64))
     n_kids, kid_vals, kid_counts, kid_charge = _narrow_level(
-        snap, facts, 3, g[parent], kid_prefix, e[parent], bounds
+        snap, kid_prefix, *_level_facts(facts, 3, g[parent]), e[parent],
+        cut=(bounds, _ENTRY_PASS_MAX),
     )
     costs = _gen_cost_segments(*kid_charge, params) if len(kid_counts) else None
     children = _split(kid_vals, kid_counts)

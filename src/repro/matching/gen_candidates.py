@@ -1,10 +1,12 @@
 """Gen-Candidates (paper Algorithm 1, §IV-C) for one partial match: the
 scalar oracle (:func:`_gen_candidates`, dict walk
 :func:`_candidates_scalar`), its charges (:func:`_charge_gen`), and the
-fast-path narrowing :func:`_narrow` with its small-run and array
-tails. The level batching that generates many children at once is
-:mod:`~repro.matching.level_batch`; both price the same modeled
-warp-cooperative cost.
+fast path's single-call narrowing :func:`_narrow` with its small-run
+and array tails (entry generations past the entry pass and small
+frames). Many partial matches at once — the entry pass, large frames
+and fused sibling frames — narrow through the one array primitive
+:func:`~repro.matching.level_batch._narrow_level` instead; both price
+the same modeled warp-cooperative cost.
 """
 
 from __future__ import annotations

@@ -256,6 +256,14 @@ def filter_index(table: CandidateTable, group: CoalescedGroup, qv: int) -> int:
     return table.lo + qv
 
 
+def level_column(table: CandidateTable, group: CoalescedGroup, level: int) -> int:
+    """Stack column filtering ``group.full_order[level]``: the phase-A
+    filter inside the core (:func:`filter_index`), the exact column
+    outside it (phase B)."""
+    qv = group.full_order[level]
+    return filter_index(table, group, qv) if level < len(group.core) else table.lo + qv
+
+
 class _Env:
     """Per-launch read-mostly context shared by all warp tasks."""
 
@@ -274,6 +282,10 @@ class _Env:
         self.graph = graph
         self.table = table
         self.plan = plan
+        #: the sign phase this launch matches (the level batching's
+        #: :class:`~repro.matching.level_batch._Snapshot` reads its rank
+        #: index)
+        self.phase = phase
         self.rank_map = phase.rank_map
         #: per data-vertex (sorted update partners, their ranks), served
         #: from the phase's endpoint-sorted index
@@ -292,9 +304,9 @@ class _Env:
         # per-launch cache of first-stage narrowed hub slices, keyed by
         # (anchor data vertex, query vertex, anchor query vertex, filter
         # column): the label/edge-label/bitmap mask over a hub's sorted
-        # adjacency depends only on that key, so repeated expansions of
-        # the same hub across update edges (and across sibling cursors
-        # in the fused level step) hit memory instead of recomputation.
+        # adjacency depends only on that key, so repeated single-call
+        # narrowings (``_narrow``) of the same hub across update edges
+        # and small frames hit memory instead of recomputation.
         # Injectivity and rank filtering are applied by the caller on
         # top of the cached slice — both are order-preserving ANDs, so
         # they commute with the cached narrowing.

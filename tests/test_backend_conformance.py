@@ -108,31 +108,6 @@ class TestSearchsorted:
         )
         assert_same(got, np.asarray([2, 3], dtype=np.intp))
 
-    def test_keyed_segmented_form(self, backend):
-        """The segmented_positions_in keying trick: seg*stride+value keys
-        stay sorted and resolve each probe only in its own segment."""
-        from repro.matching.intersect import segmented_positions_in
-
-        targets = xp.asarray([1, 5, 2, 3], dtype=xp.int64)  # runs [1,5] and [2,3]
-        tsegs = xp.asarray([0, 0, 1, 1], dtype=xp.int64)
-        probes = xp.asarray([5, 2, 5], dtype=xp.int64)
-        psegs = xp.asarray([0, 0, 1], dtype=xp.int64)
-        pos, hit = segmented_positions_in(targets, tsegs, probes, psegs, 10)
-        assert_same(xp.to_numpy(hit), np.asarray([True, False, False]))
-        assert xp.to_scalar(pos[0]) == 1
-
-    def test_empty_targets(self, backend):
-        from repro.matching.intersect import segmented_positions_in
-
-        pos, hit = segmented_positions_in(
-            xp.asarray([], dtype=xp.int64),
-            xp.asarray([], dtype=xp.int64),
-            xp.asarray([4], dtype=xp.int64),
-            xp.asarray([0], dtype=xp.int64),
-            10,
-        )
-        assert_same(xp.to_numpy(hit), np.asarray([False]))
-
 
 # ---------------------------------------------------------------------------
 # reductions and scans

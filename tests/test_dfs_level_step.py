@@ -40,7 +40,7 @@ from repro import xp
 from repro.errors import BudgetExceeded, ConfigMismatchError
 from repro.filtering import CandidateTable
 from repro.graph.generators import attach_labels, power_law_graph
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph, canonical
 from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import DeviceParams, Int64Arena, VirtualGPU
 from repro.gpu.scheduler import BlockScheduler
@@ -527,7 +527,10 @@ class TestFusedGenLockstep:
 #: (size-switch constant, forced value) -> (functions that must run,
 #: functions that must not run) on the vectorized path
 SIZE_SWITCHES = {
-    ("_LEVEL_BATCH_MIN", 0): (("_level_children_multi",), ("_level_children_scalar",)),
+    ("_LEVEL_BATCH_MIN", 0): (
+        ("_level_children_multi", "_narrow_level"),
+        ("_level_children_scalar",),
+    ),
     ("_LEVEL_BATCH_MIN", 10**9): (("_level_children_scalar",), ("_level_children_multi",)),
     ("_SCALAR_GEN_MAX", -1): (
         ("hub_slice", "_narrow_run_arrays"),
@@ -538,20 +541,15 @@ SIZE_SWITCHES = {
         ("hub_slice", "_narrow_run_arrays"),
     ),
     ("_ENTRY_PASS_MAX", 0): (("_gen_candidates", "_level_children"), ()),
-    ("_FUSE_SELF_MIN_WORK", 0): (("_fused_self_anchor",), ()),
-    ("_FUSE_SELF_MIN_WORK", 10**9): (
-        ("_self_anchored", "_narrow"),
-        ("_fused_self_anchor",),
-    ),
 }
 #: host-strategy functions the switch tests count calls of: every call
 #: site reads them from the globals of one of ``GEN_MODULES``
 #: (``hub_slice`` from ``_Env``), so patching every binding there
 #: reaches them all
 COUNTED = (
-    "_level_children_multi", "_level_children_scalar", "_narrow",
-    "_self_anchored", "_fused_self_anchor", "hub_slice", "_narrow_small_run",
-    "_narrow_run_arrays", "_candidates_scalar", "_gen_candidates", "_level_children",
+    "_level_children_multi", "_level_children_scalar", "_narrow", "_narrow_level",
+    "hub_slice", "_narrow_small_run", "_narrow_run_arrays", "_candidates_scalar",
+    "_gen_candidates", "_level_children",
 )
 #: the modules that define or import the Gen-Candidates helpers and
 #: the size switches
@@ -621,12 +619,12 @@ def counted_run(monkeypatch, g0, q, batches, stealing, setting=None):
 
 
 class TestSizeSwitches:
-    """``_LEVEL_BATCH_MIN`` (frame size: python pass vs array batch),
-    ``_SCALAR_GEN_MAX`` (run length: python pass over snapshot rows vs
-    array kernels and the hub-slice cache) and ``_FUSE_SELF_MIN_WORK``
-    (self-anchored run volume: per-child walks vs one fused pass) only
-    pick a host strategy. Forcing each to either extreme must leave
-    every match and modeled number equal to the scalar oracle."""
+    """``_LEVEL_BATCH_MIN`` (frame size: python pass vs the array
+    primitive), ``_SCALAR_GEN_MAX`` (run length: python pass over
+    snapshot rows vs array kernels and the hub-slice cache) and
+    ``_ENTRY_PASS_MAX`` (the entry pass's element bound) only pick a
+    host strategy. Forcing each to either extreme must leave every
+    match and modeled number equal to the scalar oracle."""
 
     @pytest.mark.parametrize("stealing", ["active", "off"])
     @pytest.mark.parametrize(
@@ -680,11 +678,11 @@ NARROW_Q = LabeledGraph.from_edges(
     gen_max=st.sampled_from([-1, 0, 3, 64]),
 )
 def test_narrow_equals_scalar_oracle(seed, gen_max):
-    """``_narrow`` and the self-anchor dispatch ``_self_anchored`` (fused
-    or not) return the dict walk's candidates, in order, on random
-    labelled graphs (a hub included, so runs fall on both sides of
-    ``_SCALAR_GEN_MAX``), partial assignments, candidacy columns and
-    rank maps."""
+    """``_narrow`` and the array primitive ``_narrow_level`` (one
+    request and several) return the dict walk's candidates, in order,
+    on random labelled graphs (a hub included, so runs fall on both
+    sides of ``_SCALAR_GEN_MAX``), partial assignments, short candidacy
+    columns and rank maps; the primitive's charge is the oracle's."""
     gen = gen_candidates
     rng = random.Random(seed)
     n = rng.randint(6, 90)
@@ -731,9 +729,9 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
         for _ in range(2):  # the second call reads the hub-slice cache
             got = gen._narrow(env, assign, rank, qv, anchor, fixed, col, "col")
             assert as_list(got) == want
-    # the self-anchor dispatch: children of the frame vertex ``anchor``
-    # on top of the prefix, fused or one narrowing each, over the same
-    # (possibly short) column
+    # the array primitive: children of the frame vertex ``anchor`` on
+    # top of the prefix, one request each, alone and batched, over the
+    # same (possibly short) column as the stack's only column
     prefix = {u: dv for u, dv in assign.items() if u != anchor}
     unassigned = [v for v in range(n) if v not in prefix.values()]
     kids = rng.sample(unassigned, rng.randint(1, min(6, len(unassigned))))
@@ -741,28 +739,159 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
         gen._candidates_scalar(env, {**prefix, anchor: c}, qv, anchor, others, col, rank)
         for c in kids
     ]
-    cands = kids if rng.random() < 0.5 else xp.asarray(kids, dtype=xp.int64)
-    for fuse_min in (0, 10**9):
-        children = [None] * (len(kids) + 1)
-        with mock.patch.object(gen, "_SCALAR_GEN_MAX", gen_max), mock.patch.object(
-            level_batch, "_FUSE_SELF_MIN_WORK", fuse_min
+    slots = list(prefix) + [anchor]
+    snap = level_batch._Snapshot(env.csr, col[:, None], phase)
+    for batch in ([kids[0]], kids):
+        k, m = len(batch), len(matched)
+        rows = xp.asarray(
+            [[prefix[u] for u in slots[:-1]] + [c] for c in batch], dtype=xp.int64
+        ).reshape(k, len(slots))
+        n_req, vals, counts, charge = level_batch._narrow_level(
+            snap, rows,
+            xp.asarray([[slots.index(w) for w in matched]] * k, dtype=xp.int64),
+            xp.asarray([[NARROW_Q.edge_label(qv, w) for w in matched]] * k, dtype=xp.int64),
+            xp.full(k, NARROW_Q.vertex_label(qv), dtype=xp.int64),
+            xp.zeros(k, dtype=xp.int64),
+            xp.full(k, rank, dtype=xp.int64),
+        )
+        assert n_req == k
+        got = [as_list(c) for c in level_batch._split(vals, counts)]
+        assert got == wants[:k]
+        degs = [[g.degree(prefix[w]) if w != anchor else g.degree(c) for w in matched] for c in batch]
+        assert [xp.to_numpy(c).tolist() for c in charge] == [
+            [min(d) for d in degs], [m - 1] * k, [sum(d) - min(d) for d in degs],
+        ]
+
+
+#: the level property's standing queries: ``k`` keeps k=1 coalesced
+#: groups (orbit-union columns), the pendant of ``tail`` and the ends
+#: of ``path`` put levels whose frame vertex is not matched to the
+#: target, and every one reaches levels past the entry pass
+LEVEL_QUERIES = {
+    "k": LabeledGraph.from_edges([0, 0, 0, 1, 2], [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]),
+    "tail": C4_TAIL_Q,
+    "path": LabeledGraph.from_edges([0, 0, 1, 0, 0], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+}
+
+
+def serve_level_queries(g0, batches, stealing, vectorized):
+    """Every ``LEVEL_QUERIES`` query on one service; per batch and query
+    the matches and the kernel stats."""
+    service = MatchingService(g0, params=PARAMS, vectorized=vectorized)
+    config = WBMConfig(work_stealing=stealing, vectorized=vectorized)
+    for name, q in LEVEL_QUERIES.items():
+        service.register_query(q, config, name=name, bootstrap=False)
+    out = []
+    for batch in batches:
+        rep = service.process_batch(batch)
+        out.append(
+            {
+                name: (sorted(r.result.positives), sorted(r.result.negatives),
+                       stats_dict(r.result.kernel_stats))
+                for name, r in rep.queries.items()
+            }
+        )
+    return out
+
+
+def level_grid(seed):
+    """A random labelled graph with three hubs (degree past
+    ``_SCALAR_GEN_MAX``) and two batches: random inserts and deletes
+    plus a near-clique inserted in one phase, so update edges of one
+    phase meet in the same matches and the rank rule blocks some. The
+    hubs carry labels 1, 2 and 0, so most vertices see every label and
+    ``k``'s orbit-union columns stay inside the coalescing gate."""
+    rng = random.Random(seed)
+    n = rng.randint(70, 100)
+    g = LabeledGraph([1, 2, 0] + [rng.choice((0, 0, 0, 1, 2)) for _ in range(n - 3)])
+    for hub in (0, 1, 2):
+        for v in range(3, n):
+            if rng.random() < 0.9:
+                g.add_edge(hub, v, 0)
+    for _ in range(rng.randint(n, 2 * n)):
+        u, v = rng.sample(range(3, n), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v, 0)
+    shadow = g.copy()
+    batches = []
+    for clique_size in (6, 0):
+        clique = rng.sample(range(n), clique_size)
+        ins = {(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]}
+        ins |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(2, 6))}
+        ins = sorted({canonical(u, v) for u, v in ins if not shadow.has_edge(u, v)})
+        dels = rng.sample(sorted(shadow.edges()), rng.randint(2, 6))
+        batch = make_batch([("+", u, v) for u, v in ins] + [("-", u, v) for u, v in dels])
+        apply_batch(shadow, batch)
+        batches.append(batch)
+    return g, batches
+
+
+def test_level_primitive_property():
+    """Every level generation through the array primitive
+    (``_LEVEL_BATCH_MIN = 0``: no frame takes the python pass) with the
+    step coalescer fusing sibling classes serves exactly as the
+    ``vectorized=False`` oracle: matches and ``KernelStats``. With the
+    entry pass off (a zero bound) the level batching also generates
+    every entry frame. The grids cover k>0 groups, levels whose frame
+    vertex is not matched to the target, hub anchors and rank-blocked
+    candidates."""
+    seen = dict.fromkeys(("fused", "k>0", "unmatched frame", "hub anchor", "rank blocked"), 0)
+    real_multi = level_batch._level_children_multi
+    real_narrow = level_batch._narrow_level
+    real_blocked = level_batch._Snapshot.rank_blocked
+
+    def multi(env, group, order, lv, requests, params):
+        seen["fused"] += len(requests) > 1
+        seen["k>0"] += group.k > 0
+        seen["unmatched frame"] += order[lv] not in env.query.neighbors(order[lv + 1])
+        return real_multi(env, group, order, lv, requests, params)
+
+    inside = []  # non-empty while the level batching narrows
+
+    def narrow(snap, *args, **kwargs):
+        inside.append(True)
+        try:
+            out = real_narrow(snap, *args, **kwargs)
+        finally:
+            inside.pop()
+        seen["hub anchor"] += bool((out[3][0] > gen_candidates._SCALAR_GEN_MAX).any())
+        return out
+
+    def blocked(snap, *args):
+        hit = real_blocked(snap, *args)
+        seen["rank blocked"] += bool(inside) and bool(hit.any())
+        return hit
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        stealing=st.sampled_from(["active", "passive", "off"]),
+        entry_max=st.sampled_from([0, entry_pass._ENTRY_PASS_MAX]),
+    )
+    def prop(seed, stealing, entry_max):
+        g0, batches = level_grid(seed)
+        with mock.patch.object(entry_pass, "_ENTRY_PASS_MAX", entry_max), mock.patch.object(
+            level_batch, "_LEVEL_BATCH_MIN", 0
+        ), mock.patch.object(
+            level_batch, "_level_children_multi", multi
+        ), mock.patch.object(level_batch, "_narrow_level", narrow), mock.patch.object(
+            level_batch._Snapshot, "rank_blocked", blocked
         ):
-            level_batch._self_anchored(
-                env, prefix, rank, qv, anchor, fixed, col, "col", children,
-                list(range(1, len(kids) + 1)), cands, [g.degree(c) for c in kids],
-            )
-        assert children[0] is None
-        assert [as_list(c) for c in children[1:]] == wants
+            fast = serve_level_queries(g0, batches, stealing, True)
+        assert fast == serve_level_queries(g0, batches, stealing, False)
+
+    prop()
+    assert all(seen.values()), seen
 
 
 def test_gather_column_short_column():
-    """Rows past a short column carry no claim, whether the base is
-    sorted (one bounds check on its last id) or unsorted with a bound."""
+    """Rows past a short column carry no claim: one bounds check on the
+    sorted base's last id picks the direct gather or the masked one."""
     from repro.matching.intersect import gather_column
 
     col = xp.asarray([True, False, True])
-    for base, bound in (([1, 2, 5], None), ([5, 1], 6), ([0, 2], 3), ([2, 0], 3)):
-        got = gather_column(col, xp.asarray(base, dtype=xp.int64), bound=bound)
+    for base in ([1, 2, 5], [0, 2], [3, 4], []):
+        got = gather_column(col, xp.asarray(base, dtype=xp.int64))
         assert xp.to_numpy(got).tolist() == [b < 3 and b != 1 for b in base]
 
 

@@ -33,7 +33,7 @@ from repro.matching import WBMConfig
 from repro.matching import entry_pass as ep
 from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env
-from repro.matching.level_batch import _level_children
+from repro.matching.level_batch import _gen_cost_segments, _level_children
 from repro.matching.wbm import QueryRuntime, working_items
 from repro.service import DynamicGraphStore, MatchingService
 from repro.service.matching_service import InProcessHost
@@ -310,6 +310,36 @@ def test_random_grids(seed, query, coalesced, short):
         items, PARAMS,
     )
     check_items(runtime, phase, csr, per_edge, Tally(), bitmap=bitmap)
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS, DeviceParams(warp_size=8, compute_cycles=3, global_transaction_cycles=7)]
+)
+def test_batch_pricing_equals_charge_gen(params):
+    """The closed-form batch pricing of every child equals
+    ``_charge_gen`` replayed on a fresh context: anchors without
+    neighbors (``nb = 0``), children without other matched neighbors
+    (``n_others = 0``), warp-boundary degrees and random charges."""
+    rng = random.Random(7)
+    charges = [
+        (0, 0, 0), (0, 2, 0), (1, 0, 0), (7, 0, 0), (8, 0, 0), (9, 1, 0),
+        (31, 1, 5), (32, 0, 0), (33, 2, 7000), (72, 1, 72), (5000, 3, 9),
+    ]
+    charges += [
+        (rng.randint(0, 300), rng.randint(0, 3), rng.randint(0, 5000)) for _ in range(40)
+    ]
+    costs = _gen_cost_segments(
+        *(xp.asarray(column, dtype=xp.int64) for column in zip(*charges)), params
+    )
+    assert costs.n_segments == len(charges)
+    for s, charge in enumerate(charges):
+        want = fresh_ctx(params)
+        _charge_gen(want, *charge)
+        got = fresh_ctx(params)
+        costs.apply(got, s)
+        assert (got.clock, got.busy_cycles, got.stats) == (
+            want.clock, want.busy_cycles, want.stats,
+        ), charge
 
 
 def test_rank_index_matches_rank_map():

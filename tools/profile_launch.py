@@ -26,7 +26,10 @@ without cProfile. Per batch it prints the wall of the host's three
 shared passes — the candidate-stack refresh, the working-items pass
 and the entry pass over both sign phases — and the number of
 query groups the working-items pass resolves against the number of
-distinct label keys among them; then the entry pass's wall per batch
+distinct label keys among them, and the requests the array
+Gen-Candidates primitive (``level_batch._narrow_level``) narrowed per
+caller — the entry pass, a large frame, a fused sibling class —
+against the inline ``_narrow`` calls; then the entry pass's wall per batch
 and the share of entry generations and entry frames (DFS level 2) it
 recorded, against those generated inline. It also prints whether serving materialized the
 store's dict mirror (it should not: the serving paths read the CSR
@@ -78,8 +81,12 @@ from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.matching import WBMConfig, find_matches  # noqa: E402
 from repro.matching.entry_pass import entry_pass  # noqa: E402
-from repro.matching.gen_candidates import _gen_candidates  # noqa: E402
-from repro.matching.level_batch import _fused_level, _level_children  # noqa: E402
+from repro.matching.gen_candidates import _gen_candidates, _narrow  # noqa: E402
+from repro.matching.level_batch import (  # noqa: E402
+    _fused_level,
+    _level_children,
+    _narrow_level,
+)
 from repro.matching.stealing import _active_idle_handler  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
 from repro.service.matching_service import InProcessHost  # noqa: E402
@@ -207,23 +214,41 @@ def shared_pass_report(service, tallies, seen: list) -> None:
     )
 
 
+#: callers of the batched narrowing ``_narrow_level``, then the inline
+#: single-call narrowing, as ``narrowing_report`` prints them
+NARROWERS = ("entry pass", "large frame", "fused class", "inline _narrow")
+
+
 @contextmanager
 def gen_coverage():
     """Count and time Gen-Candidates while installed. Yields ``(tally,
-    coverage)``: ``tally`` is ``[calls, seconds]`` of
+    coverage, narrowed)``: ``tally`` is ``[calls, seconds]`` of
     ``_gen_candidates`` and ``_level_children``; ``coverage`` maps
     entry generations and entry frames (DFS level 2) to ``[recorded,
     inline]``: those the host's entry pass recorded, and those
     generated inline — item entries by ``_gen_candidates``, frames by
     ``_level_children`` or a fused ``_fused_level`` batch (stolen
-    halves of entry frames included)."""
+    halves of entry frames included); ``narrowed`` counts, per
+    ``NARROWERS`` entry, the requests the array primitive
+    ``_narrow_level`` narrowed for that caller (the entry pass, a large
+    frame's ``_level_children``, a fused sibling class) and the inline
+    ``_narrow`` calls (entry generations and small frames)."""
     tally = [0, 0.0]
     coverage = {"entry generations": [0, 0], "entry frames": [0, 0]}
+    narrowed = dict.fromkeys(NARROWERS, 0)
+    caller: list[str] = []  # the innermost caller of the primitive
     timed_gen = _timed(_gen_candidates, tally)
     timed_children = _timed(_level_children, tally)
 
-    def counting_pass(*args, **kwargs):
-        n_entries, n_frames = entry_pass(*args, **kwargs)
+    def calling(name, fn, *args):
+        caller.append(name)
+        try:
+            return fn(*args)
+        finally:
+            caller.pop()
+
+    def counting_pass(*args):
+        n_entries, n_frames = calling("entry pass", entry_pass, *args)
         coverage["entry generations"][0] += n_entries
         coverage["entry frames"][0] += n_frames
         return n_entries, n_frames
@@ -234,13 +259,22 @@ def gen_coverage():
 
     def counting_children(env, group, order, prefix, lv, *rest):
         coverage["entry frames"][1] += lv == 2
-        return timed_children(env, group, order, prefix, lv, *rest)
+        return calling("large frame", timed_children, env, group, order, prefix, lv, *rest)
 
     def counting_fused(env, group, lv, requests, params):
-        out = _fused_level(env, group, lv, requests, params)
+        out = calling("fused class", _fused_level, env, group, lv, requests, params)
         if out is not None and lv == 2:
             coverage["entry frames"][1] += len(out)
         return out
+
+    def counting_level(*args, **kwargs):
+        out = _narrow_level(*args, **kwargs)
+        narrowed[caller[-1]] += len(out[2])
+        return out
+
+    def counting_narrow(*args):
+        narrowed["inline _narrow"] += 1
+        return _narrow(*args)
 
     with ExitStack() as stack:
         for fn, wrapper in (
@@ -248,9 +282,23 @@ def gen_coverage():
             (_gen_candidates, counting_gen),
             (_level_children, counting_children),
             (_fused_level, counting_fused),
+            (_narrow_level, counting_level),
+            (_narrow, counting_narrow),
         ):
             stack.enter_context(patched(fn, wrapper))
-        yield tally, coverage
+        yield tally, coverage, narrowed
+
+
+def narrowing_report(service, narrowed, seen: dict) -> None:
+    """Print one batch's narrowed requests per ``NARROWERS`` entry (the
+    counts' growth since the previous batch)."""
+    grown = {name: narrowed[name] - seen.get(name, 0) for name in NARROWERS}
+    seen.update(narrowed)
+    batched = ", ".join(f"{grown[name]} {name}" for name in NARROWERS[:3])
+    print(
+        f"  batch {service.batches_processed - 1}: the array primitive narrowed "
+        f"{batched} requests; {grown['inline _narrow']} inline _narrow calls"
+    )
 
 
 def step_costs(g0, batches, queries) -> None:
@@ -258,11 +306,11 @@ def step_costs(g0, batches, queries) -> None:
     Gen-Candidates call from an un-profiled run (cProfile would inflate
     all three), and whether serving materialized the store's dict
     mirror."""
-    print("shared per-batch host passes:")
+    print("shared per-batch host passes, and the requests each batch narrowed:")
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
-        gen_coverage() as (gen, coverage),
+        gen_coverage() as (gen, coverage, narrowed),
         timed_methods(
             (CandidateStack, "refresh_rows"),
             (InProcessHost, "_phase_items"),
@@ -270,9 +318,13 @@ def step_costs(g0, batches, queries) -> None:
         ) as shared,
     ):
         seen = [[0, 0.0], [0, 0.0], [0, 0.0]]
-        service, _ = serve(
-            g0, batches, queries, lambda svc: shared_pass_report(svc, shared, seen)
-        )
+        seen_narrowed: dict = {}
+
+        def after_batch(svc) -> None:
+            shared_pass_report(svc, shared, seen)
+            narrowing_report(svc, narrowed, seen_narrowed)
+
+        service, _ = serve(g0, batches, queries, after_batch)
     exec_s = tracer.take().get("gpu.exec_ms", 0.0)
     gpus = [service.runtime(n).gpu for n in service.query_names]
     steps = sum(gpu.level_steps for gpu in gpus)
