@@ -257,7 +257,7 @@ class BFSEngine:
                 results = _fused_level(env, group, level, requests, ctx.params)
                 if results is None:
                     results = [
-                        _level_children(env, group, group.full_order, a, level, c, r, ctx.params)
+                        (_level_children(env, group, group.full_order, a, level, c, r, ctx.params), 0)
                         for _, a, r, c in sibs
                     ]
                 for i, res in zip(idxs, results):
@@ -265,15 +265,13 @@ class BFSEngine:
             # pass 3: consume in the original frame order; a level's
             # charges are additive integer cycles, so the totals equal
             # a per-frame interleaved pass exactly
-            for (group, assign, rank, cands), (children, costs) in zip(
-                prepared, gen_out
-            ):
+            for (group, assign, rank, cands), (rec, base) in zip(prepared, gen_out):
                 qv = group.full_order[level]
-                for j, c in enumerate(cands):
-                    costs.apply(ctx, j)
+                for j, c in enumerate(cands, base):
+                    rec.costs.apply(ctx, j)
                     child = dict(assign)
                     child[qv] = c
-                    nxt.append((group, child, rank, children[j]))
+                    nxt.append((group, child, rank, rec.children(j)))
             level_cycles = ctx.clock - start_clock
             result.comp_cycles += level_cycles / max(params.total_warps, 1) + self.barrier_cycles
             frames = nxt

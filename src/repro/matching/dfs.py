@@ -9,9 +9,10 @@ two host-side forms behind the repo's flag-with-oracle convention.
 **level-stepped cursor** (:class:`_DfsLevelCursor`): per-step
 bookkeeping lives in Python scalars (:class:`_FrameStack`), candidate
 runs live in an :class:`~repro.gpu.memory.Int64Arena`, the scheduler
-drives one resumable step per DFS level, and a frame's child
-candidate generation is batched once — across sibling cursors staging
-the same ``(group, level)`` when the launch-wide step coalescer finds
+drives one resumable step per DFS level, and a frame adopts its
+children from the host's level pass by offset — or, where the pass did
+not reach it, generates them once, across sibling cursors staging the
+same ``(group, level)`` when the launch-wide step coalescer finds
 them, per frame otherwise. ``vectorized=False`` keeps the generator
 pair ``_worker``/``_dfs`` over the dict-walk Gen-Candidates as the
 correctness oracle; matches, ``KernelStats``/``BlockStats`` and the
@@ -51,22 +52,28 @@ def _boundary_items(
 ) -> list[dict]:
     """Permute a completed core assignment through the group's
     automorphisms, screen against the full candidate table, and return
-    phase-B work items."""
+    phase-B work items. The permutations are index tables and each core
+    value's filter row is one cached bitmap read (:meth:`_Env.core_maps`),
+    so screening costs no call per query vertex; the dedup walk keeps
+    the automorphisms' order."""
+    src, targets, rows = env.core_maps(group)
+    values = [assign[u] for u in group.core]
+    passes = [rows.get(dv) or env.core_row(group, rows, dv) for dv in values]
     items: list[dict] = []
-    table = env.table
-    boundary = len(group.core)
-    for sigma in group.core_maps:
-        permuted = {sigma[u]: assign[u] for u in group.core}
-        key = tuple(permuted[u] for u in group.core)
+    for moved, target in zip(src, targets):
+        key = tuple([values[k] for k in moved])
         if key in dedup:
             continue
         dedup.add(key)
-        if all(table.is_candidate(qv, dv) for qv, dv in permuted.items()):
+        for i, k in enumerate(moved):
+            if not passes[k][i]:
+                break
+        else:
             items.append(
                 {
                     "group": group,
-                    "assign": permuted,
-                    "level": boundary,
+                    "assign": dict(zip(target, values)),
+                    "level": len(group.core),
                     "dedup": dedup,
                     "rank": rank,
                     "permuted": True,
@@ -74,7 +81,6 @@ def _boundary_items(
             )
     ctx.charge_lanes(len(group.core_maps) * len(group.core))
     return items
-
 
 
 def _state_name(warp_id: int) -> str:
@@ -213,27 +219,21 @@ class _FrameStack:
     ``{"level", "cands", "p"}`` dicts; here each frame is one slot of
     four plain int lists — ``level[i]``, the frame's candidate run
     bounds ``start[i]``/``end[i]`` inside a shared :class:`Int64Arena`,
-    and the absolute candidate cursor ``p[i]`` — plus, per frame, the
-    precomputed next-level candidate arrays and their priced cost
-    segments (:func:`_level_children`), indexed by candidate position
-    at push time. A level step reads and writes only these ints; the
-    arena holds the candidate runs, the one thing processed as a whole
-    array. An active thief splits a frame by copying the tail
-    ``[mid, end)`` and lowering ``end[i]`` — the stack form of the
-    oracle's in-place ``del fr["cands"][mid:]`` truncation (stranded
-    precomputed children are simply never consumed).
+    and the absolute candidate cursor ``p[i]`` — plus, per frame that
+    generates children, the :class:`~repro.matching.level_batch.LevelRecord`
+    holding them and the frame's offset into it: ``rec[i]`` and
+    ``base[i]``, so candidate ``j``'s children and priced segment sit at
+    ``base[i] + j``. Every DFS level's record comes from the host's
+    level pass where it reached the frame, from an inline level
+    generation otherwise. A level step reads and writes only these
+    ints; the arena holds the candidate runs, the one thing processed
+    as a whole array. An active thief splits a frame by copying the
+    tail ``[mid, end)`` with its record offset and lowering ``end[i]``
+    — the stack form of the oracle's in-place ``del fr["cands"][mid:]``
+    truncation (the victim never reads past the cut).
     """
 
-    __slots__ = (
-        "level",
-        "start",
-        "end",
-        "p",
-        "arena",
-        "depth",
-        "children",
-        "child_costs",
-    )
+    __slots__ = ("level", "start", "end", "p", "arena", "depth", "rec", "base")
 
     def __init__(self, n_levels: int) -> None:
         cap = max(int(n_levels), 1)
@@ -243,8 +243,8 @@ class _FrameStack:
         self.p = [0] * cap
         self.arena = Int64Arena()
         self.depth = 0
-        self.children: list = [None] * cap
-        self.child_costs: list = [None] * cap
+        self.rec: list = [None] * cap
+        self.base = [0] * cap
 
     def push(self, lv: int, cands) -> int:
         d = self.depth
@@ -253,8 +253,7 @@ class _FrameStack:
         self.start[d] = start
         self.end[d] = end
         self.p[d] = start
-        self.children[d] = None
-        self.child_costs[d] = None
+        self.rec[d] = None
         self.depth = d + 1
         return d
 
@@ -263,8 +262,7 @@ class _FrameStack:
         candidate count — the words the memory gauge frees."""
         d = self.depth - 1
         start = self.start[d]
-        self.children[d] = None
-        self.child_costs[d] = None
+        self.rec[d] = None
         self.arena.truncate(start)
         self.depth = d
         return self.end[d] - start
@@ -276,8 +274,7 @@ class _FrameStack:
 
     def clear(self) -> None:
         for i in range(self.depth):
-            self.children[i] = None
-            self.child_costs[i] = None
+            self.rec[i] = None
         self.depth = 0
         self.arena.truncate(0)
 
@@ -287,7 +284,9 @@ class _FrameStack:
 
     def steal_shallowest(self, order, assign: list[int]) -> Optional[dict]:
         """Split the shallowest frame with >= 2 unexplored candidates;
-        returns the same loot shape as the oracle's frame steal."""
+        returns the oracle's frame-steal loot plus the tail's record
+        handle ``(record, offset)`` (``None`` when the frame generates
+        no children), so the thief adopts instead of regenerating."""
         for i in range(self.depth):
             p, end = self.p[i], self.end[i]
             remaining = end - p
@@ -296,11 +295,13 @@ class _FrameStack:
                 stolen = self.arena.view(mid, end).copy()
                 self.end[i] = mid  # in-place: the victim sees the cut
                 lv = self.level[i]
+                rec = self.rec[i]
                 return {
                     "frame_steal": True,
                     "level": lv,
                     "cands": stolen,
                     "assign": {order[j]: assign[order[j]] for j in range(lv)},
+                    "rec": None if rec is None else (rec, self.base[i] + mid - self.start[i]),
                 }
         return None
 
@@ -317,10 +318,12 @@ class _DfsLevelCursor(LevelCursor):
     boundary. What changes is the host-side execution: per-step
     bookkeeping lives in Python scalars — a :class:`_FrameStack` of int
     lists and an int-list assignment — while arrays are used only where
-    a whole candidate run is processed: a level's candidate generation
-    is batched once at frame push (:func:`_level_children`), and each
-    child's gen cost replays from the recorded per-level segments with
-    scalar adds.
+    a whole candidate run is processed. A frame adopts its children at
+    push as a :class:`~repro.matching.level_batch.LevelRecord` and an
+    offset: the host's level pass's wherever it reached the frame (a
+    thief's tail included), else one inline :func:`_level_children`
+    call's. Each child's gen cost replays from the record's priced
+    segments with scalar adds.
 
     Every vectorized launch runs this one path, whatever its budget or
     stealing mode. Interactions stay faithful: active thieves only run
@@ -392,16 +395,16 @@ class _DfsLevelCursor(LevelCursor):
                 self.staged = False
                 env = self.env
                 if pend[0] == 0:  # entry frame push after the item-entry gen
-                    _, cands, level = pend
+                    _, cands, level, frame = pend
                     env.gauge.alloc(len(cands))
                     self._push_frame(
-                        ctx, state, level, xp.asarray(cands, dtype=xp.int64)
+                        ctx, state, level, xp.asarray(cands, dtype=xp.int64), frame
                     )
                 else:  # child attach after a priced gen segment
-                    _, child, nxt, qv_prev = pend
+                    _, child, nxt, frame, qv_prev = pend
                     if len(child):
                         env.gauge.alloc(len(child))
-                        self._push_frame(ctx, state, nxt, child)
+                        self._push_frame(ctx, state, nxt, child, frame)
                     else:
                         state["assign"][qv_prev] = -1
                 if self._inner(ctx):
@@ -473,19 +476,20 @@ class _DfsLevelCursor(LevelCursor):
             entry = item.get("entry")
             if entry is None:
                 cands = _gen_candidates(ctx, env, group, order, adict, level, rank)
-                kids = None
+                frame = None
             else:
-                # the host's entry pass generated the candidates (and the
-                # entry frame's children); pay the inline call's charges
-                cands, charge, kids = entry
+                # the host's level pass generated the candidates (and the
+                # tree below them); pay the inline call's charges
+                cands, charge, frame = entry
                 _charge_gen(ctx, *charge)
-                self._prefetch = kids
-            self.pending = (0, cands, level)
-            self.staged = kids is None and len(cands) > 0 and self.gen_levels[level]
+            self.pending = (0, cands, level, frame)
+            self.staged = frame is None and len(cands) > 0 and self.gen_levels[level]
             return True  # the oracle's entry-gen yield
         # stolen frame slice: pushed in the same resumption, no yield
         env.gauge.alloc(len(cands))
-        self._push_frame(ctx, state, level, xp.asarray(cands, dtype=xp.int64))
+        self._push_frame(
+            ctx, state, level, xp.asarray(cands, dtype=xp.int64), item.get("rec")
+        )
         return self._inner(ctx)
 
     def staged_gen(self):
@@ -500,9 +504,10 @@ class _DfsLevelCursor(LevelCursor):
         run is the pending tuple's own array. Early generation is
         therefore value- and cost-identical to the inline
         :func:`_level_children` call at push time. :attr:`staged` mirrors
-        the gating of :meth:`_push_frame` — frames that would not batch
-        inline stage nothing — and drops once the coalescer hands the
-        frame its prefetched children.
+        the gating of :meth:`_push_frame` — frames that would not
+        generate inline (no children, or a record to adopt) stage
+        nothing — and drops once the coalescer hands the frame its
+        prefetched children.
         """
         if not self.staged:
             return None
@@ -518,11 +523,13 @@ class _DfsLevelCursor(LevelCursor):
         assign = self.state["assign"]
         return {order[i]: assign[order[i]] for i in range(lv)}
 
-    def _push_frame(self, ctx: WarpContext, state: dict, lv: int, cands) -> None:
-        """Push a frame; batch-generate its children's candidates and
-        record the per-child cost segments (no charges yet — each child
-        pays its segment at its own consumption step, exactly when the
-        oracle would have charged its Gen-Candidates call)."""
+    def _push_frame(self, ctx: WarpContext, state: dict, lv: int, cands, frame=None) -> None:
+        """Push a frame and attach its children's record: ``frame``, the
+        ``(record, offset)`` handle the level pass (or a victim's split
+        frame) recorded, else the coalescer's prefetch, else one inline
+        :func:`_level_children` call. No charges yet — each child pays
+        its segment at its own consumption step, exactly when the
+        oracle would have charged its Gen-Candidates call."""
         fs: _FrameStack = state["frames"]
         d = fs.push(lv, cands)
         pf = self._prefetch
@@ -531,11 +538,11 @@ class _DfsLevelCursor(LevelCursor):
             # children in a fused sibling batch; adopt them verbatim
             self._prefetch = None
             if pf[0] == lv:
-                fs.children[d] = pf[1]
-                fs.child_costs[d] = pf[2]
-                return
-        if len(cands) and self.gen_levels[lv]:
-            children, costs = _level_children(
+                frame = pf[1:]
+        if not (len(cands) and self.gen_levels[lv]):
+            return
+        if frame is None:
+            frame = _level_children(
                 self.env,
                 self.group,
                 self.order,
@@ -544,9 +551,8 @@ class _DfsLevelCursor(LevelCursor):
                 fs.arena.view(fs.start[d], fs.end[d]),
                 self.rank,
                 ctx.params,
-            )
-            fs.children[d] = children
-            fs.child_costs[d] = costs
+            ), 0
+        fs.rec[d], fs.base[d] = frame
 
     def _inner(self, ctx: WarpContext) -> bool:
         """The _dfs while loop; True when it yielded on a child gen."""
@@ -556,6 +562,7 @@ class _DfsLevelCursor(LevelCursor):
         # frame is pushed inside this loop, so the arena buffer is stable;
         # what only the rare branches need is read there, off ``self``
         fs_level, fs_start, fs_end, fs_p = fs.level, fs.start, fs.end, fs.p
+        fs_rec, fs_base = fs.rec, fs.base
         buf = fs.arena.buf
         assign = state["assign"]
         order = self.order
@@ -631,8 +638,9 @@ class _DfsLevelCursor(LevelCursor):
             # the next resumption (the oracle's post-gen yield). The
             # segment is charged inline — :meth:`SegmentCosts.apply`'s
             # exact adds, without a call per step
-            j = p - fs_start[d]
-            costs = fs.child_costs[d]
+            rec = fs_rec[d]
+            j = fs_base[d] + p - fs_start[d]
+            costs = rec.costs
             ctx.clock += costs.clock[j]
             ctx.busy_cycles += costs.busy[j]
             st = ctx.stats
@@ -640,9 +648,11 @@ class _DfsLevelCursor(LevelCursor):
             st.global_transactions += costs.transactions[j]
             st.coalesced_transactions += costs.coalesced[j]
             st.scattered_transactions += costs.scattered[j]
-            child = fs.children[d][j]
-            self.pending = (1, child, nxt, qv)
-            self.staged = len(child) > 0 and self.gen_levels[nxt]
+            a, b = rec.off[j], rec.off[j + 1]
+            kids = rec.kids
+            recorded = b <= kids.covered
+            self.pending = (1, kids.cands[a:b], nxt, (kids, a) if recorded else None, qv)
+            self.staged = b > a and not recorded and self.gen_levels[nxt]
             return True
         return False
 
@@ -691,8 +701,8 @@ def _make_step_coalescer(sched: BlockScheduler, env: _Env):
             results = _fused_level(env, group, lv, requests, sched.params)
             if results is None:
                 continue
-            for g, (children, costs) in zip(cursors, results):
-                g._prefetch = (lv, children, costs)
+            for g, (rec, base) in zip(cursors, results):
+                g._prefetch = (lv, rec, base)
                 g.staged = False
 
     return coalesce
@@ -750,8 +760,9 @@ def _steal_from(victim: dict, env: _Env) -> Optional[dict]:
 
 def _loot_items(victim: dict, loot: dict) -> list[dict]:
     """The work items :func:`_steal_from`'s loot becomes: the queue
-    items it took, or one item resuming the split frame's tail in the
-    victim's current item context."""
+    items it took, or one item resuming the split frame's tail (with
+    its record handle, on the level-stepped layout) in the victim's
+    current item context."""
     if "items" in loot:
         return loot["items"]
     group = victim["current_group"]
@@ -764,6 +775,7 @@ def _loot_items(victim: dict, loot: dict) -> list[dict]:
             "dedup": victim["current_dedup"],
             "rank": victim["current_rank"],
             "permuted": loot["level"] >= len(group.core),
+            "rec": loot.get("rec"),
         }
     ]
 

@@ -1,34 +1,43 @@
-"""The host-wide entry pass: the first two Gen-Candidates levels of every
-hosted query's work items, one array pass per level.
+"""The host-wide level pass: every Gen-Candidates level of every hosted
+query's work items, one array pass per DFS level.
 
 Every work item of a phase enters its DFS at level 2 with the update
-edge mapped onto its group's representative, so its entry generation
-(the candidates of ``order[2]``) and, when level 2 generates children,
-its entry frame's children (the candidates of ``order[3]``, one list
-per entry candidate) depend only on the item, the phase's rank rule,
-the snapshot and the candidate stack. :func:`entry_pass` computes them
-for all the host's items right after
-:func:`~repro.matching.wbm.working_items`, the way GSI (PAPERS.md,
-arXiv 1906.03420) joins many partial matches against one candidate set
-at once, and records on each item what the inline calls would return
-and charge:
+edge mapped onto its group's representative, so its whole search tree
+— the candidates of ``order[2]``, then per candidate the candidates of
+``order[3]``, and so on down to the last level a frame generates for
+— depends only on the item, the phase's rank rule, the snapshot and the
+candidate stack. :func:`entry_pass` computes that tree for all the
+host's items right after :func:`~repro.matching.wbm.working_items`, one
+level at a time until the frontier is empty, the way GSM (PAPERS.md,
+arXiv 2003.01527) expands a frontier and GSI (arXiv 1906.03420) joins
+many partial matches against one candidate set at once. It records on
+each item what the inline calls would return and charge:
 
-* ``item["entry"] = (cands, charge, kids)``: the ascending candidates
+* ``item["entry"] = (cands, charge, frame)``: the ascending candidates
   of ``order[2]``, the :func:`~repro.matching.gen_candidates._charge_gen`
-  arguments of the inline :func:`_gen_candidates` call, and the
-  frame's ``(level, children, costs)`` for the cursor's ``_prefetch``
-  adoption (``None`` when the frame generates none, or past the bound).
+  arguments of the inline :func:`_gen_candidates` call, and the entry
+  frame's adoption handle ``(record, offset)`` into the level-2
+  :class:`~repro.matching.level_batch.LevelRecord` (``None`` when the
+  frame generates nothing, or past the bound).
+
+The tree is one record per level, chained through ``kids``: the
+level's candidates end to end, per candidate the offsets of its
+children in the next level (a CSR trie) and one pass-wide
+:class:`~repro.gpu.trace.SegmentCosts` from
+:func:`~repro.matching.level_batch._gen_cost_segments`. A frame adopts
+its children by offset, and a thief adopts the tail it stole the same
+way.
 
 Each level is one call of the level batching's array primitive
-(:func:`~repro.matching.level_batch._narrow_level`): a request is one
-partial match, given as its prefix slots, its matched neighbors' slots
-and edge labels, the wanted vertex label, the stack column and the
-rank, all read from the runtimes' fact matrix. Requests that share an
-anchor, labels and column share one first stage, the per-launch
-hub-slice cache lifted to the whole host. The entry frames' children
-are priced by :func:`~repro.matching.level_batch._gen_cost_segments`,
-the pricing of the level batching, and each level stops at the item
-whose first-stage runs would pass ``_ENTRY_PASS_MAX`` elements.
+(:func:`~repro.matching.level_batch._narrow_level`) over every recorded
+candidate whose frame generates children: a request is one partial
+match, given as its prefix slots and the level's static facts
+(:func:`entry_facts`). Requests that share an anchor, labels and column
+share one first stage, the per-launch hub-slice cache lifted to the
+whole host. Each level stops at the frame whose first-stage runs would
+pass ``_ENTRY_PASS_MAX`` elements, so a non-selective query never holds
+its whole tree; the frames past it, and everything under them,
+generate inline.
 
 Nothing modeled changes: the cursor pays the recorded charges at the
 step the inline call would have, and adopts the recorded children
@@ -37,134 +46,248 @@ where it would have generated them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import NamedTuple, Optional
+
 from repro import xp
 from repro.graph.csr import CSRGraph
 from repro.gpu.params import DeviceParams
 from repro.matching.launch_env import PhaseEdges, level_column
 from repro.matching.level_batch import (
-    _cost_slice,
+    LevelRecord,
     _gen_cost_segments,
     _narrow_level,
     _Snapshot,
-    _split,
 )
 
 #: a level's pass expands at most this many first-stage elements (the
-#: requests' runs, before injectivity, rank and adjacency); the items
+#: requests' runs, before injectivity, rank and adjacency); the frames
 #: past it generate that level inline, so a non-selective query cannot
 #: hold every item's candidates at once
-_ENTRY_PASS_MAX = 1 << 16
-
-# columns of a runtime's fact matrix (one row per plan group); the
-# per-level ones are keyed by DFS level (2: entry, 3: the frame's children)
-_ON, _KIDS = 0, 1  # the pass covers the group; level 2 generates children
-_VL = {2: 2, 3: 9}  # wanted vertex label
-_COL = {2: 3, 3: 10}  # stack column of the filter
-_POS = {2: slice(4, 6), 3: slice(11, 14)}  # matched neighbors' prefix slots, -1 pad
-_EL = {2: slice(6, 8), 3: slice(14, 17)}  # their edge labels to the target
-_N_FACTS = 17
+_ENTRY_PASS_MAX = 1 << 13
+#: one primitive call narrows at most this many requests and this many
+#: first-stage elements, so the pass's transient arrays stay small
+#: however far a level runs; a frame whose children alone pass it
+#: stops its level like a frame past ``_ENTRY_PASS_MAX``
+_LEVEL_CHUNK = 1 << 11
 
 
-def entry_facts(query, table, groups) -> xp.ndarray:
-    """The static facts of a runtime's entry pass, one row per group:
-    whether the pass covers it (level 2 opens a frame instead of
-    emitting or permuting), whether that frame
-    generates children, and per level (2 and 3) the wanted vertex
-    label, the filter column, and the matched query neighbors as slots
-    of the prefix ``(order[0], order[1], order[2])`` in adjacency
-    order, with their edge labels. Valid until the stack's layout
-    changes (its column indices move)."""
-    rows = []
+class LevelFacts(NamedTuple):
+    """The static facts of one DFS level's requests, one row per plan
+    group: whether the pass narrows the level for the group (a frame
+    one level up generates children, or, at level 2, the item opens a
+    frame), the target's vertex label, the stack column of its filter
+    (:func:`~repro.matching.launch_env.level_column`), and its matched
+    query neighbors as prefix slots in adjacency order, padded with -1
+    to width ``level``, with their edge labels to the target."""
+
+    on: xp.ndarray
+    vlabel: xp.ndarray
+    col: xp.ndarray
+    pos: xp.ndarray
+    elabel: xp.ndarray
+
+    @classmethod
+    def off(cls, n_groups: int, level: int) -> "LevelFacts":
+        """The facts of groups whose query has no level ``level``."""
+        zeros = xp.zeros(n_groups, dtype=xp.int64)
+        return cls(
+            zeros.astype(bool), zeros, zeros,
+            xp.full((n_groups, level), -1, dtype=xp.int64),
+            xp.zeros((n_groups, level), dtype=xp.int64),
+        )
+
+    def requests(self, g: xp.ndarray) -> tuple:
+        """The :func:`_narrow_level` request arrays of fact rows ``g``."""
+        return self.pos[g], self.elabel[g], self.vlabel[g], self.col[g]
+
+
+def entry_facts(query, table, groups) -> dict[int, LevelFacts]:
+    """A runtime's :class:`LevelFacts` for every DFS level ``2 … n-1``.
+    A level is on where the cursor's frame one level up generates
+    children; a group whose matching order disconnects a level it
+    would generate raises inline, so the pass leaves it alone. Valid
+    until the stack's layout changes (its column indices move)."""
     n = query.n_vertices
+    cols = {lv: ([], [], [], [], []) for lv in range(2, n)}
     for group in groups:
-        row = [0] * _N_FACTS
-        row[_POS[2]] = [-1, -1]
-        row[_POS[3]] = [-1, -1, -1]
         order = group.full_order
-        boundary = len(group.core)
-        single = group.is_singleton
-        if n > 2 and (boundary != 2 or single):
-            slot = {order[i]: i for i in range(min(n, 3))}
-            for lv in (2, 3) if n > 3 else (2,):
-                qv = order[lv]
-                matched = [w for w in query.neighbors(qv) if slot.get(w, lv) < lv]
-                row[_VL[lv]] = query.vertex_label(qv)
-                row[_COL[lv]] = level_column(table, group, lv)
-                pos, el = _POS[lv], _EL[lv]
-                row[pos.start : pos.start + len(matched)] = [slot[w] for w in matched]
-                row[el.start : el.start + len(matched)] = [
-                    query.edge_label(qv, w) for w in matched
-                ]
-            # a query the matching order disconnects raises inline
-            row[_ON] = row[_POS[2].start] >= 0
-            row[_KIDS] = n > 3 and (boundary != 3 or single) and row[_POS[3].start] >= 0
-        rows.append(row)
-    return xp.asarray(rows, dtype=xp.int64).reshape(-1, _N_FACTS)
+        slot = {u: i for i, u in enumerate(order)}
+        gen = {lv: lv != len(group.core) or group.is_singleton for lv in cols}
+        matched = {
+            lv: [w for w in query.neighbors(order[lv]) if slot[w] < lv] for lv in cols
+        }
+        covered = all(matched[lv] for lv in cols if gen[lv])
+        for lv, (on, vlabel, col, pos, elabel) in cols.items():
+            qv, m = order[lv], matched[lv]
+            on.append(covered and gen[lv])
+            vlabel.append(query.vertex_label(qv))
+            col.append(level_column(table, group, lv))
+            pos.append([slot[w] for w in m] + [-1] * (lv - len(m)))
+            elabel.append([query.edge_label(qv, w) for w in m] + [0] * (lv - len(m)))
+    return {
+        lv: LevelFacts(
+            xp.asarray(on, dtype=bool),
+            *(xp.asarray(c, dtype=xp.int64) for c in (vlabel, col)),
+            *(xp.asarray(c, dtype=xp.int64).reshape(-1, lv) for c in (pos, elabel)),
+        )
+        for lv, (on, vlabel, col, pos, elabel) in cols.items()
+    }
 
 
-def _level_facts(facts: xp.ndarray, level: int, g: xp.ndarray) -> tuple:
-    """The :func:`_narrow_level` request arrays of DFS level ``level``
-    for requests of fact rows ``g``: the matched neighbors' prefix
-    slots and edge labels, the wanted vertex label and the stack
-    column."""
-    return facts[g, _POS[level]], facts[g, _EL[level]], facts[g, _VL[level]], facts[g, _COL[level]]
+def stack_facts(blocks: list[tuple[int, dict[int, LevelFacts]]]) -> dict[int, LevelFacts]:
+    """The facts of several runtimes' ``(group count, entry_facts)``,
+    rows stacked in order; a runtime without a level is off there."""
+    levels = sorted({lv for _, facts in blocks for lv in facts})
+    return {
+        lv: LevelFacts(
+            *(
+                xp.concatenate(parts)
+                for parts in zip(
+                    *(facts.get(lv) or LevelFacts.off(n, lv) for n, facts in blocks)
+                )
+            )
+        )
+        for lv in levels
+    }
+
+
+def _narrow_frames(
+    snap: _Snapshot, facts: LevelFacts, req, prefix, g, e, bounds: list[int]
+) -> tuple:
+    """:func:`_narrow_level` over requests grouped into frames, frame
+    ``f`` owning requests ``[bounds[f], bounds[f + 1])``; request ``i``
+    is row ``req[i]`` of ``prefix``, fact rows ``g`` and update edges
+    ``e``. Frames stay whole, and the level stops at the first frame
+    that does not fit the bound: each call takes at most
+    ``_LEVEL_CHUNK`` requests (a larger frame alone) and first-stage
+    elements, and at most ``_ENTRY_PASS_MAX`` elements go through in
+    all. Returns the frames narrowed and the narrowed requests'
+    candidates, counts and charges."""
+    limit = min(_LEVEL_CHUNK, _ENTRY_PASS_MAX)
+    calls = max(_ENTRY_PASS_MAX // _LEVEL_CHUNK, 1)
+    n_frames, f, parts = len(bounds) - 1, 0, []
+    while f < n_frames and calls:
+        a = bounds[f]
+        end = max(bisect_right(bounds, a + _LEVEL_CHUNK) - 1, f + 1)
+        rows = req[a : bounds[end]]
+        n, *out = _narrow_level(
+            snap, prefix[rows], *facts.requests(g[rows]), e[rows],
+            cut=(xp.asarray(bounds[f : end + 1], dtype=xp.int64) - a, limit),
+        )
+        if not n:  # the next frame alone passes the bound
+            break
+        parts.append((out[0], out[1], *out[2]))
+        f += n
+        calls -= 1
+    if not parts:
+        return 0, xp.zeros(0, dtype=xp.int64), *(xp.zeros(0, dtype=xp.int64) for _ in range(4))
+    return (f, *(xp.concatenate(column) for column in zip(*parts)))
+
+
+def _record_level(
+    snap: _Snapshot,
+    facts: LevelFacts,
+    level: LevelRecord,
+    prefix: xp.ndarray,
+    parent: xp.ndarray,
+    g: xp.ndarray,
+    e: xp.ndarray,
+    params: DeviceParams,
+) -> Optional[tuple]:
+    """Record the children of ``level``'s candidates: one request per
+    candidate whose group generates the next level, the frames (runs
+    of one ``parent``) kept whole under the bound. ``prefix`` holds each
+    candidate's assigned slots, ``g`` and ``e`` its fact row and update
+    edge. Fills ``level``'s offsets, costs, coverage and ``kids``;
+    returns the next level's ``(record, prefix, parent, g, e)`` and the
+    number of frames recorded, or ``None`` when no frame generates
+    within the bound."""
+    req = xp.nonzero(facts.on[g])[0]
+    if not len(req):
+        return None
+    frame = parent[req]
+    firsts = xp.nonzero(xp.concatenate([[True], frame[1:] != frame[:-1]]))[0]
+    bounds = xp.to_numpy(firsts).tolist() + [len(req)]
+    n_frames, vals, counts, *charge = _narrow_frames(snap, facts, req, prefix, g, e, bounds)
+    n_done = bounds[n_frames]
+    if not n_done:
+        return None
+    # the candidates of every frame before the first one left out
+    covered = (
+        len(level.cands) if n_done == len(req) else int(xp.searchsorted(parent, frame[n_done]))
+    )
+    done = req[:n_done]
+    kid_parent = xp.repeat(done, counts)
+    if covered != n_done:  # some covered candidates generate nothing
+        full = xp.zeros((4, covered), dtype=xp.int64)
+        full[:, done] = xp.stack([counts, *charge])
+        counts, charge = full[0], (full[1], full[2], full[3])
+    off = xp.zeros(covered + 1, dtype=xp.int64)
+    xp.cumsum(counts, out=off[1:])
+    level.off = xp.to_numpy(off).tolist()
+    level.costs = _gen_cost_segments(*charge, params)
+    level.covered = covered
+    level.kids = LevelRecord(vals)
+    return (
+        level.kids,
+        xp.concatenate([prefix[kid_parent], vals[:, None]], axis=1),
+        kid_parent,
+        g[kid_parent],
+        e[kid_parent],
+        n_frames,
+    )
 
 
 def entry_pass(
     phase: PhaseEdges,
     csr: CSRGraph,
     bitmap: xp.ndarray,
-    facts: xp.ndarray,
+    facts: dict[int, LevelFacts],
     rows: xp.ndarray,
     edges: xp.ndarray,
     items: list[dict],
     params: DeviceParams,
-) -> tuple[int, int]:
-    """Record the entry generation, and the entry frame's children, of
-    every covered item: ``items[j]`` maps update edge ``edges[j]`` of
-    ``phase`` onto the group of fact row ``rows[j]`` (rows of the
-    runtimes' :func:`entry_facts`, stacked). ``bitmap`` is the host's
-    stacked candidate bitmap and ``params`` prices the children.
-    Returns how many entry generations and entry frames it recorded."""
-    sel = xp.nonzero(facts[rows, _ON])[0]
+) -> tuple[int, dict[int, int]]:
+    """Record the entry generation of every covered item, then level by
+    level the children of every frame that generates them: ``items[j]``
+    maps update edge ``edges[j]`` of ``phase`` onto the group of fact
+    row ``rows[j]`` (rows of the runtimes' :func:`entry_facts`,
+    stacked by :func:`stack_facts`). ``bitmap`` is the host's stacked
+    candidate bitmap and ``params`` prices the children. Returns how
+    many entry generations it recorded and, per DFS level, how many
+    frames' children."""
+    if 2 not in facts:
+        return 0, {}
+    sel = xp.nonzero(facts[2].on[rows])[0]
     if not len(sel):
-        return 0, 0
+        return 0, {}
     g, e = rows[sel], edges[sel]
-    n_req = len(sel)
     snap = _Snapshot(csr, bitmap, phase)
-    # prefix slots: order[0] <- x, order[1] <- y, order[2] <- a child
-    prefix = xp.full((n_req, 3), -1, dtype=xp.int64)
-    prefix[:, 0] = phase.ex[e]
-    prefix[:, 1] = phase.ey[e]
-    n_entry, cands, counts, charge = _narrow_level(
-        snap, prefix, *_level_facts(facts, 2, g), e,
-        cut=(xp.arange(n_req + 1, dtype=xp.int64), _ENTRY_PASS_MAX),
+    # prefix slots: order[0] <- x, order[1] <- y; each item is a frame
+    # of one request
+    prefix = xp.stack([phase.ex[e], phase.ey[e]], axis=1)
+    n_entry, cands, counts, *charge = _narrow_frames(
+        snap, facts[2], xp.arange(len(sel), dtype=xp.int64), prefix, g, e,
+        list(range(len(sel) + 1)),
     )
+    top = LevelRecord(cands)
+    item = xp.repeat(xp.arange(n_entry, dtype=xp.int64), counts)
+    step = [top, xp.concatenate([prefix[item], cands[:, None]], axis=1), item, g[item], e[item]]
+    frames: dict[int, int] = {}
+    lv = 2
+    while lv + 1 in facts and len(step[0].cands):
+        out = _record_level(snap, facts[lv + 1], *step, params)
+        if out is None:
+            break
+        *step, frames[lv] = out
+        lv += 1
 
-    # the entry frames' children: one request per entry candidate
-    parent = xp.repeat(xp.arange(n_entry, dtype=xp.int64), counts)
-    opens = xp.nonzero(facts[g[parent], _KIDS])[0]
-    parent = parent[opens]
-    kid_prefix = prefix[parent]
-    kid_prefix[:, 2] = cands[opens]
-    bounds = xp.searchsorted(parent, xp.arange(n_entry + 1, dtype=xp.int64))
-    n_kids, kid_vals, kid_counts, kid_charge = _narrow_level(
-        snap, kid_prefix, *_level_facts(facts, 3, g[parent]), e[parent],
-        cut=(bounds, _ENTRY_PASS_MAX),
-    )
-    costs = _gen_cost_segments(*kid_charge, params) if len(kid_counts) else None
-    children = _split(kid_vals, kid_counts)
-
-    bounds = xp.to_numpy(bounds).tolist()
+    ends = xp.to_numpy(xp.cumsum(counts)).tolist()
     charges = zip(*(xp.to_numpy(c).tolist() for c in charge))
-    n_frames = 0
-    for r, (j, item_cands, charge_r) in enumerate(
-        zip(xp.to_numpy(sel).tolist(), _split(cands, counts), charges)
-    ):
-        a, b = bounds[r], bounds[r + 1]
-        kids = None
-        if r < n_kids and b > a:
-            kids = (2, children[a:b], _cost_slice(costs, a, b))
-            n_frames += 1
-        items[j]["entry"] = (item_cands, charge_r, kids)
-    return n_entry, n_frames
+    a = 0
+    for j, b, charge_j in zip(xp.to_numpy(sel).tolist(), ends, charges):
+        frame = (top, a) if a < b <= top.covered else None
+        items[j]["entry"] = (cands[a:b], charge_j, frame)
+        a = b
+    return n_entry, frames

@@ -323,6 +323,7 @@ class _Env:
         # the exact column otherwise (for whole-query automorphisms the
         # table is orbit-invariant, so the union equals the exact column)
         self._orbit_cols: dict[tuple[int, int], object] = {}
+        self._core_maps: dict[int, tuple] = {}
         self.spent_cycles = 0.0  # engine-wide busy cycles this launch
 
     @property
@@ -381,6 +382,41 @@ class _Env:
                 col = or_columns(self.table.bitmap, group.vertex_orbits.get(qv, (qv,)))
             self._orbit_cols[key] = col
         return col
+
+    def core_maps(self, group: CoalescedGroup) -> tuple:
+        """``group``'s automorphisms as index tables, cached per launch:
+        ``(src, targets, rows)``. Automorphism ``m`` moves the core value
+        at core position ``src[m][i]`` onto core vertex ``core[i]`` and
+        sends the core to ``targets[m]`` (core order); ``rows`` caches,
+        per data vertex, whether it passes each core vertex's exact
+        filter (:meth:`core_row`)."""
+        maps = self._core_maps.get(id(group))
+        if maps is None:
+            core = group.core
+            at = {u: i for i, u in enumerate(core)}
+            src, targets = [], []
+            for sigma in group.core_maps:
+                moved = {sigma[u]: u for u in core}
+                src.append(tuple(at[moved[u]] for u in core))
+                targets.append(tuple(sigma[u] for u in core))
+            maps = self._core_maps[id(group)] = (src, targets, {})
+        return maps
+
+    def core_row(self, group: CoalescedGroup, rows: dict, dv: int) -> list:
+        """Whether data vertex ``dv`` passes each of ``group``'s core
+        vertices' exact filters (core order): one bitmap read, kept in
+        ``rows`` (:meth:`core_maps`; the stack is fixed for the launch).
+        A vertex past the stack carries no claim."""
+        row = rows.get(dv)
+        if row is None:
+            bitmap = self.table.stack.bitmap
+            if dv < bitmap.shape[0]:
+                cols = xp.asarray([self.table.lo + u for u in group.core], dtype=xp.int64)
+                row = xp.to_numpy(bitmap[dv, cols]).tolist()
+            else:
+                row = [False] * len(group.core)
+            rows[dv] = row
+        return row
 
     def filter_column(self, group: CoalescedGroup, level: int) -> tuple:
         """Candidacy column for ``group.full_order[level]`` plus its

@@ -1,12 +1,15 @@
 """Gen-Candidates for many partial matches at once (paper Algorithm 1,
 §IV-C): the one array primitive (:func:`_narrow_level` over a
 :class:`_Snapshot`) with its closed-form pricing
-(:func:`_gen_cost_segments`), and the DFS-level forms built on it — the
-children of one frame (:func:`_level_children`) and of sibling frames
-fused in one pass (:func:`_fused_level`), both through the request
-builder :func:`_level_children_multi`. The host-wide entry pass
-(:mod:`~repro.matching.entry_pass`) narrows through the same primitive.
-Every child's candidates and priced cost segment equal a per-child
+(:func:`_gen_cost_segments`), the record every level generation
+returns (:class:`LevelRecord`), and the DFS-level forms built on the
+primitive — the children of one frame (:func:`_level_children`) and
+of sibling frames fused in one pass (:func:`_fused_level`), both
+through the request builder :func:`_level_children_multi`. The
+host-wide level pass (:mod:`~repro.matching.entry_pass`) narrows every
+DFS level of every hosted query through the same primitive and
+records the same shape. Every child's candidates and priced cost
+segment equal a per-child
 :func:`~repro.matching.gen_candidates._gen_candidates` call. The size
 switch of this module, and ``gen_candidates._SCALAR_GEN_MAX`` (read
 through its module, so one patch reaches both narrowing sites), only
@@ -184,17 +187,6 @@ def _narrow_level(
     return n_items, vals, counts, (nb[:n_req], n_others[:n_req], others_deg[:n_req])
 
 
-def _split(vals: xp.ndarray, counts: xp.ndarray) -> list:
-    """``vals`` cut into consecutive runs of ``counts`` elements; the
-    empty runs share one empty slice (runs are read-only)."""
-    out = [vals[:0]] * len(counts)
-    at = xp.nonzero(counts)[0]
-    ends = xp.cumsum(counts)[at]
-    for i, b, n in zip(*(xp.to_numpy(a).tolist() for a in (at, ends, counts[at]))):
-        out[i] = vals[b - n : b]
-    return out
-
-
 def _gen_cost_segments(
     nb: xp.ndarray, n_others: xp.ndarray, others_deg: xp.ndarray, params: DeviceParams
 ) -> SegmentCosts:
@@ -222,16 +214,39 @@ def _gen_cost_segments(
     return SegmentCosts.from_totals(totals[0], list(totals[0]), *totals[1:])
 
 
-def _cost_slice(costs: SegmentCosts, a: int, b: int) -> SegmentCosts:
-    """Segments ``[a, b)`` of one batch pricing."""
-    return SegmentCosts.from_totals(
-        costs.clock[a:b],
-        costs.busy[a:b],
-        costs.compute[a:b],
-        costs.transactions[a:b],
-        costs.coalesced[a:b],
-        costs.scattered[a:b],
-    )
+class LevelRecord:
+    """The recorded Gen-Candidates of one DFS level.
+
+    ``cands`` holds the level's candidate runs end to end. The children
+    of its first ``covered`` candidates are recorded: candidate ``i``'s
+    are ``kids.cands[off[i]:off[i + 1]]``, and segment ``i`` of
+    ``costs`` prices their generation. A frame holding candidates
+    ``[base, base + k)`` adopts the record by offset — its ``j``-th
+    child reads segment ``base + j`` — and so does a thief taking the
+    frame's tail. Every level generation returns this shape: the level
+    pass one record per DFS level, an inline frame generation a record
+    over the frame's own candidates (``base`` 0, ``cands`` unset) whose
+    ``kids`` record nothing further. Read-only once built."""
+
+    __slots__ = ("cands", "off", "costs", "covered", "kids")
+
+    def __init__(
+        self,
+        cands,
+        off: Optional[list[int]] = None,
+        costs: Optional[SegmentCosts] = None,
+        covered: int = 0,
+        kids: Optional["LevelRecord"] = None,
+    ) -> None:
+        self.cands = cands
+        self.off = off
+        self.costs = costs
+        self.covered = covered
+        self.kids = kids
+
+    def children(self, i: int):
+        """The recorded children of candidate ``i``."""
+        return self.kids.cands[self.off[i] : self.off[i + 1]]
 
 
 def _level_target(
@@ -264,7 +279,7 @@ def _level_children_scalar(
     matched: list[int],
     cands: list[int],
     col_key,
-) -> tuple[list, SegmentCosts]:
+) -> LevelRecord:
     """Small-frame form of :func:`_level_children`: per-child cost
     totals by direct integer arithmetic (the rules of
     :func:`_gen_cost_segments`) and candidate data from one shared
@@ -351,7 +366,12 @@ def _level_children_scalar(
     costs = SegmentCosts.from_totals(
         clock, list(clock), compute, transactions, coalesced, scattered
     )
-    return children, costs
+    off = [0] * (k + 1)
+    flat: list[int] = []
+    for j, child in enumerate(children):
+        flat += child if isinstance(child, list) else xp.to_numpy(child).tolist()
+        off[j + 1] = len(flat)
+    return LevelRecord(None, off, costs, k, LevelRecord(flat))
 
 
 def _level_children_multi(
@@ -361,7 +381,7 @@ def _level_children_multi(
     lv: int,
     requests: list[tuple[dict[int, int], xp.ndarray, int]],
     params: DeviceParams,
-) -> list[tuple[list, SegmentCosts]]:
+) -> list[tuple[LevelRecord, int]]:
     """Array Gen-Candidates for one DFS level, over one or more requests.
 
     A large frame's own generation (:func:`_level_children`, one
@@ -371,9 +391,9 @@ def _level_children_multi(
     :func:`_narrow_level` pass. Each request is ``(prefix, candidate
     array, rank)``; all share the next query vertex, the filter column
     and the matched-neighbor set. Each child is one primitive request:
-    its frame's prefix repeated, with the child in the last slot. The
-    per-request :class:`SegmentCosts` are exact list slices of one
-    batch pricing. Children values and per-segment costs equal
+    its frame's prefix repeated, with the child in the last slot. All
+    requests share one :class:`LevelRecord`, each adopting it at its
+    first child's offset. Children values and per-segment costs equal
     per-child :func:`_gen_candidates` calls — batching changes
     host-side granularity, never a modeled number.
     """
@@ -405,14 +425,16 @@ def _level_children_multi(
         xp.full(len(prefix), level_column(env.table, group, lv + 1), dtype=xp.int64),
         xp.repeat(xp.asarray([r for _, _, r in requests], dtype=xp.int64), counts),
     )
-    children = _split(vals, kid_counts)
-    costs = _gen_cost_segments(*charge, params)
-    out: list[tuple[list, SegmentCosts]] = []
-    a = 0
-    for size in sizes:
-        out.append((children[a : a + size], _cost_slice(costs, a, a + size)))
-        a += size
-    return out
+    off = xp.zeros(len(prefix) + 1, dtype=xp.int64)
+    xp.cumsum(kid_counts, out=off[1:])
+    record = LevelRecord(
+        None, xp.to_numpy(off).tolist(), _gen_cost_segments(*charge, params),
+        len(prefix), LevelRecord(vals),
+    )
+    bases = [0] * len(sizes)
+    for r in range(1, len(sizes)):
+        bases[r] = bases[r - 1] + sizes[r - 1]
+    return [(record, base) for base in bases]
 
 
 def _level_children(
@@ -424,7 +446,7 @@ def _level_children(
     cands: xp.ndarray,
     rank: int,
     params: DeviceParams,
-) -> tuple[list, SegmentCosts]:
+) -> LevelRecord:
     """Batched Gen-Candidates for one whole DFS level.
 
     The frame at ``order[lv]`` holds unexplored candidates ``cands``;
@@ -432,11 +454,12 @@ def _level_children(
     (``order[0..lv-1]``) and needs its own candidate list for
     ``order[lv + 1]``.
 
-    Returns the per-child candidate arrays plus one
-    :class:`SegmentCosts` with a segment per child — the recorded
-    per-level cost trace the level-stepped cursor replays with scalar
-    adds. Amounts mirror :func:`_gen_candidates` exactly, so the priced
-    segments equal the oracle's per-call charges byte for byte.
+    Returns a :class:`LevelRecord` over ``cands`` (adopted at offset 0):
+    each child's candidate run plus one priced segment per child — the
+    recorded per-level cost trace the level-stepped cursor replays with
+    scalar adds, the shape the level pass records. Amounts mirror
+    :func:`_gen_candidates` exactly, so the priced segments equal the
+    oracle's per-call charges byte for byte.
 
     Two host strategies produce the identical result: small frames
     (the common case on selective serving queries) run a python pass
@@ -450,7 +473,7 @@ def _level_children(
         return _level_children_multi(
             env, group, order, lv,
             [(prefix, xp.asarray(cands, dtype=xp.int64), rank)], params,
-        )[0]
+        )[0][0]
     qv, qv_prev, col, col_key, matched = _level_target(env, group, order, lv, prefix)
     return _level_children_scalar(
         env, prefix, rank, params, qv, qv_prev, col, matched,
@@ -464,9 +487,10 @@ def _fused_level(
     lv: int,
     requests: list[tuple],
     params: DeviceParams,
-) -> Optional[list[tuple[list, SegmentCosts]]]:
+) -> Optional[list[tuple[LevelRecord, int]]]:
     """Sibling frames' children at level ``lv`` of ``group`` as one
-    :func:`_level_children_multi` batch, or ``None`` below the fusion
+    :func:`_level_children_multi` batch (a record and each frame's
+    offset into it), or ``None`` below the fusion
     gate — fewer than two requests, or fewer than ``_LEVEL_BATCH_MIN``
     candidates in all — where the fusion overhead would dominate and
     each frame generates its own (:func:`_level_children`). A request

@@ -27,8 +27,8 @@ above it:
   partial match: the scalar oracle, its charges and ``_narrow``;
 * :mod:`~repro.matching.level_batch` — Gen-Candidates for a whole DFS
   level: a frame's children and fused sibling frames;
-* :mod:`~repro.matching.entry_pass` — the host-wide entry pass: every
-  hosted query's first two levels in one array pass per level;
+* :mod:`~repro.matching.entry_pass` — the host-wide level pass: every
+  DFS level of every hosted query in one array pass per level;
 * :mod:`~repro.matching.dfs` — the DFS workers, their shared-memory
   state, the step coalescer, and the steal/donate accessors of that
   state;
@@ -54,7 +54,7 @@ from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.gpu.scheduler import BlockScheduler
 from repro.matching.coalesced import CoalescedPlan, build_coalesced_plan, trivial_plan
 from repro.matching.dfs import _make_step_coalescer, _spawn_worker
-from repro.matching.entry_pass import entry_facts, entry_pass
+from repro.matching.entry_pass import entry_facts, entry_pass, stack_facts
 from repro.matching.launch_env import (
     KernelOutput,
     Match,
@@ -228,17 +228,18 @@ def record_entries(
     csr: CSRGraph,
     runtimes: list["QueryRuntime"],
     per_query: list[dict[int, list[dict]]],
-) -> tuple[int, int]:
-    """Run the :func:`entry_pass` over the work items ``per_query[i]``
-    of ``runtimes[i]`` (from :func:`working_items` on the same phase and
-    snapshot; the runtimes share one host, so one candidate stack and
-    one set of device params): each covered item then carries its entry
-    generation. Returns the pass's counts of recorded entry generations
-    and entry frames."""
+) -> tuple[int, dict[int, int]]:
+    """Run the level pass (:func:`entry_pass`) over the work items
+    ``per_query[i]`` of ``runtimes[i]`` (from :func:`working_items` on
+    the same phase and snapshot; the runtimes share one host, so one
+    candidate stack and one set of device params): each covered item
+    then carries its entry generation and the recorded tree below it.
+    Returns the pass's count of recorded entry generations and, per
+    DFS level, of frames whose children it recorded."""
     rows: list[int] = []
     edges: list[int] = []
     items: list[dict] = []
-    facts = []
+    blocks = []
     base = 0
     for runtime, per_edge in zip(runtimes, per_query):
         cache = _launch_keys(runtime)
@@ -248,15 +249,15 @@ def record_entries(
                 rows.append(base + row_of[id(item["group"])])
                 edges.append(i)
                 items.append(item)
-        facts.append(cache[4])
+        blocks.append((len(cache[1]), cache[4]))
         base += len(cache[1])
     if not items:
-        return 0, 0
+        return 0, {}
     return entry_pass(
         phase,
         csr,
         runtimes[0].table.stack.bitmap,
-        xp.concatenate(facts),
+        stack_facts(blocks),
         xp.asarray(rows, dtype=xp.int64),
         xp.asarray(edges, dtype=xp.int64),
         items,

@@ -223,7 +223,7 @@ class InProcessHost(QueryHost):
     one :class:`~repro.filtering.CandidateStack`, refreshed once per
     commit, and each sign phase resolves every healthy query's work
     items in one :func:`~repro.matching.wbm.working_items` pass, then
-    generates their first two DFS levels in one entry pass
+    records their search trees, one array pass per DFS level
     (:func:`~repro.matching.wbm.record_entries`)."""
 
     def __init__(self, store, params: DeviceParams, policy: ResiliencePolicy, label=None) -> None:
@@ -324,9 +324,10 @@ class InProcessHost(QueryHost):
         return dict(zip(names, per_query))
 
     def _entry_pass(self, edges: PhaseEdges, items: dict) -> None:
-        """The host-wide entry pass over the phase's shared work items
+        """The host-wide level pass over the phase's shared work items
         (:func:`~repro.matching.wbm.record_entries`). Should it fault,
-        each item it did not record generates its entry inline."""
+        each item it did not record generates inline. The records live
+        on the items, so they go when the phase does."""
         if not items:
             return
         try:

@@ -31,7 +31,6 @@ import random
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +47,7 @@ from repro.matching import WBMConfig, dfs, entry_pass, gen_candidates, level_bat
 from repro.matching.coalesced import trivial_plan
 from repro.matching.dfs import _FrameStack, _steal_from
 from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env, _MemoryGauge
+from repro.matching import stealing as stealing_mod
 from repro.matching.stealing import _NOOP_PROBE
 from repro.matching.wbm import QueryRuntime, working_items
 from repro.pipeline import GammaSystem
@@ -60,8 +60,8 @@ CHORD_Q = LabeledGraph.from_edges([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3), (0, 2)]
 DENSE_Q = LabeledGraph.from_edges(
     [0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
 )
-#: a C4 with a pendant vertex: its level-3 frames generate children
-#: past the entry pass's two levels, on hubs in the hub-heavy graph
+#: a C4 with a pendant vertex: its level-3 frames generate children,
+#: on hubs in the hub-heavy graph
 C4_TAIL_Q = LabeledGraph.from_edges(
     [0, 0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]
 )
@@ -147,7 +147,7 @@ def run_stream(
 # ---------------------------------------------------------------------------
 #: path queries for the budget sweep: with coalescing off every level
 #: opens a frame, level 3 of the 4-path is a leaf run, and the 5-path
-#: adds an inline Gen-Candidates level past the entry pass
+#: adds a recorded Gen-Candidates level below the entry frame
 SWEEP_QUERIES = (
     LabeledGraph.from_edges([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3)]),
     LabeledGraph.from_edges([0, 1, 0, 1, 0], [(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -299,6 +299,44 @@ class TestLevelStepLockstep:
         assert runs["cursor"] == runs["oracle"]
         steals = sum(b["steals"] for b in runs["cursor"][0][2]["blocks"])
         assert steals > 0, "schedule must actually exercise stealing"
+
+    @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
+    def test_thieves_adopt_recorded_tails(self, stealing, monkeypatch):
+        """A frame steal hands the thief its tail's offset into the
+        level pass's record: thieves (active and passive) adopt the
+        recorded children instead of regenerating them, no frame
+        generates inline, and every mode serves as the oracle does."""
+        g0 = attach_labels(power_law_graph(30, 1.8, seed=2), 1, 1, seed=3)
+        rng = random.Random(7)
+        non = [
+            (u, v)
+            for u in range(g0.n_vertices)
+            for v in range(u + 1, g0.n_vertices)
+            if not g0.has_edge(u, v)
+        ]
+        rng.shuffle(non)
+        batches = [make_batch([("+", u, v, 0) for u, v in non[:24]])]
+        oracle = run_stream(g0, C4_TAIL_Q, batches, stealing=stealing, vectorized=False)
+        adopted, inline = [], []
+        real_loot, real_children = dfs._loot_items, dfs._level_children
+
+        def loot_items(victim, loot):
+            items = real_loot(victim, loot)
+            adopted.extend(item for item in items if item.get("rec") is not None)
+            return items
+
+        def children(*args):
+            inline.append(args)
+            return real_children(*args)
+
+        monkeypatch.setattr(dfs, "_loot_items", loot_items)
+        monkeypatch.setattr(stealing_mod, "_loot_items", loot_items)
+        monkeypatch.setattr(dfs, "_level_children", children)
+        assert run_stream(g0, C4_TAIL_Q, batches, stealing=stealing) == oracle
+        assert not inline
+        assert bool(adopted) == (stealing != "off")
+        if adopted:
+            assert {item["level"] for item in adopted} >= {2, 3}, "tails at every level"
 
     def test_cursor_on_oracle_launch_machinery(self):
         """Level cursors driven by the per-block generator-oracle
@@ -513,8 +551,9 @@ class TestFusedGenLockstep:
         monkeypatch.setattr(_Env, "hub_slice", counting_hub)
         g0, q, batches = hub_heavy_workload()
         run_stream(g0, q, batches)
-        # the host's entry pass generates every item's first two levels,
-        # so sibling frames fuse one level deeper: under a tailed C4
+        # the host's level pass records the 4-vertex query's every
+        # level; the tailed C4's level-3 frames pass its bound, so the
+        # ones past it generate inline, and siblings fuse
         run_stream(g0, C4_TAIL_Q, batches)
         assert calls["fused"] > 0, "sibling frames must fuse"
         assert calls["hub_hits"] > 0, "cache must serve repeat anchors"
@@ -575,8 +614,9 @@ def switch_workloads():
     yield "mixed", g0, CHORD_Q, batches
     g0, c4, batches = hub_heavy_workload(leaf_labels=2)
     yield "hub", g0, c4, batches
-    # the entry pass covers the 4-vertex queries' every level; the
-    # pendant vertex keeps level-3 frames generating inline
+    # the level pass records the 4-vertex queries' every level; the
+    # tailed C4's level-3 frames pass its bound, so most of them
+    # generate inline
     yield "hub_tail", g0, C4_TAIL_Q, batches
 
 
@@ -755,7 +795,8 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
             xp.full(k, rank, dtype=xp.int64),
         )
         assert n_req == k
-        got = [as_list(c) for c in level_batch._split(vals, counts)]
+        ends = xp.to_numpy(xp.cumsum(counts)).tolist()
+        got = [as_list(vals[b - c : b]) for b, c in zip(ends, xp.to_numpy(counts).tolist())]
         assert got == wants[:k]
         degs = [[g.degree(prefix[w]) if w != anchor else g.degree(c) for w in matched] for c in batch]
         assert [xp.to_numpy(c).tolist() for c in charge] == [
@@ -972,6 +1013,68 @@ class TestKernelGoldenStats:
 # ---------------------------------------------------------------------------
 # array plumbing: frame stack, arena
 # ---------------------------------------------------------------------------
+def boundary_items_loop(ctx, env, group, assign, dedup, rank):
+    """The per-vertex screening loop ``dfs._boundary_items`` replaced:
+    one ``is_candidate`` call per permuted core vertex (the reference)."""
+    items = []
+    for sigma in group.core_maps:
+        permuted = {sigma[u]: assign[u] for u in group.core}
+        key = tuple(permuted[u] for u in group.core)
+        if key in dedup:
+            continue
+        dedup.add(key)
+        if all(env.table.is_candidate(qv, dv) for qv, dv in permuted.items()):
+            items.append(
+                {"group": group, "assign": permuted, "level": len(group.core),
+                 "dedup": dedup, "rank": rank, "permuted": True}
+            )
+    ctx.charge_lanes(len(group.core_maps) * len(group.core))
+    return items
+
+
+class TestBoundaryItems:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_equals_the_screening_loop(self, vectorized):
+        """On a whole-query automorphic group (a C4, eight automorphisms)
+        the index-table screening returns the loop's items — order,
+        dict key order, dedup set and lane charge included — for random
+        core values, repeats, and vertices past the candidate stack."""
+        from repro.gpu.memory import GlobalMemory, SharedMemory
+        from repro.gpu.stats import BlockStats
+        from repro.gpu.warp import WarpContext
+
+        g = attach_labels(power_law_graph(40, 3.0, seed=8), 1, 1, seed=9)
+        c4 = LabeledGraph.from_edges([0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (0, 3)])
+        store = DynamicGraphStore(g, PARAMS, vectorized=vectorized)
+        runtime = QueryRuntime(c4, store, PARAMS, WBMConfig(vectorized=vectorized))
+        [group] = [gr for gr in runtime.plan.groups if not gr.is_singleton]
+        assert group.k == 0 and len(group.core) == 4 and len(group.core_maps) == 8
+        env = _Env(c4, g, runtime.table, runtime.plan, PhaseEdges([]), runtime.config, KernelOutput())
+        n_rows = runtime.table.stack.bitmap.shape[0]
+        rng = random.Random(2)
+        pool = list(range(n_rows)) + [n_rows, n_rows + 3]  # two past the stack
+        dedup_new, dedup_ref, screened = set(), set(), 0
+        values = []
+        for trial in range(300):
+            # every third core repeats an earlier one's values, permuted:
+            # its automorphic keys are already in the dedup set
+            values = rng.sample(values, 4) if trial % 3 == 2 else rng.sample(pool, 4)
+            assign = dict(zip(group.core, values))
+            ctxs = [WarpContext(0, PARAMS, SharedMemory(PARAMS), GlobalMemory(PARAMS),
+                                BlockStats(n_warps=1)) for _ in range(2)]
+            got = dfs._boundary_items(ctxs[0], env, group, assign, dedup_new, trial)
+            want = boundary_items_loop(ctxs[1], env, group, assign, dedup_ref, trial)
+            assert [(list(i["assign"].items()), i["level"], i["rank"]) for i in got] == [
+                (list(i["assign"].items()), i["level"], i["rank"]) for i in want
+            ]
+            assert all(i["dedup"] is dedup_new and i["permuted"] for i in got)
+            assert dedup_new == dedup_ref
+            assert (ctxs[0].clock, ctxs[0].stats) == (ctxs[1].clock, ctxs[1].stats)
+            screened += len(got)
+        assert screened, "some permutation must pass the screen"
+        assert len(dedup_new) < 300 * 8, "repeats must hit the dedup set"
+
+
 class TestFrameStack:
     """The list-backed frame stack: a level step reads and writes plain
     ints, and a thief's cut lands in the victim's own lists."""
@@ -1079,11 +1182,11 @@ class TestFrameStack:
     def test_clear_resets_everything(self):
         fs = _FrameStack(3)
         fs.push(2, [1, 2, 3])
-        fs.children[0] = [np.array([4])]
+        fs.rec[0] = object()
         fs.clear()
         assert fs.depth == 0
         assert fs.arena.top == 0
-        assert fs.children[0] is None
+        assert fs.rec[0] is None
 
 
 class TestInt64Arena:

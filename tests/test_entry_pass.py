@@ -1,16 +1,17 @@
-"""The host-wide entry pass against inline per-item generation.
+"""The host-wide level pass against inline per-item generation.
 
 ``matching.entry_pass`` records, for every fast-path work item of a
-phase, the candidates of ``order[2]``, the charges of the inline
-``_gen_candidates`` call, and the entry frame's children with their
-priced ``SegmentCosts``. Each recorded value must equal what the
-level-stepped cursor would generate inline for that item — across hub
-anchors, rank-rule collisions, orbit-union columns of ``k>0`` groups,
-vertices past the candidate stack, mid-stream registration and
-unregistration, and random grids. Every vectorized launch takes the
-records, budgeted and passive-stealing ones included, and serves
-exactly as the oracle does; the items past the bound generate inline
-and serve the same.
+phase, the candidates of ``order[2]`` and the charges of the inline
+``_gen_candidates`` call, then level by level the children of every
+frame that generates them, with their priced ``SegmentCosts``, as one
+``LevelRecord`` per DFS level. Each recorded frame must equal what the
+level-stepped cursor would generate inline for it, at every level —
+across hub anchors, rank-rule collisions, orbit-union columns of
+``k>0`` groups, vertices past the candidate stack, mid-stream
+registration and unregistration, and random grids. Every vectorized
+launch takes the records, budgeted and passive-stealing ones included,
+and serves exactly as the oracle does; the frames past the bound
+generate inline and serve the same.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.gpu.params import DeviceParams
 from repro.gpu.stats import BlockStats
 from repro.gpu.warp import WarpContext
 from repro.matching import WBMConfig
+from repro.matching import dfs
 from repro.matching import entry_pass as ep
 from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env
@@ -46,7 +48,11 @@ TRI_Q = LabeledGraph.from_edges([0, 0, 0], [(0, 1), (0, 2), (1, 2)])
 PATH_Q = LabeledGraph.from_edges([0, 1, 0], [(0, 1), (1, 2)])
 #: gating keeps its k=1 groups: level 2 filters on an orbit-union column
 K_Q = LabeledGraph.from_edges([0, 0, 0, 1, 2], [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
-POOL = (C4_Q, C4_TAIL_Q, CHORD_Q, TRI_Q, PATH_Q, K_Q)
+#: a 6-path: every level up to 4 generates children
+PATH6_Q = LabeledGraph.from_edges([0] * 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+POOL = (C4_Q, C4_TAIL_Q, CHORD_Q, TRI_Q, PATH_Q, K_Q, PATH6_Q)
+#: the priced fields of one cost segment
+COST_FIELDS = ("clock", "busy", "compute", "transactions", "coalesced", "scattered")
 
 
 def fresh_ctx(params: DeviceParams) -> WarpContext:
@@ -57,58 +63,76 @@ def as_list(cands) -> list[int]:
     return cands if isinstance(cands, list) else xp.to_numpy(cands).tolist()
 
 
-def cost_fields(costs) -> tuple:
-    return (
-        costs.n_segments, costs.clock, costs.busy, costs.compute,
-        costs.transactions, costs.coalesced, costs.scattered,
-    )
+def segments(costs, base: int, k: int) -> list[tuple]:
+    """Segments ``[base, base + k)`` of ``costs``, field by field."""
+    return [tuple(getattr(costs, f)[base + j] for f in COST_FIELDS) for j in range(k)]
 
 
-def child_lists(kids):
-    return None if kids is None else [as_list(c) for c in kids[0]]
+def gens(group, lv: int, n: int) -> bool:
+    """Whether a frame of ``group`` at DFS level ``lv`` generates children."""
+    return lv + 1 < n and (lv + 1 != len(group.core) or group.is_singleton)
 
 
-def opens_children(group, n: int) -> bool:
-    """Whether a level-2 frame of ``group`` generates children."""
-    return 3 < n and (3 != len(group.core) or group.is_singleton)
-
-
-def inline_entry(runtime, phase, csr, item, bitmap=None, rank=None):
-    """The cursor's inline generation for a working item: the entry
-    candidates, the context their ``_gen_candidates`` call charged, and
-    the entry frame's ``(children, costs)`` (``None`` without them)."""
+def launch_env(runtime, phase, csr, bitmap=None) -> _Env:
     env = _Env(
         runtime.query, runtime.store.graph, runtime.table, runtime.plan, phase,
         runtime.config, KernelOutput(), csr=csr,
     )
     if bitmap is not None:
         env.bitmap = bitmap
-    rank = item["rank"] if rank is None else rank
-    ctx = fresh_ctx(runtime.params)
-    group = item["group"]
-    order = group.full_order
-    cands = _gen_candidates(ctx, env, group, order, item["assign"], 2, rank)
-    kids = None
-    if cands and opens_children(group, env.n):
-        kids = _level_children(
-            env, group, order, dict(item["assign"]), 2,
-            xp.asarray(cands, dtype=xp.int64), rank, runtime.params,
-        )
-    return cands, ctx, kids
+    return env
+
+
+def inline_tree(env, params, group, prefix: list[int], lv: int, cands: list[int], rank: int):
+    """The children lists and cost segments of a frame at level ``lv``
+    (``prefix`` the values of ``order[:lv]``), as the cursor generates
+    them inline."""
+    record = _level_children(
+        env, group, group.full_order, dict(zip(group.full_order, prefix)), lv,
+        xp.asarray(cands, dtype=xp.int64), rank, params,
+    )
+    k = len(cands)
+    return [as_list(record.children(j)) for j in range(k)], segments(record.costs, 0, k)
 
 
 class Tally:
     """What the checked records covered."""
 
     def __init__(self) -> None:
-        self.entries = self.frames = self.hub_kids = self.union_entries = 0
-        self.rank_sensitive = 0
+        self.entries = self.hub_kids = self.union_entries = self.rank_sensitive = 0
+        #: recorded frames checked, and frames left to inline generation, per level
+        self.frames: dict[int, int] = {}
+        self.inline: dict[int, int] = {}
+
+
+def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally) -> None:
+    """A frame's recorded children and costs equal inline generation, and
+    so do those of every recorded frame below it."""
+    if not cands or not gens(group, lv, env.n):
+        return
+    if frame is None:  # past the bound
+        tally.inline[lv] = tally.inline.get(lv, 0) + 1
+        return
+    rec, base = frame
+    k = len(cands)
+    kids, costs = inline_tree(env, params, group, prefix, lv, cands, rank)
+    assert [as_list(rec.children(base + j)) for j in range(k)] == kids
+    assert segments(rec.costs, base, k) == costs
+    tally.frames[lv] = tally.frames.get(lv, 0) + 1
+    # an anchor of more than 64 neighbors reads 3+ transactions
+    tally.hub_kids += max(c[4] for c in costs) >= 3
+    tally.rank_sensitive += inline_tree(env, params, group, prefix, lv, cands, 0)[0] != kids
+    for j, c in enumerate(cands):
+        a, b = rec.off[base + j], rec.off[base + j + 1]
+        below = (rec.kids, a) if b <= rec.kids.covered else None
+        check_frame(env, params, group, prefix + [c], lv + 1, kids[j], below, rank, tally)
 
 
 def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> None:
-    """Every recorded item equals its inline generation, and every item
-    the pass should cover carries a record."""
+    """Every recorded item equals its inline generation at every level,
+    and every item the pass should cover carries a record."""
     n = runtime.query.n_vertices
+    env = launch_env(runtime, phase, csr, bitmap)
     for items in per_edge.values():
         for item in items:
             group = item["group"]
@@ -117,8 +141,10 @@ def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> Non
             assert (rec is not None) == covers
             if rec is None:
                 continue
-            cands, ctx, kids = inline_entry(runtime, phase, csr, item, bitmap)
-            got, charge, rec_kids = rec
+            ctx = fresh_ctx(runtime.params)
+            rank = item["rank"]
+            cands = _gen_candidates(ctx, env, group, group.full_order, item["assign"], 2, rank)
+            got, charge, frame = rec
             assert as_list(got) == cands
             replay = fresh_ctx(runtime.params)
             _charge_gen(replay, *charge)
@@ -127,18 +153,11 @@ def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> Non
             )
             tally.entries += 1
             tally.union_entries += group.k > 0 and 2 < len(group.core)
-            if kids is None:
-                assert rec_kids is None
-            else:
-                lv, children, costs = rec_kids
-                assert lv == 2
-                assert [as_list(c) for c in children] == child_lists(kids)
-                assert cost_fields(costs) == cost_fields(kids[1])
-                tally.frames += 1
-                # an anchor of more than 64 neighbors reads 3+ transactions
-                tally.hub_kids += max(costs.coalesced) >= 3
-            free, _, free_kids = inline_entry(runtime, phase, csr, item, bitmap, rank=0)
-            tally.rank_sensitive += (free, child_lists(free_kids)) != (cands, child_lists(kids))
+            free = _gen_candidates(fresh_ctx(runtime.params), env, group, group.full_order, item["assign"], 2, 0)
+            tally.rank_sensitive += free != cands
+            a, b = group.representative
+            prefix = [item["assign"][a], item["assign"][b]]
+            check_frame(env, runtime.params, group, prefix, 2, cands, frame, rank, tally)
 
 
 def audited_service(monkeypatch, graph, tally: Tally, **kwargs) -> MatchingService:
@@ -213,7 +232,8 @@ class TestRecordsEqualInline:
             batches.append(random_ops(shadow, rng, n_ins=10, n_del=6))
             apply_batch(shadow, batches[-1])
         run_reports(service, batches)
-        assert tally.entries and tally.frames
+        assert tally.entries and tally.frames.get(2)
+        assert tally.frames.get(3), "level-3 frames (the tail's) must be recorded"
         assert tally.hub_kids, "some child must anchor on a hub"
 
     def test_rank_rule_collisions(self, monkeypatch):
@@ -225,13 +245,14 @@ class TestRecordsEqualInline:
         service = audited_service(monkeypatch, g, tally)
         service.register_query(TRI_Q, name="tri", bootstrap=False)
         service.register_query(C4_Q, name="c4", bootstrap=False)
+        service.register_query(PATH6_Q, name="path6", bootstrap=False)
         ops = [("+", u, v) for u in range(7) for v in range(u + 1, 7) if not g.has_edge(u, v)]
         clique = make_batch(ops)
         shadow = g.copy()
         apply_batch(shadow, clique)
         undo = make_batch([("-", u, v) for _, u, v in ops])
         run_reports(service, [clique, undo])
-        assert tally.entries and tally.frames
+        assert tally.entries and all(tally.frames.get(lv) for lv in (2, 3, 4))
         assert tally.rank_sensitive, "the rank rule must refuse some candidate"
 
     def test_union_columns_growth_and_churn(self, monkeypatch):
@@ -263,7 +284,7 @@ class TestRecordsEqualInline:
             if step == 1:
                 service.unregister_query("chord")
                 oracle.unregister_query("chord")
-        assert tally.entries and tally.frames
+        assert tally.entries and tally.frames.get(2) and tally.frames.get(3)
         assert tally.union_entries, "a k>0 group must filter on a union column"
 
 
@@ -372,13 +393,14 @@ class TestFallback:
         return run_reports(service, batches)
 
     def _counting(self, monkeypatch) -> list:
+        """Counts of recorded entries and entry frames (level 2)."""
         recorded = [0, 0]
         real = ep.entry_pass
 
         def counting(*args):
             entries, frames = real(*args)
             recorded[0] += entries
-            recorded[1] += frames
+            recorded[1] += frames.get(2, 0)
             return entries, frames
 
         monkeypatch.setattr("repro.matching.wbm.entry_pass", counting)
@@ -412,3 +434,34 @@ class TestFallback:
         assert none_frames == 0  # no entry frame fits a zero bound
         assert 0 < cut_frames < all_frames
         assert whole == none == cut
+
+    def test_level_past_the_bound_generates_inline(self, monkeypatch):
+        """The stream's tailed C4 passes the default bound inside level 3:
+        every entry and entry frame is recorded, the level-3 frames past
+        the bound generate inline, and serving equals the oracle."""
+        g, batches = self._stream()
+        recorded: dict = {}
+        inline: dict = {}
+        real_pass, real_children = ep.entry_pass, dfs._level_children
+
+        def counting(*args):
+            entries, frames = real_pass(*args)
+            for key, n in [("entries", entries), *frames.items()]:
+                recorded[key] = recorded.get(key, 0) + n
+            return entries, frames
+
+        def counting_children(env, group, order, prefix, lv, *rest):
+            inline[lv] = inline.get(lv, 0) + 1
+            return real_children(env, group, order, prefix, lv, *rest)
+
+        monkeypatch.setattr("repro.matching.wbm.entry_pass", counting)
+        monkeypatch.setattr(dfs, "_level_children", counting_children)
+        gen_calls = []
+        real_gen = dfs._gen_candidates
+        monkeypatch.setattr(dfs, "_gen_candidates", lambda *a: gen_calls.append(a) or real_gen(*a))
+        fast = self._serve(g, batches, WBMConfig(work_stealing="off"))
+        assert recorded["entries"] and not gen_calls  # every entry recorded
+        assert recorded[2] and 2 not in inline  # every entry frame too
+        assert recorded[3] and inline[3], (recorded, inline)  # level 3 splits
+        assert fast == self._serve(g, batches, WBMConfig(work_stealing="off", vectorized=False), False)
+

@@ -24,16 +24,18 @@ steal) and µs per Gen-Candidates call (``_gen_candidates`` plus
 ``_level_children`` wall ÷ their calls), so per-step overhead shows
 without cProfile. Per batch it prints the wall of the host's three
 shared passes — the candidate-stack refresh, the working-items pass
-and the entry pass over both sign phases — and the number of
+and the entry and level pass over both sign phases — and the number of
 query groups the working-items pass resolves against the number of
-distinct label keys among them, and the requests the array
+distinct label keys among them; the requests the array
 Gen-Candidates primitive (``level_batch._narrow_level``) narrowed per
-caller — the entry pass, a large frame, a fused sibling class —
-against the inline ``_narrow`` calls; then the entry pass's wall per batch
-and the share of entry generations and entry frames (DFS level 2) it
-recorded, against those generated inline. It also prints whether serving materialized the
-store's dict mirror (it should not: the serving paths read the CSR
-snapshot and per-vertex snapshot rows).
+caller — the entry pass (level 2), the level pass (every deeper level,
+``entry_pass._record_level``), a large frame, a fused sibling class —
+against the inline ``_narrow`` calls; and the level pass's wall with,
+for item entries and each DFS level (2 … n−2), the generations the
+pass recorded against those generated inline (frames past the pass's
+bound and boundary-permuted items). It also prints whether serving
+materialized the store's dict mirror (it should not: the serving paths
+read the CSR snapshot and per-vertex snapshot rows).
 Then serves it again under cProfile and prints the per-layer self
 times of that run (``servebench/spans.py``'s
 ``LayerTracer``: ``gpu.exec_ms`` is the wall inside ``VirtualGPU.launch``),
@@ -80,7 +82,7 @@ from repro.bench.workloads import holdout_stream  # noqa: E402
 from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.matching import WBMConfig, find_matches  # noqa: E402
-from repro.matching.entry_pass import entry_pass  # noqa: E402
+from repro.matching.entry_pass import _record_level, entry_pass  # noqa: E402
 from repro.matching.gen_candidates import _gen_candidates, _narrow  # noqa: E402
 from repro.matching.level_batch import (  # noqa: E402
     _fused_level,
@@ -209,36 +211,40 @@ def shared_pass_report(service, tallies, seen: list) -> None:
         f"  batch {service.batches_processed - 1}: "
         f"shared refresh {ref_s * 1e3:.2f}ms ({n_ref} calls), "
         f"shared working items {items_s * 1e3:.2f}ms ({n_items} passes), "
-        f"entry pass {entry_s * 1e3:.2f}ms ({n_entry} passes), "
+        f"entry and level pass {entry_s * 1e3:.2f}ms ({n_entry} passes), "
         f"{len(keys)} groups over {len(set(keys))} distinct keys"
     )
 
 
 #: callers of the batched narrowing ``_narrow_level``, then the inline
 #: single-call narrowing, as ``narrowing_report`` prints them
-NARROWERS = ("entry pass", "large frame", "fused class", "inline _narrow")
+NARROWERS = ("entry pass", "level pass", "large frame", "fused class", "inline _narrow")
 
 
 @contextmanager
 def gen_coverage():
     """Count and time Gen-Candidates while installed. Yields ``(tally,
-    coverage, narrowed)``: ``tally`` is ``[calls, seconds]`` of
-    ``_gen_candidates`` and ``_level_children``; ``coverage`` maps
-    entry generations and entry frames (DFS level 2) to ``[recorded,
-    inline]``: those the host's entry pass recorded, and those
-    generated inline — item entries by ``_gen_candidates``, frames by
-    ``_level_children`` or a fused ``_fused_level`` batch (stolen
-    halves of entry frames included); ``narrowed`` counts, per
-    ``NARROWERS`` entry, the requests the array primitive
-    ``_narrow_level`` narrowed for that caller (the entry pass, a large
-    frame's ``_level_children``, a fused sibling class) and the inline
-    ``_narrow`` calls (entry generations and small frames)."""
+    coverage, narrowed, level_pass)``: ``tally`` is ``[calls, seconds]``
+    of the inline ``_gen_candidates`` and ``_level_children`` calls;
+    ``coverage`` maps ``"entries"`` (item entry generations) and each
+    DFS level (a frame's children generation there) to ``[recorded,
+    inline]``: those the host's level pass recorded, and those
+    generated inline — entries by ``_gen_candidates``, frames by
+    ``_level_children`` or a fused ``_fused_level`` batch;
+    ``narrowed`` counts, per ``NARROWERS`` entry, the requests the
+    array primitive ``_narrow_level`` narrowed for that caller (the
+    entry pass's level 2, the level pass's deeper levels
+    ``_record_level``, a large frame's ``_level_children``, a fused
+    sibling class) and the inline ``_narrow`` calls; ``level_pass`` is
+    ``[calls, seconds]`` of ``_record_level``."""
     tally = [0, 0.0]
-    coverage = {"entry generations": [0, 0], "entry frames": [0, 0]}
+    level_pass = [0, 0.0]
+    coverage: dict = {"entries": [0, 0]}
     narrowed = dict.fromkeys(NARROWERS, 0)
     caller: list[str] = []  # the innermost caller of the primitive
     timed_gen = _timed(_gen_candidates, tally)
     timed_children = _timed(_level_children, tally)
+    timed_level = _timed(_record_level, level_pass)
 
     def calling(name, fn, *args):
         caller.append(name)
@@ -247,27 +253,36 @@ def gen_coverage():
         finally:
             caller.pop()
 
-    def counting_pass(*args):
-        n_entries, n_frames = calling("entry pass", entry_pass, *args)
-        coverage["entry generations"][0] += n_entries
-        coverage["entry frames"][0] += n_frames
-        return n_entries, n_frames
+    def count(key, recorded=0, inline=0):
+        slot = coverage.setdefault(key, [0, 0])
+        slot[0] += recorded
+        slot[1] += inline
 
-    def counting_gen(ctx, env, group, order, assign, level, rank):
-        coverage["entry generations"][1] += level == 2
-        return timed_gen(ctx, env, group, order, assign, level, rank)
+    def counting_pass(*args):
+        n_entries, frames = calling("entry pass", entry_pass, *args)
+        count("entries", recorded=n_entries)
+        for lv, n in frames.items():
+            count(lv, recorded=n)
+        return n_entries, frames
+
+    def counting_gen(*args):
+        count("entries", inline=1)
+        return timed_gen(*args)
 
     def counting_children(env, group, order, prefix, lv, *rest):
-        coverage["entry frames"][1] += lv == 2
+        count(lv, inline=1)
         return calling("large frame", timed_children, env, group, order, prefix, lv, *rest)
 
     def counting_fused(env, group, lv, requests, params):
         out = calling("fused class", _fused_level, env, group, lv, requests, params)
-        if out is not None and lv == 2:
-            coverage["entry frames"][1] += len(out)
+        if out is not None:
+            count(lv, inline=len(out))
         return out
 
-    def counting_level(*args, **kwargs):
+    def counting_level(*args):
+        return calling("level pass", timed_level, *args)
+
+    def counting_narrow_level(*args, **kwargs):
         out = _narrow_level(*args, **kwargs)
         narrowed[caller[-1]] += len(out[2])
         return out
@@ -279,14 +294,15 @@ def gen_coverage():
     with ExitStack() as stack:
         for fn, wrapper in (
             (entry_pass, counting_pass),
+            (_record_level, counting_level),
             (_gen_candidates, counting_gen),
             (_level_children, counting_children),
             (_fused_level, counting_fused),
-            (_narrow_level, counting_level),
+            (_narrow_level, counting_narrow_level),
             (_narrow, counting_narrow),
         ):
             stack.enter_context(patched(fn, wrapper))
-        yield tally, coverage, narrowed
+        yield tally, coverage, narrowed, level_pass
 
 
 def narrowing_report(service, narrowed, seen: dict) -> None:
@@ -294,10 +310,32 @@ def narrowing_report(service, narrowed, seen: dict) -> None:
     counts' growth since the previous batch)."""
     grown = {name: narrowed[name] - seen.get(name, 0) for name in NARROWERS}
     seen.update(narrowed)
-    batched = ", ".join(f"{grown[name]} {name}" for name in NARROWERS[:3])
+    batched = ", ".join(f"{grown[name]} {name}" for name in NARROWERS[:-1])
     print(
         f"  batch {service.batches_processed - 1}: the array primitive narrowed "
         f"{batched} requests; {grown['inline _narrow']} inline _narrow calls"
+    )
+
+
+def coverage_report(service, coverage, level_pass, seen: dict) -> None:
+    """Print one batch's level-pass wall and, for item entries and per
+    DFS level, the generations the pass recorded against those run
+    inline (the growth since the previous batch)."""
+    grown = {
+        key: [now - before for now, before in zip(counts, seen.get(key, (0, 0)))]
+        for key, counts in coverage.items()
+    }
+    pass_s = level_pass[1] - seen.get("wall", 0.0)
+    seen.update({key: list(counts) for key, counts in coverage.items()}, wall=level_pass[1])
+    levels = sorted(key for key in grown if key != "entries")
+    shares = ", ".join(
+        f"{name} {rec} of {rec + inl}"
+        for name, (rec, inl) in [("entries", grown["entries"])]
+        + [(f"level {lv}", grown[lv]) for lv in levels]
+    )
+    print(
+        f"  batch {service.batches_processed - 1}: level pass {pass_s * 1e3:.2f}ms; "
+        f"recorded generations: {shares}"
     )
 
 
@@ -306,11 +344,14 @@ def step_costs(g0, batches, queries) -> None:
     Gen-Candidates call from an un-profiled run (cProfile would inflate
     all three), and whether serving materialized the store's dict
     mirror."""
-    print("shared per-batch host passes, and the requests each batch narrowed:")
+    print(
+        "shared per-batch host passes, the requests each batch narrowed, and "
+        "the generations the level pass recorded:"
+    )
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
-        gen_coverage() as (gen, coverage, narrowed),
+        gen_coverage() as (gen, coverage, narrowed, level_pass),
         timed_methods(
             (CandidateStack, "refresh_rows"),
             (InProcessHost, "_phase_items"),
@@ -319,10 +360,12 @@ def step_costs(g0, batches, queries) -> None:
     ):
         seen = [[0, 0.0], [0, 0.0], [0, 0.0]]
         seen_narrowed: dict = {}
+        seen_coverage: dict = {}
 
         def after_batch(svc) -> None:
             shared_pass_report(svc, shared, seen)
             narrowing_report(svc, narrowed, seen_narrowed)
+            coverage_report(svc, coverage, level_pass, seen_coverage)
 
         service, _ = serve(g0, batches, queries, after_batch)
     exec_s = tracer.take().get("gpu.exec_ms", 0.0)
@@ -347,10 +390,11 @@ def step_costs(g0, batches, queries) -> None:
         f"back to the heap to steal"
     )
     n_batches = max(service.batches_processed, 1)
-    print(f"entry pass: {shared[2][1] * 1e3 / n_batches:.2f}ms per batch; covered")
-    for kind, (recorded, inline) in coverage.items():
+    print(f"entry and level pass: {shared[2][1] * 1e3 / n_batches:.2f}ms per batch; covered")
+    for key, (recorded, inline) in coverage.items():
+        name = key if key == "entries" else f"level {key} frames"
         print(
-            f"  {kind}: {recorded} of {recorded + inline} "
+            f"  {name}: {recorded} of {recorded + inline} "
             f"({recorded / max(recorded + inline, 1):.0%})"
         )
     gen_calls, gen_s = gen
