@@ -282,7 +282,7 @@ def hub_schedule(
     graph is bipartite, so the query has **zero** matches and the whole
     launch is Gen-Candidates work plus failed closing intersections.
     Update edges land on the same few hubs, which makes sibling warp
-    tasks share anchors (the fused batch + hub-slice cache sweet spot).
+    tasks share anchors (the fused sibling batch's sweet spot).
     """
     edges = []
     for i in range(n_hubs):

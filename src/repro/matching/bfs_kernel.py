@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro import xp
 from repro.filtering import CandidateTable, EncodingSchema, EncodingTable
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import LabeledGraph
@@ -26,9 +25,9 @@ from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
 from repro.gpu.stats import BlockStats
 from repro.gpu.warp import WarpContext
 from repro.matching.coalesced import trivial_plan
-from repro.matching.gen_candidates import _gen_candidates
+from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import KernelOutput, Match, PhaseEdges, WBMConfig, _Env
-from repro.matching.level_batch import _fused_level, _level_children
+from repro.matching.level_batch import _entry_candidates, _level_children
 
 
 @dataclass
@@ -209,13 +208,14 @@ class BFSEngine:
 
     def _expand_levels(self, seeds, env, ctx, mem, phase, result) -> set[Match]:
         """Level-batched expansion: each frontier partial carries the
-        candidate array its parent's level pass produced, and a parent's
-        whole child level is generated in one ``_level_children`` call
-        (the WBM level-step primitive) with per-child priced segments.
-        Every Gen-Candidates charge of the scalar oracle is paid exactly
-        once — attributed one level earlier, so per-level splits shift
-        but the phase totals (``comp_cycles``, spills, peak words) are
-        identical.
+        candidate array its parent's level pass produced, and each
+        group's sibling frames generate their whole child level in one
+        ``_level_children`` call (the WBM level-step primitive) with
+        per-child priced segments. A seed's entry is one
+        ``_entry_candidates`` call. Every Gen-Candidates charge of the
+        scalar oracle is paid exactly once — attributed one level
+        earlier, so per-level splits shift but the phase totals
+        (``comp_cycles``, spills, peak words) are identical.
         """
         n = self.query.n_vertices
         params = self.params
@@ -227,12 +227,11 @@ class BFSEngine:
             # pass 1: resolve candidate runs, emit the leaf level
             prepared: list[tuple[object, dict[int, int], int, list]] = []
             for group, assign, rank, cands in frames:
-                order = group.full_order
                 if cands is None:  # seed: entry generation, charged here
-                    cands = _gen_candidates(ctx, env, group, order, assign, level, rank)
-                elif isinstance(cands, np.ndarray):
-                    cands = cands.tolist()
-                qv = order[level]
+                    cands, charge = _entry_candidates(env, group, assign, level, rank)
+                    _charge_gen(ctx, *charge)
+                cands = xp.to_numpy(cands).tolist()
+                qv = group.full_order[level]
                 if level == n - 1:
                     for c in cands:
                         child = dict(assign)
@@ -243,8 +242,7 @@ class BFSEngine:
                     continue
                 prepared.append((group, assign, rank, cands))
             # pass 2: sibling frames of one group share the level's query
-            # vertex, so past the fusion gate they fuse into one
-            # launch-wide generation batch
+            # vertex, so they generate in one launch-wide batch
             gen_out: list = [None] * len(prepared)
             by_group: dict[int, list[int]] = {}
             for i, (group, _, _, _) in enumerate(prepared):
@@ -252,14 +250,9 @@ class BFSEngine:
             for idxs in by_group.values():
                 sibs = [prepared[i] for i in idxs]
                 group = sibs[0][0]
-                # each request's prefix is the frame's own assignment
-                requests = [(lambda _, a=a: a, c, r) for _, a, r, c in sibs]
-                results = _fused_level(env, group, level, requests, ctx.params)
-                if results is None:
-                    results = [
-                        (_level_children(env, group, group.full_order, a, level, c, r, ctx.params), 0)
-                        for _, a, r, c in sibs
-                    ]
+                prefix = group.full_order[:level]
+                requests = [([a[u] for u in prefix], c, r) for _, a, r, c in sibs]
+                results = _level_children(env, group, level, requests, ctx.params)
                 for i, res in zip(idxs, results):
                     gen_out[i] = res
             # pass 3: consume in the original frame order; a level's

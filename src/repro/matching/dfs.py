@@ -35,7 +35,7 @@ from repro.gpu.warp import LevelCursor, WarpContext
 from repro.matching.coalesced import CoalescedGroup
 from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import _Env
-from repro.matching.level_batch import _fused_level, _level_children
+from repro.matching.level_batch import _entry_candidates, _level_children
 
 
 _QUEUE_ITEM_WEIGHT = 4  # steal-estimate weight of one pending work item
@@ -321,9 +321,11 @@ class _DfsLevelCursor(LevelCursor):
     a whole candidate run is processed. A frame adopts its children at
     push as a :class:`~repro.matching.level_batch.LevelRecord` and an
     offset: the host's level pass's wherever it reached the frame (a
-    thief's tail included), else one inline :func:`_level_children`
-    call's. Each child's gen cost replays from the record's priced
-    segments with scalar adds.
+    thief's tail included), else the step coalescer's fused batch or
+    one inline :func:`_level_children` call's; an item entry the pass
+    did not record is one :func:`_entry_candidates` call. Each child's
+    gen cost replays from the record's priced segments with scalar
+    adds.
 
     Every vectorized launch runs this one path, whatever its budget or
     stealing mode. Interactions stay faithful: active thieves only run
@@ -473,15 +475,15 @@ class _DfsLevelCursor(LevelCursor):
         self.steps = 0
         cands = item.get("cands")
         if cands is None:
+            # the host's level pass recorded the entry (and the tree
+            # below it) where it reached the item; else generate it now
             entry = item.get("entry")
             if entry is None:
-                cands = _gen_candidates(ctx, env, group, order, adict, level, rank)
+                cands, charge = _entry_candidates(env, group, adict, level, rank)
                 frame = None
             else:
-                # the host's level pass generated the candidates (and the
-                # tree below them); pay the inline call's charges
                 cands, charge, frame = entry
-                _charge_gen(ctx, *charge)
+            _charge_gen(ctx, *charge)
             self.pending = (0, cands, level, frame)
             self.staged = frame is None and len(cands) > 0 and self.gen_levels[level]
             return True  # the oracle's entry-gen yield
@@ -494,8 +496,9 @@ class _DfsLevelCursor(LevelCursor):
 
     def staged_gen(self):
         """The pending frame's fully-determined child-generation request,
-        as ``(group, level, request)`` with a :func:`_fused_level`
-        request.
+        as ``(group, level, request)``; the request is
+        :func:`_level_children`'s, with the prefix builder
+        :meth:`staged_prefix` in place of the prefix.
 
         Once :attr:`pending` is set, the cursor's next resumption begins
         by pushing exactly that frame: the prefix comes from
@@ -514,14 +517,15 @@ class _DfsLevelCursor(LevelCursor):
         _, cands, lv = self.pending[:3]
         return self.group, lv, (self.staged_prefix, cands, self.rank)
 
-    def staged_prefix(self, lv: int) -> dict[int, int]:
-        """The staged frame's prefix assignment, materialized on demand:
-        the coalescer scans staged requests every level step but only
-        batch members past the fusion gate ever need the dict, so the
-        request carries this builder instead of an eager copy."""
+    def staged_prefix(self, lv: int) -> list[int]:
+        """The staged frame's prefix, the data vertices of
+        ``order[:lv]``, materialized on demand: the coalescer scans
+        staged requests every level step but only the members of a
+        class of two or more ever need it, so the request carries this
+        builder instead of an eager copy."""
         order = self.order
         assign = self.state["assign"]
-        return {order[i]: assign[order[i]] for i in range(lv)}
+        return [assign[order[i]] for i in range(lv)]
 
     def _push_frame(self, ctx: WarpContext, state: dict, lv: int, cands, frame=None) -> None:
         """Push a frame and attach its children's record: ``frame``, the
@@ -542,16 +546,9 @@ class _DfsLevelCursor(LevelCursor):
         if not (len(cands) and self.gen_levels[lv]):
             return
         if frame is None:
-            frame = _level_children(
-                self.env,
-                self.group,
-                self.order,
-                self.staged_prefix(lv),
-                lv,
-                fs.arena.view(fs.start[d], fs.end[d]),
-                self.rank,
-                ctx.params,
-            ), 0
+            run = fs.arena.view(fs.start[d], fs.end[d])
+            request = (self.staged_prefix(lv), run, self.rank)
+            frame = _level_children(self.env, self.group, lv, [request], ctx.params)[0]
         fs.rec[d], fs.base[d] = frame
 
     def _inner(self, ctx: WarpContext) -> bool:
@@ -671,21 +668,21 @@ def _make_step_coalescer(sched: BlockScheduler, env: _Env):
     Installed as the scheduler's level-barrier hook: right before a DFS
     cursor steps, collect the staged candidate-generation requests
     (:meth:`_DfsLevelCursor.staged_gen`) of every sibling cursor
-    targeting the same ``(group, level)`` and run them as ONE
-    :func:`_fused_level` batch, handing each cursor its
-    precomputed children and priced cost segments through
+    targeting the same ``(group, level)`` and run each class of at
+    least two as ONE :func:`_level_children` batch, handing each cursor
+    its precomputed children and priced cost segments through
     ``_prefetch``. Purely host-side: no cycle charge, no shared-memory
     traffic, and each cursor still pays its own per-child segments at
     its own consumption steps — the modeled schedule and every stat are
-    byte-identical to inline generation. Batches below
-    :func:`_fused_level`'s gate fall through to the inline path.
+    byte-identical to inline generation. A lone request generates
+    inline at push.
     """
 
     def coalesce(cursor: LevelCursor) -> None:
         if type(cursor) is not _DfsLevelCursor or not cursor.staged:
             return
         # one scan classifies every staged sibling request by its
-        # (group, level) generation target; every class past the gate
+        # (group, level) generation target; every class of two or more
         # fuses now — staged inputs are stable until each owner's next
         # resumption, so generating early is value- and cost-identical
         classes: dict[tuple[int, int], tuple] = {}
@@ -698,9 +695,10 @@ def _make_step_coalescer(sched: BlockScheduler, env: _Env):
                 cls[2].append(g)
                 cls[3].append(request)
         for group, lv, cursors, requests in classes.values():
-            results = _fused_level(env, group, lv, requests, sched.params)
-            if results is None:
+            if len(requests) < 2:
                 continue
+            batch = [(prefix(lv), cands, rank) for prefix, cands, rank in requests]
+            results = _level_children(env, group, lv, batch, sched.params)
             for g, (rec, base) in zip(cursors, results):
                 g._prefetch = (lv, rec, base)
                 g.staged = False

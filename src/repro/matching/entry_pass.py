@@ -33,8 +33,7 @@ Each level is one call of the level batching's array primitive
 candidate whose frame generates children: a request is one partial
 match, given as its prefix slots and the level's static facts
 (:func:`entry_facts`). Requests that share an anchor, labels and column
-share one first stage, the per-launch hub-slice cache lifted to the
-whole host. Each level stops at the frame whose first-stage runs would
+share one first stage across the whole host. Each level stops at the frame whose first-stage runs would
 pass ``_ENTRY_PASS_MAX`` elements, so a non-selective query never holds
 its whole tree; the frames past it, and everything under them,
 generate inline.

@@ -1,11 +1,12 @@
 """Shared CSR sorted-adjacency intersection kernels.
 
 The paper's Gen-Candidates runs per-lane parallel binary searches of a
-candidate set against a matched vertex's sorted adjacency. Every array
-consumer in this repo — the WBM kernel, the BFS variant, and the flat
-static-match enumerator — narrows candidate arrays the same way, so the
-primitive lives here once: ``searchsorted`` positions, a clamped
-membership compare, and an optional aligned edge-label equality mask.
+candidate set against a matched vertex's sorted adjacency. The flat
+static-match enumerator narrows candidate arrays with these kernels and
+the WBM kernel's array primitive looks its edges up with the same
+``searchsorted`` positions, so they live here once: clamped positions,
+a membership compare, and an optional aligned edge-label equality
+mask.
 """
 
 from __future__ import annotations
@@ -51,17 +52,3 @@ def mask_members(
         if i < n and base[i] == dv:
             mask[i] = False
 
-
-def gather_column(col: xp.ndarray, base: xp.ndarray) -> xp.ndarray:
-    """``col[base]`` for a sorted ``base``, where ``col`` may be shorter
-    than the id space (updates appended vertices after the column was
-    built): out-of-range rows carry no claim."""
-    n_col = len(col)
-    n_base = len(base)
-    # one bounds check: the sorted base's last id
-    if n_base and base[-1] < n_col:
-        return col[base]
-    out = xp.zeros(n_base, dtype=bool)
-    in_range = base < n_col
-    out[in_range] = col[base[in_range]]
-    return out

@@ -5,8 +5,8 @@ produce (:class:`KernelOutput`, :class:`BatchResult`), one sign phase's
 indexed update edges (:class:`PhaseEdges`, shared by every runtime that
 launches the phase), and :class:`_Env`, the read-mostly context every
 warp task of one launch shares: the snapshot, the candidate table and
-its filter columns, the hub-slice cache, the rank rule, the memory
-gauge and the cycle budget.
+its filter columns, the rank rule, the memory gauge and the cycle
+budget.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.gpu.stats import KernelStats
 from repro.gpu.warp import WarpContext
 from repro.matching.coalesced import CoalescedGroup, CoalescedPlan
-from repro.matching.intersect import gather_column, positions_in
 from repro.pma.gpma import GpmaUpdateStats
 
 Match = tuple[int, ...]
@@ -121,10 +120,8 @@ class PhaseEdges:
     lists, the total-order ``rank_map`` (edge rank = its index in the
     phase), and two lazily built indexes:
 
-    * the update-edge partners of each endpoint, sorted by endpoint
-      then partner, so :meth:`rank_partners` is one ``searchsorted``
-      per data vertex, cached for the whole phase (and
-      :meth:`rank_index`, the same rule for many pairs at once);
+    * the rank rule as one sorted key array (:meth:`rank_index`), so
+      the array Gen-Candidates primitive checks many pairs at once;
     * per CSR snapshot, a bucket index: the in-range edges sorted by
       their ``(label_x, label_y, edge_label)`` key, ascending edge
       index within a key — the label partitioning of GSI's PCSR — so
@@ -147,35 +144,12 @@ class PhaseEdges:
         self.rank_map: dict[tuple[int, int], int] = {
             e: i for i, e in enumerate(zip(self.exl, self.eyl))
         }
-        self._partner_index: Optional[tuple] = None
-        self._partners: dict[int, tuple[xp.ndarray, xp.ndarray]] = {}
         self._rank_index: tuple = (-1,)
         self._bucket_csr: Optional[CSRGraph] = None
         self._bucket: tuple = ()
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def rank_partners(self, dv: int) -> tuple[xp.ndarray, xp.ndarray]:
-        """Update-edge partners of data vertex ``dv`` (sorted) with the
-        rank of each touching net-update edge, cached per phase."""
-        entry = self._partners.get(dv)
-        if entry is None:
-            if self._partner_index is None:
-                # built from rank_map, so a repeated edge keeps its last
-                # rank exactly as the dict does
-                keys = xp.asarray(list(self.rank_map), dtype=xp.int64).reshape(-1, 2)
-                r = xp.asarray(list(self.rank_map.values()), dtype=xp.int64)
-                ends = xp.concatenate([keys[:, 0], keys[:, 1]])
-                others = xp.concatenate([keys[:, 1], keys[:, 0]])
-                ranks = xp.concatenate([r, r])
-                order = xp.lexsort((others, ends))
-                self._partner_index = (ends[order], others[order], ranks[order])
-            ends, others, ranks = self._partner_index
-            lo = int(xp.searchsorted(ends, dv))
-            hi = int(xp.searchsorted(ends, dv, side="right"))
-            entry = self._partners[dv] = (others[lo:hi], ranks[lo:hi])
-        return entry
 
     def rank_index(self, n: int) -> tuple[xp.ndarray, xp.ndarray]:
         """The rank rule over an ``n``-vertex snapshot as one sorted
@@ -287,9 +261,6 @@ class _Env:
         #: index)
         self.phase = phase
         self.rank_map = phase.rank_map
-        #: per data-vertex (sorted update partners, their ranks), served
-        #: from the phase's endpoint-sorted index
-        self.rank_partners = phase.rank_partners
         self.config = config
         self.out = out
         #: CSR snapshot of ``graph`` at launch time; shared across all
@@ -301,16 +272,6 @@ class _Env:
         # assignment array are reused across blocks (workers reset them
         # on completion, exactly like the pooled scheduler contexts)
         self._cursor_states: dict[int, dict] = {}
-        # per-launch cache of first-stage narrowed hub slices, keyed by
-        # (anchor data vertex, query vertex, anchor query vertex, filter
-        # column): the label/edge-label/bitmap mask over a hub's sorted
-        # adjacency depends only on that key, so repeated single-call
-        # narrowings (``_narrow``) of the same hub across update edges
-        # and small frames hit memory instead of recomputation.
-        # Injectivity and rank filtering are applied by the caller on
-        # top of the cached slice — both are order-preserving ANDs, so
-        # they commute with the cached narrowing.
-        self._hub_slices: dict[tuple, xp.ndarray] = {}
         self.gauge = _MemoryGauge()
         self.n = query.n_vertices
         #: the candidate stack's bitmap (its columns are read-only
@@ -318,10 +279,9 @@ class _Env:
         self.bitmap = table.stack.bitmap
         self.lo = table.lo
         # phase-A filter columns per (group, query vertex): the union of
-        # candidate-table columns over the vertex's automorphism orbit —
-        # on the fast path the stack's union column for a k>0 group and
-        # the exact column otherwise (for whole-query automorphisms the
-        # table is orbit-invariant, so the union equals the exact column)
+        # candidate-table columns over the vertex's automorphism orbit
+        # (for whole-query automorphisms the table is orbit-invariant, so
+        # the union equals the exact column)
         self._orbit_cols: dict[tuple[int, int], object] = {}
         self._core_maps: dict[int, tuple] = {}
         self.spent_cycles = 0.0  # engine-wide busy cycles this launch
@@ -333,54 +293,18 @@ class _Env:
             self._csr = CSRGraph.from_graph(self.graph)
         return self._csr
 
-    def rank_filter(self, cands: xp.ndarray, dv: int, rank: int) -> xp.ndarray:
-        """Drop candidates whose edge to ``dv`` is a net-update edge of
-        rank below ``rank`` (the total-order duplicate rule)."""
-        partners, ranks = self.rank_partners(dv)
-        if not len(partners):
-            return cands
-        pos, hit = positions_in(partners, cands)
-        blocked = hit & (ranks[pos] < rank)
-        if blocked.any():
-            return cands[~blocked]
-        return cands
-
-    def hub_slice(
-        self, anchor_dv: int, qv: int, anchor_qv: int, col, col_key
-    ) -> xp.ndarray:
-        """Cached first-stage narrowing of ``anchor_dv``'s sorted
-        adjacency for candidates of ``qv``: vertex label, edge label to
-        the anchor, and the candidacy column — every prefix-independent
-        mask. The caller layers injectivity / rank / other-neighbor
-        intersections on top (never mutating the cached array)."""
-        key = (anchor_dv, qv, anchor_qv, col_key)
-        cache = self._hub_slices
-        sl = cache.get(key)
-        if sl is None:
-            csr = self.csr
-            base = csr.neighbor_slice(anchor_dv)
-            query = self.query
-            mask = (csr.vertex_labels[base] == query.vertex_label(qv)) & (
-                csr.edge_label_slice(anchor_dv) == query.edge_label(qv, anchor_qv)
-            )
-            mask &= gather_column(col, base)
-            sl = cache[key] = base[mask]
-        return sl
-
-
-
     def orbit_column(self, group: CoalescedGroup, qv: int):
-        """Boolean candidacy column for phase-A filtering at ``qv``: a
-        stack column on the fast path; the scalar oracle ORs the
-        orbit's exact columns itself."""
+        """Boolean candidacy column for phase-A filtering at ``qv``: the
+        OR of the orbit's exact columns (the oracle's own union; the
+        fast path reads the stack's union column,
+        :func:`filter_index`)."""
         key = (id(group), qv)
         col = self._orbit_cols.get(key)
         if col is None:
-            if self.config.vectorized:
-                col = self.bitmap[:, filter_index(self.table, group, qv)]
-            else:
-                col = or_columns(self.table.bitmap, group.vertex_orbits.get(qv, (qv,)))
-            self._orbit_cols[key] = col
+            orbit = group.vertex_orbits.get(qv, (qv,))
+            col = self._orbit_cols[key] = or_columns(
+                self.bitmap, tuple(self.lo + w for w in orbit)
+            )
         return col
 
     def core_maps(self, group: CoalescedGroup) -> tuple:
@@ -418,14 +342,14 @@ class _Env:
             rows[dv] = row
         return row
 
-    def filter_column(self, group: CoalescedGroup, level: int) -> tuple:
-        """Candidacy column for ``group.full_order[level]`` plus its
-        hashable hub-cache key: the orbit-invariant union inside the
-        core (phase A), the exact column outside it (phase B)."""
+    def filter_column(self, group: CoalescedGroup, level: int):
+        """Candidacy column for ``group.full_order[level]``: the
+        orbit-invariant union inside the core (phase A), the exact
+        column outside it (phase B)."""
         qv = group.full_order[level]
         if level < len(group.core):
-            return self.orbit_column(group, qv), (id(group), qv)
-        return self.bitmap[:, self.lo + qv], qv
+            return self.orbit_column(group, qv)
+        return self.bitmap[:, self.lo + qv]
 
     def passes_filter(self, group: CoalescedGroup, qv: int, dv: int, in_core: bool) -> bool:
         """Candidate check: orbit-invariant union inside the core,

@@ -1,19 +1,15 @@
 """Gen-Candidates for many partial matches at once (paper Algorithm 1,
-§IV-C): the one array primitive (:func:`_narrow_level` over a
-:class:`_Snapshot`) with its closed-form pricing
+§IV-C): the fast path's one array primitive (:func:`_narrow_level` over
+a :class:`_Snapshot`) with its closed-form pricing
 (:func:`_gen_cost_segments`), the record every level generation
-returns (:class:`LevelRecord`), and the DFS-level forms built on the
-primitive — the children of one frame (:func:`_level_children`) and
-of sibling frames fused in one pass (:func:`_fused_level`), both
-through the request builder :func:`_level_children_multi`. The
-host-wide level pass (:mod:`~repro.matching.entry_pass`) narrows every
-DFS level of every hosted query through the same primitive and
-records the same shape. Every child's candidates and priced cost
-segment equal a per-child
-:func:`~repro.matching.gen_candidates._gen_candidates` call. The size
-switch of this module, and ``gen_candidates._SCALAR_GEN_MAX`` (read
-through its module, so one patch reaches both narrowing sites), only
-pick a host strategy.
+returns (:class:`LevelRecord`), and the two inline forms built on the
+primitive: the children of one or more frames of a DFS level
+(:func:`_level_children`) and one partial match's entry generation
+(:func:`_entry_candidates`). The host-wide level pass
+(:mod:`~repro.matching.entry_pass`) narrows every DFS level of every
+hosted query through the same primitive and records the same shape.
+Every candidate list and priced cost segment equals a per-call
+:func:`~repro.matching.gen_candidates._gen_candidates` oracle call.
 """
 
 from __future__ import annotations
@@ -23,17 +19,12 @@ from typing import Optional
 from repro import xp
 from repro.errors import MatchingError
 from repro.graph.csr import CSRGraph, _flat_indices
-from repro.graph.labeled_graph import canonical
 from repro.gpu.params import DeviceParams
 from repro.gpu.trace import SegmentCosts
 from repro.matching.coalesced import CoalescedGroup
-from repro.matching.gen_candidates import _narrow
 from repro.matching.intersect import positions_in
 from repro.matching.launch_env import PhaseEdges, _Env, level_column
 
-#: frames below this candidate count price/generate their level with the
-#: python pass (array-assembly overhead beats the batch win there)
-_LEVEL_BATCH_MIN = 10
 #: degree of a padding slot: above every real degree, so never the anchor
 _NO_ANCHOR = 1 << 62
 
@@ -194,9 +185,9 @@ def _gen_cost_segments(
     ``nb[i]`` neighbors and its ``n_others[i]`` other matched neighbors
     ``others_deg[i]`` in all. The totals are
     :func:`~repro.matching.gen_candidates._charge_gen`'s integer rules
-    (the ones :func:`_level_children_scalar` applies per child) as array
-    arithmetic: the anchor's coalesced read, one lane pass per matched
-    neighbor, the binary-search rounds and the probe transactions."""
+    as array arithmetic: the anchor's coalesced read, one lane pass per
+    matched neighbor, the binary-search rounds and the probe
+    transactions."""
     warp = params.warp_size
     coalesced = -(-xp.maximum(nb, 1) // warp)
     compute = -(-xp.maximum(nb * (1 + n_others), 1) // warp) * params.compute_cycles
@@ -224,9 +215,10 @@ class LevelRecord:
     ``[base, base + k)`` adopts the record by offset — its ``j``-th
     child reads segment ``base + j`` — and so does a thief taking the
     frame's tail. Every level generation returns this shape: the level
-    pass one record per DFS level, an inline frame generation a record
-    over the frame's own candidates (``base`` 0, ``cands`` unset) whose
-    ``kids`` record nothing further. Read-only once built."""
+    pass one record per DFS level, an inline generation
+    (:func:`_level_children`) a record over its frames' candidates
+    (``cands`` unset) whose ``kids`` record nothing further. Read-only
+    once built."""
 
     __slots__ = ("cands", "off", "costs", "covered", "kids")
 
@@ -249,170 +241,73 @@ class LevelRecord:
         return self.kids.cands[self.off[i] : self.off[i + 1]]
 
 
-def _level_target(
-    env: _Env,
-    group: CoalescedGroup,
-    order: tuple[int, ...],
-    lv: int,
-    prefix: dict[int, int],
-) -> tuple[int, int, object, object, list[int]]:
-    """What a level generation below frame ``order[lv]`` targets: the
-    next query vertex, the frame vertex, the filter column with its
-    hub-cache key, and the matched query neighbors (adjacency order)."""
-    qv = order[lv + 1]
-    qv_prev = order[lv]
-    col, col_key = env.filter_column(group, lv + 1)
-    matched = [w for w in env.query.neighbors(qv) if w in prefix or w == qv_prev]
+def _entry_candidates(
+    env: _Env, group: CoalescedGroup, assign: dict[int, int], level: int, rank: int
+) -> tuple:
+    """Gen-Candidates for one partial match as one :func:`_narrow_level`
+    request: the ascending candidates of ``group.full_order[level]``
+    given ``assign`` (query vertex -> data vertex), and the
+    :func:`~repro.matching.gen_candidates._charge_gen` arguments of the
+    call. Item entries the level pass did not record and the BFS
+    variant's seeds generate here."""
+    query = env.query
+    qv = group.full_order[level]
+    slot = {u: i for i, u in enumerate(assign)}
+    matched = [w for w in query.neighbors(qv) if w in slot]
     if not matched:
         raise MatchingError(f"matching order broke connectivity at {qv}")
-    return qv, qv_prev, col, col_key, matched
-
-
-def _level_children_scalar(
-    env: _Env,
-    prefix: dict[int, int],
-    rank: int,
-    params: DeviceParams,
-    qv: int,
-    qv_prev: int,
-    col,
-    matched: list[int],
-    cands: list[int],
-    col_key,
-) -> LevelRecord:
-    """Small-frame form of :func:`_level_children`: per-child cost
-    totals by direct integer arithmetic (the rules of
-    :func:`_gen_cost_segments`) and candidate data from one shared
-    prefix narrowing plus a per-child adjacency filter. A child whose
-    anchor is the frame vertex itself (its own adjacency is the
-    narrowest matched neighborhood) is one :func:`_narrow` call."""
-    query, graph = env.query, env.graph
-    warp = params.warp_size
-    cc = params.compute_cycles
-    gtc = params.global_transaction_cycles
-    n_others = len(matched) - 1
-    mult = 1 + n_others
-    rank_map = env.rank_map
-    fixed_degs = {w: graph.degree(prefix[w]) for w in matched if w != qv_prev}
-    fixed_sum = sum(fixed_degs.values())
-    prev_matched = qv_prev in matched
-    want_elabel = query.edge_label(qv, qv_prev) if prev_matched else None
-    fixed = [(w, prefix[w]) for w in matched if w != qv_prev]
-    child_assign = dict(prefix)
-
-    k = len(cands)
-    clock = [0] * k
-    compute = [0] * k
-    coalesced = [0] * k
-    scattered = [0] * k
-    transactions = [0] * k
-    children: list = [None] * k
-    pre_cache: dict[int, list[int]] = {}
-    for j, c in enumerate(cands):
-        deg_c = graph.degree(c) if prev_matched else 0
-        # anchor = first minimum-degree matched vertex (oracle tie-break)
-        anchor = None
-        nb = -1
-        for w in matched:
-            d = deg_c if w == qv_prev else fixed_degs[w]
-            if nb < 0 or d < nb:
-                nb, anchor = d, w
-        # --- cost (the exact _gen_candidates charges) -----------------
-        tx = -(-max(nb, 1) // warp)  # coalesced adjacency read
-        coalesced[j] = tx
-        comp_cy = (-(-max(nb * mult, 1) // warp)) * cc
-        compute[j] = comp_cy
-        if n_others:
-            deg_sum = fixed_sum + deg_c - nb
-            steps = max(1, (deg_sum // n_others).bit_length())
-            scat = max((-(-nb // warp)) * steps * n_others, 1) + max(1, nb // warp)
-        else:
-            scat = max(1, nb // warp)
-        scattered[j] = scat
-        transactions[j] = tx + scat
-        clock[j] = comp_cy + (tx + scat) * gtc
-        # --- data -----------------------------------------------------
-        if anchor == qv_prev:
-            child_assign[qv_prev] = c
-            children[j] = _narrow(env, child_assign, rank, qv, qv_prev, fixed, col, col_key)
-            continue
-        pre = pre_cache.get(anchor)
-        if pre is None:
-            pre = _narrow(
-                env, prefix, rank, qv, anchor,
-                [(w, dv) for w, dv in fixed if w != anchor],
-                col, col_key,
-            )
-            if not isinstance(pre, list):
-                pre = xp.to_numpy(pre).tolist()
-            pre_cache[anchor] = pre
-        if not pre:
-            children[j] = pre
-        elif prev_matched:
-            adj_c = graph.neighbor_dict(c)
-            res = []
-            for x in pre:
-                if adj_c.get(x) != want_elabel:
-                    continue
-                if rank_map:
-                    r = rank_map.get(canonical(x, c))
-                    if r is not None and r < rank:
-                        continue
-                res.append(x)
-            children[j] = res
-        else:
-            # the child's value only matters for injectivity here
-            children[j] = [x for x in pre if x != c] if c in pre else pre
-    costs = SegmentCosts.from_totals(
-        clock, list(clock), compute, transactions, coalesced, scattered
+    _, cands, _, charge = _narrow_level(
+        _Snapshot(env.csr, env.bitmap, env.phase),
+        xp.asarray([list(assign.values())], dtype=xp.int64),
+        xp.asarray([[slot[w] for w in matched]], dtype=xp.int64),
+        xp.asarray([[query.edge_label(qv, w) for w in matched]], dtype=xp.int64),
+        xp.asarray([query.vertex_label(qv)], dtype=xp.int64),
+        xp.asarray([level_column(env.table, group, level)], dtype=xp.int64),
+        xp.asarray([rank], dtype=xp.int64),
     )
-    off = [0] * (k + 1)
-    flat: list[int] = []
-    for j, child in enumerate(children):
-        flat += child if isinstance(child, list) else xp.to_numpy(child).tolist()
-        off[j + 1] = len(flat)
-    return LevelRecord(None, off, costs, k, LevelRecord(flat))
+    return cands, tuple(int(c[0]) for c in charge)
 
 
-def _level_children_multi(
+def _level_children(
     env: _Env,
     group: CoalescedGroup,
-    order: tuple[int, ...],
     lv: int,
-    requests: list[tuple[dict[int, int], xp.ndarray, int]],
+    requests: list[tuple],
     params: DeviceParams,
 ) -> list[tuple[LevelRecord, int]]:
-    """Array Gen-Candidates for one DFS level, over one or more requests.
+    """Gen-Candidates for the children of one or more frames at DFS
+    level ``lv`` of ``group``, in ONE :func:`_narrow_level` pass.
 
-    A large frame's own generation (:func:`_level_children`, one
-    request), pending frames of sibling warp cursors coalesced at a
-    level step, and sibling frontier partials of the BFS variant all
-    build their children's requests here and narrow them in ONE
-    :func:`_narrow_level` pass. Each request is ``(prefix, candidate
-    array, rank)``; all share the next query vertex, the filter column
-    and the matched-neighbor set. Each child is one primitive request:
-    its frame's prefix repeated, with the child in the last slot. All
-    requests share one :class:`LevelRecord`, each adopting it at its
-    first child's offset. Children values and per-segment costs equal
-    per-child :func:`_gen_candidates` calls — batching changes
-    host-side granularity, never a modeled number.
+    A frame's own generation (one request), the sibling frames the step
+    coalescer fuses, and a group's sibling frontier partials in the BFS
+    variant all build their requests here. A request is ``(prefix,
+    cands, rank)``: the data vertices of ``order[:lv]``, the frame's
+    candidates for ``order[lv]`` and its rank. Each child is one
+    primitive request, its frame's prefix with the child in slot
+    ``lv``. The frames share one :class:`LevelRecord`, each adopting it
+    at its first child's offset (returned per request as ``(record,
+    offset)``). Children and priced segments equal per-child oracle
+    Gen-Candidates calls: batching changes host-side granularity, never
+    a modeled number.
     """
     query = env.query
-    # every request's prefix assigns exactly order[0..lv-1] and the
-    # child fills slot lv, so the matched slots are request-invariant
-    qv, _, _, _, matched = _level_target(env, group, order, lv, requests[0][0])
+    order = group.full_order
+    qv = order[lv + 1]
+    # every prefix assigns exactly order[:lv] and the child fills slot
+    # lv, so the matched slots are request-invariant
     slot = {u: i for i, u in enumerate(order[: lv + 1])}
+    matched = [w for w in query.neighbors(qv) if w in slot]
+    if not matched:
+        raise MatchingError(f"matching order broke connectivity at {qv}")
     sizes = [len(c) for _, c, _ in requests]
     counts = xp.asarray(sizes, dtype=xp.int64)
     prefix = xp.empty((sum(sizes), lv + 1), dtype=xp.int64)
     prefix[:, :lv] = xp.repeat(
-        xp.asarray(
-            [[p[u] for u in order[:lv]] for p, _, _ in requests], dtype=xp.int64
-        ).reshape(-1, lv),
+        xp.asarray([p for p, _, _ in requests], dtype=xp.int64).reshape(-1, lv),
         counts,
         axis=0,
     )
-    prefix[:, lv] = xp.concatenate([c for _, c, _ in requests])
+    prefix[:, lv] = xp.concatenate([xp.asarray(c, dtype=xp.int64) for _, c, _ in requests])
     shape = (len(prefix), len(matched))
     _, vals, kid_counts, charge = _narrow_level(
         _Snapshot(env.csr, env.bitmap, env.phase),
@@ -435,68 +330,3 @@ def _level_children_multi(
     for r in range(1, len(sizes)):
         bases[r] = bases[r - 1] + sizes[r - 1]
     return [(record, base) for base in bases]
-
-
-def _level_children(
-    env: _Env,
-    group: CoalescedGroup,
-    order: tuple[int, ...],
-    prefix: dict[int, int],
-    lv: int,
-    cands: xp.ndarray,
-    rank: int,
-    params: DeviceParams,
-) -> LevelRecord:
-    """Batched Gen-Candidates for one whole DFS level.
-
-    The frame at ``order[lv]`` holds unexplored candidates ``cands``;
-    each child assigns one candidate on top of the fixed ``prefix``
-    (``order[0..lv-1]``) and needs its own candidate list for
-    ``order[lv + 1]``.
-
-    Returns a :class:`LevelRecord` over ``cands`` (adopted at offset 0):
-    each child's candidate run plus one priced segment per child — the
-    recorded per-level cost trace the level-stepped cursor replays with
-    scalar adds, the shape the level pass records. Amounts mirror
-    :func:`_gen_candidates` exactly, so the priced segments equal the
-    oracle's per-call charges byte for byte.
-
-    Two host strategies produce the identical result: small frames
-    (the common case on selective serving queries) run a python pass
-    over per-vertex snapshot rows (:func:`_level_children_scalar`), in
-    which all children share the prefix narrowing whenever the
-    cost-model anchor is a *prefix* vertex — the fixed cost of
-    assembling arrays dwarfs a handful of children — while larger
-    frames are a single-request :func:`_level_children_multi` batch.
-    """
-    if len(cands) >= _LEVEL_BATCH_MIN:
-        return _level_children_multi(
-            env, group, order, lv,
-            [(prefix, xp.asarray(cands, dtype=xp.int64), rank)], params,
-        )[0][0]
-    qv, qv_prev, col, col_key, matched = _level_target(env, group, order, lv, prefix)
-    return _level_children_scalar(
-        env, prefix, rank, params, qv, qv_prev, col, matched,
-        xp.to_numpy(cands).tolist(), col_key,
-    )
-
-
-def _fused_level(
-    env: _Env,
-    group: CoalescedGroup,
-    lv: int,
-    requests: list[tuple],
-    params: DeviceParams,
-) -> Optional[list[tuple[LevelRecord, int]]]:
-    """Sibling frames' children at level ``lv`` of ``group`` as one
-    :func:`_level_children_multi` batch (a record and each frame's
-    offset into it), or ``None`` below the fusion
-    gate — fewer than two requests, or fewer than ``_LEVEL_BATCH_MIN``
-    candidates in all — where the fusion overhead would dominate and
-    each frame generates its own (:func:`_level_children`). A request
-    is ``(prefix, cands, rank)``; ``prefix(lv)`` builds the frame's
-    prefix assignment and runs only past the gate."""
-    if len(requests) < 2 or sum(len(r[1]) for r in requests) < _LEVEL_BATCH_MIN:
-        return None
-    batch = [(prefix(lv), xp.asarray(c, dtype=xp.int64), rank) for prefix, c, rank in requests]
-    return _level_children_multi(env, group, group.full_order, lv, batch, params)

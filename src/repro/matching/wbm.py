@@ -24,9 +24,10 @@ above it:
 * :mod:`~repro.matching.launch_env` — config, results,
   :class:`PhaseEdges` and the per-launch ``_Env``;
 * :mod:`~repro.matching.gen_candidates` — Gen-Candidates for one
-  partial match: the scalar oracle, its charges and ``_narrow``;
-* :mod:`~repro.matching.level_batch` — Gen-Candidates for a whole DFS
-  level: a frame's children and fused sibling frames;
+  partial match: the scalar oracle and its charges;
+* :mod:`~repro.matching.level_batch` — the fast path's one array
+  Gen-Candidates primitive and its inline forms: frames' children
+  (one frame or fused siblings) and single entries;
 * :mod:`~repro.matching.entry_pass` — the host-wide level pass: every
   DFS level of every hosted query in one array pass per level;
 * :mod:`~repro.matching.dfs` — the DFS workers, their shared-memory

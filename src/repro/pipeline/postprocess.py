@@ -13,7 +13,6 @@ two generic sinks used by the examples and the pipeline model:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import MatchingError
@@ -21,42 +20,54 @@ from repro.matching.launch_env import BatchResult, Match
 
 
 class MatchCollector:
-    """Accumulates signed incremental matches into a live match view."""
+    """Accumulates signed incremental matches into a live match view.
+
+    A match's net count is +1 (born since the initial state and alive),
+    0 or -1 (an initial-state match since destroyed); the collector
+    keeps the two nonzero classes as sets, so a batch costs set
+    operations over its own matches, whatever the history."""
 
     def __init__(self) -> None:
-        self._net: Counter = Counter()
+        self._live: set[Match] = set()
+        self._dead: set[Match] = set()
         self.total_positives = 0
         self.total_negatives = 0
         self.batches = 0
 
     def consume(self, result: BatchResult) -> None:
-        for m in result.positives:
-            self._net[m] += 1
-        for m in result.negatives:
-            self._net[m] -= 1
+        pos, neg = set(result.positives), set(result.negatives)
+        # a match reported both ways in one batch nets to no change
+        both = pos & neg
+        pos -= both
+        neg -= both
+        # anything leaving {-1, 0, 1} means an engine reported the same
+        # birth or death twice
+        for twice, count in ((pos & self._live, 2), (neg & self._dead, -2)):
+            if twice:
+                raise MatchingError(
+                    f"inconsistent incremental stream: match {next(iter(twice))} "
+                    f"has net count {count}"
+                )
+        reborn = pos & self._dead
+        killed = neg & self._live
+        self._dead -= reborn
+        self._live -= killed
+        self._live |= pos - reborn
+        self._dead |= neg - killed
         self.total_positives += len(result.positives)
         self.total_negatives += len(result.negatives)
         self.batches += 1
-        # a match may be born (+1), unchanged (0), or — when it existed
-        # in the initial graph — die (−1); anything else means an engine
-        # reported the same birth/death twice
-        bad = [m for m, c in self._net.items() if c not in (-1, 0, 1)]
-        if bad:
-            raise MatchingError(
-                f"inconsistent incremental stream: match {bad[0]} has net count "
-                f"{self._net[bad[0]]}"
-            )
 
     def live_matches(self) -> set[Match]:
         """Matches born since the initial state and still alive."""
-        return {m for m, c in self._net.items() if c == 1}
+        return set(self._live)
 
     def dead_matches(self) -> set[Match]:
         """Initial-state matches that have since been destroyed."""
-        return {m for m, c in self._net.items() if c == -1}
+        return set(self._dead)
 
     def net_change(self) -> int:
-        return sum(self._net.values())
+        return len(self._live) - len(self._dead)
 
 
 @dataclass

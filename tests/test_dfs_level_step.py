@@ -18,8 +18,8 @@ cursor must be **invisible in everything modeled**:
   the same matches so far, inside a leaf run, after a recorded entry
   charge, and in lone- and multi-worker blocks, under every stealing
   mode;
-* identical results on both sides of every host-side size switch of
-  the level-generation path;
+* identical results with the level pass bounded to nothing, so that
+  every generation runs inline;
 * identical frozen history: the fixed-seed serving workloads recorded
   in ``tests/data/baseline_kernel_*.json`` replay byte-identically on
   both execution arms.
@@ -42,7 +42,10 @@ from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.labeled_graph import LabeledGraph, canonical
 from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import DeviceParams, Int64Arena, VirtualGPU
+from repro.gpu.memory import GlobalMemory, SharedMemory
 from repro.gpu.scheduler import BlockScheduler
+from repro.gpu.stats import BlockStats
+from repro.gpu.warp import WarpContext
 from repro.matching import WBMConfig, dfs, entry_pass, gen_candidates, level_batch
 from repro.matching.coalesced import trivial_plan
 from repro.matching.dfs import _FrameStack, _steal_from
@@ -75,6 +78,11 @@ ARMS = {
 
 def stats_dict(kernel_stats):
     return dataclasses.asdict(kernel_stats)
+
+
+def fresh_ctx() -> WarpContext:
+    """A warp context with nothing charged yet."""
+    return WarpContext(0, PARAMS, SharedMemory(PARAMS), GlobalMemory(PARAMS), BlockStats(n_warps=1))
 
 
 def random_graph(seed, n=36, n_labels=2):
@@ -440,12 +448,10 @@ class TestLevelStepLockstep:
 # ---------------------------------------------------------------------------
 def hub_heavy_workload(n_inserts=12, leaf_labels=1):
     """5 hubs × 120 leaves, each leaf wired to 3 of the 5 hubs (hub
-    degree 72, above the vectorized-gen gate): C4 matching anchors its
-    level-3 prefix runs on hub pairs, so sibling warp tasks stage
-    shared-anchor frames and the per-launch hub-slice cache sees both
-    miss and hit paths. Leaf ``j`` has label ``j % leaf_labels``: with
-    two labels a hub's first-stage slice keeps ~36 of its 72 leaves,
-    short enough for the python tail."""
+    degree 72): C4 matching anchors its level-3 prefix runs on hub
+    pairs, so sibling warp tasks stage shared-anchor frames. Leaf ``j``
+    has label ``j % leaf_labels``: with two labels a hub's first stage
+    keeps ~36 of its 72 leaves."""
     n_hubs, n_leaves = 5, 120
     g = LabeledGraph([0] * n_hubs + [j % leaf_labels for j in range(n_leaves)])
     missing = []
@@ -464,10 +470,9 @@ def hub_heavy_workload(n_inserts=12, leaf_labels=1):
 class TestFusedGenLockstep:
     """Launch-wide fused Gen-Candidates vs the scalar oracle.
 
-    The fused machinery (sibling frames batched at the level barrier,
-    hub slices cached per launch) must be invisible in matches and in
-    every modeled number across stealing modes, shared-anchor-heavy
-    schedules, and both cache paths.
+    The fused machinery (sibling frames batched at the level barrier)
+    must be invisible in matches and in every modeled number across
+    stealing modes and shared-anchor-heavy schedules.
     """
 
     @pytest.mark.parametrize("stealing", ["active", "passive", "off"])
@@ -483,9 +488,8 @@ class TestFusedGenLockstep:
 
     @pytest.mark.parametrize("stealing", ["active", "off"])
     def test_hub_heavy_shared_anchor_lockstep(self, stealing):
-        """Shared-anchor-heavy schedule: hub-cache hits and fused
-        sibling batches on, still byte-identical to the full scalar
-        oracle."""
+        """Shared-anchor-heavy schedule: fused sibling batches on, still
+        byte-identical to the full scalar oracle."""
         g0, q, batches = hub_heavy_workload()
         fused = run_stream(g0, q, batches, stealing=stealing)
         oracle = run_stream(g0, q, batches, stealing=stealing, vectorized=False)
@@ -494,8 +498,8 @@ class TestFusedGenLockstep:
     def test_bench_hub_schedule_lockstep(self):
         """The benchmark's hub-heavy schedule (bipartite hub graph,
         5-cycle query → zero matches, pure Gen-Candidates work) at
-        test scale: the fused self-anchor batch pass and the hub-slice
-        cache both fire, still byte-identical to the scalar oracle."""
+        test scale: fused sibling batches fire, still byte-identical to
+        the scalar oracle."""
         from repro.bench.workloads import hub_schedule
 
         g0, batch, q = hub_schedule(n_leaves=60, n_inserts=10)
@@ -527,37 +531,26 @@ class TestFusedGenLockstep:
         steals = sum(b["steals"] for b in fused[0][2]["blocks"])
         assert steals > 0, "schedule must actually exercise stealing"
 
-    def test_coalescer_and_hub_cache_fire(self, monkeypatch):
+    def test_coalescer_fires(self, monkeypatch):
         """The machinery is actually on the hot path: the hub-heavy
-        schedules produce fused batches of sibling requests, hub-slice
-        cache misses AND hits."""
-        calls = {"fused": 0, "hub_calls": 0, "hub_hits": 0}
-        orig_multi = level_batch._level_children_multi
-        orig_hub = _Env.hub_slice
+        schedules produce fused batches of sibling requests."""
+        fused = []
+        real = dfs._level_children
 
-        def counting_multi(env, group, order, lv, requests, params):
-            # a single request is one large frame's own generation;
-            # only a batch of sibling requests is a fusion
-            calls["fused"] += len(requests) >= 2
-            return orig_multi(env, group, order, lv, requests, params)
+        def counting(env, group, lv, requests, params):
+            # a single request is one frame's own generation; only a
+            # batch of sibling requests is a fusion
+            fused.append(len(requests) >= 2)
+            return real(env, group, lv, requests, params)
 
-        def counting_hub(env, anchor_dv, qv, anchor_qv, col, col_key):
-            calls["hub_calls"] += 1
-            if (anchor_dv, qv, anchor_qv, col_key) in env._hub_slices:
-                calls["hub_hits"] += 1
-            return orig_hub(env, anchor_dv, qv, anchor_qv, col, col_key)
-
-        monkeypatch.setattr(level_batch, "_level_children_multi", counting_multi)
-        monkeypatch.setattr(_Env, "hub_slice", counting_hub)
+        monkeypatch.setattr(dfs, "_level_children", counting)
         g0, q, batches = hub_heavy_workload()
         run_stream(g0, q, batches)
         # the host's level pass records the 4-vertex query's every
         # level; the tailed C4's level-3 frames pass its bound, so the
         # ones past it generate inline, and siblings fuse
         run_stream(g0, C4_TAIL_Q, batches)
-        assert calls["fused"] > 0, "sibling frames must fuse"
-        assert calls["hub_hits"] > 0, "cache must serve repeat anchors"
-        assert calls["hub_calls"] > calls["hub_hits"], "first touch misses"
+        assert any(fused), "sibling frames must fuse"
 
 
 # ---------------------------------------------------------------------------
@@ -566,29 +559,14 @@ class TestFusedGenLockstep:
 #: (size-switch constant, forced value) -> (functions that must run,
 #: functions that must not run) on the vectorized path
 SIZE_SWITCHES = {
-    ("_LEVEL_BATCH_MIN", 0): (
-        ("_level_children_multi", "_narrow_level"),
-        ("_level_children_scalar",),
-    ),
-    ("_LEVEL_BATCH_MIN", 10**9): (("_level_children_scalar",), ("_level_children_multi",)),
-    ("_SCALAR_GEN_MAX", -1): (
-        ("hub_slice", "_narrow_run_arrays"),
-        ("_narrow_small_run",),
-    ),
-    ("_SCALAR_GEN_MAX", 10**9): (
-        ("_narrow", "_narrow_small_run"),
-        ("hub_slice", "_narrow_run_arrays"),
-    ),
-    ("_ENTRY_PASS_MAX", 0): (("_gen_candidates", "_level_children"), ()),
+    ("_ENTRY_PASS_MAX", 0): (("_entry_candidates", "_level_children", "_narrow_level"), ()),
 }
-#: host-strategy functions the switch tests count calls of: every call
-#: site reads them from the globals of one of ``GEN_MODULES``
-#: (``hub_slice`` from ``_Env``), so patching every binding there
-#: reaches them all
+#: Gen-Candidates functions the switch tests count calls of: every call
+#: site reads them from the globals of one of ``GEN_MODULES``, so
+#: patching every binding there reaches them all
 COUNTED = (
-    "_level_children_multi", "_level_children_scalar", "_narrow", "_narrow_level",
-    "hub_slice", "_narrow_small_run", "_narrow_run_arrays", "_candidates_scalar",
-    "_gen_candidates", "_level_children",
+    "_narrow_level", "_candidates_scalar", "_gen_candidates", "_entry_candidates",
+    "_level_children",
 )
 #: the modules that define or import the Gen-Candidates helpers and
 #: the size switches
@@ -649,22 +627,17 @@ def counted_run(monkeypatch, g0, q, batches, stealing, setting=None):
         if setting is not None:
             m.setattr(switch_owner(setting[0]), *setting)
         for fn_name in COUNTED:
-            if fn_name == "hub_slice":
-                m.setattr(_Env, fn_name, counted(fn_name, _Env.hub_slice))
-            else:
-                original = getattr(switch_owner(fn_name), fn_name)
-                patch_everywhere(m, fn_name, counted(fn_name, original))
+            original = getattr(switch_owner(fn_name), fn_name)
+            patch_everywhere(m, fn_name, counted(fn_name, original))
         run = run_stream(g0, q, batches, stealing=stealing)
     return run, calls
 
 
 class TestSizeSwitches:
-    """``_LEVEL_BATCH_MIN`` (frame size: python pass vs the array
-    primitive), ``_SCALAR_GEN_MAX`` (run length: python pass over
-    snapshot rows vs array kernels and the hub-slice cache) and
-    ``_ENTRY_PASS_MAX`` (the entry pass's element bound) only pick a
-    host strategy. Forcing each to either extreme must leave every
-    match and modeled number equal to the scalar oracle."""
+    """``_ENTRY_PASS_MAX`` (the level pass's element bound) only picks
+    a host strategy. Forcing it to zero, so that every generation runs
+    inline through the array primitive, must leave every match and
+    modeled number equal to the scalar oracle."""
 
     @pytest.mark.parametrize("stealing", ["active", "off"])
     @pytest.mark.parametrize(
@@ -687,23 +660,9 @@ class TestSizeSwitches:
             assert calls[fn_name] > 0, f"{name}={value} must force {fn_name}"
         for fn_name in must_not_run:
             assert calls[fn_name] == 0, f"{name}={value} bypasses {fn_name}"
-        # the dict walk is the oracle only: the fast path never calls it
-        assert calls["_candidates_scalar"] == 0
-
-    @pytest.mark.parametrize("stealing", ["active", "off"])
-    def test_default_bar_narrows_hub_slices_in_python(
-        self, stealing, switch_oracles, monkeypatch
-    ):
-        """At the default bar the hub workloads' first-stage hub slices
-        are short, so the cached slice and the python tail both run."""
-        calls = dict.fromkeys(COUNTED, 0)
-        for workload, g0, q, batches in switch_workloads():
-            if workload.startswith("hub"):
-                fast, counts = counted_run(monkeypatch, g0, q, batches, stealing)
-                assert fast == switch_oracles[workload, stealing]
-                for fn_name, n in counts.items():
-                    calls[fn_name] += n
-        assert calls["hub_slice"] > 0 and calls["_narrow_small_run"] > 0
+        # the scalar Gen-Candidates is the oracle only: the fast path
+        # never calls it
+        assert calls["_gen_candidates"] == calls["_candidates_scalar"] == 0
 
 
 #: labelled query the narrowing property draws target vertices from
@@ -713,16 +672,13 @@ NARROW_Q = LabeledGraph.from_edges(
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    gen_max=st.sampled_from([-1, 0, 3, 64]),
-)
-def test_narrow_equals_scalar_oracle(seed, gen_max):
-    """``_narrow`` and the array primitive ``_narrow_level`` (one
-    request and several) return the dict walk's candidates, in order,
-    on random labelled graphs (a hub included, so runs fall on both
-    sides of ``_SCALAR_GEN_MAX``), partial assignments, short candidacy
-    columns and rank maps; the primitive's charge is the oracle's."""
+@given(seed=st.integers(0, 2**31 - 1))
+def test_narrow_equals_scalar_oracle(seed):
+    """The array primitive ``_narrow_level`` (one request and several)
+    returns the dict walk's candidates, in order, on random labelled
+    graphs (a hub included), partial assignments, short candidacy
+    columns and rank maps; its charge is the oracle's, and so are the
+    single entry call's candidates and charge."""
     gen = gen_candidates
     rng = random.Random(seed)
     n = rng.randint(6, 90)
@@ -759,16 +715,27 @@ def test_narrow_equals_scalar_oracle(seed, gen_max):
         NARROW_Q, g, CandidateTable(NARROW_Q, g), trivial_plan(NARROW_Q),
         phase, WBMConfig(), KernelOutput(),
     )
-    want = gen._candidates_scalar(env, assign, qv, anchor, others, col, rank)
-    fixed = [(w, assign[w]) for w in others]
 
     def as_list(got):
         return got if isinstance(got, list) else xp.to_numpy(got).tolist()
 
-    with mock.patch.object(gen, "_SCALAR_GEN_MAX", gen_max):
-        for _ in range(2):  # the second call reads the hub-slice cache
-            got = gen._narrow(env, assign, rank, qv, anchor, fixed, col, "col")
-            assert as_list(got) == want
+    # the entry call against the oracle, with ``col`` as ``qv``'s exact
+    # column (a trivial plan's every column); the assignment may hold
+    # more of ``qv``'s neighbors than ``matched``
+    group = trivial_plan(NARROW_Q).groups[0]
+    level = group.full_order.index(qv)
+    bitmap = xp.zeros((len(col), NARROW_Q.n_vertices), dtype=bool)
+    bitmap[:, qv] = col
+    env.bitmap = bitmap
+    got, charge = level_batch._entry_candidates(env, group, assign, level, rank)
+    ctx = fresh_ctx()
+    want = gen._gen_candidates(ctx, env, group, group.full_order, assign, level, rank)
+    assert as_list(got) == want
+    replay = fresh_ctx()
+    gen._charge_gen(replay, *charge)
+    assert (replay.clock, replay.busy_cycles, replay.stats) == (
+        ctx.clock, ctx.busy_cycles, ctx.stats,
+    )
     # the array primitive: children of the frame vertex ``anchor`` on
     # top of the prefix, one request each, alone and batched, over the
     # same (possibly short) column as the stack's only column
@@ -836,10 +803,10 @@ def serve_level_queries(g0, batches, stealing, vectorized):
 
 
 def level_grid(seed):
-    """A random labelled graph with three hubs (degree past
-    ``_SCALAR_GEN_MAX``) and two batches: random inserts and deletes
-    plus a near-clique inserted in one phase, so update edges of one
-    phase meet in the same matches and the rank rule blocks some. The
+    """A random labelled graph with three hubs (degree past 64) and two
+    batches: random inserts and deletes plus a near-clique inserted in
+    one phase, so update edges of one phase meet in the same matches
+    and the rank rule blocks some. The
     hubs carry labels 1, 2 and 0, so most vertices see every label and
     ``k``'s orbit-union columns stay inside the coalescing gate."""
     rng = random.Random(seed)
@@ -868,24 +835,24 @@ def level_grid(seed):
 
 
 def test_level_primitive_property():
-    """Every level generation through the array primitive
-    (``_LEVEL_BATCH_MIN = 0``: no frame takes the python pass) with the
-    step coalescer fusing sibling classes serves exactly as the
+    """Every inline level generation through the array primitive, with
+    the step coalescer fusing sibling classes, serves exactly as the
     ``vectorized=False`` oracle: matches and ``KernelStats``. With the
-    entry pass off (a zero bound) the level batching also generates
-    every entry frame. The grids cover k>0 groups, levels whose frame
-    vertex is not matched to the target, hub anchors and rank-blocked
-    candidates."""
+    entry pass off (a zero bound) the inline entry call and the level
+    generation also produce every entry and entry frame. The grids cover
+    k>0 groups, levels whose frame vertex is not matched to the target,
+    hub anchors and rank-blocked candidates."""
     seen = dict.fromkeys(("fused", "k>0", "unmatched frame", "hub anchor", "rank blocked"), 0)
-    real_multi = level_batch._level_children_multi
+    real_children = dfs._level_children
     real_narrow = level_batch._narrow_level
     real_blocked = level_batch._Snapshot.rank_blocked
 
-    def multi(env, group, order, lv, requests, params):
+    def children(env, group, lv, requests, params):
+        order = group.full_order
         seen["fused"] += len(requests) > 1
         seen["k>0"] += group.k > 0
         seen["unmatched frame"] += order[lv] not in env.query.neighbors(order[lv + 1])
-        return real_multi(env, group, order, lv, requests, params)
+        return real_children(env, group, lv, requests, params)
 
     inside = []  # non-empty while the level batching narrows
 
@@ -895,7 +862,8 @@ def test_level_primitive_property():
             out = real_narrow(snap, *args, **kwargs)
         finally:
             inside.pop()
-        seen["hub anchor"] += bool((out[3][0] > gen_candidates._SCALAR_GEN_MAX).any())
+        # an anchor of more than 64 neighbors
+        seen["hub anchor"] += bool((out[3][0] > 64).any())
         return out
 
     def blocked(snap, *args):
@@ -912,9 +880,7 @@ def test_level_primitive_property():
     def prop(seed, stealing, entry_max):
         g0, batches = level_grid(seed)
         with mock.patch.object(entry_pass, "_ENTRY_PASS_MAX", entry_max), mock.patch.object(
-            level_batch, "_LEVEL_BATCH_MIN", 0
-        ), mock.patch.object(
-            level_batch, "_level_children_multi", multi
+            dfs, "_level_children", children
         ), mock.patch.object(level_batch, "_narrow_level", narrow), mock.patch.object(
             level_batch._Snapshot, "rank_blocked", blocked
         ):
@@ -923,17 +889,6 @@ def test_level_primitive_property():
 
     prop()
     assert all(seen.values()), seen
-
-
-def test_gather_column_short_column():
-    """Rows past a short column carry no claim: one bounds check on the
-    sorted base's last id picks the direct gather or the masked one."""
-    from repro.matching.intersect import gather_column
-
-    col = xp.asarray([True, False, True])
-    for base in ([1, 2, 5], [0, 2], [3, 4], []):
-        got = gather_column(col, xp.asarray(base, dtype=xp.int64))
-        assert xp.to_numpy(got).tolist() == [b < 3 and b != 1 for b in base]
 
 
 # ---------------------------------------------------------------------------

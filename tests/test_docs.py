@@ -49,7 +49,7 @@ def test_deleted_name_is_caught(tmp_path):
     private, camel, fenced = "_No" + "SuchHelper", "Gone" + "Engine", "_fenced" + "_only"
     md = tmp_path / "doc.md"
     md.write_text(
-        f"Uses `QueryRuntime` and `_narrow`, not `{private}` or `{camel}.run`."
+        f"Uses `QueryRuntime` and `_narrow_level`, not `{private}` or `{camel}.run`."
         f"\n\n```python\n{fenced} = 1\n```\n"
     )
     errors = check_docs.check_identifiers(md)

@@ -1,17 +1,17 @@
-"""The host-wide level pass against inline per-item generation.
+"""The host-wide level pass against the scalar Gen-Candidates oracle.
 
 ``matching.entry_pass`` records, for every fast-path work item of a
-phase, the candidates of ``order[2]`` and the charges of the inline
-``_gen_candidates`` call, then level by level the children of every
-frame that generates them, with their priced ``SegmentCosts``, as one
-``LevelRecord`` per DFS level. Each recorded frame must equal what the
-level-stepped cursor would generate inline for it, at every level —
-across hub anchors, rank-rule collisions, orbit-union columns of
-``k>0`` groups, vertices past the candidate stack, mid-stream
-registration and unregistration, and random grids. Every vectorized
-launch takes the records, budgeted and passive-stealing ones included,
-and serves exactly as the oracle does; the frames past the bound
-generate inline and serve the same.
+phase, the candidates of ``order[2]`` and the charges of their
+generation, then level by level the children of every frame that
+generates them, with their priced ``SegmentCosts``, as one
+``LevelRecord`` per DFS level. Each recorded candidate list and charge
+must equal one ``_gen_candidates`` oracle call (the dict walk, priced
+on a fresh warp context), at every level — across hub anchors,
+rank-rule collisions, orbit-union columns of ``k>0`` groups, vertices
+past the candidate stack, mid-stream registration and unregistration,
+and random grids. Every vectorized launch takes the records, budgeted
+and passive-stealing ones included, and serves exactly as the oracle
+does; the frames past the bound generate inline and serve the same.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.matching import dfs
 from repro.matching import entry_pass as ep
 from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import KernelOutput, PhaseEdges, _Env
-from repro.matching.level_batch import _gen_cost_segments, _level_children
+from repro.matching.level_batch import _gen_cost_segments
 from repro.matching.wbm import QueryRuntime, working_items
 from repro.service import DynamicGraphStore, MatchingService
 from repro.service.matching_service import InProcessHost
@@ -51,8 +51,6 @@ K_Q = LabeledGraph.from_edges([0, 0, 0, 1, 2], [(0, 1), (0, 2), (1, 2), (0, 3), 
 #: a 6-path: every level up to 4 generates children
 PATH6_Q = LabeledGraph.from_edges([0] * 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
 POOL = (C4_Q, C4_TAIL_Q, CHORD_Q, TRI_Q, PATH_Q, K_Q, PATH6_Q)
-#: the priced fields of one cost segment
-COST_FIELDS = ("clock", "busy", "compute", "transactions", "coalesced", "scattered")
 
 
 def fresh_ctx(params: DeviceParams) -> WarpContext:
@@ -63,9 +61,9 @@ def as_list(cands) -> list[int]:
     return cands if isinstance(cands, list) else xp.to_numpy(cands).tolist()
 
 
-def segments(costs, base: int, k: int) -> list[tuple]:
-    """Segments ``[base, base + k)`` of ``costs``, field by field."""
-    return [tuple(getattr(costs, f)[base + j] for f in COST_FIELDS) for j in range(k)]
+def charged(ctx: WarpContext) -> tuple:
+    """What the charges on ``ctx`` add up to."""
+    return ctx.clock, ctx.busy_cycles, ctx.stats
 
 
 def gens(group, lv: int, n: int) -> bool:
@@ -73,26 +71,29 @@ def gens(group, lv: int, n: int) -> bool:
     return lv + 1 < n and (lv + 1 != len(group.core) or group.is_singleton)
 
 
-def launch_env(runtime, phase, csr, bitmap=None) -> _Env:
+def oracle_env(runtime, phase, csr, bitmap=None) -> _Env:
+    """The scalar oracle's launch env over ``bitmap`` (the stack's by
+    default)."""
     env = _Env(
         runtime.query, runtime.store.graph, runtime.table, runtime.plan, phase,
-        runtime.config, KernelOutput(), csr=csr,
+        dataclasses.replace(runtime.config, vectorized=False), KernelOutput(), csr=csr,
     )
     if bitmap is not None:
         env.bitmap = bitmap
     return env
 
 
-def inline_tree(env, params, group, prefix: list[int], lv: int, cands: list[int], rank: int):
-    """The children lists and cost segments of a frame at level ``lv``
-    (``prefix`` the values of ``order[:lv]``), as the cursor generates
-    them inline."""
-    record = _level_children(
-        env, group, group.full_order, dict(zip(group.full_order, prefix)), lv,
-        xp.asarray(cands, dtype=xp.int64), rank, params,
-    )
-    k = len(cands)
-    return [as_list(record.children(j)) for j in range(k)], segments(record.costs, 0, k)
+def oracle_tree(env, params, group, prefix: list[int], lv: int, cands: list[int], rank: int):
+    """The children lists of a frame at level ``lv`` (``prefix`` the
+    values of ``order[:lv]``), one oracle ``_gen_candidates`` call per
+    child, with the context each call charged from fresh."""
+    order = group.full_order
+    kids, ctxs = [], []
+    for c in cands:
+        ctxs.append(fresh_ctx(params))
+        assign = dict(zip(order, prefix + [c]))
+        kids.append(_gen_candidates(ctxs[-1], env, group, order, assign, lv + 1, rank))
+    return kids, ctxs
 
 
 class Tally:
@@ -114,14 +115,16 @@ def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally) -> No
         tally.inline[lv] = tally.inline.get(lv, 0) + 1
         return
     rec, base = frame
-    k = len(cands)
-    kids, costs = inline_tree(env, params, group, prefix, lv, cands, rank)
-    assert [as_list(rec.children(base + j)) for j in range(k)] == kids
-    assert segments(rec.costs, base, k) == costs
+    kids, ctxs = oracle_tree(env, params, group, prefix, lv, cands, rank)
+    assert [as_list(rec.children(base + j)) for j in range(len(cands))] == kids
+    for j, want in enumerate(ctxs):
+        got = fresh_ctx(params)
+        rec.costs.apply(got, base + j)
+        assert charged(got) == charged(want)
     tally.frames[lv] = tally.frames.get(lv, 0) + 1
-    # an anchor of more than 64 neighbors reads 3+ transactions
-    tally.hub_kids += max(c[4] for c in costs) >= 3
-    tally.rank_sensitive += inline_tree(env, params, group, prefix, lv, cands, 0)[0] != kids
+    # an anchor of more than 64 neighbors reads 3+ coalesced transactions
+    tally.hub_kids += max(ctx.stats.coalesced_transactions for ctx in ctxs) >= 3
+    tally.rank_sensitive += oracle_tree(env, params, group, prefix, lv, cands, 0)[0] != kids
     for j, c in enumerate(cands):
         a, b = rec.off[base + j], rec.off[base + j + 1]
         below = (rec.kids, a) if b <= rec.kids.covered else None
@@ -129,10 +132,10 @@ def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally) -> No
 
 
 def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> None:
-    """Every recorded item equals its inline generation at every level,
-    and every item the pass should cover carries a record."""
+    """Every recorded item equals the oracle at every level, and every
+    item the pass should cover carries a record."""
     n = runtime.query.n_vertices
-    env = launch_env(runtime, phase, csr, bitmap)
+    env = oracle_env(runtime, phase, csr, bitmap)
     for items in per_edge.values():
         for item in items:
             group = item["group"]
@@ -148,9 +151,7 @@ def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> Non
             assert as_list(got) == cands
             replay = fresh_ctx(runtime.params)
             _charge_gen(replay, *charge)
-            assert (replay.clock, replay.busy_cycles, replay.stats) == (
-                ctx.clock, ctx.busy_cycles, ctx.stats,
-            )
+            assert charged(replay) == charged(ctx)
             tally.entries += 1
             tally.union_entries += group.k > 0 and 2 < len(group.core)
             free = _gen_candidates(fresh_ctx(runtime.params), env, group, group.full_order, item["assign"], 2, 0)
@@ -450,15 +451,15 @@ class TestFallback:
                 recorded[key] = recorded.get(key, 0) + n
             return entries, frames
 
-        def counting_children(env, group, order, prefix, lv, *rest):
-            inline[lv] = inline.get(lv, 0) + 1
-            return real_children(env, group, order, prefix, lv, *rest)
+        def counting_children(env, group, lv, requests, params):
+            inline[lv] = inline.get(lv, 0) + len(requests)
+            return real_children(env, group, lv, requests, params)
 
         monkeypatch.setattr("repro.matching.wbm.entry_pass", counting)
         monkeypatch.setattr(dfs, "_level_children", counting_children)
         gen_calls = []
-        real_gen = dfs._gen_candidates
-        monkeypatch.setattr(dfs, "_gen_candidates", lambda *a: gen_calls.append(a) or real_gen(*a))
+        real_gen = dfs._entry_candidates
+        monkeypatch.setattr(dfs, "_entry_candidates", lambda *a: gen_calls.append(a) or real_gen(*a))
         fast = self._serve(g, batches, WBMConfig(work_stealing="off"))
         assert recorded["entries"] and not gen_calls  # every entry recorded
         assert recorded[2] and 2 not in inline  # every entry frame too

@@ -225,6 +225,19 @@ class TestMatchCollector:
         with pytest.raises(MatchingError):
             c.consume(BatchResult(positives={(0, 1)}))  # duplicate birth
 
+    def test_history_stays_bounded(self):
+        """Matches born and killed again leave no entry behind, so a
+        batch never rescans them; a double birth still raises."""
+        c = MatchCollector()
+        c.consume(BatchResult(positives={(9, 9)}))
+        for i in range(500):
+            c.consume(BatchResult(positives={(i, i + 1), (i, i + 2)}))
+            c.consume(BatchResult(negatives={(i, i + 1), (i, i + 2)}))
+            assert len(c._live) + len(c._dead) == 1
+        assert c.live_matches() == {(9, 9)} and c.net_change() == 1
+        with pytest.raises(MatchingError):
+            c.consume(BatchResult(positives={(9, 9)}))
+
     def test_counters(self):
         c = MatchCollector()
         c.consume(BatchResult(positives={(0, 1), (1, 2)}, negatives={(3, 4)}))

@@ -448,14 +448,6 @@ class TestBucketItems:
         assert bucket == scalar
         assert all(i < len(edges) - 5 for i in bucket)
 
-    def test_rank_partners_sorted_per_endpoint(self):
-        phase = PhaseEdges([(4, 1, 0), (1, 9, 0), (7, 1, 0), (3, 2, 0)])
-        partners, ranks = phase.rank_partners(1)
-        assert xp.to_numpy(partners).tolist() == [4, 7, 9]
-        assert xp.to_numpy(ranks).tolist() == [0, 2, 1]
-        assert phase.rank_partners(1)[0] is partners  # cached per phase
-        assert len(phase.rank_partners(5)[0]) == 0
-
 
 # ---------------------------------------------------------------------------
 # one PhaseEdges per non-empty phase, whatever the query count

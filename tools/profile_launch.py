@@ -20,17 +20,20 @@ the devices' ``level_steps``), µs per active-stealing idle-handler
 call (the handler's own wall ÷ its calls), the share of scheduled
 blocks whose idle probes were priced in closed form (lone-worker
 blocks, and how many of them handed pollers back to the heap to
-steal) and µs per Gen-Candidates call (``_gen_candidates`` plus
-``_level_children`` wall ÷ their calls), so per-step overhead shows
+steal) and µs per inline Gen-Candidates call (``_entry_candidates``
+plus ``_level_children`` wall ÷ their calls), with the frames generated
+inline by candidate count (1, 2–9, ≥10), so per-step overhead shows
 without cProfile. Per batch it prints the wall of the host's three
 shared passes — the candidate-stack refresh, the working-items pass
 and the entry and level pass over both sign phases — and the number of
 query groups the working-items pass resolves against the number of
-distinct label keys among them; the requests the array
-Gen-Candidates primitive (``level_batch._narrow_level``) narrowed per
-caller — the entry pass (level 2), the level pass (every deeper level,
-``entry_pass._record_level``), a large frame, a fused sibling class —
-against the inline ``_narrow`` calls; and the level pass's wall with,
+distinct label keys among them; the calls (and requests) of the array
+Gen-Candidates primitive (``level_batch._narrow_level``) per caller —
+the entry pass (level 2), the level pass (every deeper level,
+``entry_pass._record_level``), an inline item entry
+(``_entry_candidates``), an inline frame and a fused sibling class
+(``_level_children`` over one frame or several); and the level pass's
+wall with,
 for item entries and each DFS level (2 … n−2), the generations the
 pass recorded against those generated inline (frames past the pass's
 bound and boundary-permuted items). It also prints whether serving
@@ -83,9 +86,8 @@ from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.matching import WBMConfig, find_matches  # noqa: E402
 from repro.matching.entry_pass import _record_level, entry_pass  # noqa: E402
-from repro.matching.gen_candidates import _gen_candidates, _narrow  # noqa: E402
 from repro.matching.level_batch import (  # noqa: E402
-    _fused_level,
+    _entry_candidates,
     _level_children,
     _narrow_level,
 )
@@ -216,33 +218,37 @@ def shared_pass_report(service, tallies, seen: list) -> None:
     )
 
 
-#: callers of the batched narrowing ``_narrow_level``, then the inline
-#: single-call narrowing, as ``narrowing_report`` prints them
-NARROWERS = ("entry pass", "level pass", "large frame", "fused class", "inline _narrow")
+#: callers of the array primitive ``_narrow_level``, as
+#: ``narrowing_report`` prints them
+NARROWERS = ("entry pass", "level pass", "inline entry", "inline frame", "fused class")
+#: the candidate-count buckets of frames generated inline
+FRAME_SIZES = ("1", "2-9", ">=10")
 
 
 @contextmanager
 def gen_coverage():
     """Count and time Gen-Candidates while installed. Yields ``(tally,
-    coverage, narrowed, level_pass)``: ``tally`` is ``[calls, seconds]``
-    of the inline ``_gen_candidates`` and ``_level_children`` calls;
-    ``coverage`` maps ``"entries"`` (item entry generations) and each
-    DFS level (a frame's children generation there) to ``[recorded,
-    inline]``: those the host's level pass recorded, and those
-    generated inline — entries by ``_gen_candidates``, frames by
-    ``_level_children`` or a fused ``_fused_level`` batch;
-    ``narrowed`` counts, per ``NARROWERS`` entry, the requests the
-    array primitive ``_narrow_level`` narrowed for that caller (the
-    entry pass's level 2, the level pass's deeper levels
-    ``_record_level``, a large frame's ``_level_children``, a fused
-    sibling class) and the inline ``_narrow`` calls; ``level_pass`` is
-    ``[calls, seconds]`` of ``_record_level``."""
+    coverage, narrowed, level_pass, sizes)``: ``tally`` is ``[calls,
+    seconds]`` of the inline ``_entry_candidates`` and
+    ``_level_children`` calls; ``coverage`` maps ``"entries"`` (item
+    entry generations) and each DFS level (a frame's children
+    generation there) to ``[recorded, inline]``: those the host's level
+    pass recorded, and those generated inline — entries by
+    ``_entry_candidates``, frames by ``_level_children``;
+    ``narrowed`` maps each ``NARROWERS`` caller to ``[calls,
+    requests]`` of the array primitive ``_narrow_level`` (the entry
+    pass's level 2, the level pass's deeper levels ``_record_level``,
+    an inline entry, a ``_level_children`` call over one frame or over
+    a fused sibling class); ``level_pass`` is ``[calls, seconds]`` of
+    ``_record_level``; ``sizes`` counts the frames generated inline per
+    ``FRAME_SIZES`` bucket."""
     tally = [0, 0.0]
     level_pass = [0, 0.0]
     coverage: dict = {"entries": [0, 0]}
-    narrowed = dict.fromkeys(NARROWERS, 0)
+    narrowed = {name: [0, 0] for name in NARROWERS}
+    sizes = dict.fromkeys(FRAME_SIZES, 0)
     caller: list[str] = []  # the innermost caller of the primitive
-    timed_gen = _timed(_gen_candidates, tally)
+    timed_entry = _timed(_entry_candidates, tally)
     timed_children = _timed(_level_children, tally)
     timed_level = _timed(_record_level, level_pass)
 
@@ -265,55 +271,51 @@ def gen_coverage():
             count(lv, recorded=n)
         return n_entries, frames
 
-    def counting_gen(*args):
+    def counting_entry(*args):
         count("entries", inline=1)
-        return timed_gen(*args)
+        return calling("inline entry", timed_entry, *args)
 
-    def counting_children(env, group, order, prefix, lv, *rest):
-        count(lv, inline=1)
-        return calling("large frame", timed_children, env, group, order, prefix, lv, *rest)
-
-    def counting_fused(env, group, lv, requests, params):
-        out = calling("fused class", _fused_level, env, group, lv, requests, params)
-        if out is not None:
-            count(lv, inline=len(out))
-        return out
+    def counting_children(env, group, lv, requests, params):
+        count(lv, inline=len(requests))
+        for _, cands, _ in requests:
+            sizes[FRAME_SIZES[(len(cands) > 1) + (len(cands) >= 10)]] += 1
+        name = "fused class" if len(requests) > 1 else "inline frame"
+        return calling(name, timed_children, env, group, lv, requests, params)
 
     def counting_level(*args):
         return calling("level pass", timed_level, *args)
 
     def counting_narrow_level(*args, **kwargs):
         out = _narrow_level(*args, **kwargs)
-        narrowed[caller[-1]] += len(out[2])
+        tally_of = narrowed[caller[-1]]
+        tally_of[0] += 1
+        tally_of[1] += len(out[2])
         return out
-
-    def counting_narrow(*args):
-        narrowed["inline _narrow"] += 1
-        return _narrow(*args)
 
     with ExitStack() as stack:
         for fn, wrapper in (
             (entry_pass, counting_pass),
             (_record_level, counting_level),
-            (_gen_candidates, counting_gen),
+            (_entry_candidates, counting_entry),
             (_level_children, counting_children),
-            (_fused_level, counting_fused),
             (_narrow_level, counting_narrow_level),
-            (_narrow, counting_narrow),
         ):
             stack.enter_context(patched(fn, wrapper))
-        yield tally, coverage, narrowed, level_pass
+        yield tally, coverage, narrowed, level_pass, sizes
 
 
 def narrowing_report(service, narrowed, seen: dict) -> None:
-    """Print one batch's narrowed requests per ``NARROWERS`` entry (the
-    counts' growth since the previous batch)."""
-    grown = {name: narrowed[name] - seen.get(name, 0) for name in NARROWERS}
-    seen.update(narrowed)
-    batched = ", ".join(f"{grown[name]} {name}" for name in NARROWERS[:-1])
+    """Print one batch's primitive calls and requests per ``NARROWERS``
+    caller (the counts' growth since the previous batch)."""
+    grown = {
+        name: [now - before for now, before in zip(narrowed[name], seen.get(name, (0, 0)))]
+        for name in NARROWERS
+    }
+    seen.update({name: list(counts) for name, counts in narrowed.items()})
+    calls = ", ".join(f"{grown[name][0]} {name} ({grown[name][1]})" for name in NARROWERS)
     print(
-        f"  batch {service.batches_processed - 1}: the array primitive narrowed "
-        f"{batched} requests; {grown['inline _narrow']} inline _narrow calls"
+        f"  batch {service.batches_processed - 1}: array primitive calls "
+        f"(requests): {calls}"
     )
 
 
@@ -351,7 +353,7 @@ def step_costs(g0, batches, queries) -> None:
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
-        gen_coverage() as (gen, coverage, narrowed, level_pass),
+        gen_coverage() as (gen, coverage, narrowed, level_pass, sizes),
         timed_methods(
             (CandidateStack, "refresh_rows"),
             (InProcessHost, "_phase_items"),
@@ -399,9 +401,11 @@ def step_costs(g0, batches, queries) -> None:
         )
     gen_calls, gen_s = gen
     print(
-        f"host per Gen-Candidates call: {gen_s * 1e6 / max(gen_calls, 1):.2f}us "
-        f"(_gen_candidates + _level_children {gen_s * 1e3:.1f}ms / {gen_calls} calls)"
+        f"host per inline Gen-Candidates call: {gen_s * 1e6 / max(gen_calls, 1):.2f}us "
+        f"(_entry_candidates + _level_children {gen_s * 1e3:.1f}ms / {gen_calls} calls)"
     )
+    by_size = ", ".join(f"{sizes[bucket]} of {bucket}" for bucket in FRAME_SIZES)
+    print(f"frames generated inline by candidate count: {by_size}")
     print(f"store mirror materialized: {service.store.graph.is_materialized}")
 
 
