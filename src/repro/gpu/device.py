@@ -99,7 +99,10 @@ class VirtualGPU:
         self.blocks_run = 0  # blocks actually scheduled (memoized replays excluded)
         self.blocks_pooled = 0  # blocks served by reset() instead of __init__
         self.blocks_memoized = 0  # all-trace blocks replayed from the cache
-        self.level_steps = 0  # DFS level-cursor resumptions across launches
+        #: DFS level steps across launches: the oracle's count, i.e.
+        #: every level-cursor resumption plus each one a cursor ran
+        #: ahead through (see :meth:`BlockScheduler.horizon`)
+        self.level_steps = 0
         #: scheduled blocks whose idle warps an IdleModel priced in
         #: closed form, and how many of those handed them back to the heap
         self.blocks_idle_priced = 0

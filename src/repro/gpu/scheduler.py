@@ -44,6 +44,13 @@ installs an :class:`IdleModel`, which :meth:`BlockScheduler.run`
 consults wherever those warps would next have been popped. The model
 either prices that action in closed form or hands the warps back to
 the heap, at the clocks and with the stats they would have reached.
+
+A warp's state is read by a sibling only at an idle-handler scan or an
+idle-model action, so a level cursor may perform several resumptions
+in one step when each of them starts strictly before the block's
+observer horizon (:meth:`BlockScheduler.horizon`): no scan, and no
+model action, can come between them. ``level_steps`` counts those
+resumptions too, i.e. the oracle's level steps.
 """
 
 from __future__ import annotations
@@ -83,6 +90,10 @@ class IdleModel:
     done once ``key`` is ``None``: every held warp is back on the heap
     or settled for good (final clock, busy cycles and block counters
     written).
+
+    An action may read any warp's state (the held warps stand for
+    scans), so ``key`` bounds every warp's observer horizon
+    (:meth:`BlockScheduler.horizon`): no cursor runs ahead to it.
     """
 
     held: frozenset = frozenset()
@@ -104,6 +115,11 @@ class BlockScheduler:
     shared memory, and mailbox structures without reconstruction (the
     per-block ``BlockStats`` is always fresh — it escapes into the
     launch result).
+
+    ``level_steps`` counts the oracle's DFS level steps: one per
+    level-cursor resumption, plus the resumptions a cursor performed
+    ahead of the :meth:`horizon` in the same step (the cursor adds
+    them).
     """
 
     def __init__(
@@ -164,7 +180,9 @@ class BlockScheduler:
         #: (pollers / thieves) rather than a queued task — kernels use
         #: this to prove an idle-spin pricing window is interaction-free
         self.idle_sourced: set[int] = set()
-        self.level_steps = 0  # DFS level-cursor resumptions (set by run)
+        #: DFS level steps (set by run): the level-cursor resumptions
+        #: plus those a cursor ran ahead through in one step
+        self.level_steps = 0
         #: optional level-barrier hook, set by the kernel's block hook:
         #: called with a level cursor right before it steps so sibling
         #: cursors staging the same candidate generation can be
@@ -193,6 +211,42 @@ class BlockScheduler:
             raise GpuError(f"warp {warp_id} is not parked; cannot push work")
         self._mailboxes.setdefault(warp_id, []).append((gen, donor_clock))
         self._mailbox_pending = True
+
+    def horizon(self, w: int) -> float:
+        """The observer horizon of warp ``w`` (valid mid-run): a lower
+        bound on the clock of the first scheduler turn at which another
+        warp could read ``w``'s state — an idle-handler scan or an idle
+        model action. ``w`` may run resumptions that start strictly
+        before it without yielding in between: every turn the scheduler
+        would have interleaved there belongs to a warp that does not
+        look.
+
+        It is the minimum of the idle model's key and, per non-parked
+        sibling, its clock plus its task's :meth:`LevelCursor.lookahead`
+        (0 for any other task: a probe trace or a poller scans at the
+        end of its next resumption, an un-started worker is counted at
+        its clock). A sibling's scan happens when its task completes,
+        so one that is still running cannot scan before its last
+        resumption starts. With no idle handler and no idle model no
+        warp ever looks: ``inf``. Passive stealing's mailbox deliveries
+        are not bounded here; its launches do not run ahead.
+        """
+        inf = float("inf")
+        model = self.idle_model
+        if self.idle_handler is None and model is None:
+            return inf
+        h = inf if model is None or model.key is None else model.key[0]
+        parked = self._parked
+        contexts = self.contexts
+        for s, task in self.generators.items():
+            if s == w or s in parked:
+                continue
+            clock = contexts[s].clock
+            if clock < h and isinstance(task, LevelCursor):
+                clock += task.lookahead()
+            if clock < h:
+                h = clock
+        return h
 
     # ------------------------------------------------------------------
     # task spawning (generator vs priced-trace form)
@@ -224,8 +278,9 @@ class BlockScheduler:
         # exposed for idle-handler batch-pricing queries (valid mid-run)
         self.pending_tasks = pending
         self.generators = generators
-        #: host-side introspection: level-cursor resumptions this run
-        #: (DFS level steps; trace segments are counted separately)
+        #: host-side introspection: DFS level steps this run — one per
+        #: level-cursor resumption, plus the extra ones a cursor ran
+        #: ahead through (trace segments are counted separately)
         self.level_steps = 0
 
         model = self.idle_model

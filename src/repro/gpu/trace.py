@@ -210,6 +210,18 @@ class SegmentCosts:
         stats.coalesced_transactions += self.coalesced[s]
         stats.scattered_transactions += self.scattered[s]
 
+    def apply_run(self, ctx: WarpContext, lo: int, hi: int) -> None:
+        """Advance ``ctx`` by segments ``[lo, hi)`` in one step: the
+        sums of :meth:`apply`'s per-segment adds (integer cycles, so
+        equal to applying them one by one)."""
+        ctx.clock += sum(self.clock[lo:hi])
+        ctx.busy_cycles += sum(self.busy[lo:hi])
+        stats = ctx.stats
+        stats.compute_cycles += sum(self.compute[lo:hi])
+        stats.global_transactions += sum(self.transactions[lo:hi])
+        stats.coalesced_transactions += sum(self.coalesced[lo:hi])
+        stats.scattered_transactions += sum(self.scattered[lo:hi])
+
 
 class TraceCursor(LevelCursor):
     """Replay state of one trace task on one warp (fast path only)."""

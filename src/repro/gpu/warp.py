@@ -49,7 +49,12 @@ class LevelCursor:
     candidate-generation boundary). A cursor must perform exactly the
     charges and shared-memory mutations its generator-oracle
     counterpart performs per resumption — the byte-identical
-    ``BlockStats`` contract extends to it unchanged.
+    ``BlockStats`` contract extends to it unchanged. A step may perform
+    several of those resumptions back to back only where no sibling
+    can look in between: each one must start strictly before the
+    block's observer horizon
+    (:meth:`~repro.gpu.scheduler.BlockScheduler.horizon`), and the
+    cursor adds the extra ones to the scheduler's ``level_steps``.
     """
 
     __slots__ = ()
@@ -57,6 +62,14 @@ class LevelCursor:
     def step(self, ctx: "WarpContext") -> bool:
         """Advance by one resumption; return True when the task is done."""
         raise NotImplementedError
+
+    def lookahead(self) -> int:
+        """A lower bound on the cycles between the warp's clock and the
+        start of the task's last resumption (the one whose completion
+        runs the idle handler): 0 unless the cursor knows better.
+        :meth:`~repro.gpu.scheduler.BlockScheduler.horizon` adds it to
+        the warp's clock."""
+        return 0
 
 
 class WarpContext:

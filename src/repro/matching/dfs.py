@@ -7,7 +7,8 @@ which is what lets sibling warps steal from it. The worker exists in
 two host-side forms behind the repo's flag-with-oracle convention.
 ``config.vectorized`` (default) runs each warp's DFS as a
 **level-stepped cursor** (:class:`_DfsLevelCursor`): per-step
-bookkeeping lives in Python scalars (:class:`_FrameStack`), candidate
+bookkeeping lives in Python scalars
+(:class:`~repro.matching.level_batch._FrameStack`), candidate
 runs live in an :class:`~repro.gpu.memory.Int64Arena`, the scheduler
 drives one resumable step per DFS level, and a frame adopts its
 children from the host's level pass by offset — or, where the pass did
@@ -29,13 +30,12 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro import xp
-from repro.gpu.memory import Int64Arena
 from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.warp import LevelCursor, WarpContext
 from repro.matching.coalesced import CoalescedGroup
 from repro.matching.gen_candidates import _charge_gen, _gen_candidates
 from repro.matching.launch_env import _Env
-from repro.matching.level_batch import _entry_candidates, _level_children
+from repro.matching.level_batch import _entry_candidates, _FrameStack, _level_children
 
 
 _QUEUE_ITEM_WEIGHT = 4  # steal-estimate weight of one pending work item
@@ -211,101 +211,6 @@ def _dfs(ctx: WarpContext, env: _Env, state: dict, item: dict) -> Generator[None
     # leftover assignment of the entry level is cleared by frame pop
 
 
-
-class _FrameStack:
-    """DFS frame stack of one warp, bookkept in Python scalars.
-
-    The generator oracle keeps frames as a list of
-    ``{"level", "cands", "p"}`` dicts; here each frame is one slot of
-    four plain int lists — ``level[i]``, the frame's candidate run
-    bounds ``start[i]``/``end[i]`` inside a shared :class:`Int64Arena`,
-    and the absolute candidate cursor ``p[i]`` — plus, per frame that
-    generates children, the :class:`~repro.matching.level_batch.LevelRecord`
-    holding them and the frame's offset into it: ``rec[i]`` and
-    ``base[i]``, so candidate ``j``'s children and priced segment sit at
-    ``base[i] + j``. Every DFS level's record comes from the host's
-    level pass where it reached the frame, from an inline level
-    generation otherwise. A level step reads and writes only these
-    ints; the arena holds the candidate runs, the one thing processed
-    as a whole array. An active thief splits a frame by copying the
-    tail ``[mid, end)`` with its record offset and lowering ``end[i]``
-    — the stack form of the oracle's in-place ``del fr["cands"][mid:]``
-    truncation (the victim never reads past the cut).
-    """
-
-    __slots__ = ("level", "start", "end", "p", "arena", "depth", "rec", "base")
-
-    def __init__(self, n_levels: int) -> None:
-        cap = max(int(n_levels), 1)
-        self.level = [0] * cap
-        self.start = [0] * cap
-        self.end = [0] * cap
-        self.p = [0] * cap
-        self.arena = Int64Arena()
-        self.depth = 0
-        self.rec: list = [None] * cap
-        self.base = [0] * cap
-
-    def push(self, lv: int, cands) -> int:
-        d = self.depth
-        start, end = self.arena.push(cands)
-        self.level[d] = lv
-        self.start[d] = start
-        self.end[d] = end
-        self.p[d] = start
-        self.rec[d] = None
-        self.depth = d + 1
-        return d
-
-    def pop(self) -> int:
-        """Drop the top frame; returns its (possibly thief-truncated)
-        candidate count — the words the memory gauge frees."""
-        d = self.depth - 1
-        start = self.start[d]
-        self.rec[d] = None
-        self.arena.truncate(start)
-        self.depth = d
-        return self.end[d] - start
-
-    def remaining(self) -> int:
-        """Unexplored candidates across all frames (steal estimate)."""
-        d = self.depth
-        return sum(self.end[:d]) - sum(self.p[:d])
-
-    def clear(self) -> None:
-        for i in range(self.depth):
-            self.rec[i] = None
-        self.depth = 0
-        self.arena.truncate(0)
-
-    def splittable(self) -> bool:
-        """Whether :meth:`steal_shallowest` would find a frame to split."""
-        return any(self.end[i] - self.p[i] >= 2 for i in range(self.depth))
-
-    def steal_shallowest(self, order, assign: list[int]) -> Optional[dict]:
-        """Split the shallowest frame with >= 2 unexplored candidates;
-        returns the oracle's frame-steal loot plus the tail's record
-        handle ``(record, offset)`` (``None`` when the frame generates
-        no children), so the thief adopts instead of regenerating."""
-        for i in range(self.depth):
-            p, end = self.p[i], self.end[i]
-            remaining = end - p
-            if remaining >= 2:
-                mid = p + remaining // 2
-                stolen = self.arena.view(mid, end).copy()
-                self.end[i] = mid  # in-place: the victim sees the cut
-                lv = self.level[i]
-                rec = self.rec[i]
-                return {
-                    "frame_steal": True,
-                    "level": lv,
-                    "cands": stolen,
-                    "assign": {order[j]: assign[order[j]] for j in range(lv)},
-                    "rec": None if rec is None else (rec, self.base[i] + mid - self.start[i]),
-                }
-        return None
-
-
 class _DfsLevelCursor(LevelCursor):
     """Level-stepped DFS worker (one warp's main loop).
 
@@ -335,6 +240,14 @@ class _DfsLevelCursor(LevelCursor):
     leaves, so passive stealing emits leaf by leaf, and under a cycle
     budget a run batches only when the budget cannot trip inside it
     (see :meth:`_Env.check_budget`).
+
+    A generation that comes out empty lets the cursor run ahead
+    (:meth:`_run_ahead`): the oracle's next resumptions, each taking
+    the frame's next candidate and charging its generation, run in the
+    same step while each starts strictly before the block's observer
+    horizon (:meth:`BlockScheduler.horizon`, bounded for siblings by
+    :meth:`lookahead`). Passive donations and budget checks inside the
+    DFS loop turn it off, as they turn off leaf runs.
     """
 
     __slots__ = (
@@ -568,6 +481,7 @@ class _DfsLevelCursor(LevelCursor):
         n = self.env.n
         budget = self.budget
         batch_leaves = not self.passive
+        sched = self.env.sched
         while fs.depth:
             if budget is not None:
                 self.env.check_budget(ctx)
@@ -646,12 +560,56 @@ class _DfsLevelCursor(LevelCursor):
             st.coalesced_transactions += costs.coalesced[j]
             st.scattered_transactions += costs.scattered[j]
             a, b = rec.off[j], rec.off[j + 1]
+            if a == b and sched is not None and p + 1 < end:
+                k = self._run_ahead(ctx, sched, rec, j, end - p - 1)
+                if k:
+                    p += k
+                    j += k
+                    fs_p[d] = p + 1
+                    assign[qv] = int(buf[p])
+                    a, b = rec.off[j], rec.off[j + 1]
             kids = rec.kids
             recorded = b <= kids.covered
             self.pending = (1, kids.cands[a:b], nxt, (kids, a) if recorded else None, qv)
             self.staged = b > a and not recorded and self.gen_levels[nxt]
             return True
         return False
+
+    def _run_ahead(
+        self, ctx: WarpContext, sched: BlockScheduler, rec, j: int, room: int
+    ) -> int:
+        """Run the top frame ahead after candidate ``j``'s generation
+        came out empty: perform the resumptions that would consume its
+        next candidates (at most ``room``), through the first one with
+        children, for as long as each starts strictly before the
+        block's observer horizon. Returns how many it performed.
+
+        Each is what the oracle resumes for a childless candidate —
+        clear the slot, take the next candidate, charge its generation
+        — and touches no gauge, no emit and no shared word; only the
+        frame's cursor and the assignment move, and only a sibling's
+        idle-handler scan or the idle model reads those. Before the
+        horizon nothing does, so the block's schedule, every charge and
+        everything a sibling sees are the oracle's; the charges are one
+        slice of the record's segments, and ``level_steps`` still
+        counts each resumption."""
+        span = sched.horizon(ctx.warp_id) - ctx.clock
+        if span <= 0:
+            return 0
+        k = rec.childless_run(j, span, j + room)
+        rec.costs.apply_run(ctx, j + 1, j + k + 1)
+        sched.level_steps += k
+        return k
+
+    def lookahead(self) -> int:
+        """The recorded Gen-Candidates cycles of every unconsumed
+        candidate on the frame stack: each is charged at the end of a
+        resumption that yields, so before the last one starts (pending
+        attaches, queued items and frames without a record count 0).
+        Only a thief could take some away, by a scan, and the horizon
+        this bounds comes before every scan."""
+        state = self.state
+        return 0 if state is None else state["frames"].clock_ahead()
 
 
 def _spawn_worker(ctx: WarpContext, env: _Env, items: list[dict]):

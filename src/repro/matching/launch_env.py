@@ -285,6 +285,10 @@ class _Env:
         self._orbit_cols: dict[tuple[int, int], object] = {}
         self._core_maps: dict[int, tuple] = {}
         self.spent_cycles = 0.0  # engine-wide busy cycles this launch
+        #: the running block's scheduler when its DFS cursors may run
+        #: ahead up to its observer horizon (set per block by the
+        #: launch's block hook; ``None`` disables run-ahead)
+        self.sched = None
 
     @property
     def csr(self) -> CSRGraph:

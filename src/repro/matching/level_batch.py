@@ -2,7 +2,8 @@
 §IV-C): the fast path's one array primitive (:func:`_narrow_level` over
 a :class:`_Snapshot`) with its closed-form pricing
 (:func:`_gen_cost_segments`), the record every level generation
-returns (:class:`LevelRecord`), and the two inline forms built on the
+returns (:class:`LevelRecord`) and the DFS frame stack that adopts it
+by offset (:class:`_FrameStack`), and the two inline forms built on the
 primitive: the children of one or more frames of a DFS level
 (:func:`_level_children`) and one partial match's entry generation
 (:func:`_entry_candidates`). The host-wide level pass
@@ -14,11 +15,16 @@ Every candidate list and priced cost segment equals a per-call
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, count, islice
+from operator import lt
 from typing import Optional
 
 from repro import xp
 from repro.errors import MatchingError
 from repro.graph.csr import CSRGraph, _flat_indices
+from repro.gpu.memory import Int64Arena
 from repro.gpu.params import DeviceParams
 from repro.gpu.trace import SegmentCosts
 from repro.matching.coalesced import CoalescedGroup
@@ -218,9 +224,11 @@ class LevelRecord:
     pass one record per DFS level, an inline generation
     (:func:`_level_children`) a record over its frames' candidates
     (``cands`` unset) whose ``kids`` record nothing further. Read-only
-    once built."""
+    once built; the index a DFS cursor runs ahead with
+    (:meth:`clock_sums`, :meth:`childless_run`) is derived on first
+    use."""
 
-    __slots__ = ("cands", "off", "costs", "covered", "kids")
+    __slots__ = ("cands", "off", "costs", "covered", "kids", "_sums", "_parents")
 
     def __init__(
         self,
@@ -235,10 +243,151 @@ class LevelRecord:
         self.costs = costs
         self.covered = covered
         self.kids = kids
+        self._sums: Optional[array] = None
+        self._parents: Optional[array] = None
 
     def children(self, i: int):
         """The recorded children of candidate ``i``."""
         return self.kids.cands[self.off[i] : self.off[i + 1]]
+
+    def clock_sums(self) -> array:
+        """Prefix sums of the segments' clock costs, as int64: entry
+        ``i`` is the clock of segments ``[0, i)``. Built on first use,
+        so only the records a cursor runs ahead through, or bounds a
+        sibling's horizon with, hold one."""
+        if self._sums is None:
+            self._sums = array("q", accumulate(self.costs.clock, initial=0))
+        return self._sums
+
+    def childless_run(self, j: int, span: float, last: int) -> int:
+        """How many resumptions a frame may run ahead after charging
+        candidate ``j``'s generation: candidate ``j + i`` (``1 <= i``)
+        is consumed by a resumption that starts ``sum(clock[j + 1 : j
+        + i])`` cycles later, and the run takes every such ``i`` whose
+        start is below ``span``, stopping at candidate ``last`` and at
+        the first candidate that has children (both included). Both
+        bounds are a bisect: over :meth:`clock_sums` and over the
+        int64 index of candidates with children, built on first use."""
+        sums = self.clock_sums()
+        stop = bisect_left(sums, span + sums[j + 1], j + 1, last + 1) - 1
+        if self._parents is None:
+            off = self.off
+            self._parents = array(
+                "q", compress(count(), map(lt, off, islice(off, 1, None)))
+            )
+        parents = self._parents
+        at = bisect_right(parents, j)
+        if at < len(parents) and parents[at] < stop:
+            stop = parents[at]
+        return stop - j
+
+
+class _FrameStack:
+    """DFS frame stack of one warp, bookkept in Python scalars.
+
+    The generator oracle keeps frames as a list of
+    ``{"level", "cands", "p"}`` dicts; here each frame is one slot of
+    four plain int lists — ``level[i]``, the frame's candidate run
+    bounds ``start[i]``/``end[i]`` inside a shared :class:`Int64Arena`,
+    and the absolute candidate cursor ``p[i]`` — plus, per frame that
+    generates children, the :class:`LevelRecord`
+    holding them and the frame's offset into it: ``rec[i]`` and
+    ``base[i]``, so candidate ``j``'s children and priced segment sit at
+    ``base[i] + j``. Every DFS level's record comes from the host's
+    level pass where it reached the frame, from an inline level
+    generation otherwise. A level step reads and writes only these
+    ints; the arena holds the candidate runs, the one thing processed
+    as a whole array. An active thief splits a frame by copying the
+    tail ``[mid, end)`` with its record offset and lowering ``end[i]``
+    — the stack form of the oracle's in-place ``del fr["cands"][mid:]``
+    truncation (the victim never reads past the cut).
+    """
+
+    __slots__ = ("level", "start", "end", "p", "arena", "depth", "rec", "base")
+
+    def __init__(self, n_levels: int) -> None:
+        cap = max(int(n_levels), 1)
+        self.level = [0] * cap
+        self.start = [0] * cap
+        self.end = [0] * cap
+        self.p = [0] * cap
+        self.arena = Int64Arena()
+        self.depth = 0
+        self.rec: list = [None] * cap
+        self.base = [0] * cap
+
+    def push(self, lv: int, cands) -> int:
+        d = self.depth
+        start, end = self.arena.push(cands)
+        self.level[d] = lv
+        self.start[d] = start
+        self.end[d] = end
+        self.p[d] = start
+        self.rec[d] = None
+        self.depth = d + 1
+        return d
+
+    def pop(self) -> int:
+        """Drop the top frame; returns its (possibly thief-truncated)
+        candidate count — the words the memory gauge frees."""
+        d = self.depth - 1
+        start = self.start[d]
+        self.rec[d] = None
+        self.arena.truncate(start)
+        self.depth = d
+        return self.end[d] - start
+
+    def remaining(self) -> int:
+        """Unexplored candidates across all frames (steal estimate)."""
+        d = self.depth
+        return sum(self.end[:d]) - sum(self.p[:d])
+
+    def clock_ahead(self) -> int:
+        """The recorded clock costs of every frame's unconsumed
+        candidates (a frame holds a record iff it generates children):
+        the Gen-Candidates cycles this stack's owner must still charge,
+        one generation per resumption that yields."""
+        total = 0
+        for d in range(self.depth):
+            rec = self.rec[d]
+            if rec is not None:
+                sums = rec.clock_sums()
+                at = self.base[d] - self.start[d]
+                total += sums[at + self.end[d]] - sums[at + self.p[d]]
+        return total
+
+    def clear(self) -> None:
+        for i in range(self.depth):
+            self.rec[i] = None
+        self.depth = 0
+        self.arena.truncate(0)
+
+    def splittable(self) -> bool:
+        """Whether :meth:`steal_shallowest` would find a frame to split."""
+        return any(self.end[i] - self.p[i] >= 2 for i in range(self.depth))
+
+    def steal_shallowest(self, order, assign: list[int]) -> Optional[dict]:
+        """Split the shallowest frame with >= 2 unexplored candidates;
+        returns the oracle's frame-steal loot plus the tail's record
+        handle ``(record, offset)`` (``None`` when the frame generates
+        no children), so the thief adopts instead of regenerating."""
+        for i in range(self.depth):
+            p, end = self.p[i], self.end[i]
+            remaining = end - p
+            if remaining >= 2:
+                mid = p + remaining // 2
+                stolen = self.arena.view(mid, end).copy()
+                self.end[i] = mid  # in-place: the victim sees the cut
+                lv = self.level[i]
+                rec = self.rec[i]
+                return {
+                    "frame_steal": True,
+                    "level": lv,
+                    "cands": stolen,
+                    "assign": {order[j]: assign[order[j]] for j in range(lv)},
+                    "rec": None if rec is None else (rec, self.base[i] + mid - self.start[i]),
+                }
+        return None
 
 
 def _entry_candidates(

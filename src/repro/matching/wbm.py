@@ -310,6 +310,14 @@ def launch_kernel(
         # included) generates inline, so it skips the sibling scan
         if len(workers) >= 2:
             sched.step_coalescer = _make_step_coalescer(sched, env)
+        # run-ahead, like leaf-run batching, stays off where an oracle
+        # step may be observed between leaves: passive donates and
+        # budget checks run inside the DFS loop
+        env.sched = (
+            sched
+            if workers and config.work_stealing != "passive" and config.cycle_budget is None
+            else None
+        )
         if config.work_stealing != "active":
             return None
         if sched.vectorized and len(workers) == 1:

@@ -36,7 +36,11 @@ the entry pass (level 2), the level pass (every deeper level,
 wall with,
 for item entries and each DFS level (2 … n−2), the generations the
 pass recorded against those generated inline (frames past the pass's
-bound and boundary-permuted items). It also prints whether serving
+bound and boundary-permuted items); and the DFS-cursor resumptions
+next to the oracle's level steps (``gpu.level_steps``), the run-ahead
+runs (a cursor consuming a frame's next candidates after an empty
+generation, up to its block's observer horizon), the generations they
+covered and the horizon queries that found no room. It also prints whether serving
 materialized the store's dict mirror (it should not: the serving paths
 read the CSR snapshot and per-vertex snapshot rows).
 Then serves it again under cProfile and prints the per-layer self
@@ -91,6 +95,7 @@ from repro.matching.level_batch import (  # noqa: E402
     _level_children,
     _narrow_level,
 )
+from repro.matching.dfs import _DfsLevelCursor  # noqa: E402
 from repro.matching.stealing import _active_idle_handler  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
 from repro.service.matching_service import InProcessHost  # noqa: E402
@@ -195,6 +200,49 @@ def timed_methods(*targets):
     finally:
         for cls, name, fn in originals:
             setattr(cls, name, fn)
+
+
+@contextmanager
+def run_ahead_counts():
+    """Count DFS run-ahead while installed. Yields ``[queries, runs,
+    generations, no_room]``: the horizon queries a cursor made after
+    an empty generation, the runs among them (each performed at least
+    one further resumption), the resumptions (one generation each)
+    the runs covered, and the queries whose horizon left no room."""
+    counts = [0, 0, 0, 0]
+    run_ahead = _DfsLevelCursor._run_ahead
+
+    def counting(cursor, *args):
+        k = run_ahead(cursor, *args)
+        counts[0] += 1
+        counts[1] += k > 0
+        counts[2] += k
+        counts[3] += k == 0
+        return k
+
+    _DfsLevelCursor._run_ahead = counting
+    try:
+        yield counts
+    finally:
+        _DfsLevelCursor._run_ahead = run_ahead
+
+
+def run_ahead_report(service, counts, seen: list) -> None:
+    """Print one batch's DFS-cursor resumptions next to the oracle's
+    level steps (``gpu.level_steps``, which counts the resumptions runs
+    covered too), its run-ahead runs, the generations they covered and
+    the horizon queries that found no room (growth since the previous
+    batch)."""
+    steps = sum(service.runtime(n).gpu.level_steps for n in service.query_names)
+    now = [steps, *counts]
+    grown = [a - b for a, b in zip(now, seen or [0] * len(now))]
+    seen[:] = now
+    steps, _, runs, generations, no_room = grown
+    print(
+        f"  batch {service.batches_processed - 1}: {steps - generations} DFS-cursor "
+        f"resumptions for {steps} oracle level steps; {runs} run-ahead runs covered "
+        f"{generations} generations; {no_room} horizon queries found no room"
+    )
 
 
 def shared_pass_report(service, tallies, seen: list) -> None:
@@ -347,12 +395,13 @@ def step_costs(g0, batches, queries) -> None:
     all three), and whether serving materialized the store's dict
     mirror."""
     print(
-        "shared per-batch host passes, the requests each batch narrowed, and "
-        "the generations the level pass recorded:"
+        "shared per-batch host passes, the requests each batch narrowed, "
+        "the generations the level pass recorded, and DFS run-ahead:"
     )
     with (
         LayerTracer() as tracer,
         timed_idle_handlers() as idle,
+        run_ahead_counts() as ahead,
         gen_coverage() as (gen, coverage, narrowed, level_pass, sizes),
         timed_methods(
             (CandidateStack, "refresh_rows"),
@@ -363,11 +412,13 @@ def step_costs(g0, batches, queries) -> None:
         seen = [[0, 0.0], [0, 0.0], [0, 0.0]]
         seen_narrowed: dict = {}
         seen_coverage: dict = {}
+        seen_ahead: list = []
 
         def after_batch(svc) -> None:
             shared_pass_report(svc, shared, seen)
             narrowing_report(svc, narrowed, seen_narrowed)
             coverage_report(svc, coverage, level_pass, seen_coverage)
+            run_ahead_report(svc, ahead, seen_ahead)
 
         service, _ = serve(g0, batches, queries, after_batch)
     exec_s = tracer.take().get("gpu.exec_ms", 0.0)
@@ -380,7 +431,8 @@ def step_costs(g0, batches, queries) -> None:
     calls, idle_s = idle
     print(
         f"host per level step: {exec_s * 1e6 / max(steps, 1):.2f}us "
-        f"(gpu.exec {exec_s * 1e3:.1f}ms / {steps} level steps)"
+        f"(gpu.exec {exec_s * 1e3:.1f}ms / {steps} oracle level steps, "
+        f"{steps - ahead[2]} of them DFS-cursor resumptions)"
     )
     print(
         f"host per idle-handler call: {idle_s * 1e6 / max(calls, 1):.2f}us "
