@@ -113,8 +113,10 @@ class SegmentCosts:
     replayed per-level work is a handful of scalar adds instead of
     re-stepped charging calls.
 
-    Stored as plain Python lists (one scalar read per replayed segment
-    beats ``ndarray`` item extraction in the scheduler's hot loop).
+    Stored as plain Python lists or ``array('q')`` columns (one scalar
+    read per replayed segment beats ``ndarray`` item extraction in the
+    scheduler's hot loop; an ``array('q')`` holds a large record at 8
+    bytes an entry).
     """
 
     __slots__ = (

@@ -462,7 +462,12 @@ class _DfsLevelCursor(LevelCursor):
             run = fs.arena.view(fs.start[d], fs.end[d])
             request = (self.staged_prefix(lv), run, self.rank)
             frame = _level_children(self.env, self.group, lv, [request], ctx.params)[0]
-        fs.rec[d], fs.base[d] = frame
+        rec, base = frame
+        fs.rec[d] = rec
+        fs.base[d] = base
+        # every candidate of the new frame is still ahead of its owner
+        sums = rec.clock_sums()
+        fs.clock_ahead += sums[base + fs.end[d] - fs.start[d]] - sums[base]
 
     def _inner(self, ctx: WarpContext) -> bool:
         """The _dfs while loop; True when it yielded on a child gen."""
@@ -552,8 +557,10 @@ class _DfsLevelCursor(LevelCursor):
             rec = fs_rec[d]
             j = fs_base[d] + p - fs_start[d]
             costs = rec.costs
-            ctx.clock += costs.clock[j]
-            ctx.busy_cycles += costs.busy[j]
+            cycles = costs.clock[j]
+            ctx.clock += cycles
+            ctx.busy_cycles += cycles  # a Gen-Candidates segment is all busy
+            fs.clock_ahead -= cycles
             st = ctx.stats
             st.compute_cycles += costs.compute[j]
             st.global_transactions += costs.transactions[j]
@@ -598,6 +605,8 @@ class _DfsLevelCursor(LevelCursor):
             return 0
         k = rec.childless_run(j, span, j + room)
         rec.costs.apply_run(ctx, j + 1, j + k + 1)
+        sums = rec.clock_sums()
+        self.state["frames"].clock_ahead -= sums[j + k + 1] - sums[j + 1]
         sched.level_steps += k
         return k
 
@@ -609,7 +618,7 @@ class _DfsLevelCursor(LevelCursor):
         Only a thief could take some away, by a scan, and the horizon
         this bounds comes before every scan."""
         state = self.state
-        return 0 if state is None else state["frames"].clock_ahead()
+        return 0 if state is None else state["frames"].clock_ahead
 
 
 def _spawn_worker(ctx: WarpContext, env: _Env, items: list[dict]):

@@ -22,21 +22,29 @@ each item what the inline calls would return and charge:
 
 The tree is one record per level, chained through ``kids``: the
 level's candidates end to end, per candidate the offsets of its
-children in the next level (a CSR trie) and one pass-wide
-:class:`~repro.gpu.trace.SegmentCosts` from
-:func:`~repro.matching.level_batch._gen_cost_segments`. A frame adopts
-its children by offset, and a thief adopts the tail it stole the same
-way.
+children in the next level (a CSR trie, an ``array('q')``) and one
+pass-wide :class:`~repro.gpu.trace.SegmentCosts` of ``array('q')``
+columns, priced by :class:`~repro.matching.level_batch._CostSink`. A
+frame adopts its children by offset, and a thief adopts the tail it
+stole the same way.
 
-Each level is one call of the level batching's array primitive
-(:func:`~repro.matching.level_batch._narrow_level`) over every recorded
-candidate whose frame generates children: a request is one partial
-match, given as its prefix slots and the level's static facts
-(:func:`entry_facts`). Requests that share an anchor, labels and column
-share one first stage across the whole host. Each level stops at the frame whose first-stage runs would
-pass ``_ENTRY_PASS_MAX`` elements, so a non-selective query never holds
-its whole tree; the frames past it, and everything under them,
-generate inline.
+Each level goes through the level batching's array primitive in its
+two steps (:func:`~repro.matching.level_batch._plan_requests`, then
+:func:`~repro.matching.level_batch._expand_requests`) over every
+recorded candidate whose frame generates children: a request is one
+partial match, given as its prefix slots and the level's static facts
+(:func:`entry_facts`). The prefix slots are never held for a whole
+level: the pass keeps, per level, the candidates and each one's parent
+(a chain down to the items) and gathers a chunk's slots from it.
+Requests that share an anchor, labels and column share one first
+stage. Each frame-whole chunk of at most ``_LEVEL_CHUNK`` requests is
+planned once and expanded in frame-whole slices of at most
+``_LEVEL_CHUNK`` first-stage elements, each slice priced into the
+level's record as it lands. A level stops at the frame whose
+first-stage runs would pass ``_ENTRY_PASS_MAX`` elements in all, so a
+non-selective query never holds its whole tree; the frames past it,
+and everything under them, generate inline. ``hub_heavy``'s whole tree
+(about 27,000 level-4 requests a phase) fits the bound.
 
 Nothing modeled changes: the cursor pays the recorded charges at the
 step the inline call would have, and adopts the recorded children
@@ -45,6 +53,7 @@ where it would have generated them.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import NamedTuple, Optional
 
@@ -54,8 +63,9 @@ from repro.gpu.params import DeviceParams
 from repro.matching.launch_env import PhaseEdges, level_column
 from repro.matching.level_batch import (
     LevelRecord,
-    _gen_cost_segments,
-    _narrow_level,
+    _CostSink,
+    _expand_requests,
+    _plan_requests,
     _Snapshot,
 )
 
@@ -63,12 +73,13 @@ from repro.matching.level_batch import (
 #: requests' runs, before injectivity, rank and adjacency); the frames
 #: past it generate that level inline, so a non-selective query cannot
 #: hold every item's candidates at once
-_ENTRY_PASS_MAX = 1 << 13
-#: one primitive call narrows at most this many requests and this many
-#: first-stage elements, so the pass's transient arrays stay small
-#: however far a level runs; a frame whose children alone pass it
-#: stops its level like a frame past ``_ENTRY_PASS_MAX``
-_LEVEL_CHUNK = 1 << 11
+_ENTRY_PASS_MAX = 1 << 17
+#: one request plan covers at most this many requests, and one
+#: expansion of it at most this many first-stage elements, so the
+#: pass's transient arrays stay small however far a level runs; a
+#: frame whose children alone pass it stops its level like a frame
+#: past ``_ENTRY_PASS_MAX``
+_LEVEL_CHUNK = 1 << 13
 
 
 class LevelFacts(NamedTuple):
@@ -96,9 +107,11 @@ class LevelFacts(NamedTuple):
             xp.zeros((n_groups, level), dtype=xp.int64),
         )
 
-    def requests(self, g: xp.ndarray) -> tuple:
-        """The :func:`_narrow_level` request arrays of fact rows ``g``."""
-        return self.pos[g], self.elabel[g], self.vlabel[g], self.col[g]
+    @property
+    def width(self) -> int:
+        """The most matched query neighbors of any row: the columns of
+        ``pos`` past it are padding."""
+        return int(xp.max((self.pos >= 0).sum(axis=1), initial=0))
 
 
 def entry_facts(query, table, groups) -> dict[int, LevelFacts]:
@@ -151,91 +164,136 @@ def stack_facts(blocks: list[tuple[int, dict[int, LevelFacts]]]) -> dict[int, Le
     }
 
 
+class _Items(NamedTuple):
+    """The items a pass narrows: per item its fact row, its update edge
+    and the edge's endpoints (prefix slots 0 and 1)."""
+
+    g: xp.ndarray
+    e: xp.ndarray
+    x: xp.ndarray
+    y: xp.ndarray
+
+
+def _prefixes(items: _Items, chain: list, rows: xp.ndarray) -> tuple:
+    """The assigned slots of candidates ``rows`` of the deepest level
+    in ``chain`` (of ``items`` for an empty chain), as a ``(rows ×
+    slots)`` matrix, and each one's item. ``chain`` holds, per recorded
+    level from 2 down, its candidates and each one's parent: the item
+    at level 2, the candidate one level up below it."""
+    columns = []
+    for cands, parent in reversed(chain):
+        columns.append(cands[rows])
+        rows = parent[rows]
+    return xp.stack([items.x[rows], items.y[rows], *columns[::-1]], axis=1), rows
+
+
 def _narrow_frames(
-    snap: _Snapshot, facts: LevelFacts, req, prefix, g, e, bounds: list[int]
+    snap: _Snapshot, facts: LevelFacts, items: _Items, chain: list, req, bounds: list[int],
+    keep,
 ) -> tuple:
-    """:func:`_narrow_level` over requests grouped into frames, frame
-    ``f`` owning requests ``[bounds[f], bounds[f + 1])``; request ``i``
-    is row ``req[i]`` of ``prefix``, fact rows ``g`` and update edges
-    ``e``. Frames stay whole, and the level stops at the first frame
-    that does not fit the bound: each call takes at most
-    ``_LEVEL_CHUNK`` requests (a larger frame alone) and first-stage
-    elements, and at most ``_ENTRY_PASS_MAX`` elements go through in
-    all. Returns the frames narrowed and the narrowed requests'
-    candidates, counts and charges."""
-    limit = min(_LEVEL_CHUNK, _ENTRY_PASS_MAX)
-    calls = max(_ENTRY_PASS_MAX // _LEVEL_CHUNK, 1)
+    """Gen-Candidates for requests grouped into frames, frame ``f``
+    owning requests ``[bounds[f], bounds[f + 1])``; request ``i`` is
+    candidate ``req[i]`` of ``chain``'s deepest level (item ``req[i]``
+    for an empty chain, see :func:`_prefixes`). Frames stay whole: each
+    frame-whole chunk of at most ``_LEVEL_CHUNK`` requests (a larger
+    frame alone) is planned once (:func:`_plan_requests`) and expanded
+    (:func:`_expand_requests`) in frame-whole slices of at most
+    ``_LEVEL_CHUNK`` first-stage elements. The level stops at the
+    first frame whose elements would pass what is left of
+    ``_ENTRY_PASS_MAX``, or that alone passes a slice. Hands each
+    slice's requests ``at`` (values of ``req``), their candidate counts
+    and their charges to ``keep(at, counts, charge)``; returns the
+    frames narrowed and their candidates."""
+    left = _ENTRY_PASS_MAX
     n_frames, f, parts = len(bounds) - 1, 0, []
-    while f < n_frames and calls:
+    width = facts.width
+    while f < n_frames:
         a = bounds[f]
         end = max(bisect_right(bounds, a + _LEVEL_CHUNK) - 1, f + 1)
         rows = req[a : bounds[end]]
-        n, *out = _narrow_level(
-            snap, prefix[rows], *facts.requests(g[rows]), e[rows],
-            cut=(xp.asarray(bounds[f : end + 1], dtype=xp.int64) - a, limit),
+        prefix, item = _prefixes(items, chain, rows)
+        gr = items.g[item]
+        plan = _plan_requests(
+            snap, prefix,
+            [facts.pos[gr, c] for c in range(width)], [facts.elabel[gr, c] for c in range(width)],
+            facts.vlabel[gr], facts.col[gr], items.e[item],
         )
-        if not n:  # the next frame alone passes the bound
-            break
-        parts.append((out[0], out[1], *out[2]))
-        f += n
-        calls -= 1
-    if not parts:
-        return 0, xp.zeros(0, dtype=xp.int64), *(xp.zeros(0, dtype=xp.int64) for _ in range(4))
-    return (f, *(xp.concatenate(column) for column in zip(*parts)))
+        # each frame's first row, and the chunk's elements before it
+        firsts = [b - a for b in bounds[f : end + 1]]
+        volume = xp.zeros(len(rows) + 1, dtype=xp.int64)
+        xp.cumsum(plan.volume, out=volume[1:])
+        before = xp.to_numpy(volume[xp.asarray(firsts, dtype=xp.int64)]).tolist()
+        s = 0
+        while s < end - f:
+            t = bisect_right(before, before[s] + min(_LEVEL_CHUNK, left), s) - 1
+            if t == s:  # the next frame alone passes the bound
+                return f + s, _joined(parts)
+            lo, hi = firsts[s], firsts[t]
+            vals, counts = _expand_requests(snap, plan, lo, hi)
+            keep(rows[lo:hi], counts, tuple(column[lo:hi] for column in plan.charge))
+            parts.append(vals)
+            left -= before[t] - before[s]
+            s = t
+        del plan  # before the next chunk's
+        f = end
+    return f, _joined(parts)
+
+
+def _joined(parts: list) -> xp.ndarray:
+    return xp.concatenate(parts) if parts else xp.zeros(0, dtype=xp.int64)
 
 
 def _record_level(
     snap: _Snapshot,
     facts: LevelFacts,
     level: LevelRecord,
-    prefix: xp.ndarray,
-    parent: xp.ndarray,
-    g: xp.ndarray,
-    e: xp.ndarray,
+    items: _Items,
+    chain: list,
     params: DeviceParams,
-) -> Optional[tuple]:
-    """Record the children of ``level``'s candidates: one request per
-    candidate whose group generates the next level, the frames (runs
-    of one ``parent``) kept whole under the bound. ``prefix`` holds each
-    candidate's assigned slots, ``g`` and ``e`` its fact row and update
-    edge. Fills ``level``'s offsets, costs, coverage and ``kids``;
-    returns the next level's ``(record, prefix, parent, g, e)`` and the
-    number of frames recorded, or ``None`` when no frame generates
-    within the bound."""
-    req = xp.nonzero(facts.on[g])[0]
+) -> Optional[int]:
+    """Record the children of ``level``'s candidates, the deepest level
+    of ``chain``: one request per candidate whose group generates the
+    next level, the frames (runs of one parent) kept whole under the
+    bound. Fills ``level``'s offsets, costs, coverage and ``kids``,
+    appends the kids to ``chain`` and returns the number of frames
+    recorded, or ``None`` when no frame generates within the bound."""
+    parent = chain[-1][1]
+    item = parent
+    for _, up in reversed(chain[:-1]):
+        item = up[item]
+    req = xp.nonzero(facts.on[items.g[item]])[0]
+    del item
     if not len(req):
         return None
     frame = parent[req]
     firsts = xp.nonzero(xp.concatenate([[True], frame[1:] != frame[:-1]]))[0]
     bounds = xp.to_numpy(firsts).tolist() + [len(req)]
-    n_frames, vals, counts, *charge = _narrow_frames(snap, facts, req, prefix, g, e, bounds)
+    del frame, firsts
+    # per candidate its child count and priced segment, priced slice by
+    # slice (zero where it generates nothing)
+    counts = xp.zeros(len(parent), dtype=xp.int64)
+    sink = _CostSink(len(parent))
+
+    def keep(at, kid_counts, charge) -> None:
+        counts[at] = kid_counts
+        sink.price(at, *charge, params)
+
+    n_frames, vals = _narrow_frames(snap, facts, items, chain, req, bounds, keep)
     n_done = bounds[n_frames]
     if not n_done:
         return None
     # the candidates of every frame before the first one left out
     covered = (
-        len(level.cands) if n_done == len(req) else int(xp.searchsorted(parent, frame[n_done]))
+        len(parent) if n_done == len(req) else int(xp.searchsorted(parent, parent[req[n_done]]))
     )
-    done = req[:n_done]
-    kid_parent = xp.repeat(done, counts)
-    if covered != n_done:  # some covered candidates generate nothing
-        full = xp.zeros((4, covered), dtype=xp.int64)
-        full[:, done] = xp.stack([counts, *charge])
-        counts, charge = full[0], (full[1], full[2], full[3])
-    off = xp.zeros(covered + 1, dtype=xp.int64)
-    xp.cumsum(counts, out=off[1:])
-    level.off = xp.to_numpy(off).tolist()
-    level.costs = _gen_cost_segments(*charge, params)
+    counts = counts[:covered]
+    level.off = array("q", [0]) * (covered + 1)
+    xp.cumsum(counts, out=xp.frombuffer(level.off, dtype=xp.int64)[1:])
+    level.costs = sink.costs(covered)
     level.covered = covered
     level.kids = LevelRecord(vals)
-    return (
-        level.kids,
-        xp.concatenate([prefix[kid_parent], vals[:, None]], axis=1),
-        kid_parent,
-        g[kid_parent],
-        e[kid_parent],
-        n_frames,
-    )
+    chain.append((vals, xp.repeat(xp.arange(covered, dtype=xp.int64), counts)))
+    return n_frames
 
 
 def entry_pass(
@@ -261,25 +319,33 @@ def entry_pass(
     sel = xp.nonzero(facts[2].on[rows])[0]
     if not len(sel):
         return 0, {}
-    g, e = rows[sel], edges[sel]
+    e = edges[sel]
+    items_in = _Items(rows[sel], e, phase.ex[e], phase.ey[e])
     snap = _Snapshot(csr, bitmap, phase)
-    # prefix slots: order[0] <- x, order[1] <- y; each item is a frame
-    # of one request
-    prefix = xp.stack([phase.ex[e], phase.ey[e]], axis=1)
-    n_entry, cands, counts, *charge = _narrow_frames(
-        snap, facts[2], xp.arange(len(sel), dtype=xp.int64), prefix, g, e,
-        list(range(len(sel) + 1)),
+    # each item is a frame of one request, with order[0] <- x and
+    # order[1] <- y
+    out = xp.zeros((4, len(sel)), dtype=xp.int64)
+
+    def keep(at, counts, charge) -> None:
+        out[0, at] = counts
+        for k, column in enumerate(charge, 1):
+            out[k, at] = column
+
+    n_entry, cands = _narrow_frames(
+        snap, facts[2], items_in, [], xp.arange(len(sel), dtype=xp.int64),
+        list(range(len(sel) + 1)), keep,
     )
-    top = LevelRecord(cands)
-    item = xp.repeat(xp.arange(n_entry, dtype=xp.int64), counts)
-    step = [top, xp.concatenate([prefix[item], cands[:, None]], axis=1), item, g[item], e[item]]
+    counts, charge = out[0, :n_entry], (out[1, :n_entry], out[2, :n_entry], out[3, :n_entry])
+    top = level = LevelRecord(cands)
+    chain = [(cands, xp.repeat(xp.arange(n_entry, dtype=xp.int64), counts))]
     frames: dict[int, int] = {}
     lv = 2
-    while lv + 1 in facts and len(step[0].cands):
-        out = _record_level(snap, facts[lv + 1], *step, params)
-        if out is None:
+    while lv + 1 in facts and len(level.cands):
+        n_frames = _record_level(snap, facts[lv + 1], level, items_in, chain, params)
+        if n_frames is None:
             break
-        *step, frames[lv] = out
+        frames[lv] = n_frames
+        level = level.kids
         lv += 1
 
     ends = xp.to_numpy(xp.cumsum(counts)).tolist()

@@ -1,14 +1,17 @@
 """Gen-Candidates for many partial matches at once (paper Algorithm 1,
-§IV-C): the fast path's one array primitive (:func:`_narrow_level` over
-a :class:`_Snapshot`) with its closed-form pricing
-(:func:`_gen_cost_segments`), the record every level generation
-returns (:class:`LevelRecord`) and the DFS frame stack that adopts it
-by offset (:class:`_FrameStack`), and the two inline forms built on the
-primitive: the children of one or more frames of a DFS level
-(:func:`_level_children`) and one partial match's entry generation
-(:func:`_entry_candidates`). The host-wide level pass
+§IV-C): the fast path's one array primitive over a :class:`_Snapshot`,
+in two steps — a request plan (:func:`_plan_requests`: anchors, charges
+and distinct first stages, once per request) and an element expansion
+over any slice of it (:func:`_expand_requests`), composed for one batch
+by :func:`_narrow_level` — with its closed-form pricing
+(:class:`_CostSink`, :func:`_gen_cost_segments`), the record every
+level generation returns (:class:`LevelRecord`) and the DFS frame stack
+that adopts it by offset (:class:`_FrameStack`), and the two inline
+forms built on the primitive: the children of one or more frames of a
+DFS level (:func:`_level_children`) and one partial match's entry
+generation (:func:`_entry_candidates`). The host-wide level pass
 (:mod:`~repro.matching.entry_pass`) narrows every DFS level of every
-hosted query through the same primitive and records the same shape.
+hosted query through the same two steps and records the same shape.
 Every candidate list and priced cost segment equals a per-call
 :func:`~repro.matching.gen_candidates._gen_candidates` oracle call.
 """
@@ -17,9 +20,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, count, islice
-from operator import lt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro import xp
 from repro.errors import MatchingError
@@ -98,6 +99,119 @@ def _distinct(*cols) -> tuple[xp.ndarray, xp.ndarray]:
     return order[new], inverse
 
 
+class _RequestPlan(NamedTuple):
+    """The request side of a batch of Gen-Candidates requests
+    (:func:`_plan_requests`), one entry per request ``i``: its assigned
+    data vertices ``prefix[i]`` (-1 for an unassigned slot) and rank
+    ``rank[i]``, its anchor, its matched neighbors other than the
+    anchor as columns (-1 pad) with their edge labels to the target,
+    its first stage ``key[i]`` (runs
+    ``runs[run_starts[k] : run_starts[k] + run_counts[k]]``), its
+    first-stage element count ``volume[i]`` and its charge: the anchor
+    degree, the number of other matched neighbors and their degree
+    sum."""
+
+    prefix: xp.ndarray
+    rank: xp.ndarray
+    anchor: xp.ndarray
+    others: tuple
+    key: xp.ndarray
+    runs: xp.ndarray
+    run_starts: xp.ndarray
+    run_counts: xp.ndarray
+    volume: xp.ndarray
+    charge: tuple
+
+
+def _plan_requests(
+    snap: _Snapshot, prefix: xp.ndarray, pos, elabels, vlabel: xp.ndarray, col: xp.ndarray,
+    rank: xp.ndarray,
+) -> _RequestPlan:
+    """Plan Gen-Candidates requests once, before any element is
+    expanded (:func:`_expand_requests`).
+
+    Request ``i`` has the assigned data vertices ``prefix[i]``, the
+    wanted vertex label ``vlabel[i]``, the stack column ``col[i]`` of
+    its filter and its rank ``rank[i]``. ``pos`` and ``elabels`` hold
+    one per-request column per matched query neighbor of the target,
+    in adjacency order: its prefix slot (-1 pad; every request has a
+    matched neighbor in column 0) and its edge label to the target.
+    Columns are read one at a time as 1-D arrays. The
+    anchor is the first minimum-degree matched vertex (the oracle's
+    rule), and requests that share ``(anchor, vertex label, edge
+    label, column)`` share one first stage."""
+    at = xp.arange(len(prefix), dtype=xp.int64)
+    offsets = snap.csr.offsets
+    # column 0 is matched in every request
+    dv = prefix[at, pos[0]]
+    nb = deg_sum = offsets[dv + 1] - offsets[dv]
+    aidx, anchor, anchor_elabel = 0, dv, elabels[0]
+    n_others = xp.zeros(len(at), dtype=xp.int64)
+    columns = [(dv, elabels[0])]
+    for c in range(1, len(pos)):
+        matched = pos[c] >= 0
+        dv = prefix[at, xp.maximum(pos[c], 0)]
+        deg = xp.where(matched, offsets[dv + 1] - offsets[dv], _NO_ANCHOR)
+        # strictly below: the first minimum along the matched order is
+        # the oracle's tie-break
+        lower = deg < nb
+        nb = xp.where(lower, deg, nb)
+        aidx = xp.where(lower, c, aidx)
+        anchor = xp.where(lower, dv, anchor)
+        anchor_elabel = xp.where(lower, elabels[c], anchor_elabel)
+        n_others = n_others + matched
+        deg_sum = deg_sum + xp.where(matched, deg, 0)
+        columns.append((xp.where(matched, dv, -1), elabels[c]))
+    # the matched neighbors other than the anchor, one column fewer:
+    # from the anchor's column on, column c + 1 stands in for column c
+    others = []
+    for c in range(len(columns) - 1):
+        past = aidx <= c
+        (v0, e0), (v1, e1) = columns[c], columns[c + 1]
+        others.append((xp.where(past, v1, v0), xp.where(past, e1, e0)))
+    firsts, key = _distinct(anchor, vlabel, anchor_elabel, col)
+    runs, run_starts, run_counts = snap.first_stage(
+        anchor[firsts], vlabel[firsts], anchor_elabel[firsts], col[firsts]
+    )
+    return _RequestPlan(
+        prefix, rank, anchor, tuple(others), key, runs, run_starts, run_counts, run_counts[key],
+        (nb, n_others, deg_sum - nb),
+    )
+
+
+def _expand_requests(snap: _Snapshot, plan: _RequestPlan, lo: int, hi: int) -> tuple:
+    """Narrow requests ``[lo, hi)`` of ``plan``: expand their first
+    stages, then AND the per-element filters — adjacency to each other
+    matched vertex with its edge's rank rule, the anchor edge's rank
+    rule and injectivity against every assigned value — so every list
+    comes out ascending and equal to the oracle's. Returns the
+    candidates (requests in order) and each request's count."""
+    key = plan.key[lo:hi]
+    cnt = plan.volume[lo:hi]
+    vals = plan.runs[_flat_indices(plan.run_starts[key], cnt)]
+    req = xp.repeat(xp.arange(lo, hi, dtype=xp.int64), cnt)
+    rank = plan.rank
+    # adjacency to each other matched vertex, with its edge's rank rule,
+    # first: it is the filter that drops the most elements
+    for others, elabel in plan.others:
+        other = others[req]
+        keep = other < 0  # the requests without this other neighbor
+        has = xp.nonzero(~keep)[0]
+        if len(has):
+            x, r = vals[has], req[has]
+            keep[has] = snap.adjacent(other[has], x, elabel[r]) & ~snap.rank_blocked(
+                x, other[has], rank[r]
+            )
+            vals, req = vals[keep], req[keep]
+    # the anchor edge's rank rule, and injectivity against every
+    # assigned value (a -1 slot never equals)
+    keep = ~snap.rank_blocked(vals, plan.anchor[req], rank[req])
+    prefix = plan.prefix
+    for slot in range(prefix.shape[1]):
+        keep &= vals != prefix[req, slot]
+    return vals[keep], xp.bincount(req[keep] - lo, minlength=hi - lo)
+
+
 def _narrow_level(
     snap: _Snapshot,
     prefix: xp.ndarray,
@@ -106,109 +220,75 @@ def _narrow_level(
     vlabel: xp.ndarray,
     col: xp.ndarray,
     rank: xp.ndarray,
-    cut: Optional[tuple[xp.ndarray, int]] = None,
 ) -> tuple:
     """Gen-Candidates for every request in one array pass, the way GSI
-    (PAPERS.md, arXiv 1906.03420) joins many partial matches at once.
-
-    Request ``i`` has the assigned data vertices ``prefix[i]`` (-1 for
-    an unassigned slot), its target's matched query neighbors as prefix
-    slots ``pos[i]`` in adjacency order (-1 pad) with their edge labels
-    to the target ``elabels[i]``, the wanted vertex label ``vlabel[i]``,
-    the stack column ``col[i]`` of its filter and its rank ``rank[i]``.
-    Its anchor is the first minimum-degree matched vertex (the oracle's
-    rule). Requests that share ``(anchor, vertex label, edge label,
-    column)`` share one first stage; injectivity, the rank rule and
-    adjacency to the other matched vertices are per-element ANDs over
-    the expanded runs, so every list comes out ascending and equal to
-    the oracle's.
-
-    With ``cut = (bounds, limit)`` the requests form items, item ``t``
-    owning ``[bounds[t], bounds[t + 1])``, and only the leading items
-    whose first-stage runs total at most ``limit`` elements are
-    narrowed. Returns how many items (without a cut, requests) were
-    narrowed, the candidates (ascending per request, requests in
-    order), each narrowed request's candidate count, and its charge:
-    the anchor degree, the number of other matched neighbors and their
-    degree sum."""
-    n_req = len(prefix)
-    at = xp.arange(n_req, dtype=xp.int64)
-    matched = pos >= 0
-    dv = prefix[at[:, None], xp.maximum(pos, 0)]
-    offsets = snap.csr.offsets
-    deg = xp.where(matched, offsets[dv + 1] - offsets[dv], _NO_ANCHOR)
-    # first minimum along the matched order == the oracle's tie-break
-    aidx = xp.argmin(deg, axis=1)
-    nb = deg[at, aidx]
-    n_others = matched.sum(axis=1) - 1
-    others_deg = xp.where(matched, deg, 0).sum(axis=1) - nb
-    anchor = dv[at, aidx]
-    others = xp.where(
-        matched & (xp.arange(pos.shape[1])[None, :] != aidx[:, None]), dv, -1
+    (PAPERS.md, arXiv 1906.03420) joins many partial matches at once:
+    :func:`_plan_requests` then :func:`_expand_requests` over all of
+    them. ``pos`` and ``elabels`` are ``(requests × matched)`` arrays
+    (-1 pad). Returns the candidates (ascending per request, requests
+    in order), each request's candidate count and its charge."""
+    plan = _plan_requests(
+        snap, prefix, [pos[:, c] for c in range(pos.shape[1])],
+        [elabels[:, c] for c in range(elabels.shape[1])], vlabel, col, rank,
     )
-    anchor_elabel = elabels[at, aidx]
-    firsts, key_of = _distinct(anchor, vlabel, anchor_elabel, col)
-    runs, run_starts, run_counts = snap.first_stage(
-        anchor[firsts], vlabel[firsts], anchor_elabel[firsts], col[firsts]
-    )
-    n_items = n_req
-    if cut is not None:
-        bounds, limit = cut
-        volume = xp.zeros(n_req + 1, dtype=xp.int64)
-        xp.cumsum(run_counts[key_of], out=volume[1:])
-        n_items = int(xp.searchsorted(volume[bounds], limit, side="right")) - 1
-        n_req = int(bounds[n_items])
-        key_of = key_of[:n_req]
-    cnt = run_counts[key_of]
-    vals = runs[_flat_indices(run_starts[key_of], cnt)]
-    req = xp.repeat(at[:n_req], cnt)
-    # adjacency to each other matched vertex, with its edge's rank rule,
-    # first: it is the filter that drops the most elements
-    for o in range(others.shape[1]):
-        other = others[req, o]
-        keep = other < 0  # the requests without an o-th other neighbor
-        has = xp.nonzero(~keep)[0]
-        if len(has):
-            x, r = vals[has], req[has]
-            keep[has] = snap.adjacent(other[has], x, elabels[r, o]) & ~snap.rank_blocked(
-                x, other[has], rank[r]
-            )
-            vals, req = vals[keep], req[keep]
-    # the anchor edge's rank rule, and injectivity against every
-    # assigned value (a -1 slot never equals)
-    keep = ~snap.rank_blocked(vals, anchor[req], rank[req])
-    for slot in range(prefix.shape[1]):
-        keep &= vals != prefix[req, slot]
-    vals, req = vals[keep], req[keep]
-    counts = xp.bincount(req, minlength=n_req)
-    return n_items, vals, counts, (nb[:n_req], n_others[:n_req], others_deg[:n_req])
+    return (*_expand_requests(snap, plan, 0, len(prefix)), plan.charge)
+
+
+class _CostSink:
+    """Priced Gen-Candidates segments, written a batch at a time
+    (:meth:`price`): ``n`` zero-cost segments whose columns are
+    ``array('q')`` — 8 bytes an entry, and an indexed read is a plain
+    Python int — with int64 views that :meth:`price` writes through.
+    A Gen-Candidates segment is all busy, so ``busy`` is ``clock``'s
+    array."""
+
+    def __init__(self, n: int) -> None:
+        #: clock, compute, transactions, coalesced, scattered
+        self.columns = [array("q", [0]) * n for _ in range(5)]
+        self._views = [xp.frombuffer(column, dtype=xp.int64) for column in self.columns]
+
+    def price(self, at, nb, n_others, others_deg, params: DeviceParams) -> None:
+        """Price the segments at positions ``at``: child ``i``'s anchor
+        has ``nb[i]`` neighbors and its ``n_others[i]`` other matched
+        neighbors ``others_deg[i]`` in all. The totals are
+        :func:`~repro.matching.gen_candidates._charge_gen`'s integer
+        rules as array arithmetic: the anchor's coalesced read, one lane
+        pass per matched neighbor, the binary-search rounds and the
+        probe transactions."""
+        clock_at, compute_at, transactions_at, coalesced_at, scattered_at = self._views
+        warp = params.warp_size
+        coalesced = -(-xp.maximum(nb, 1) // warp)
+        coalesced_at[at] = coalesced
+        # frexp's exponent is bit_length for positive ints (0 for 0)
+        steps = xp.maximum(
+            1, xp.frexp(others_deg // xp.maximum(n_others, 1))[1].astype(xp.int64)
+        )
+        scattered = xp.where(n_others > 0, xp.maximum(-(-nb // warp) * steps * n_others, 1), 0)
+        scattered += xp.maximum(1, nb // warp)  # the probes
+        scattered_at[at] = scattered
+        scattered += coalesced
+        transactions_at[at] = scattered
+        compute = -(-xp.maximum(nb * (1 + n_others), 1) // warp) * params.compute_cycles
+        compute_at[at] = compute
+        compute += scattered * params.global_transaction_cycles
+        clock_at[at] = compute
+
+    def costs(self, n: int) -> SegmentCosts:
+        """The first ``n`` segments; ends the writing."""
+        self._views = None
+        for column in self.columns:
+            del column[n:]
+        clock, *rest = self.columns
+        return SegmentCosts.from_totals(clock, clock, *rest)
 
 
 def _gen_cost_segments(
     nb: xp.ndarray, n_others: xp.ndarray, others_deg: xp.ndarray, params: DeviceParams
 ) -> SegmentCosts:
-    """Per-child priced Gen-Candidates segments: child ``i``'s anchor has
-    ``nb[i]`` neighbors and its ``n_others[i]`` other matched neighbors
-    ``others_deg[i]`` in all. The totals are
-    :func:`~repro.matching.gen_candidates._charge_gen`'s integer rules
-    as array arithmetic: the anchor's coalesced read, one lane pass per
-    matched neighbor, the binary-search rounds and the probe
-    transactions."""
-    warp = params.warp_size
-    coalesced = -(-xp.maximum(nb, 1) // warp)
-    compute = -(-xp.maximum(nb * (1 + n_others), 1) // warp) * params.compute_cycles
-    # frexp's exponent is bit_length for positive ints (0 for 0)
-    steps = xp.maximum(
-        1, xp.frexp(others_deg // xp.maximum(n_others, 1))[1].astype(xp.int64)
-    )
-    probes = xp.maximum(1, nb // warp)
-    scattered = probes + xp.where(
-        n_others > 0, xp.maximum(-(-nb // warp) * steps * n_others, 1), 0
-    )
-    transactions = coalesced + scattered
-    clock = compute + transactions * params.global_transaction_cycles
-    totals = [xp.to_numpy(a).tolist() for a in (clock, compute, transactions, coalesced, scattered)]
-    return SegmentCosts.from_totals(totals[0], list(totals[0]), *totals[1:])
+    """Per-child priced Gen-Candidates segments (:meth:`_CostSink.price`)."""
+    sink = _CostSink(len(nb))
+    sink.price(slice(None), nb, n_others, others_deg, params)
+    return sink.costs(len(nb))
 
 
 class LevelRecord:
@@ -233,7 +313,7 @@ class LevelRecord:
     def __init__(
         self,
         cands,
-        off: Optional[list[int]] = None,
+        off: Optional[array] = None,
         costs: Optional[SegmentCosts] = None,
         covered: int = 0,
         kids: Optional["LevelRecord"] = None,
@@ -253,10 +333,12 @@ class LevelRecord:
     def clock_sums(self) -> array:
         """Prefix sums of the segments' clock costs, as int64: entry
         ``i`` is the clock of segments ``[0, i)``. Built on first use,
-        so only the records a cursor runs ahead through, or bounds a
-        sibling's horizon with, hold one."""
+        when a frame adopts the record (its owner's
+        :attr:`_FrameStack.clock_ahead`)."""
         if self._sums is None:
-            self._sums = array("q", accumulate(self.costs.clock, initial=0))
+            clock = self.costs.clock
+            self._sums = sums = array("q", [0]) * (len(clock) + 1)
+            xp.cumsum(xp.frombuffer(clock, dtype=xp.int64), out=xp.frombuffer(sums, dtype=xp.int64)[1:])
         return self._sums
 
     def childless_run(self, j: int, span: float, last: int) -> int:
@@ -271,10 +353,10 @@ class LevelRecord:
         sums = self.clock_sums()
         stop = bisect_left(sums, span + sums[j + 1], j + 1, last + 1) - 1
         if self._parents is None:
-            off = self.off
-            self._parents = array(
-                "q", compress(count(), map(lt, off, islice(off, 1, None)))
-            )
+            off = xp.frombuffer(self.off, dtype=xp.int64)
+            parents = xp.to_numpy(xp.nonzero(off[:-1] < off[1:])[0]).astype(xp.int64)
+            self._parents = array("q")
+            self._parents.frombytes(memoryview(parents).cast("B"))
         parents = self._parents
         at = bisect_right(parents, j)
         if at < len(parents) and parents[at] < stop:
@@ -301,9 +383,17 @@ class _FrameStack:
     tail ``[mid, end)`` with its record offset and lowering ``end[i]``
     — the stack form of the oracle's in-place ``del fr["cands"][mid:]``
     truncation (the victim never reads past the cut).
+
+    ``clock_ahead`` is the recorded clock cost of every frame's
+    unconsumed candidates (a frame holds a record iff it generates
+    children): the Gen-Candidates cycles this stack's owner must still
+    charge, one generation per resumption that yields. It is a running
+    total: the DFS cursor attaching a record to a frame it pushed,
+    consuming a candidate or running ahead through several, and a
+    thief's cut each adjust it (a frame pops only once consumed).
     """
 
-    __slots__ = ("level", "start", "end", "p", "arena", "depth", "rec", "base")
+    __slots__ = ("level", "start", "end", "p", "arena", "depth", "rec", "base", "clock_ahead")
 
     def __init__(self, n_levels: int) -> None:
         cap = max(int(n_levels), 1)
@@ -315,6 +405,7 @@ class _FrameStack:
         self.depth = 0
         self.rec: list = [None] * cap
         self.base = [0] * cap
+        self.clock_ahead = 0
 
     def push(self, lv: int, cands) -> int:
         d = self.depth
@@ -329,7 +420,9 @@ class _FrameStack:
 
     def pop(self) -> int:
         """Drop the top frame; returns its (possibly thief-truncated)
-        candidate count — the words the memory gauge frees."""
+        candidate count — the words the memory gauge frees. A frame
+        pops once consumed (``p == end``), so ``clock_ahead`` holds
+        nothing of it any more."""
         d = self.depth - 1
         start = self.start[d]
         self.rec[d] = None
@@ -342,24 +435,11 @@ class _FrameStack:
         d = self.depth
         return sum(self.end[:d]) - sum(self.p[:d])
 
-    def clock_ahead(self) -> int:
-        """The recorded clock costs of every frame's unconsumed
-        candidates (a frame holds a record iff it generates children):
-        the Gen-Candidates cycles this stack's owner must still charge,
-        one generation per resumption that yields."""
-        total = 0
-        for d in range(self.depth):
-            rec = self.rec[d]
-            if rec is not None:
-                sums = rec.clock_sums()
-                at = self.base[d] - self.start[d]
-                total += sums[at + self.end[d]] - sums[at + self.p[d]]
-        return total
-
     def clear(self) -> None:
         for i in range(self.depth):
             self.rec[i] = None
         self.depth = 0
+        self.clock_ahead = 0
         self.arena.truncate(0)
 
     def splittable(self) -> bool:
@@ -377,9 +457,13 @@ class _FrameStack:
             if remaining >= 2:
                 mid = p + remaining // 2
                 stolen = self.arena.view(mid, end).copy()
+                rec = self.rec[i]
+                if rec is not None:
+                    sums = rec.clock_sums()
+                    at = self.base[i] - self.start[i]
+                    self.clock_ahead -= sums[at + end] - sums[at + mid]
                 self.end[i] = mid  # in-place: the victim sees the cut
                 lv = self.level[i]
-                rec = self.rec[i]
                 return {
                     "frame_steal": True,
                     "level": lv,
@@ -405,7 +489,7 @@ def _entry_candidates(
     matched = [w for w in query.neighbors(qv) if w in slot]
     if not matched:
         raise MatchingError(f"matching order broke connectivity at {qv}")
-    _, cands, _, charge = _narrow_level(
+    cands, _, charge = _narrow_level(
         _Snapshot(env.csr, env.bitmap, env.phase),
         xp.asarray([list(assign.values())], dtype=xp.int64),
         xp.asarray([[slot[w] for w in matched]], dtype=xp.int64),
@@ -458,7 +542,7 @@ def _level_children(
     )
     prefix[:, lv] = xp.concatenate([xp.asarray(c, dtype=xp.int64) for _, c, _ in requests])
     shape = (len(prefix), len(matched))
-    _, vals, kid_counts, charge = _narrow_level(
+    vals, kid_counts, charge = _narrow_level(
         _Snapshot(env.csr, env.bitmap, env.phase),
         prefix,
         xp.broadcast_to(xp.asarray([slot[w] for w in matched], dtype=xp.int64), shape),
@@ -469,11 +553,10 @@ def _level_children(
         xp.full(len(prefix), level_column(env.table, group, lv + 1), dtype=xp.int64),
         xp.repeat(xp.asarray([r for _, _, r in requests], dtype=xp.int64), counts),
     )
-    off = xp.zeros(len(prefix) + 1, dtype=xp.int64)
-    xp.cumsum(kid_counts, out=off[1:])
+    off = array("q", [0]) * (len(prefix) + 1)
+    xp.cumsum(kid_counts, out=xp.frombuffer(off, dtype=xp.int64)[1:])
     record = LevelRecord(
-        None, xp.to_numpy(off).tolist(), _gen_cost_segments(*charge, params),
-        len(prefix), LevelRecord(vals),
+        None, off, _gen_cost_segments(*charge, params), len(prefix), LevelRecord(vals)
     )
     bases = [0] * len(sizes)
     for r in range(1, len(sizes)):

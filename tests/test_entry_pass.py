@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import xp
+from repro.bench.workloads import hub_schedule
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.updates import apply_batch, make_batch
@@ -106,9 +109,10 @@ class Tally:
         self.inline: dict[int, int] = {}
 
 
-def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally) -> None:
+def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally, fast=None) -> None:
     """A frame's recorded children and costs equal inline generation, and
-    so do those of every recorded frame below it."""
+    so do those of every recorded frame below it: the oracle's, and with
+    ``fast`` (a vectorized env) also one ``_level_children`` call's."""
     if not cands or not gens(group, lv, env.n):
         return
     if frame is None:  # past the bound
@@ -121,6 +125,14 @@ def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally) -> No
         got = fresh_ctx(params)
         rec.costs.apply(got, base + j)
         assert charged(got) == charged(want)
+    if fast is not None:
+        [(inline, at)] = dfs._level_children(fast, group, lv, [(prefix, cands, rank)], params)
+        for j in range(len(cands)):
+            assert as_list(inline.children(at + j)) == kids[j]
+            got, want = fresh_ctx(params), fresh_ctx(params)
+            rec.costs.apply(got, base + j)
+            inline.costs.apply(want, at + j)
+            assert charged(got) == charged(want)
     tally.frames[lv] = tally.frames.get(lv, 0) + 1
     # an anchor of more than 64 neighbors reads 3+ coalesced transactions
     tally.hub_kids += max(ctx.stats.coalesced_transactions for ctx in ctxs) >= 3
@@ -128,20 +140,32 @@ def check_frame(env, params, group, prefix, lv, cands, frame, rank, tally) -> No
     for j, c in enumerate(cands):
         a, b = rec.off[base + j], rec.off[base + j + 1]
         below = (rec.kids, a) if b <= rec.kids.covered else None
-        check_frame(env, params, group, prefix + [c], lv + 1, kids[j], below, rank, tally)
+        check_frame(env, params, group, prefix + [c], lv + 1, kids[j], below, rank, tally, fast)
 
 
-def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> None:
-    """Every recorded item equals the oracle at every level, and every
-    item the pass should cover carries a record."""
+def check_items(
+    runtime, phase, csr, per_edge, tally: Tally, bitmap=None, inline=False, bounded=False
+) -> None:
+    """Every recorded item equals the oracle at every level (and with
+    ``inline`` the fast path's inline generation too), and every item
+    the pass should cover carries a record (with ``bounded``, those
+    past the bound carry none)."""
     n = runtime.query.n_vertices
     env = oracle_env(runtime, phase, csr, bitmap)
+    fast = None
+    if inline:
+        fast = _Env(
+            runtime.query, runtime.store.graph, runtime.table, runtime.plan, phase,
+            runtime.config, KernelOutput(), csr=csr,
+        )
+        fast.bitmap = env.bitmap
     for items in per_edge.values():
         for item in items:
             group = item["group"]
             rec = item.get("entry")
             covers = n > 2 and (len(group.core) != 2 or group.is_singleton)
-            assert (rec is not None) == covers
+            assert rec is None or covers
+            assert bounded or (rec is not None) == covers
             if rec is None:
                 continue
             ctx = fresh_ctx(runtime.params)
@@ -158,7 +182,7 @@ def check_items(runtime, phase, csr, per_edge, tally: Tally, bitmap=None) -> Non
             tally.rank_sensitive += free != cands
             a, b = group.representative
             prefix = [item["assign"][a], item["assign"][b]]
-            check_frame(env, runtime.params, group, prefix, 2, cands, frame, rank, tally)
+            check_frame(env, runtime.params, group, prefix, 2, cands, frame, rank, tally, fast)
 
 
 def audited_service(monkeypatch, graph, tally: Tally, **kwargs) -> MatchingService:
@@ -289,18 +313,12 @@ class TestRecordsEqualInline:
         assert tally.union_entries, "a k>0 group must filter on a union column"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    query=st.sampled_from(POOL),
-    coalesced=st.booleans(),
-    short=st.integers(0, 6),
-)
-def test_random_grids(seed, query, coalesced, short):
-    """Random labelled graphs (with a hub), random update edges (some
-    absent from the graph, some repeated), and a candidate bitmap cut
-    ``short`` rows below the snapshot: every record equals the inline
-    generation over the same (cut) bitmap."""
+def random_grid(seed, query, coalesced, short=0):
+    """A random labelled graph (with a hub), random update edges (some
+    absent from the graph, some repeated) and a candidate bitmap cut
+    ``short`` rows below the snapshot; returns the graph, the runtime,
+    the phase, the snapshot, the working items per edge and the
+    :func:`entry_pass` arguments after ``phase``."""
     rng = random.Random(seed)
     n = rng.randint(8, 60)
     hub = rng.randrange(n)
@@ -324,14 +342,137 @@ def test_random_grids(seed, query, coalesced, short):
     items = [item for its in per_edge.values() for item in its]
     bitmap = runtime.table.stack.bitmap
     bitmap = bitmap[: max(bitmap.shape[0] - short, 0)]
-    ep.entry_pass(
-        phase, csr, bitmap,
+    args = (
+        csr, bitmap,
         ep.entry_facts(query, runtime.table, groups),
         xp.asarray([row_of[id(item["group"])] for item in items], dtype=xp.int64),
         xp.asarray([item["rank"] for item in items], dtype=xp.int64),
         items, PARAMS,
     )
-    check_items(runtime, phase, csr, per_edge, Tally(), bitmap=bitmap)
+    return g, runtime, phase, csr, per_edge, args
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    query=st.sampled_from(POOL),
+    coalesced=st.booleans(),
+    short=st.integers(0, 6),
+)
+def test_random_grids(seed, query, coalesced, short):
+    """Random labelled graphs (with a hub), random update edges (some
+    absent from the graph, some repeated), and a candidate bitmap cut
+    ``short`` rows below the snapshot: every record equals the inline
+    generation over the same (cut) bitmap."""
+    _, runtime, phase, csr, per_edge, args = random_grid(seed, query, coalesced, short)
+    ep.entry_pass(phase, *args)
+    check_items(runtime, phase, csr, per_edge, Tally(), bitmap=args[1])
+
+
+def test_chunked_levels_equal_inline():
+    """Frames straddle row chunks and element slices: with
+    ``_LEVEL_CHUNK`` at 1, 3 and 64 and the bound at 0, a few dozen
+    elements and its default, every record still equals the oracle's
+    ``_gen_candidates`` calls and one inline ``_level_children`` call
+    per frame, and serving equals the ``vectorized=False`` oracle."""
+    seen = dict.fromkeys(("plans a level", "slices a plan", "frames a slice", "levels cut"), 0)
+    real_plan, real_expand, real_frames = ep._plan_requests, ep._expand_requests, ep._narrow_frames
+    calls: list = []  # per _narrow_frames call: [plans, slices]
+
+    def plan(snap, prefix, *args):
+        calls[-1][0] += 1
+        calls[-1].append(0)
+        return real_plan(snap, prefix, *args)
+
+    def expand(snap, plan_, lo, hi):
+        calls[-1][1] += 1
+        calls[-1][-1] += 1
+        return real_expand(snap, plan_, lo, hi)
+
+    def frames(snap, facts, items, chain, req, bounds, keep):
+        calls.append([0, 0])
+        n, vals = real_frames(snap, facts, items, chain, req, bounds, keep)
+        plans, slices, *per_plan = calls.pop()
+        seen["plans a level"] += plans > 1
+        seen["slices a plan"] += any(k > 1 for k in per_plan)
+        seen["frames a slice"] += slices and n > slices
+        seen["levels cut"] += n < len(bounds) - 1
+        return n, vals
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        query=st.sampled_from(POOL),
+        chunk=st.sampled_from((1, 3, 64)),
+        bound=st.sampled_from((0, 40, ep._ENTRY_PASS_MAX)),
+    )
+    def prop(seed, query, chunk, bound):
+        g, runtime, phase, csr, per_edge, args = random_grid(seed, query, coalesced=True)
+        with ExitStack() as stack:
+            for name, value in (
+                ("_LEVEL_CHUNK", chunk), ("_ENTRY_PASS_MAX", bound), ("_plan_requests", plan),
+                ("_expand_requests", expand), ("_narrow_frames", frames),
+            ):
+                stack.enter_context(mock.patch.object(ep, name, value))
+            ep.entry_pass(phase, *args)
+            check_items(runtime, phase, csr, per_edge, Tally(), inline=True, bounded=True)
+            batch = random_ops(g, random.Random(seed), n_ins=6)
+            fast = MatchingService(g, params=PARAMS)
+            fast.register_query(query, name="q", bootstrap=False)
+            got = run_reports(fast, [batch])
+        oracle = MatchingService(g, params=PARAMS, vectorized=False)
+        oracle.register_query(query, WBMConfig(vectorized=False), name="q", bootstrap=False)
+        assert got == run_reports(oracle, [batch])
+
+    prop()
+    assert all(seen.values()), seen
+
+
+def test_hub_plans_each_request_once(monkeypatch):
+    """On the benchmark's hub schedule the pass records the whole tree
+    of every item: each level's requests (one per candidate of the
+    level above) are planned once and narrowed once, and no frame
+    generates inline."""
+    g0, batch, query = hub_schedule()
+    planned: dict = {}
+    narrowed: dict = {}
+    inline = []
+    recorded = []
+    real_plan, real_expand, real_pass = ep._plan_requests, ep._expand_requests, ep.entry_pass
+
+    def plan(snap, prefix, *args):
+        width = prefix.shape[1]
+        planned[width] = planned.get(width, 0) + len(prefix)
+        return real_plan(snap, prefix, *args)
+
+    def expand(snap, plan_, lo, hi):
+        width = plan_.prefix.shape[1]
+        narrowed[width] = narrowed.get(width, 0) + hi - lo
+        return real_expand(snap, plan_, lo, hi)
+
+    def entry_pass(*args):
+        out = real_pass(*args)
+        recorded.append(args[6])
+        return out
+
+    monkeypatch.setattr(ep, "_plan_requests", plan)
+    monkeypatch.setattr(ep, "_expand_requests", expand)
+    monkeypatch.setattr("repro.matching.wbm.entry_pass", entry_pass)
+    monkeypatch.setattr(
+        dfs, "_level_children", lambda *a: inline.append(a) or pytest.fail("inline generation")
+    )
+    service = MatchingService(g0, params=PARAMS)
+    service.register_query(query, name="q", bootstrap=False)
+    service.process_batch(batch)
+    [items] = recorded
+    top = next(item["entry"][2][0] for item in items if item["entry"][2] is not None)
+    # requests per prefix width: the items, then each level's candidates
+    want, level = {2: len(items)}, top
+    while level is not None and len(level.cands):
+        want[len(want) + 2] = len(level.cands)
+        level = level.kids
+    assert planned == narrowed == want, (planned, narrowed, want)
+    assert set(want) == {2, 3, 4} and not inline
 
 
 @pytest.mark.parametrize(
@@ -437,9 +578,11 @@ class TestFallback:
         assert whole == none == cut
 
     def test_level_past_the_bound_generates_inline(self, monkeypatch):
-        """The stream's tailed C4 passes the default bound inside level 3:
-        every entry and entry frame is recorded, the level-3 frames past
-        the bound generate inline, and serving equals the oracle."""
+        """The stream's tailed C4 passes a bound of 8,192 elements inside
+        level 3: every entry and entry frame is recorded, the level-3
+        frames past the bound generate inline, and serving equals the
+        oracle."""
+        monkeypatch.setattr(ep, "_ENTRY_PASS_MAX", 1 << 13)
         g, batches = self._stream()
         recorded: dict = {}
         inline: dict = {}

@@ -285,3 +285,43 @@ def test_random_grids_and_params_match_oracle(
         got = serve(g0, query, batches, stealing, vectorized=True, params=params)
     assert got == oracle
     assert not watch.violations, watch.violations[:3]
+
+
+def clock_ahead_by_loop(fs) -> int:
+    """``_FrameStack.clock_ahead`` by its definition: per frame holding a
+    record, the recorded clock costs of its unconsumed candidates."""
+    total = 0
+    for d in range(fs.depth):
+        rec = fs.rec[d]
+        if rec is not None:
+            at = fs.base[d] - fs.start[d]
+            total += sum(rec.costs.clock[at + fs.p[d] : at + fs.end[d]])
+    return total
+
+
+@pytest.mark.parametrize("stealing", ["active", "passive", "off"])
+def test_clock_ahead_running_total(stealing):
+    """The frame stack's running ``clock_ahead`` equals the loop over its
+    frames after every cursor step, for every cursor of the block (a
+    thief's cut lands on a victim between the victim's steps), while
+    frames attach, consume, run ahead, are stolen from and pop."""
+    checked = []
+    step = _DfsLevelCursor.step
+
+    def checking(cursor, ctx):
+        done = step(cursor, ctx)
+        sched = cursor.env.sched
+        cursors = [cursor] if sched is None else sched.generators.values()
+        for task in cursors:
+            if type(task) is _DfsLevelCursor and task.state is not None:
+                fs = task.state["frames"]
+                assert fs.clock_ahead == clock_ahead_by_loop(fs)
+                checked.append(fs.clock_ahead)
+        return done
+
+    with mock.patch.object(_DfsLevelCursor, "step", checking):
+        for name, g0, query, batches in workloads():
+            assert serve(g0, query, batches, stealing, True) == serve(
+                g0, query, batches, stealing, False
+            ), name
+    assert any(checked)

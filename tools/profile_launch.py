@@ -14,6 +14,10 @@ Usage::
         [--batches 2] [--queries 3] [--top 25] [--sort cumtime]
         [--dataset LJ]
 
+``--dataset hub`` serves servebench's ``hub_heavy`` shape instead: the
+graph, insert batch and 5-cycle of ``repro.bench.workloads.hub_schedule``,
+the batch and its inverse alternating.
+
 First serves the stream once without the profiler and prints the host
 cost of the DFS control path: µs per level step (``gpu.exec`` wall ÷
 the devices' ``level_steps``), µs per active-stealing idle-handler
@@ -27,10 +31,12 @@ without cProfile. Per batch it prints the wall of the host's three
 shared passes — the candidate-stack refresh, the working-items pass
 and the entry and level pass over both sign phases — and the number of
 query groups the working-items pass resolves against the number of
-distinct label keys among them; the calls (and requests) of the array
-Gen-Candidates primitive (``level_batch._narrow_level``) per caller —
-the entry pass (level 2), the level pass (every deeper level,
-``entry_pass._record_level``), an inline item entry
+distinct label keys among them; the rows the array Gen-Candidates
+primitive planned (``level_batch._plan_requests``) against the rows it
+narrowed (``_expand_requests``), with host µs per narrowed request, per
+caller — the entry pass (level 2), the level pass (every deeper level,
+``entry_pass._record_level``; rows planned past the narrowed ones
+belong to frames the bound left out), an inline item entry
 (``_entry_candidates``), an inline frame and a fused sibling class
 (``_level_children`` over one frame or several); and the level pass's
 wall with,
@@ -85,21 +91,23 @@ for path in (ROOT / "src", ROOT):
         sys.path.insert(0, str(path))
 
 from repro.bench.harness import BENCH_PARAMS  # noqa: E402
-from repro.bench.workloads import holdout_stream  # noqa: E402
+from repro.bench.workloads import holdout_stream, hub_schedule  # noqa: E402
 from repro.filtering import CandidateStack  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.matching import WBMConfig, find_matches  # noqa: E402
 from repro.matching.entry_pass import _record_level, entry_pass  # noqa: E402
 from repro.matching.level_batch import (  # noqa: E402
     _entry_candidates,
+    _expand_requests,
     _level_children,
-    _narrow_level,
+    _plan_requests,
 )
 from repro.matching.dfs import _DfsLevelCursor  # noqa: E402
 from repro.matching.stealing import _active_idle_handler  # noqa: E402
 from repro.service import MatchingService  # noqa: E402
 from repro.service.matching_service import InProcessHost  # noqa: E402
 from servebench.spans import LayerTracer  # noqa: E402
+from servebench.workloads import make_cycle  # noqa: E402
 
 
 def collect_queries(graph, count: int, max_static: int = 200):
@@ -266,8 +274,8 @@ def shared_pass_report(service, tallies, seen: list) -> None:
     )
 
 
-#: callers of the array primitive ``_narrow_level``, as
-#: ``narrowing_report`` prints them
+#: callers of the array primitive (``_plan_requests`` then
+#: ``_expand_requests``), as ``narrowing_report`` prints them
 NARROWERS = ("entry pass", "level pass", "inline entry", "inline frame", "fused class")
 #: the candidate-count buckets of frames generated inline
 FRAME_SIZES = ("1", "2-9", ">=10")
@@ -283,17 +291,19 @@ def gen_coverage():
     generation there) to ``[recorded, inline]``: those the host's level
     pass recorded, and those generated inline — entries by
     ``_entry_candidates``, frames by ``_level_children``;
-    ``narrowed`` maps each ``NARROWERS`` caller to ``[calls,
-    requests]`` of the array primitive ``_narrow_level`` (the entry
-    pass's level 2, the level pass's deeper levels ``_record_level``,
-    an inline entry, a ``_level_children`` call over one frame or over
-    a fused sibling class); ``level_pass`` is ``[calls, seconds]`` of
+    ``narrowed`` maps each ``NARROWERS`` caller to ``[rows planned,
+    rows narrowed, seconds]`` of the array primitive: the requests its
+    ``_plan_requests`` calls planned, those its ``_expand_requests``
+    calls narrowed and the wall of both (the entry pass's level 2, the
+    level pass's deeper levels ``_record_level``, an inline entry, a
+    ``_level_children`` call over one frame or over a fused sibling
+    class); ``level_pass`` is ``[calls, seconds]`` of
     ``_record_level``; ``sizes`` counts the frames generated inline per
     ``FRAME_SIZES`` bucket."""
     tally = [0, 0.0]
     level_pass = [0, 0.0]
     coverage: dict = {"entries": [0, 0]}
-    narrowed = {name: [0, 0] for name in NARROWERS}
+    narrowed = {name: [0, 0, 0.0] for name in NARROWERS}
     sizes = dict.fromkeys(FRAME_SIZES, 0)
     caller: list[str] = []  # the innermost caller of the primitive
     timed_entry = _timed(_entry_candidates, tally)
@@ -333,12 +343,23 @@ def gen_coverage():
     def counting_level(*args):
         return calling("level pass", timed_level, *args)
 
-    def counting_narrow_level(*args, **kwargs):
-        out = _narrow_level(*args, **kwargs)
+    def counting_plan(snap, prefix, *args):
         tally_of = narrowed[caller[-1]]
-        tally_of[0] += 1
-        tally_of[1] += len(out[2])
-        return out
+        t0 = time.perf_counter()
+        try:
+            return _plan_requests(snap, prefix, *args)
+        finally:
+            tally_of[0] += len(prefix)
+            tally_of[2] += time.perf_counter() - t0
+
+    def counting_expand(snap, plan, lo, hi):
+        tally_of = narrowed[caller[-1]]
+        t0 = time.perf_counter()
+        try:
+            return _expand_requests(snap, plan, lo, hi)
+        finally:
+            tally_of[1] += hi - lo
+            tally_of[2] += time.perf_counter() - t0
 
     with ExitStack() as stack:
         for fn, wrapper in (
@@ -346,24 +367,29 @@ def gen_coverage():
             (_record_level, counting_level),
             (_entry_candidates, counting_entry),
             (_level_children, counting_children),
-            (_narrow_level, counting_narrow_level),
+            (_plan_requests, counting_plan),
+            (_expand_requests, counting_expand),
         ):
             stack.enter_context(patched(fn, wrapper))
         yield tally, coverage, narrowed, level_pass, sizes
 
 
 def narrowing_report(service, narrowed, seen: dict) -> None:
-    """Print one batch's primitive calls and requests per ``NARROWERS``
-    caller (the counts' growth since the previous batch)."""
+    """Print one batch's primitive rows planned against rows narrowed
+    and host µs per narrowed request, per ``NARROWERS`` caller (the
+    counts' growth since the previous batch)."""
     grown = {
-        name: [now - before for now, before in zip(narrowed[name], seen.get(name, (0, 0)))]
+        name: [now - before for now, before in zip(narrowed[name], seen.get(name, (0, 0, 0.0)))]
         for name in NARROWERS
     }
     seen.update({name: list(counts) for name, counts in narrowed.items()})
-    calls = ", ".join(f"{grown[name][0]} {name} ({grown[name][1]})" for name in NARROWERS)
+    rows = ", ".join(
+        f"{name} {planned}/{done} ({secs * 1e6 / max(done, 1):.2f}us)"
+        for name, (planned, done, secs) in grown.items()
+    )
     print(
-        f"  batch {service.batches_processed - 1}: array primitive calls "
-        f"(requests): {calls}"
+        f"  batch {service.batches_processed - 1}: array primitive rows planned/narrowed "
+        f"(host us per request): {rows}"
     )
 
 
@@ -475,7 +501,11 @@ def payload_cost(report) -> tuple[int, float, float]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--dataset", default="LJ")
+    ap.add_argument(
+        "--dataset", default="LJ",
+        help="a load_dataset name, or hub: hub_schedule()'s graph, batch and 5-cycle "
+        "(--scale, --queries and --rate do not apply)",
+    )
     ap.add_argument("--scale", type=float, default=0.3)
     ap.add_argument("--batches", type=int, default=2)
     ap.add_argument("--queries", type=int, default=3)
@@ -484,15 +514,23 @@ def main() -> None:
     ap.add_argument("--sort", default="cumtime", choices=["cumtime", "tottime"])
     args = ap.parse_args()
 
-    graph = load_dataset(args.dataset, scale=args.scale)
-    g0, stream = holdout_stream(
-        graph, args.rate * args.batches, n_batches=args.batches,
-        mode="mixed", seed=11,
-    )
-    batches = list(stream)
-    queries = collect_queries(g0, args.queries)
+    if args.dataset == "hub":
+        # servebench's hub_heavy shape: the batch, then its inverse
+        g0, batch, query = hub_schedule()
+        cycle = make_cycle(g0, [batch])
+        batches = [cycle[i % len(cycle)] for i in range(args.batches)]
+        queries = [query]
+    else:
+        graph = load_dataset(args.dataset, scale=args.scale)
+        g0, stream = holdout_stream(
+            graph, args.rate * args.batches, n_batches=args.batches,
+            mode="mixed", seed=11,
+        )
+        batches = list(stream)
+        queries = collect_queries(g0, args.queries)
+    scale = "" if args.dataset == "hub" else f" scale={args.scale}"
     print(
-        f"profiling {args.dataset} scale={args.scale}: |V|={g0.n_vertices} "
+        f"profiling {args.dataset}{scale}: |V|={g0.n_vertices} "
         f"|E|={g0.n_edges}, {len(batches)} batches, {len(queries)} queries"
     )
 
